@@ -2,8 +2,9 @@
 
 From-scratch re-expression of the query/data-processing capabilities of
 eurostat/pygridmap (reference at /root/reference) on top of
-``ray.data.Dataset`` pipelines: zero-copy Arrow batches, actor pools for
-stateful stages (polygon indexes, raster handles), explicit shuffles only
+``ray.data.Dataset`` pipelines: zero-copy Arrow batches, broadcast
+layers built once per worker (polygon indexes; actor pools for raster
+handles), explicit shuffles only
 where semantics demand (groupby/sort/partitioned write).
 
 Public surface (mirrors SURVEY.md §2):

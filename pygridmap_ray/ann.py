@@ -16,11 +16,22 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .cluster import Broadcast
+
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1)
     n[n == 0] = 1.0
     return m / n[:, None]
+
+
+def _query_state(queries: dict) -> dict:
+    """Per-worker state of a broadcast query set: row-normalized matrix
+    ``qm`` and int64 ids ``qids``."""
+    return {
+        "qm": _normalize(np.asarray(queries["matrix"], dtype=np.float64)),
+        "qids": np.asarray(queries["ids"], dtype=np.int64),
+    }
 
 
 def _emb_matrix(batch: pa.Table, emb_col: str) -> np.ndarray:
@@ -108,21 +119,10 @@ def ann_topk(
     corpus.  ``queries``: {"ids": int64[], "matrix": (Q, D) float}.
     Returns one row per (query_id, rank): query_id, rank, neighbor_id,
     cosine — ties broken by ascending neighbor id."""
-    import ray
-
-    ref = {"__ref__": ray.put(queries)}
+    ref = Broadcast(queries, _query_state)
 
     def partial(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        state = _cached_kernel(
-            f"ann:{ref['__ref__'].hex()}",
-            ref,
-            lambda p: {
-                "qm": _normalize(np.asarray(p["matrix"], dtype=np.float64)),
-                "qids": np.asarray(p["ids"], dtype=np.int64),
-            },
-        )
+        state = ref.get()
         ids = np.asarray(batch[id_col], dtype=np.int64)
         if len(ids) == 0:  # empty block: (0, 1) matrix would break matmul
             return pa.table(
@@ -180,24 +180,11 @@ def ann_range(
     ``queries``: {"ids": int64[], "matrix": (Q, D) float}.  Returns
     (query_id, neighbor_id, cosine rounded half-away) — map-only, no
     shuffle; output volume is survivor-scale by construction."""
-    import ray
-
-    ref = {"__ref__": ray.put(queries)}
+    ref = Broadcast(queries, _query_state)
     tol = 10.0 ** round_to
 
     def partial(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        state = _cached_kernel(
-            f"annr:{ref['__ref__'].hex()}",
-            ref,
-            lambda p: {
-                "qm": _normalize(
-                    np.asarray(p["matrix"], dtype=np.float64)
-                ),
-                "qids": np.asarray(p["ids"], dtype=np.int64),
-            },
-        )
+        state = ref.get()
         ids = np.asarray(batch[id_col], dtype=np.int64)
         empty = pa.table(
             {
@@ -348,17 +335,13 @@ def ivf_build(
     ``out/bucket={c}/part-*.parquet``.  This is the scale path's layout —
     searches then PRUNE AT THE READ, loading only the ``nprobe`` bucket
     directories a query needs instead of streaming the whole corpus."""
-    import ray
-
     from .tiler import write_partitioned
 
     cents = _normalize(np.asarray(centroids, dtype=np.float64))
-    ref = {"__ref__": ray.put(cents)}
+    ref = Broadcast(cents)
 
     def assign(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        c = _cached_kernel(f"ivfb:{ref['__ref__'].hex()}", ref, lambda p: p)
+        c = ref.get()
         v = _normalize(_emb_matrix(batch, emb_col))
         bucket = (
             np.argmax(v @ c.T, axis=1).astype(np.int64)
@@ -433,29 +416,21 @@ def ivf_topk(
     among a query's ``nprobe`` closest are skipped in the partial stage —
     at scale the bucket id is a partition key and whole partitions are
     pruned at the read (documented partitioning assumption)."""
-    import ray
-
     cents = _normalize(np.asarray(centroids, dtype=np.float64))
-    ref = {"__ref__": ray.put({**queries, "cents": cents})}
+
+    def build(p):
+        st = _query_state(p)
+        # stable: probe ties break toward the lower centroid id (the
+        # SQL twin's ORDER BY cos DESC, cid ASC)
+        probes = np.argsort(-(st["qm"] @ p["cents"].T), axis=1, kind="stable")[
+            :, :nprobe
+        ]
+        return {**st, "cents": p["cents"], "probes": probes}
+
+    ref = Broadcast({**queries, "cents": cents}, build)
 
     def partial(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        def build(p):
-            qm = _normalize(np.asarray(p["matrix"], dtype=np.float64))
-            # stable: probe ties break toward the lower centroid id (the
-            # SQL twin's ORDER BY cos DESC, cid ASC)
-            probes = np.argsort(-(qm @ p["cents"].T), axis=1, kind="stable")[
-                :, :nprobe
-            ]
-            return {
-                "qm": qm,
-                "qids": np.asarray(p["ids"], dtype=np.int64),
-                "cents": p["cents"],
-                "probes": probes,
-            }
-
-        state = _cached_kernel(f"ivf:{ref['__ref__'].hex()}:{nprobe}", ref, build)
+        state = ref.get()
         ids = np.asarray(batch[id_col], dtype=np.int64)
         if len(ids) == 0:
             return pa.table(
@@ -539,10 +514,8 @@ def kmeans_fit(
     at ``round_to`` decimals on BOTH sides, which absorbs
     summation-order ulp drift before it can flip a later assignment."""
     import pyarrow.compute as pc
-    import ray
 
     from .cluster import resolve_num_buckets
-    from .spatial import _cached_kernel
 
     tol = 10.0**round_to
     nb = resolve_num_buckets(None)  # driver-resolved once, captured
@@ -571,8 +544,8 @@ def kmeans_fit(
         }
     )
 
-    def partials(b: pa.Table, *, ref, ckey) -> pa.Table:
-        C = _cached_kernel(ckey, ref, lambda c: c)
+    def partials(b: pa.Table, *, ref) -> pa.Table:
+        C = ref.get()
         if b.num_rows == 0:  # empty blocks (filters/repartition) are real
             return _P_EMPTY
         X = _emb_matrix(b, emb_col)
@@ -626,13 +599,10 @@ def kmeans_fit(
         )
 
     for _ in range(iters):
-        ref = {"__ref__": ray.put(cents)}
-        ckey = f"kmeans:{ref['__ref__'].hex()}"
+        ref = Broadcast(cents)
         p = (
             ds.map_batches(
-                lambda b, ref=ref, ckey=ckey: partials(
-                    b, ref=ref, ckey=ckey
-                ),
+                lambda b, ref=ref: partials(b, ref=ref),
                 batch_format="pyarrow",
             )
             .groupby("__cg")
@@ -668,17 +638,13 @@ def kmeans_embeddings(
     broadcast once, assignment is a stateless vectorized map (never an
     assignment shuffle)."""
     import pyarrow.compute as pc
-    import ray
-
-    from .spatial import _cached_kernel
 
     cents = kmeans_fit(
         ds, id_col=id_col, emb_col=emb_col, k=k, iters=iters,
         round_to=round_to, argmin_slab_bytes=argmin_slab_bytes,
     )
 
-    ref = {"__ref__": ray.put(cents)}
-    ckey = f"kmeans:{ref['__ref__'].hex()}"
+    ref = Broadcast(cents)
 
     def assign(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -688,7 +654,7 @@ def kmeans_embeddings(
                     "cluster": pa.array([], pa.int64()),
                 }
             )
-        C = _cached_kernel(ckey, ref, lambda c: c)
+        C = ref.get()
         X = _emb_matrix(b, emb_col)
         # chunked; same bits as full tensor
         a, _ = _argmin_sq_dist(X, C, slab_bytes=argmin_slab_bytes)
@@ -770,22 +736,17 @@ def kmeans_distances(
     from every mode; the SemDeDup/cleanlab-style pruning signal).
     Emits (id_col, cluster, dist rounded half-away); broadcast
     centroids, one stateless map pass, no shuffle."""
-    import ray
-
-    from .spatial import _cached_kernel
-
     cents = kmeans_fit(
         ds, id_col=id_col, emb_col=emb_col, k=k, iters=iters,
         round_to=round_to, argmin_slab_bytes=argmin_slab_bytes,
     )
-    ref = {"__ref__": ray.put(cents)}
-    ckey = f"kmdist:{ref['__ref__'].hex()}"
+    ref = Broadcast(cents)
     tol = 10.0 ** round_to
 
     import pyarrow.compute as pc
 
     def score(b: pa.Table) -> pa.Table:
-        C = _cached_kernel(ckey, ref, lambda c: c)
+        C = ref.get()
         if b.num_rows == 0:
             return pa.table(
                 {
@@ -823,9 +784,6 @@ def quantize_embeddings(
     storage/bandwidth trick before ANN at 100 TB (4 bytes -> 1 byte per
     dim).  Constant dimensions quantize to 0.  Emits (id, qvec)."""
     import pyarrow.compute as pc
-    import ray
-
-    from .spatial import _cached_kernel
 
     def mm_partial(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:  # empty blocks contribute no partial row
@@ -848,11 +806,10 @@ def quantize_embeddings(
     mx = np.max(np.stack(p["mx"].to_numpy()), axis=0)
     scale = mx - mn
     scale[scale == 0] = 1.0  # constant dim -> q = 0
-    ref = {"__ref__": ray.put({"mn": mn, "scale": scale})}
-    ckey = f"quant:{ref['__ref__'].hex()}"
+    ref = Broadcast({"mn": mn, "scale": scale})
 
     def quant(b: pa.Table) -> pa.Table:
-        s = _cached_kernel(ckey, ref, lambda x: x)
+        s = ref.get()
         X = _emb_matrix(b, emb_col)
         q = np.floor((X - s["mn"]) / s["scale"] * float(levels) + 0.5)
         q = q.astype(np.int64)
@@ -911,9 +868,6 @@ def dequantize_embeddings(
     dequantized ``list<double>`` column so it drops into
     :func:`ann_topk` unchanged."""
     import pyarrow.compute as pc
-    import ray
-
-    from .spatial import _cached_kernel
 
     def mm_partial(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -936,11 +890,10 @@ def dequantize_embeddings(
     mx = np.max(np.stack(p["mx"].to_numpy()), axis=0)
     scale = mx - mn
     scale[scale == 0] = 1.0  # constant dim -> code 0 -> reconstruct mn
-    ref = {"__ref__": ray.put({"mn": mn, "scale": scale})}
-    ckey = f"dequant:{ref['__ref__'].hex()}"
+    ref = Broadcast({"mn": mn, "scale": scale})
 
     def dq(b: pa.Table) -> pa.Table:
-        s = _cached_kernel(ckey, ref, lambda x: x)
+        s = ref.get()
         X = _emb_matrix(b, emb_col)
         code = np.floor((X - s["mn"]) / s["scale"] * float(levels) + 0.5)
         rec = s["mn"] + code * s["scale"] / float(levels)
@@ -1098,9 +1051,6 @@ def pq_reconstruct(
     id (numpy argmin == the oracle's ORDER BY dist, cid LIMIT 1).
     Emits (id, embedding) so it drops into :func:`ann_topk` unchanged."""
     import pyarrow.compute as pc  # noqa: F401 (house import)
-    import ray
-
-    from .spatial import _cached_kernel
 
     if dim % m:
         raise ValueError("dim must divide into m equal subspaces")
@@ -1129,11 +1079,10 @@ def pq_reconstruct(
     )  # (m, kc, w)
 
     for _ in range(iters):
-        fref = {"__ref__": ray.put(books)}
-        fkey = f"pqfit:{fref['__ref__'].hex()}"
+        fref = Broadcast(books)
 
-        def fit_partials(b: pa.Table, *, ref=None, ckey=None) -> pa.Table:
-            C = _cached_kernel(ckey, ref, lambda c: c)
+        def fit_partials(b: pa.Table, *, ref=None) -> pa.Table:
+            C = ref.get()
             if b.num_rows == 0:
                 return pa.table(
                     {
@@ -1169,7 +1118,7 @@ def pq_reconstruct(
             )
 
         p = ds.map_batches(
-            lambda b, ref=fref, ckey=fkey: fit_partials(b, ref=ref, ckey=ckey),
+            lambda b, ref=fref: fit_partials(b, ref=ref),
             batch_format="pyarrow",
         ).to_pandas()
         new = books.copy()
@@ -1190,11 +1139,10 @@ def pq_reconstruct(
                         np.sign(mvec) * np.floor(np.abs(mvec) * tol + 0.5) / tol
                     )
         books = new
-    ref = {"__ref__": ray.put(books)}
-    ckey = f"pq:{ref['__ref__'].hex()}"
+    ref = Broadcast(books)
 
     def reconstruct(b: pa.Table) -> pa.Table:
-        C = _cached_kernel(ckey, ref, lambda c: c)
+        C = ref.get()
         if b.num_rows == 0:
             return pa.table(
                 {
@@ -1329,22 +1277,16 @@ def hard_negatives(
     extra label-mask before the per-batch top-k.  Scale: the label mask
     is one vectorized compare per (Q, N) block; corpus never
     materializes."""
-    import ray
-
-    ref = {"__ref__": ray.put(queries)}
+    ref = Broadcast(
+        queries,
+        lambda p: {
+            **_query_state(p),
+            "qlab": np.asarray(p["labels"], dtype=np.int64),
+        },
+    )
 
     def partial(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        state = _cached_kernel(
-            f"hardneg:{ref['__ref__'].hex()}",
-            ref,
-            lambda p: {
-                "qm": _normalize(np.asarray(p["matrix"], dtype=np.float64)),
-                "qids": np.asarray(p["ids"], dtype=np.int64),
-                "qlab": np.asarray(p["labels"], dtype=np.int64),
-            },
-        )
+        state = ref.get()
         empty = pa.table(
             {
                 "query_id": pa.array([], pa.int64()),
@@ -1427,8 +1369,6 @@ def mmr_select(
     best candidate vectorized, and the driver folds block winners —
     no shuffle, corpus never materializes.  Returns (rank, vec_id,
     mmr)."""
-    import ray
-
     q = np.asarray(query_vec, np.float64)
     q = q / np.linalg.norm(q)
     tol = 10.0 ** round_to
@@ -1442,13 +1382,10 @@ def mmr_select(
             "sel": np.stack(sel_vecs) if sel_vecs else None,
             "ids": np.asarray(sel_ids, np.int64),
         }
-        ref = {"__ref__": ray.put(payload)}
-        key = f"mmr:{ref['__ref__'].hex()}"
+        ref = Broadcast(payload)
 
-        def best(b: pa.Table, _r=ref, _k=key) -> pa.Table:
-            from .spatial import _cached_kernel
-
-            st = _cached_kernel(_k, _r, lambda x: x)
+        def best(b: pa.Table, _r=ref) -> pa.Table:
+            st = _r.get()
             empty = pa.table(
                 {
                     "vec_id": pa.array([], pa.int64()),

@@ -7,6 +7,9 @@ repartition in the engine derives its width from the live cluster via
 :func:`default_num_partitions` (CPU-count based in this single-node
 sandbox; on a real cluster ``ray.cluster_resources()`` reflects all
 nodes, so the same call scales the plan with the cluster).
+
+It also holds :class:`Broadcast`, the one way a stage ships a driver-side
+value (polygon layer, dimension table, centroids) to its workers.
 """
 
 from __future__ import annotations
@@ -55,6 +58,39 @@ def resolve_num_buckets(num_buckets: int | None) -> int:
     through (callers that must pin a width — tests, reproducible plans —
     keep that ability)."""
     return default_num_buckets() if num_buckets is None else num_buckets
+
+
+#: per-worker-process cache of built broadcast values, keyed by object
+#: ref hex; FIFO-evicted past ``_BUILT_MAX`` distinct broadcasts
+_BUILT: dict[str, object] = {}
+_BUILT_MAX = 8
+
+
+class Broadcast:
+    """A driver-side value put in the object store once, read by every
+    batch of a stateless ``map_batches`` stage.
+
+    ``get()`` fetches the value (and runs ``build`` on it, e.g. a
+    polygon layer -> its join kernel) at most once per worker process,
+    so the layer/index cost is amortized like an actor pool's, while the
+    stage stays elastic and fusable with its neighbours.  Only the
+    object ref and ``build`` are pickled into the closure.
+    """
+
+    def __init__(self, value, build=None):
+        self.ref = ray.put(value)
+        self.build = build
+
+    def get(self):
+        key = self.ref.hex()
+        if key not in _BUILT:
+            value = ray.get(self.ref)
+            if self.build is not None:
+                value = self.build(value)
+            while len(_BUILT) >= _BUILT_MAX:
+                _BUILT.pop(next(iter(_BUILT)))
+            _BUILT[key] = value
+        return _BUILT[key]
 
 
 # NOTE there is deliberately NO worker-side cached bucket resolver

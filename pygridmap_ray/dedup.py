@@ -23,6 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from pygridmap_ray.cluster import (
+    Broadcast,
     resolve_num_buckets as _resolve_buckets,
 )
 
@@ -225,10 +226,6 @@ def minhash_lsh_pairs(
     pruning cannot help) the plan falls back to the dense explode,
     which in that regime ships no more than the candidates would.
     """
-    import ray
-
-    from .spatial import _cached_kernel
-
     # Consumed twice (hot-key count + candidate explode): materialize
     # stores the 512 B/doc signature table once — in the object store,
     # spilling to disk past its budget, which costs the same bytes a
@@ -279,7 +276,7 @@ def minhash_lsh_pairs(
     )
     n_hot = hot_ds.count()
 
-    def explode(batch: pa.Table, *, hot_ref=None, hot_key=None) -> pa.Table:
+    def explode(batch: pa.Table, *, hot_ref=None) -> pa.Table:
         n = batch.num_rows
         if n == 0:
             return pa.table(
@@ -295,7 +292,7 @@ def minhash_lsh_pairs(
         )
         ids = np.asarray(batch[id_col], dtype=np.int64)
         if hot_ref is not None:
-            hot = _cached_kernel(hot_key, hot_ref, lambda h: h)
+            hot = hot_ref.get()
             if hot.size == 0:  # no non-singleton bucket anywhere
                 return pa.table(
                     {
@@ -363,10 +360,9 @@ def minhash_lsh_pairs(
         hot = np.sort(
             hot_ds.to_pandas()["k"].to_numpy(np.int64).astype(np.uint64)
         )
-        hot_ref = {"__ref__": ray.put(hot)}
-        hot_key = f"mhhot:{hot_ref['__ref__'].hex()}"
+        hot_ref = Broadcast(hot)
         exploded = sigged.map_batches(
-            lambda b, r=hot_ref, k=hot_key: explode(b, hot_ref=r, hot_key=k),
+            lambda b, r=hot_ref: explode(b, hot_ref=r),
             batch_format="pyarrow",
         )
     else:  # mostly-duplicate corpus: pruning cannot help, ship dense
@@ -900,13 +896,10 @@ def ngram_jaccard_pairs(
                 ]
             )
         )
-        want_ref = {"__ref__": ray.put(want)}
-        from .spatial import _cached_kernel
-
-        ck = f"jacwant:{want_ref['__ref__'].hex()}"
+        want_ref = Broadcast(want)
 
         def pick(b: pa.Table) -> pa.Table:
-            w = _cached_kernel(ck, want_ref, lambda arr: arr)
+            w = want_ref.get()
             ids = np.asarray(b[id_col], dtype=np.int64)
             pos = np.searchsorted(w, ids)
             pos[pos == len(w)] = 0
@@ -1085,19 +1078,16 @@ def embedding_neardup_pairs(
     never a driver materialization.  Per-pair cosine is the dot of the two
     row-normalized vectors — bit-identical to the all-broadcast version,
     so the DuckDB all-pairs twin keeps matching."""
-    import ray
     from ray.data.aggregate import Min
 
     from .ann import _emb_matrix, _normalize
 
     cents = _normalize(np.asarray(centroids, dtype=np.float64))
     n_cent = len(cents)
-    ref = {"__ref__": ray.put(cents)}
+    ref = Broadcast(cents)
 
     def assign(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        c = _cached_kernel(f"ndc:{ref['__ref__'].hex()}", ref, lambda p: p)
+        c = ref.get()
         if batch.num_rows == 0:
             return batch.append_column(
                 "bucket", pa.array([], pa.int64())
@@ -1245,10 +1235,6 @@ def semdedup(
     Returns (id_col, cluster, removed) for every input vector."""
     from .ann import _argmin_sq_dist, _emb_matrix, _normalize, kmeans_fit
 
-    import ray
-
-    from .spatial import _cached_kernel
-
     if k is None:
         # paper regime: ~10^4 vectors per cluster; floor keeps tiny
         # corpora meaningful, cap bounds the broadcast centroid matrix
@@ -1258,8 +1244,7 @@ def semdedup(
         ds, id_col=id_col, emb_col=emb_col, k=k, iters=iters,
         argmin_slab_bytes=argmin_slab_bytes,
     )
-    ref = {"__ref__": ray.put(cents)}
-    ckey = f"semdedup:{ref['__ref__'].hex()}"
+    ref = Broadcast(cents)
 
     def assign(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -1270,7 +1255,7 @@ def semdedup(
                     emb_col: pa.array([], b.schema.field(emb_col).type),
                 }
             )
-        C = _cached_kernel(ckey, ref, lambda c: c)
+        C = ref.get()
         X = _emb_matrix(b, emb_col)
         # centroid-chunked running argmin (ann._argmin_sq_dist): same
         # bits as the full batch x k x d tensor without its corpus-
@@ -1924,10 +1909,6 @@ def decontaminate(
     :func:`ngram_jaccard_pairs` (same ``m = min(n, n_tokens)`` law);
     equal gram strings collide iff the polynomial collides — the same
     accepted ~2^-61 risk documented there."""
-    import ray
-
-    from .spatial import _cached_kernel
-
     def ev_partial(b: pa.Table) -> pa.Table:
         t = _shingle_sets(b, id_col, text_col, n)
         sh = t["shingles"].combine_chunks()
@@ -1944,11 +1925,10 @@ def decontaminate(
         if "gram" in ev_rows.columns and len(ev_rows)
         else np.empty(0, dtype=np.int64)
     )
-    ref = {"__ref__": ray.put(ev_sorted)}
-    ckey = f"decon:{ref['__ref__'].hex()}"
+    ref = Broadcast(ev_sorted)
 
     def flag(b: pa.Table) -> pa.Table:
-        ev = _cached_kernel(ckey, ref, lambda a: a)
+        ev = ref.get()
         t = _shingle_sets(b, id_col, text_col, n)
         sh = t["shingles"].combine_chunks()
         flat = np.asarray(sh.flatten(), dtype=np.int64)
@@ -1981,10 +1961,6 @@ def contamination_overlap(
     map_batches (sorted isin probe + segmented counts) — no corpus
     shuffle.  Emits (id_col, n_grams, n_hit, overlap_frac), frac
     rounded half-away at ``round_to`` dp, NULL for gram-less docs."""
-    import ray
-
-    from .spatial import _cached_kernel
-
     def ev_partial(b: pa.Table) -> pa.Table:
         t = _shingle_sets(b, id_col, text_col, n)
         sh = t["shingles"].combine_chunks()
@@ -2001,12 +1977,11 @@ def contamination_overlap(
         if "gram" in ev_rows.columns and len(ev_rows)
         else np.empty(0, dtype=np.int64)
     )
-    ref = {"__ref__": ray.put(ev_sorted)}
-    ckey = f"contam:{ref['__ref__'].hex()}"
+    ref = Broadcast(ev_sorted)
     tol = 10.0 ** round_to
 
     def score(b: pa.Table) -> pa.Table:
-        ev = _cached_kernel(ckey, ref, lambda a: a)
+        ev = ref.get()
         t = _shingle_sets(b, id_col, text_col, n)
         sh = t["shingles"].combine_chunks()
         flat = np.asarray(sh.flatten(), dtype=np.int64)
@@ -2085,11 +2060,7 @@ def neardup_decontaminate(
     gather.  Emits (id_col, fuzzy_contaminated) for every train doc
     with at least one gram (the pair law ignores gram-less docs,
     mirroring the twin's len(g) > 0 guard)."""
-    import ray
-
     from ray.data.aggregate import Max
-
-    from .spatial import _cached_kernel
 
     mx = train.aggregate(Max(id_col, alias_name="m"))["m"]
     off = int(mx) + 1 if mx is not None else 0
@@ -2110,11 +2081,10 @@ def neardup_decontaminate(
     b_ = pairs["id_b"].to_numpy(np.int64)
     cross = (a < off) != (b_ < off)
     bad = np.unique(np.where(a[cross] < off, a[cross], b_[cross]))
-    ref = {"__ref__": ray.put(bad)}
-    ckey = f"neardup-decon:{ref['__ref__'].hex()}"
+    ref = Broadcast(bad)
 
     def flag(b: pa.Table) -> pa.Table:
-        bd = _cached_kernel(ckey, ref, lambda x: x)
+        bd = ref.get()
         # len(g) > 0 <=> at least one token (m = min(n, n_tokens) law)
         ntok = np.asarray(
             pc.count_substring_regex(

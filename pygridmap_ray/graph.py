@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from pygridmap_ray.cluster import (
+    Broadcast,
     resolve_num_buckets as _resolve_buckets,
 )
 
@@ -62,8 +63,6 @@ def pagerank(
     Seeds are inherently a small broadcastable set; supported on the
     broadcast-state path (the sharded-state variant needs one extra
     LEFT join of the node universe per superstep — not wired)."""
-    import ray
-
     from .tfidf import _coarse_sum
 
     if num_partitions is None:
@@ -91,7 +90,6 @@ def pagerank(
     deg = deg.materialize()  # node-sized; reused by every consumer below
     if deg.count() <= broadcast_state_limit:
         dd = deg.to_pandas()
-        from .spatial import _cached_kernel
 
         order = np.argsort(dd["src"].to_numpy(np.int64), kind="stable")
         ids = dd["src"].to_numpy(np.int64)[order]
@@ -111,11 +109,10 @@ def pagerank(
         else:
             tvec = np.full(n, teleport)
             pr_init = np.full(n, 1.0 / nf)
-        dref = {"__ref__": ray.put({"ids": ids, "deg": degv})}
-        dkey = f"pr-deg:{dref['__ref__'].hex()}"
+        dref = Broadcast({"ids": ids, "deg": degv})
 
         def attach_wt(b: pa.Table) -> pa.Table:
-            p = _cached_kernel(dkey, dref, lambda x: x)
+            p = dref.get()
             s = np.asarray(b["src"], np.int64)
             wt = 1.0 / p["deg"][np.searchsorted(p["ids"], s)]
             return pa.table({"src": b["src"], "dst": b["dst"], "wt": pa.array(wt)})
@@ -128,17 +125,16 @@ def pagerank(
         dense = n <= 1 << 18  # 2 MB state: dense per-task partial vectors
         pr = pr_init
         for it in range(iters):
-            pref = {"__ref__": ray.put(pr)}
-            pkey = f"pr-state:{pref['__ref__'].hex()}"
+            pref = Broadcast(pr)
 
             if dense:
                 # no shuffle at all: each task returns a DENSE partial
                 # contribution vector (n floats), summed on the driver —
                 # for small states this beats the coarse-sum shuffle's
                 # fixed all-to-all latency by ~3x per superstep
-                def contrib_dense(b: pa.Table, _pref=pref, _pkey=pkey) -> pa.Table:
-                    p = _cached_kernel(_pkey, _pref, lambda x: x)
-                    dk = _cached_kernel(dkey, dref, lambda x: x)
+                def contrib_dense(b: pa.Table, _pref=pref) -> pa.Table:
+                    p = _pref.get()
+                    dk = dref.get()
                     s = np.asarray(b["src"], np.int64)
                     d2 = np.asarray(b["dst"], np.int64)
                     v = p[np.searchsorted(dk["ids"], s)] * np.asarray(
@@ -157,9 +153,9 @@ def pagerank(
                 pr = tvec + damping * acc
                 continue
 
-            def contrib(b: pa.Table, _pref=pref, _pkey=pkey) -> pa.Table:
-                p = _cached_kernel(_pkey, _pref, lambda x: x)
-                dk = _cached_kernel(dkey, dref, lambda x: x)
+            def contrib(b: pa.Table, _pref=pref) -> pa.Table:
+                p = _pref.get()
+                dk = dref.get()
                 s = np.asarray(b["src"], np.int64)
                 v = p[np.searchsorted(dk["ids"], s)] * np.asarray(
                     b["wt"], np.float64
@@ -1223,7 +1219,6 @@ def bfs_hops(
     is a partitioned ``cluster.safe_join`` of the frontier Dataset
     against the edge set plus a left_outer anti-join against the
     visited state — same law, the 10^9-node shape."""
-    import ray
     import ray.data as rd
 
     if num_partitions is None:
@@ -1259,13 +1254,10 @@ def bfs_hops(
         for d in range(1, max_hops + 1):
             if not len(frontier):
                 break
-            f_ref = {"__ref__": ray.put(np.sort(frontier))}
-            fkey = f"bfs:{f_ref['__ref__'].hex()}"
+            f_ref = Broadcast(np.sort(frontier))
 
-            def expand(b: pa.Table, _ref=f_ref, _key=fkey) -> pa.Table:
-                from .spatial import _cached_kernel
-
-                fr = _cached_kernel(_key, _ref, lambda x: x)
+            def expand(b: pa.Table, _ref=f_ref) -> pa.Table:
+                fr = _ref.get()
                 a = np.asarray(b[a_col], np.int64)
                 v = np.asarray(b[b_col], np.int64)
                 if len(fr):
@@ -1824,8 +1816,6 @@ def scc(
     distributed shape); that branch returns a ``Dataset`` of
     (node, scc_id) because node-scale output no longer fits the driver.
     """
-    import ray
-
     # the edge census never gathers the raw edge set to the driver:
     # distributed distinct first, then count-gated materialization
     ep_ds = distinct_int_pairs(edges, a_col, b_col).materialize()
@@ -1902,13 +1892,10 @@ def scc(
         eds = ep_ds  # deduplicated, already materialized
 
         def _passes(kind, state_payload):
-            ref = {"__ref__": ray.put(state_payload)}
-            key = f"scc:{kind}:{ref['__ref__'].hex()}"
+            ref = Broadcast(state_payload)
 
-            def fwd(b: pa.Table, _r=ref, _k=key) -> pa.Table:
-                from .spatial import _cached_kernel
-
-                st = _cached_kernel(_k, _r, lambda x: x)
+            def fwd(b: pa.Table, _r=ref) -> pa.Table:
+                st = _r.get()
                 nd, col, al = st["nodes"], st["color"], st["alive"]
                 u = np.searchsorted(nd, np.asarray(b[a_col], np.int64))
                 v = np.searchsorted(nd, np.asarray(b[b_col], np.int64))
@@ -1932,10 +1919,8 @@ def scc(
                     }
                 )
 
-            def bwd(b: pa.Table, _r=ref, _k=key) -> pa.Table:
-                from .spatial import _cached_kernel
-
-                st = _cached_kernel(_k, _r, lambda x: x)
+            def bwd(b: pa.Table, _r=ref) -> pa.Table:
+                st = _r.get()
                 nd, col, al, mem = (
                     st["nodes"], st["color"], st["alive"], st["member"]
                 )
@@ -2900,8 +2885,6 @@ def sssp_hops(
     partitioned `cluster.safe_join` relaxation + coarse per-target min
     (:func:`_sssp_sharded`) — that branch returns a ``Dataset`` of
     (node, cost), node-scale output staying distributed."""
-    import ray
-
     INF = np.int64(1 << 62)
     eds = edges.materialize()
     # node census stays distributed; only the count gates the branch
@@ -2935,18 +2918,12 @@ def sssp_hops(
     for _ in range(max_hops):
         if not len(active):
             break
-        ref = {
-            "__ref__": ray.put(
-                {"nodes": nodes, "dist": dist.copy(),
-                 "active": active.copy()}
-            )
-        }
-        key = f"sssp:{ref['__ref__'].hex()}"
+        ref = Broadcast(
+            {"nodes": nodes, "dist": dist.copy(), "active": active.copy()}
+        )
 
-        def relax(b: pa.Table, _r=ref, _k=key) -> pa.Table:
-            from .spatial import _cached_kernel
-
-            st = _cached_kernel(_k, _r, lambda x: x)
+        def relax(b: pa.Table, _r=ref) -> pa.Table:
+            st = _r.get()
             nd, ds_, ac = st["nodes"], st["dist"], st["active"]
             u = np.searchsorted(nd, np.asarray(b[a_col], np.int64))
             v = np.searchsorted(nd, np.asarray(b[b_col], np.int64))

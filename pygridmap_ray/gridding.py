@@ -3,9 +3,9 @@
 Ray-Data-native re-expression of the reference ``GridMaker``
 (reference gridding.py:132-399): the unit of work is a processing tile,
 but a tile is a *row of a Dataset of tile specs*, not a multiprocessing
-task; the cell-emission kernel is a ``map_batches`` actor pool holding
-the broadcast mask (reference re-pickles the mask per tile,
-gridding.py:345-353).
+task; the cell-emission kernel is a stateless ``map_batches`` stage
+holding the broadcast mask once per worker (reference re-pickles the
+mask per tile, gridding.py:345-353).
 
 Output schema (system columns, reference gridding.py:66-68, 164-167):
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .cluster import Broadcast
 from .geom.kernels import TOL_EPS, cells_coverage, clip_area_rect
 from .planning import GridSpec, plan_grid, pos_offset
 
@@ -299,7 +300,7 @@ def emit_tile_cells_qtree(
 
 
 class EmitCells:
-    """Actor-pool kernel: holds the broadcast mask once per actor
+    """Tile kernel holding the broadcast mask, built once per worker
     (reference ships the mask with every tile task, gridding.py:345-353)."""
 
     def __init__(
@@ -311,13 +312,7 @@ class EmitCells:
         mode: str = "prll",
         tile_flags: bool = False,
     ):
-        import ray
-
         self.spec = spec
-        # mask may arrive as a wrapped ObjectRef (broadcast via ray.put; the
-        # wrapper keeps it out of top-level actor args, see ray#53727)
-        if isinstance(mask, dict) and "__ref__" in mask:
-            mask = ray.get(mask["__ref__"])
         self.mask = mask
         self.trim = trim
         self.interior = interior
@@ -368,7 +363,6 @@ def make_grid(
     xypos: str = "LLc",
     sort: bool | str = False,
     mode: str = "prll",
-    concurrency: int | tuple[int, int] | None = None,
 ):
     """Build the cell grid as a Ray Dataset (reference GridMaker.__call__ +
     grid_maker, gridding.py:258-399).
@@ -383,7 +377,6 @@ def make_grid(
     ``ds.sort`` only when requested (Ray blocks are unordered; conformance
     comparisons sort by cell_id, SURVEY.md §7.5.6).
     """
-    import ray
     import ray.data as rd
 
     if interior:
@@ -408,38 +401,16 @@ def make_grid(
     ds = rd.from_items(specs)
     # ~1 tile per block so tiles parallelize across the pool
     ds = ds.repartition(min(len(specs), 256))
-    mask_ref = {"__ref__": ray.put(mask)} if isinstance(mask, list) else mask
     if mode not in ("prll", "seq", "qtree"):
         raise ValueError(f"mode must be prll|seq|qtree, got {mode!r}")
-    if concurrency is not None:
-        out = ds.map_batches(
-            EmitCells,
-            batch_format="pyarrow",
-            batch_size=4,
-            fn_constructor_args=(spec, mask_ref, trim, interior, mode, placeholders),
-            concurrency=concurrency,
-        )
-    else:
-        from .spatial import _cached_kernel
+    cells = Broadcast(
+        mask, lambda m: EmitCells(spec, m, trim, interior, mode, placeholders)
+    )
 
-        key = (
-            f"emit:{mask_ref['__ref__'].hex() if isinstance(mask_ref, dict) else mask_ref}"
-            f":{spec!r}:{trim}:{interior}:{mode}:{placeholders}"
-        )
-        ref = mask_ref if isinstance(mask_ref, dict) else {"__ref__": None}
+    def apply(batch: pa.Table) -> pa.Table:
+        return cells.get()(batch)
 
-        def apply(batch: pa.Table) -> pa.Table:
-            if isinstance(mask_ref, dict):
-                kern = _cached_kernel(
-                    key,
-                    ref,
-                    lambda m: EmitCells(spec, m, trim, interior, mode, placeholders),
-                )
-            else:
-                kern = EmitCells(spec, mask_ref, trim, interior, mode, placeholders)
-            return kern(batch)
-
-        out = ds.map_batches(apply, batch_format="pyarrow", batch_size=4)
+    out = ds.map_batches(apply, batch_format="pyarrow", batch_size=4)
     # sorted modes (reference gridding.py:64: tile/tilerc/tilecr/rc/cr)
     if sort == "tile":
         out = out.sort(["tile_id", "cell_id"])

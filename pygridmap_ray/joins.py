@@ -34,7 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-from pygridmap_ray.cluster import resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
 
 _HASH_MULT = 2654435761  # Knuth multiplicative hash (public domain constant)
 
@@ -219,10 +219,6 @@ class _LookupKernel:
 
     def __init__(self, dim: "pa.Table | dict", on: str, key: str, how: str,
                  value_cols: list[str] | None):
-        import ray
-
-        if isinstance(dim, dict) and "__ref__" in dim:
-            dim = ray.get(dim["__ref__"])
         self.on, self.how = on, how
         cols = value_cols or [c for c in dim.column_names if c != key]
         self.idx = pd.Index(np.asarray(dim[key]))
@@ -255,42 +251,26 @@ def lookup_join(
     key: str | None = None,
     value_cols: list[str] | None = None,
     how: str = "inner",
-    concurrency=None,
 ):
     """Broadcast equality join against a SMALL dimension table.
 
     The canonical scale pattern for enriching a streaming fact table
     (documents x language stats, points x region attributes, orders x
-    customer): the dimension goes to the object store ONCE (``ray.put``),
-    each worker builds a hash index once (`_cached_kernel`), and the probe
+    customer): the dimension goes to the object store ONCE, each worker
+    builds a hash index once (:class:`cluster.Broadcast`), and the probe
     side streams — never an all-to-all shuffle join.  ``key`` defaults to
     ``on``; the dimension key must be unique (validated at kernel build).
     ``how='inner'`` drops misses, ``'left'`` keeps them with nulls.
     """
-    import ray
-
     if how not in ("inner", "left"):
         raise ValueError(f"how must be inner|left, got {how!r}")
     key = key or on
     if value_cols is not None:
         dim = dim.select([key, *value_cols])
-    ref = {"__ref__": ray.put(dim)}
-    if concurrency is not None:
-        return ds.map_batches(
-            _LookupKernel,
-            batch_format="pyarrow",
-            fn_constructor_args=(ref, on, key, how, value_cols),
-            concurrency=concurrency,
-        )
-    from .spatial import _cached_kernel
-
-    ckey = f"lookup:{ref['__ref__'].hex()}:{on}:{key}:{how}"
+    index = Broadcast(dim, lambda d: _LookupKernel(d, on, key, how, value_cols))
 
     def apply(batch: pa.Table) -> pa.Table:
-        kern = _cached_kernel(
-            ckey, ref, lambda d: _LookupKernel(d, on, key, how, value_cols)
-        )
-        return kern(batch)
+        return index.get()(batch)
 
     return ds.map_batches(apply, batch_format="pyarrow")
 
@@ -301,10 +281,6 @@ class _IntervalKernel:
     (validity windows); overlap raises at build time."""
 
     def __init__(self, iv: dict, on: str, by: str, how: str):
-        import ray
-
-        if isinstance(iv, dict) and "__ref__" in iv:
-            iv = ray.get(iv["__ref__"])
         self.on, self.by, self.how = on, by, how
         order = np.lexsort((iv["start"], iv["key"]))
         self.k = np.asarray(iv["key"], dtype=np.int64)[order]
@@ -380,7 +356,6 @@ def interval_join(
     on: str = "ts",
     by: str = "user_id",
     how: str = "inner",
-    concurrency=None,
 ):
     """Join a streaming Dataset to a broadcast interval table.
 
@@ -391,25 +366,12 @@ def interval_join(
     null payload (requires non-overlapping intervals — guaranteed by the
     per-key overlap check).
     """
-    import ray
-
     if how not in ("inner", "left"):
         raise ValueError(f"how must be inner|left, got {how!r}")
-    ref = {"__ref__": ray.put(intervals)}
-    if concurrency is not None:
-        return points.map_batches(
-            _IntervalKernel,
-            batch_format="pyarrow",
-            fn_constructor_args=(ref, on, by, how),
-            concurrency=concurrency,
-        )
-    from .spatial import _cached_kernel
-
-    key = f"interval:{ref['__ref__'].hex()}:{on}:{by}:{how}"
+    table = Broadcast(intervals, lambda iv: _IntervalKernel(iv, on, by, how))
 
     def apply(batch: pa.Table) -> pa.Table:
-        kern = _cached_kernel(key, ref, lambda iv: _IntervalKernel(iv, on, by, how))
-        return kern(batch)
+        return table.get()(batch)
 
     return points.map_batches(apply, batch_format="pyarrow")
 
@@ -424,10 +386,6 @@ class _MembershipKernel:
     broadcast DISTINCT key array gives O(1) probes for any key dtype."""
 
     def __init__(self, keys, on: str, anti: bool):
-        import ray
-
-        if isinstance(keys, dict) and "__ref__" in keys:
-            keys = ray.get(keys["__ref__"])
         self.idx = pd.Index(keys)
         self.on, self.anti = on, anti
 
@@ -462,7 +420,6 @@ def semi_join(
     on: str,
     right_on: str | None = None,
     anti: bool = False,
-    concurrency=None,
 ):
     """Exact broadcast semi/anti join: keep left rows whose ``on`` value
     does (``anti=False``) or does not (``anti=True``) appear among the
@@ -479,27 +436,14 @@ def semi_join(
     ``right`` may be a Dataset (distinct keys collected) or a numpy
     array / list of precollected keys.
     """
-    import ray
-
     right_on = right_on or on
     keys = right if isinstance(right, (np.ndarray, list)) else distinct_keys(
         right, right_on
     )
-    ref = {"__ref__": ray.put(np.asarray(keys))}
-    if concurrency is not None:
-        return left.map_batches(
-            _MembershipKernel,
-            batch_format="pyarrow",
-            fn_constructor_args=(ref, on, anti),
-            concurrency=concurrency,
-        )
-    from .spatial import _cached_kernel
-
-    ckey = f"semi:{ref['__ref__'].hex()}:{on}:{anti}"
+    members = Broadcast(np.asarray(keys), lambda k: _MembershipKernel(k, on, anti))
 
     def apply(batch: pa.Table) -> pa.Table:
-        kern = _cached_kernel(ckey, ref, lambda k: _MembershipKernel(k, on, anti))
-        return kern(batch)
+        return members.get()(batch)
 
     return left.map_batches(apply, batch_format="pyarrow")
 
@@ -525,10 +469,8 @@ def bloom_build(right, key: str, *, num_bits: int = 1 << 20, num_hashes: int = 4
     ``num_bits`` to ~10 bits per expected distinct key; for extreme block
     counts insert a ``repartition`` tree before collecting.
 
-    Returns ``{"bits": ref, "num_bits": m, "num_hashes": k}`` ready for
-    :func:`bloom_prefilter`."""
-    import ray
-
+    Returns ``{"bits": Broadcast, "num_bits": m, "num_hashes": k}``
+    ready for :func:`bloom_prefilter`."""
     if num_bits % 8:
         raise ValueError("num_bits must be a multiple of 8")
 
@@ -543,7 +485,7 @@ def bloom_build(right, key: str, *, num_bits: int = 1 << 20, num_hashes: int = 4
                     bits, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8)
                 )
         return {
-            "bits": ray.put(bits),
+            "bits": Broadcast(bits),
             "num_bits": num_bits,
             "num_hashes": num_hashes,
         }
@@ -562,7 +504,7 @@ def bloom_build(right, key: str, *, num_bits: int = 1 << 20, num_hashes: int = 4
         for buf in b["bits"].to_pylist():
             bits |= np.frombuffer(buf, dtype=np.uint8)
     return {
-        "bits": ray.put(bits),
+        "bits": Broadcast(bits),
         "num_bits": num_bits,
         "num_hashes": num_hashes,
     }
@@ -573,14 +515,11 @@ def bloom_prefilter(ds, bloom: dict, on: str):
     the build set (no false negatives) plus a bounded false-positive
     fraction — the cheap first stage before an exact partitioned join
     when the build side's distinct keys exceed worker memory."""
-    from .spatial import _cached_kernel
-
     num_bits, num_hashes = bloom["num_bits"], bloom["num_hashes"]
-    ref = {"__ref__": bloom["bits"]}
-    ckey = f"bloom:{bloom['bits'].hex()}"
+    bitmap = bloom["bits"]
 
     def apply(batch: pa.Table) -> pa.Table:
-        bits = _cached_kernel(ckey, ref, lambda b: b)
+        bits = bitmap.get()
         if not batch.num_rows:
             return batch
         vals = np.asarray(batch[on])
@@ -859,8 +798,8 @@ def fuzzy_link(
     :func:`jaro_winkler_block`).
 
     Scale plan: the master list is the SMALL side by nature (a
-    reference roster); it broadcasts once (``ray.put``) and each worker
-    builds the blocking postings index once (`_cached_kernel`).  The
+    reference roster); it broadcasts once and each worker fetches the
+    blocking postings index once (:class:`cluster.Broadcast`).  The
     record stream never shuffles — the whole op is one stateless
     map_batches, linear in records, candidates bounded by block sizes.
     A master too big to broadcast would switch to the partitioned-join
@@ -871,7 +810,6 @@ def fuzzy_link(
     linkage stage a training-data pipeline runs to merge metadata
     catalogs (no pygridmap counterpart — training-data operator
     family)."""
-    import ray
     import ray.data as rd
 
     names = sorted(set(master))
@@ -891,15 +829,11 @@ def fuzzy_link(
         "mmat": mmat,
         "mlens": mlens,
     }
-    ref = {"__ref__": ray.put(payload)}
+    master_index = Broadcast(payload)
     tol = 10.0 ** round_to
 
     def link(b: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        k = _cached_kernel(
-            f"fuzzylink:{ref['__ref__'].hex()}", ref, lambda v: v
-        )
+        k = master_index.get()
         rmat, rlens = _char_matrix(b[name_col])
         n = b.num_rows
         cand_r: list[np.ndarray] = []

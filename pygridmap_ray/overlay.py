@@ -3,9 +3,10 @@
 Ray-Data-native re-expression of the reference ``GridOverlay``
 (reference overlay.py:187-605).  Architecture:
 
-1. **Fragment stage** (:class:`OverlayKernel`, an actor pool): the polygon
-   layer + its bbox index are built ONCE per actor (the reference rebuilds
-   ``poly.sindex`` inside every tile task, overlay.py:258); each grid-cell
+1. **Fragment stage** (:class:`OverlayKernel`, a broadcast kernel): the
+   polygon layer + its bbox index are built ONCE per worker (the
+   reference rebuilds ``poly.sindex`` inside every tile task,
+   overlay.py:258); each grid-cell
    batch is joined against candidate polygons and clipped — one output row
    per (cell, polygon) pair with positive overlap area (reference
    clip_polygon + overlay_polygon + area_overlay, overlay.py:244-335).
@@ -33,6 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .cluster import Broadcast
 from .geom.index import BBoxIndex
 from .geom.kernels import TOL_EPS, cells_coverage
 from .planning import GridSpec
@@ -41,7 +43,7 @@ RULES = ("sum", "min", "max", "list")
 
 
 class OverlayKernel:
-    """Actor-pool fragment producer: broadcast polygon layer in state."""
+    """Fragment producer: broadcast polygon layer + bbox index in state."""
 
     def __init__(
         self,
@@ -51,10 +53,6 @@ class OverlayKernel:
         how: str = "intersection",
         attr_cols: tuple[str, ...] = ("nuts_id", "pop"),
     ):
-        import ray
-
-        if isinstance(polygons, dict) and "__ref__" in polygons:
-            polygons = ray.get(polygons["__ref__"])
         self.polys = polygons
         self.index = BBoxIndex(np.array([p["bbox"] for p in polygons]))
         self.w, self.h = float(cellsize[0]), float(cellsize[1])
@@ -167,36 +165,20 @@ def overlay_fragments(
     *,
     how: str = "intersection",
     attr_cols: tuple[str, ...] = ("nuts_id", "pop"),
-    concurrency=None,
     batch_size: int | None = None,
 ):
     """Fragment rows of grid × polygon layer (reference O4/O5/O6).
 
-    ``concurrency=None`` -> stateless tasks with a per-worker kernel cache
-    (elastic, fuses with neighbors); int/tuple -> dedicated actor pool for
-    layers whose index build must be strictly amortized."""
-    import ray
-
+    Stateless tasks (elastic, fuse with neighbors); each worker builds
+    the kernel once (:class:`cluster.Broadcast`)."""
     if how not in ("intersection", "union"):
-        # fail on the driver, not inside actor creation
+        # fail on the driver, not inside a worker
         raise ValueError(f"how must be intersection|union, got {how!r}")
-    ref = {"__ref__": ray.put(polygons)}
     args = (spec.cellsize, spec.bbox[:2], how, attr_cols)
-    if concurrency is not None:
-        return grid_ds.map_batches(
-            OverlayKernel,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            fn_constructor_args=(ref, *args),
-            concurrency=concurrency,
-        )
-    from .spatial import _cached_kernel
-
-    key = f"overlay:{ref['__ref__'].hex()}:{args!r}"
+    layer = Broadcast(polygons, lambda p: OverlayKernel(p, *args))
 
     def apply(batch: pa.Table) -> pa.Table:
-        kern = _cached_kernel(key, ref, lambda p: OverlayKernel(p, *args))
-        return kern(batch)
+        return layer.get()(batch)
 
     return grid_ds.map_batches(apply, batch_format="pyarrow", batch_size=batch_size)
 
@@ -249,7 +231,6 @@ def grid_overlay(
     cover: bool = False,
     carry: list[str] | None = None,
     attr_cols: tuple[str, ...] = ("nuts_id", "pop"),
-    concurrency=None,
 ):
     """Full overlay: fragments, then per-cell cover/attribute assignment
     (reference GridOverlay.__call__, overlay.py:433-552).
@@ -275,7 +256,6 @@ def grid_overlay(
         spec,
         how=how,
         attr_cols=attr_cols,
-        concurrency=concurrency,
     )
     if rule is None and not cover:
         return frags
@@ -434,7 +414,6 @@ def area_interpolate(
     variables: list[str],
     *,
     cover: bool = True,
-    concurrency=None,
 ):
     """Weighted areal interpolation of extensive polygon variables onto the
     grid — the reference's tobler-equivalent wrapper (overlay.py:559-605):
@@ -448,7 +427,6 @@ def area_interpolate(
         rule="sum",
         columns=variables,
         cover=cover,
-        concurrency=concurrency,
     )
 
 
@@ -623,8 +601,6 @@ def disaggregate(
     grid_ds,
     spec: GridSpec,
     variables: list[str],
-    *,
-    concurrency=None,
 ):
     """Dasymetric disaggregation — the INVERSE of :func:`area_interpolate`:
     each polygon's extensive totals are spread down onto the grid cells
@@ -640,9 +616,7 @@ def disaggregate(
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    frags = overlay_fragments(
-        grid_ds, polygons, spec, how="intersection", concurrency=concurrency
-    )
+    frags = overlay_fragments(grid_ds, polygons, spec, how="intersection")
     max_pid = max(p["poly_id"] for p in polygons)
     parea = np.zeros(max_pid + 1, dtype=np.float64)
     for p in polygons:
@@ -817,10 +791,7 @@ def poly_overlay(
     are numpy, the pair loop is polygon-scale, never vertex-scale
     Python.  Emits (id_col, clip_id, area) rows with area > 0, rounded
     half-away."""
-    import ray
-
     from .geom.kernels import clip_area_convex, rings_bbox, triangulate_ring
-    from .spatial import _cached_kernel
 
     def _is_convex_ccw(r: np.ndarray) -> bool:
         nxt = np.roll(r, -1, axis=0)
@@ -844,12 +815,11 @@ def poly_overlay(
                 ),
             }
         )
-    ref = {"__ref__": ray.put(payload)}
-    ckey = f"polyov:{ref['__ref__'].hex()}"
+    clip_layer = Broadcast(payload)
     tol = 10.0**round_to
 
     def kernel(b: pa.Table) -> pa.Table:
-        cl = _cached_kernel(ckey, ref, lambda p: p)
+        cl = clip_layer.get()
         ids = np.asarray(b[id_col], dtype=np.int64)
         rings_rows = b[rings_col].to_pylist()
         out_id, out_cid, out_area = [], [], []

@@ -10,6 +10,10 @@ summation-order ulp differences.
 
 from __future__ import annotations
 
+import atexit
+import shutil
+import tempfile
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -46,6 +50,7 @@ from ..tiler import (
     with_cell_columns,
 )
 from pygridmap_ray.cluster import (
+    Broadcast,
     resolve_num_buckets as _resolve_buckets,
 )
 
@@ -75,6 +80,16 @@ def round_half_away(batch: pa.Table, cols: list[str], decimals: int) -> pa.Table
 
 def round6(batch: pa.Table, cols: list[str]) -> pa.Table:
     return round_half_away(batch, cols, 6)
+
+
+def _scratch_dir(prefix: str) -> str:
+    """A fresh private directory for a pipeline's staged files.  Each
+    call gets its own, so reruns and concurrent processes never read each
+    other's (or stale) parts; it is removed when the driver exits, since
+    the returned Dataset may read it lazily until then."""
+    path = tempfile.mkdtemp(prefix=prefix)
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
 
 
 def docs_points(sf_dir: str, extra_cols: tuple[str, ...] = ()):
@@ -3042,12 +3057,10 @@ def q_q5_revenue(sf_dir: str):
     dimension broadcast and every fact column pruned at the read.
     Revenue sums are rounded to 2dp on both sides."""
     import pyarrow.parquet as pq
-    import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
 
     from ..cluster import default_num_partitions
-    from ..spatial import _cached_kernel
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pydict()
     reg = pq.read_table(f"{sf_dir}/region.parquet").to_pydict()
@@ -3067,7 +3080,7 @@ def q_q5_revenue(sf_dir: str):
     skeys = np.asarray(supp["s_suppkey"], np.int64)
     snats = np.asarray(supp["s_nationkey"], np.int64)
     so = np.argsort(skeys, kind="stable")
-    s_map_ref = {"__ref__": ray.put((skeys[so], snats[so]))}
+    s_map_ref = Broadcast((skeys[so], snats[so]))
     euro_keys = frozenset(euro)
 
     d0 = np.datetime64(Q5_D0)
@@ -3127,8 +3140,6 @@ def q_q5_revenue(sf_dir: str):
         right_on=("o_orderkey",),
     )
 
-    key = f"q5supp:{s_map_ref['__ref__'].hex()}"
-
     def same_nation(b: pa.Table) -> pa.Table:
         if b.num_columns == 0 or b.num_rows == 0:
             return pa.table(
@@ -3137,7 +3148,7 @@ def q_q5_revenue(sf_dir: str):
                     "rev": pa.array([], pa.float64()),
                 }
             )
-        sk_sorted, sn_sorted = _cached_kernel(key, s_map_ref, lambda d: d)
+        sk_sorted, sn_sorted = s_map_ref.get()
         sk = np.asarray(b["l_suppkey"], np.int64)
         pos = np.searchsorted(sk_sorted, sk)
         pos = np.minimum(pos, len(sk_sorted) - 1)
@@ -3420,8 +3431,6 @@ def q_zrange_store(sf_dir: str):
     never leave storage) before the in-memory searchsorted prune + exact
     refine.  Same rows as `zrange_query`; this is the 100 TB layout the
     zrange docstring promises."""
-    import os as _os
-
     from ..hier import with_hier_cells, zrange_cover, zrange_filter
     from ..tiler import read_tiles, write_partitioned
 
@@ -3432,7 +3441,7 @@ def q_zrange_store(sf_dir: str):
         code = np.asarray(b["cell_code"], np.int64)
         return b.append_column("zp", pa.array(code >> shift))
 
-    out_dir = f"/tmp/zrange_store_{_os.getpid()}"
+    out_dir = _scratch_dir("zrange_store_")
     write_partitioned(
         ds.map_batches(add_prefix, batch_format="pyarrow"),
         out_dir,
@@ -4516,12 +4525,7 @@ def q_spans_roundtrip(sf_dir: str):
     # one row per doc for the summary: drop join fan-out deterministically
     from ..tiler import write_partitioned
 
-    # pid-suffixed path + overwrite: repeated runs in one process reuse the
-    # dir (no /tmp accumulation) while CONCURRENT gate/bench processes
-    # cannot rmtree each other's files mid-read
-    import os as _os
-
-    out_dir = f"/tmp/spans_roundtrip_stage_{_os.getpid()}"
+    out_dir = _scratch_dir("spans_roundtrip_stage_")
     write_partitioned(ds, out_dir, ["xt"], mode="overwrite")
     back = rd.read_parquet(out_dir, file_extensions=["parquet"])
 
@@ -5404,16 +5408,12 @@ def q_incremental_agg(sf_dir: str):
     the corpus as a hive tree, run the incremental fold TWICE — the
     second pass recomputes zero partitions (asserted) and must reproduce
     the direct aggregate exactly."""
-    import os as _os
-    import shutil as _shutil
-
     import ray.data as rd
 
     from ..state.incremental import incremental_aggregate
     from ..tiler import write_partitioned
 
-    base = f"/tmp/incr_stage_{_os.getpid()}"
-    _shutil.rmtree(base, ignore_errors=True)
+    base = _scratch_dir("incr_stage_")
 
     def add_pt(b: pa.Table) -> pa.Table:
         ids = np.asarray(b["doc_id"], dtype=np.int64)
@@ -5751,15 +5751,12 @@ def q_cells_export(sf_dir: str):
     reader — polygon layers are broadcast-scale by contract; the write
     side is fully distributed.)"""
     import glob as _glob
-    import os as _os
-    import shutil as _shutil
 
     from ..export import write_geojson_tiles
     from ..sources.geojson import read_geojson_layer
     from ..tiler import with_cell_columns
 
-    out = f"/tmp/cells_geojson_{_os.getpid()}"
-    _shutil.rmtree(out, ignore_errors=True)
+    out = _scratch_dir("cells_geojson_")
     ds = with_cell_columns(
         docs_points(sf_dir), resolution=RES, tile_size_cell=TSC
     )
@@ -7521,8 +7518,6 @@ def q_ivf_pruned(sf_dir: str):
     """Same IVF search but through a persisted bucket-partitioned index
     with partition-pruned reads; result is identical to ``ivf_topk`` (the
     pruned read is a physical optimization), so it shares the oracle."""
-    import os as _os
-
     import ray.data as rd
 
     from ..ann import ivf_build, ivf_search_pruned
@@ -7530,9 +7525,7 @@ def q_ivf_pruned(sf_dir: str):
     qids, qmat = _head_vectors(sf_dir, 10)
     _, cents = _head_vectors(sf_dir, 8)
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    # pid-suffixed staging dir: same-process reruns overwrite in place,
-    # concurrent gate/bench runs cannot rmtree each other's index mid-read
-    idx_dir = f"/tmp/ivf_index_stage_{_os.getpid()}"
+    idx_dir = _scratch_dir("ivf_index_stage_")
     ivf_build(ds, cents, idx_dir)
     out = ivf_search_pruned(
         idx_dir, {"ids": qids, "matrix": qmat}, cents, k=5, nprobe=3
@@ -7545,8 +7538,6 @@ def q_ivf_multiprobe(sf_dir: str):
     nprobe=5 (of 8 coarse cells) regime a 100 TB recall target needs —
     more probed partitions, same partition-pruned physical read, same
     exact SQL oracle law at its own nprobe."""
-    import os as _os
-
     import ray.data as rd
 
     from ..ann import ivf_build, ivf_search_pruned
@@ -7554,7 +7545,7 @@ def q_ivf_multiprobe(sf_dir: str):
     qids, qmat = _head_vectors(sf_dir, 10)
     _, cents = _head_vectors(sf_dir, 8)
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    idx_dir = f"/tmp/ivf_index_mp_{_os.getpid()}"
+    idx_dir = _scratch_dir("ivf_index_mp_")
     ivf_build(ds, cents, idx_dir)
     out = ivf_search_pruned(
         idx_dir, {"ids": qids, "matrix": qmat}, cents, k=5, nprobe=5
@@ -9004,16 +8995,13 @@ def q_bucketed_join(sf_dir: str):
     ONCE (the only shuffle, reusable across every later join on the
     key), then joined bucket-by-bucket with local Arrow hash joins —
     zero join-time shuffle; aggregated to per-priority revenue."""
-    import os as _os
-
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
     from ..state.bucketed import bucketed_join, bucketed_write
 
-    pid = _os.getpid()
-    a_dir = f"/tmp/bucketed_line_{pid}"
-    b_dir = f"/tmp/bucketed_orders_{pid}"
+    a_dir = _scratch_dir("bucketed_line_")
+    b_dir = _scratch_dir("bucketed_orders_")
     line = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice"],
@@ -9211,8 +9199,6 @@ KW_TERMS = ("spark", "window")
 def q_keyword_search(sf_dir: str):
     """Inverted-index build (bucket-partitioned parquet tree) + pruned
     AND-of-terms read — the IR analogue of ivf_pruned."""
-    import os as _os
-
     import ray.data as rd
 
     from ..text import inverted_index_build, keyword_search
@@ -9220,7 +9206,7 @@ def q_keyword_search(sf_dir: str):
     ds = rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    idx_dir = f"/tmp/inv_index_stage_{_os.getpid()}"
+    idx_dir = _scratch_dir("inv_index_stage_")
     inverted_index_build(ds, idx_dir)
     return keyword_search(idx_dir, KW_TERMS)
 

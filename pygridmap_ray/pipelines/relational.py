@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-from pygridmap_ray.cluster import resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
 
 US_PER_HOUR = 3_600_000_000
 US_SESSION_GAP = 1_800_000_000  # 30 min
@@ -200,14 +200,13 @@ def top_customers(sf_dir: str, k: int = 10):
     global top-k (sort + limit): the small side ships via the object
     store once, never a shuffle join."""
     import pyarrow.parquet as pq
-    import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_mktsegment"]
     )
-    ref = {"__ref__": ray.put(cust)}
+    ref = Broadcast(cust, lambda t: t.to_pandas().set_index("c_custkey"))
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
@@ -224,13 +223,7 @@ def top_customers(sf_dir: str, k: int = 10):
     )
 
     def attach(batch: pa.Table) -> pa.Table:
-        from ..spatial import _cached_kernel
-
-        lut = _cached_kernel(
-            f"cust:{ref['__ref__'].hex()}",
-            ref,
-            lambda t: t.to_pandas().set_index("c_custkey"),
-        )
+        lut = ref.get()
         df = batch.to_pandas()
         joined = df.join(lut, on="o_custkey", how="inner")
         return pa.Table.from_pandas(joined, preserve_index=False)

@@ -25,6 +25,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..cluster import Broadcast
+
 # shared constants (engine and SQL twins read THESE — never inline)
 Q6_D0, Q6_D1 = "1996-01-01", "1997-01-01"
 Q6_DISC_LO, Q6_DISC_HI = 0.05, 0.07
@@ -110,11 +112,10 @@ WHERE l_shipdate >= TIMESTAMP '{Q6_D0}' AND l_shipdate < TIMESTAMP '{Q6_D1}'
 """
 
 
-def _part_lookup(sf_dir: str, columns: list[str]):
-    """Sorted p_partkey + companion columns, ray.put once (the part
-    dimension is the classic broadcast side: ~200k rows/SF)."""
-    import ray
-
+def _part_lookup(sf_dir: str, columns: list[str], build=None):
+    """Sorted p_partkey + companion columns, broadcast once (the part
+    dimension is the classic broadcast side: ~200k rows/SF); ``build``
+    runs on it once per worker."""
     t = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey"] + columns)
     keys = np.asarray(t["p_partkey"], np.int64)
     order = np.argsort(keys, kind="stable")
@@ -123,7 +124,7 @@ def _part_lookup(sf_dir: str, columns: list[str]):
         else np.asarray(t[c].to_pylist(), dtype=object)[order]
         for c in columns
     )
-    return {"__ref__": ray.put((keys[order], payload))}
+    return Broadcast((keys[order], payload), build)
 
 
 def q14_promo(sf_dir: str) -> pa.Table:
@@ -133,11 +134,12 @@ def q14_promo(sf_dir: str) -> pa.Table:
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..spatial import _cached_kernel
-
     d0, d1 = _ts_us(Q14_D0), _ts_us(Q14_D1)
-    ref = _part_lookup(sf_dir, ["p_type"])
-    key = f"q14part:{ref['__ref__'].hex()}"
+    ref = _part_lookup(
+        sf_dir,
+        ["p_type"],
+        lambda d: (d[0], (np.asarray(d[1][0] == Q14_PROMO),)),
+    )
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -145,9 +147,7 @@ def q14_promo(sf_dir: str) -> pa.Table:
     )
 
     def partial(b: pa.Table) -> pa.Table:
-        pk_sorted, (ptype,) = _cached_kernel(
-            key, ref, lambda d: (d[0], (np.asarray(d[1][0] == Q14_PROMO),))
-        )
+        pk_sorted, (ptype,) = ref.get()
         ship = np.asarray(b["l_shipdate"]).astype("datetime64[us]").view("int64")
         m = (ship >= d0) & (ship < d1)
         pk = np.asarray(b["l_partkey"], np.int64)[m]
@@ -191,10 +191,6 @@ def q19_discount(sf_dir: str) -> pa.Table:
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..spatial import _cached_kernel
-
-    ref = _part_lookup(sf_dir, ["p_brand", "p_size"])
-    key = f"q19part:{ref['__ref__'].hex()}"
     brands = tuple(c[0] for c in Q19_CASES)
 
     ds = rd.read_parquet(
@@ -209,8 +205,10 @@ def q19_discount(sf_dir: str) -> pa.Table:
             code[brand == bname] = i
         return pk_sorted, code, np.asarray(size, np.int64)
 
+    ref = _part_lookup(sf_dir, ["p_brand", "p_size"], build)
+
     def partial(b: pa.Table) -> pa.Table:
-        pk_sorted, code, size = _cached_kernel(key, ref, build)
+        pk_sorted, code, size = ref.get()
         pk = np.asarray(b["l_partkey"], np.int64)
         qty = np.asarray(b["l_quantity"], np.float64)
         rev = (
@@ -660,15 +658,13 @@ def _nation_maps(sf_dir: str):
 
 
 def _supplier_nation_ref(sf_dir: str):
-    import ray
-
     supp = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
     )
     sk = np.asarray(supp["s_suppkey"], np.int64)
     sn = np.asarray(supp["s_nationkey"], np.int64)
     o = np.argsort(sk, kind="stable")
-    return {"__ref__": ray.put((sk[o], sn[o]))}
+    return Broadcast((sk[o], sn[o]))
 
 
 def q7_volume(sf_dir: str):
@@ -682,14 +678,12 @@ def q7_volume(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from ..cluster import default_num_partitions
-    from ..spatial import _cached_kernel
     from .queries import round_half_away
 
     by_key, _ = _nation_maps(sf_dir)
     name_of = {k: v for k, v in by_key.items() if v in (Q7_N1, Q7_N2)}
     pair_keys = frozenset(name_of)
     s_ref = _supplier_nation_ref(sf_dir)
-    skey = f"q7supp:{s_ref['__ref__'].hex()}"
     d0, d1 = _ts_us(Q7_D0), _ts_us(Q7_D1)
     nparts = default_num_partitions()
 
@@ -736,7 +730,7 @@ def q7_volume(sf_dir: str):
         )
 
     def li_project(b: pa.Table) -> pa.Table:
-        sk_sorted, sn_sorted = _cached_kernel(skey, s_ref, lambda d: d)
+        sk_sorted, sn_sorted = s_ref.get()
         ship = np.asarray(b["l_shipdate"]).astype("datetime64[us]").view("int64")
         m = (ship >= d0) & (ship < d1)
         lk = np.asarray(b["l_orderkey"], np.int64)[m]
@@ -896,7 +890,6 @@ def q8_market_share(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from ..cluster import default_num_partitions
-    from ..spatial import _cached_kernel
 
     by_key, by_region = _nation_maps(sf_dir)
     reg = pq.read_table(f"{sf_dir}/region.parquet").to_pydict()
@@ -907,10 +900,12 @@ def q8_market_share(sf_dir: str):
     )
     target_key = next(k for k, v in by_key.items() if v == Q8_NATION)
 
-    p_ref = _part_lookup(sf_dir, ["p_type"])
-    pkey = f"q8part:{p_ref['__ref__'].hex()}"
+    p_ref = _part_lookup(
+        sf_dir,
+        ["p_type"],
+        lambda d: (d[0], (np.asarray(d[1][0] == Q8_PTYPE),)),
+    )
     s_ref = _supplier_nation_ref(sf_dir)
-    skey = f"q8supp:{s_ref['__ref__'].hex()}"
     d0, d1 = _ts_us(Q8_D0), _ts_us(Q8_D1)
     nparts = default_num_partitions()
 
@@ -955,10 +950,8 @@ def q8_market_share(sf_dir: str):
     )
 
     def li_project(b: pa.Table) -> pa.Table:
-        pk_sorted, (ptype,) = _cached_kernel(
-            pkey, p_ref, lambda d: (d[0], (np.asarray(d[1][0] == Q8_PTYPE),))
-        )
-        sk_sorted, sn_sorted = _cached_kernel(skey, s_ref, lambda d: d)
+        pk_sorted, (ptype,) = p_ref.get()
+        sk_sorted, sn_sorted = s_ref.get()
         pk = np.asarray(b["l_partkey"], np.int64)
         pos = np.searchsorted(pk_sorted, pk)
         pos = np.minimum(pos, len(pk_sorted) - 1)
@@ -1347,11 +1340,8 @@ def q17_small_qty(sf_dir: str) -> pa.Table:
     aggregate, thresholds restricted to the brand's parts (1/25 of the
     dimension) before the broadcast; the lineitem rescan filters
     vectorized against the broadcast threshold lookup."""
-    import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from ..spatial import _cached_kernel
 
     part = pq.read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
@@ -1396,13 +1386,12 @@ def q17_small_qty(sf_dir: str) -> pa.Table:
             avg["s"].to_numpy(np.float64) / avg["n"].to_numpy(np.float64)
         )
         o = np.argsort(thr_keys, kind="stable")
-        ref = {"__ref__": ray.put((thr_keys[o], thr[o]))}
+        ref = Broadcast((thr_keys[o], thr[o]))
     else:
-        ref = {"__ref__": ray.put((np.zeros(0, np.int64), np.zeros(0)))}
-    ckey = f"q17thr:{ref['__ref__'].hex()}"
+        ref = Broadcast((np.zeros(0, np.int64), np.zeros(0)))
 
     def rev_partial(b: pa.Table) -> pa.Table:
-        tk, tv = _cached_kernel(ckey, ref, lambda d: d)
+        tk, tv = ref.get()
         pk = np.asarray(b["l_partkey"], np.int64)
         qty = np.asarray(b["l_quantity"], np.float64)
         ext = np.asarray(b["l_extendedprice"], np.float64)
@@ -1450,13 +1439,14 @@ def q21_waiting(sf_dir: str) -> pa.Table:
     shuffle co-locates each order's lines; the per-bucket kernel finds
     per-order max shipdate, distinct-supplier counts and sole-latest
     winners with two lexsort segment scans (no per-order Python); winner
-    counts finish in a supplier-cardinality hash aggregate + 64-bucket
-    coarse top-10."""
+    counts finish in a supplier-cardinality hash aggregate + coarse
+    top-10; the order-bucket width is resolved from the cluster."""
     import pyarrow.dataset as pads
     import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
 
+    from ..cluster import resolve_num_buckets
     from ..joins import semi_join
 
     orders = rd.read_parquet(
@@ -1473,7 +1463,7 @@ def q21_waiting(sf_dir: str) -> pa.Table:
     )
     lf = semi_join(li, orders, on="l_orderkey", right_on="o_orderkey")
 
-    nb = 64
+    nb = resolve_num_buckets(None)  # driver-resolved once, captured below
 
     def tag(b: pa.Table) -> pa.Table:
         k = np.asarray(b["l_orderkey"], np.int64)
@@ -1628,11 +1618,9 @@ def q2_min_cost(sf_dir: str, *, broadcast_limit: int = 2_000_000) -> pa.Table:
     set is parts/(sizes*types) and the achieving-rows output is bounded
     by it, so the min map is broadcast-scale by construction (a
     partitioned ``cluster.safe_join`` is the >2M-part fallback)."""
-    import ray
     import ray.data as rd
     from ray.data.aggregate import Min
 
-    from ..spatial import _cached_kernel
     from .queries import round_half_away
 
     by_key, by_region = _nation_maps(sf_dir)
@@ -1655,11 +1643,10 @@ def q2_min_cost(sf_dir: str, *, broadcast_limit: int = 2_000_000) -> pa.Table:
     sn = np.asarray(supp["s_nationkey"], np.int64)
     in_region = np.isin(sn, list(region_nations))
     supp_keys = np.sort(sk[in_region])
-    ref = {"__ref__": ray.put((part_keys, supp_keys))}
-    ckey = f"q2sets:{ref['__ref__'].hex()}"
+    ref = Broadcast((part_keys, supp_keys))
 
     def project(b: pa.Table) -> pa.Table:
-        pks, sks = _cached_kernel(ckey, ref, lambda d: d)
+        pks, sks = ref.get()
         lp = np.asarray(b["l_partkey"], np.int64)
         ls = np.asarray(b["l_suppkey"], np.int64)
         m = np.zeros(len(lp), dtype=bool)
@@ -1694,13 +1681,10 @@ def q2_min_cost(sf_dir: str, *, broadcast_limit: int = 2_000_000) -> pa.Table:
         mins = mins_ds.to_pandas()
         mk = mins["p_partkey"].to_numpy(np.int64)
         mo = np.argsort(mk, kind="stable")
-        mref = {
-            "__ref__": ray.put((mk[mo], mins["mn"].to_numpy(np.float64)[mo]))
-        }
-        mkey = f"q2min:{mref['__ref__'].hex()}"
+        mref = Broadcast((mk[mo], mins["mn"].to_numpy(np.float64)[mo]))
 
         def achieving(b: pa.Table) -> pa.Table:
-            keys, mn = _cached_kernel(mkey, mref, lambda d: d)
+            keys, mn = mref.get()
             lp = np.asarray(b["p_partkey"], np.int64)
             unit = np.asarray(b["unit"], np.float64)
             m = np.zeros(len(lp), dtype=bool)
@@ -1825,15 +1809,12 @@ def q9_profit(sf_dir: str):
     keeper-join gate (broadcast under 2M orders, partitioned
     ``safe_join`` above); the (nation, year) domain is tiny so partials
     pack into one int64 and the final groupby is nations x years."""
-    import ray
     import ray.data as rd
     from ..cluster import default_num_partitions
-    from ..spatial import _cached_kernel
     from .queries import round_half_away
 
     by_key, _ = _nation_maps(sf_dir)
     s_ref = _supplier_nation_ref(sf_dir)
-    skey = f"q9supp:{s_ref['__ref__'].hex()}"
     nparts = default_num_partitions()
 
     part = pq.read_table(
@@ -1846,12 +1827,11 @@ def q9_profit(sf_dir: str):
     pk = np.asarray(part["p_partkey"], np.int64)[keep]
     retail = np.asarray(part["p_retailprice"], np.float64)[keep]
     o = np.argsort(pk, kind="stable")
-    p_ref = {"__ref__": ray.put((pk[o], retail[o]))}
-    pkey = f"q9part:{p_ref['__ref__'].hex()}"
+    p_ref = Broadcast((pk[o], retail[o]))
 
     def project(b: pa.Table) -> pa.Table:
-        pks, pret = _cached_kernel(pkey, p_ref, lambda d: d)
-        sks, snat = _cached_kernel(skey, s_ref, lambda d: d)
+        pks, pret = p_ref.get()
+        sks, snat = s_ref.get()
         lp = np.asarray(b["l_partkey"], np.int64)
         m = np.zeros(len(lp), dtype=bool)
         pi = np.zeros(len(lp), dtype=np.int64)
@@ -2001,11 +1981,9 @@ def q11_important_parts(sf_dir: str):
     stream, then a broadcast-scalar filter.  Output is bounded above by
     1/fraction rows regardless of corpus size, so the final attach is
     driver-scale by construction."""
-    import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..spatial import _cached_kernel
     from .queries import round_half_away
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pydict()
@@ -2018,11 +1996,10 @@ def q11_important_parts(sf_dir: str):
             np.asarray(supp["s_nationkey"], np.int64) == nkey
         ]
     )
-    ref = {"__ref__": ray.put(sset)}
-    ckey = f"q11supp:{ref['__ref__'].hex()}"
+    ref = Broadcast(sset)
 
     def partial(b: pa.Table) -> pa.Table:
-        sks = _cached_kernel(ckey, ref, lambda d: d)
+        sks = ref.get()
         ls = np.asarray(b["l_suppkey"], np.int64)
         m = np.zeros(len(ls), dtype=bool)
         if len(sks):
@@ -2257,10 +2234,8 @@ def q16_supplier_cnt(sf_dir: str):
     -> one coarse-bucket shuffle (``graph.distinct_int_pairs``) -> a
     broadcast part-attribute lookup and a bounded final groupby (the
     group domain is brands x types x sizes)."""
-    import ray
     import ray.data as rd
     from ..graph import distinct_int_pairs
-    from ..spatial import _cached_kernel
 
     part = pq.read_table(
         f"{sf_dir}/part.parquet",
@@ -2297,11 +2272,10 @@ def q16_supplier_cnt(sf_dir: str):
             np.asarray(supp["s_acctbal"], np.float64) < 0.0
         ]
     )
-    ref = {"__ref__": ray.put((pk, tid_of_part.astype(np.int64), bad))}
-    ckey = f"q16sets:{ref['__ref__'].hex()}"
+    ref = Broadcast((pk, tid_of_part.astype(np.int64), bad))
 
     def project(b: pa.Table) -> pa.Table:
-        pks, tids, badk = _cached_kernel(ckey, ref, lambda d: d)
+        pks, tids, badk = ref.get()
         lp = np.asarray(b["l_partkey"], np.int64)
         ls = np.asarray(b["l_suppkey"], np.int64)
         m = np.zeros(len(lp), dtype=bool)
@@ -2394,11 +2368,9 @@ def q20_excess(sf_dir: str):
     broadcast-filtered scan -> per-supplier packed partial sums -> hash
     aggregate -> threshold filter; the supplier dimension attaches on
     the driver (the output is bounded by the supplier table)."""
-    import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..spatial import _cached_kernel
     from .queries import round_half_away
 
     d0, d1 = _ts_us(Q20_D0), _ts_us(Q20_D1)
@@ -2418,11 +2390,10 @@ def q20_excess(sf_dir: str):
     in_nat = np.sort(
         sk[np.asarray(supp["s_nationkey"], np.int64) == nkey]
     )
-    ref = {"__ref__": ray.put((pk, in_nat))}
-    ckey = f"q20sets:{ref['__ref__'].hex()}"
+    ref = Broadcast((pk, in_nat))
 
     def partial(b: pa.Table) -> pa.Table:
-        pks, sks = _cached_kernel(ckey, ref, lambda d: d)
+        pks, sks = ref.get()
         ship = np.asarray(b["l_shipdate"]).astype("datetime64[us]").view("int64")
         lp = np.asarray(b["l_partkey"], np.int64)
         ls = np.asarray(b["l_suppkey"], np.int64)

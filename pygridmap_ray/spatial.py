@@ -1,8 +1,8 @@
 """Point-in-polygon spatial join + kNN cell lookups.
 
 The north-rule join: documents carrying point locations are joined to the
-broadcast polygon layer (GISCO/NUTS-style) inside ``map_batches`` actor
-pools — the Ray-native form of the reference's per-tile
+broadcast polygon layer (GISCO/NUTS-style) inside stateless
+``map_batches`` tasks — the Ray-native form of the reference's per-tile
 ``sjoin``/rtree-candidate pattern (reference overlay.py:174-184, 258-260).
 
 Boundary convention: the even-odd ray-casting kernel classifies points on
@@ -19,11 +19,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .geom.kernels import points_in_rings
-from pygridmap_ray.cluster import resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
 
 
 class PointJoinKernel:
-    """Actor-pool join: polygon layer + bbox index in state (built once)."""
+    """Broadcast join kernel: the polygon layer, built once per worker."""
 
     def __init__(
         self,
@@ -33,10 +33,6 @@ class PointJoinKernel:
         x_col: str = "x",
         y_col: str = "y",
     ):
-        import ray
-
-        if isinstance(polygons, dict) and "__ref__" in polygons:
-            polygons = ray.get(polygons["__ref__"])
         self.polys = polygons
         self.attr_cols = attr_cols
         self.how = how
@@ -117,28 +113,6 @@ class PointJoinKernel:
         return t
 
 
-#: per-worker-process kernel cache: broadcast object ref hex -> kernel.
-#: The stateless-task path deserializes the layer + builds the index ONCE
-#: per worker process (same amortization as an actor pool, but elastic and
-#: fusable with neighboring stages — a fixed pool of num_cpus actors
-#: starves the write stage, observed in bench profiling).
-_PROC_CACHE: dict[str, object] = {}
-_PROC_CACHE_MAX = 8  # distinct broadcast layers per worker; FIFO evict
-
-
-def _cached_kernel(factory_key: str, ref: dict, build):
-    kern = _PROC_CACHE.get(factory_key)
-    if kern is None:
-        import ray
-
-        payload = ray.get(ref["__ref__"])
-        kern = build(payload)
-        while len(_PROC_CACHE) >= _PROC_CACHE_MAX:
-            _PROC_CACHE.pop(next(iter(_PROC_CACHE)))
-        _PROC_CACHE[factory_key] = kern
-    return kern
-
-
 def join_points_to_polygons(
     ds,
     polygons: list[dict],
@@ -147,40 +121,23 @@ def join_points_to_polygons(
     attr_cols: tuple[str, ...] = ("nuts_id", "pop"),
     x_col: str = "x",
     y_col: str = "y",
-    concurrency=None,
     batch_size: int | None = None,
 ):
     """Spatial join of a point Dataset against the broadcast polygon layer.
 
     ``how='inner'``: one row per (point, containing polygon) — a point in
     N overlapping polygons yields N rows.  ``how='left'``: additionally
-    keeps unmatched points with null polygon columns.
-
-    ``concurrency=None`` (default) runs stateless tasks with a per-worker
-    kernel cache — right for small/medium broadcast layers.  Pass an
-    int/tuple to use a dedicated actor pool instead (huge layers whose
-    index build must be strictly amortized).
+    keeps unmatched points with null polygon columns.  Stateless tasks;
+    each worker builds the kernel once (:class:`cluster.Broadcast`).
     """
-    import ray
-
     if how not in ("inner", "left"):
         raise ValueError(f"how must be inner|left, got {how!r}")
-    ref = {"__ref__": ray.put(polygons)}
-    if concurrency is not None:
-        return ds.map_batches(
-            PointJoinKernel,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            fn_constructor_args=(ref, attr_cols, how, x_col, y_col),
-            concurrency=concurrency,
-        )
-    key = f"pjoin:{ref['__ref__'].hex()}:{how}:{x_col}:{y_col}:{attr_cols}"
+    layer = Broadcast(
+        polygons, lambda p: PointJoinKernel(p, attr_cols, how, x_col, y_col)
+    )
 
     def apply(batch: pa.Table) -> pa.Table:
-        kern = _cached_kernel(
-            key, ref, lambda p: PointJoinKernel(p, attr_cols, how, x_col, y_col)
-        )
-        return kern(batch)
+        return layer.get()(batch)
 
     return ds.map_batches(apply, batch_format="pyarrow", batch_size=batch_size)
 
@@ -216,17 +173,16 @@ def polygon_cells_index(
     10^6-polygon layer indexes in parallel and the result can be persisted
     / hash-partitioned by cell_key.
     """
-    import ray
     import ray.data as rd
 
     from .geom.kernels import TOL_EPS, cells_coverage
 
-    ref = {"__ref__": ray.put(polygons)}
+    layer = Broadcast(polygons)
     ox, oy = origin
     res = float(resolution)
 
     def emit(batch: pa.Table) -> pa.Table:
-        polys = _cached_kernel(f"pci:{ref['__ref__'].hex()}", ref, lambda p: p)
+        polys = layer.get()
         keys, pids, fulls = [], [], []
         for i in np.asarray(batch["id"], dtype=np.int64).tolist():
             p = polys[i]
@@ -294,8 +250,6 @@ def join_points_via_cell_index(
     Returns (point columns..., poly_id) — semantically identical to
     ``join_points_to_polygons(how='inner')`` modulo row order.
     """
-    import ray
-
     from .cluster import default_num_partitions
     from .tiler import with_cell_columns
 
@@ -314,10 +268,10 @@ def join_points_via_cell_index(
     cand = pts.join(
         idx, "inner", num_partitions=num_partitions, on=("cell_key",)
     )
-    ref = {"__ref__": ray.put(polygons)}
+    layer = Broadcast(polygons)
 
     def verify(batch: pa.Table) -> pa.Table:
-        polys = _cached_kernel(f"pciv:{ref['__ref__'].hex()}", ref, lambda p: p)
+        polys = layer.get()
         full = np.asarray(batch["full"])
         px = np.asarray(batch[x_col], dtype=np.float64)
         py = np.asarray(batch[y_col], dtype=np.float64)
@@ -344,10 +298,6 @@ class KnnJoinKernel:
     closer neighbor can remain outside."""
 
     def __init__(self, ref_points, resolution: float, k: int):
-        import ray
-
-        if isinstance(ref_points, dict) and "__ref__" in ref_points:
-            ref_points = ray.get(ref_points["__ref__"])
         # ref_points: dict with 'id', 'x', 'y' numpy arrays
         self.rx = np.asarray(ref_points["x"], dtype=np.float64)
         self.ry = np.asarray(ref_points["y"], dtype=np.float64)
@@ -562,28 +512,14 @@ def knn_join(
     *,
     resolution: float,
     k: int,
-    concurrency=None,
     batch_size: int | None = None,
 ):
     """For each point row, the k nearest reference points (cell-ring
-    expansion, exact stopping bound).  ``concurrency=None`` -> stateless
-    tasks with a per-worker cached index; int/tuple -> actor pool."""
-    import ray
-
-    ref = {"__ref__": ray.put(ref_points)}
-    if concurrency is not None:
-        return ds.map_batches(
-            KnnJoinKernel,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            fn_constructor_args=(ref, resolution, k),
-            concurrency=concurrency,
-        )
-    key = f"knn:{ref['__ref__'].hex()}:{resolution}:{k}"
+    expansion, exact stopping bound); each worker builds the index once."""
+    index = Broadcast(ref_points, lambda p: KnnJoinKernel(p, resolution, k))
 
     def apply(batch: pa.Table) -> pa.Table:
-        kern = _cached_kernel(key, ref, lambda p: KnnJoinKernel(p, resolution, k))
-        return kern(batch)
+        return index.get()(batch)
 
     return ds.map_batches(apply, batch_format="pyarrow", batch_size=batch_size)
 
@@ -597,10 +533,6 @@ class _NearestPolyKernel:
     same total order as the SQL twin's (d2, poly_id) rank."""
 
     def __init__(self, layer, x_col: str, y_col: str):
-        import ray
-
-        if isinstance(layer, dict) and "__ref__" in layer:
-            layer = ray.get(layer["__ref__"])
         rows = []
         for p in sorted(layer, key=lambda p: p["poly_id"]):
             for r in p["rects"]:
@@ -637,27 +569,15 @@ def nearest_polygon_join(
     *,
     x_col: str = "x",
     y_col: str = "y",
-    concurrency=None,
 ):
     """Attach each point's nearest polygon id + euclidean distance
     (0 inside).  Broadcast-layer stage like the PIP join; the layer's
     rect decomposition makes the distance exact for rectilinear regions
     (the fixture/reference geometry family)."""
-    import ray
-
-    ref = {"__ref__": ray.put(polygons)}
-    if concurrency is not None:
-        return points_ds.map_batches(
-            _NearestPolyKernel,
-            batch_format="pyarrow",
-            fn_constructor_args=(ref, x_col, y_col),
-            concurrency=concurrency,
-        )
-    key = f"nearpoly:{ref['__ref__'].hex()}:{x_col}:{y_col}"
+    layer = Broadcast(polygons, lambda l: _NearestPolyKernel(l, x_col, y_col))
 
     def apply(batch: pa.Table) -> pa.Table:
-        kern = _cached_kernel(key, ref, lambda l: _NearestPolyKernel(l, x_col, y_col))
-        return kern(batch)
+        return layer.get()(batch)
 
     return points_ds.map_batches(apply, batch_format="pyarrow")
 
@@ -710,8 +630,6 @@ def join_points_via_hex_cover(
     one row per (point, containing polygon), like
     ``join_points_to_polygons(how='inner')``.
     """
-    import ray
-
     from .hex import _pack, hex_axial, hex_center
 
     qs = np.arange(q_range[0], q_range[1] + 1, dtype=np.int64)
@@ -748,13 +666,10 @@ def join_points_via_hex_cover(
     rects = np.asarray([rxmin, rymin, rxmax, rymax], np.float64)
     ro = np.argsort(rect_poly, kind="stable")
     rect_poly, rects = rect_poly[ro], rects[:, ro]
-    ref = {
-        "__ref__": ray.put((ck, cp, rect_poly, rects))
-    }
-    key = f"hexcover:{ref['__ref__'].hex()}:{x_col}:{y_col}"
+    cover = Broadcast((ck, cp, rect_poly, rects))
 
     def probe(b: pa.Table) -> pa.Table:
-        ck_, cp_, rpoly, rects_ = _cached_kernel(key, ref, lambda t: t)
+        ck_, cp_, rpoly, rects_ = cover.get()
         x = np.asarray(b[x_col], np.float64)
         y = np.asarray(b[y_col], np.float64)
         k = _pack(*hex_axial(x, y, hex_size))

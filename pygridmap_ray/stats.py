@@ -24,6 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from pygridmap_ray.cluster import (
+    Broadcast,
     resolve_num_buckets as _resolve_buckets,
 )
 
@@ -862,10 +863,6 @@ def pca_project(ds, *, vec_col: str = "embedding", id_col: str = "vec_id",
 
     Component sign is canonicalized (largest-|coeff| entry positive) so
     the output is deterministic.  Returns rows of (id, pc1..pck)."""
-    import ray
-
-    from .spatial import _cached_kernel
-
     n, s, xx = embedding_moments(ds, vec_col=vec_col, dims=dims)
     mu = s / n
     cov = (xx - n * np.outer(mu, mu)) / (n - 1)
@@ -874,12 +871,11 @@ def pca_project(ds, *, vec_col: str = "embedding", id_col: str = "vec_id",
     flip = np.abs(comps).argmax(axis=1)
     sign = np.sign(comps[np.arange(k), flip])
     comps *= np.where(sign == 0, 1.0, sign)[:, None]
-    ref = {"__ref__": ray.put((mu, comps))}
-    ckey = f"pca:{ref['__ref__'].hex()}"
+    ref = Broadcast((mu, comps))
     d = len(mu)
 
     def project(b: pa.Table) -> pa.Table:
-        mean, cmp_ = _cached_kernel(ckey, ref, lambda p: p)
+        mean, cmp_ = ref.get()
         col = b[vec_col].combine_chunks()
         flat = np.asarray(col.flatten(), dtype=np.float64)
         x = flat.reshape(b.num_rows, -1)[:, :d] if b.num_rows else flat.reshape(0, d)
@@ -1499,10 +1495,6 @@ def percent_rank(
     row stream itself never shuffles.
 
     Output: the input columns plus ``pct_rank`` (rounded half-away)."""
-    import ray
-
-    from .spatial import _cached_kernel
-
     hist = _gated_pair_histogram(ds, group_col, value_col, domain_limit)
     hist = hist.sort_values([group_col, value_col], kind="stable")
     payload = {}
@@ -1512,12 +1504,11 @@ def percent_rank(
         below = np.concatenate([[0], cnt.cumsum()[:-1]])
         # str() key matches the batch-side string cast for any key dtype
         payload[str(g)] = {"vals": vals, "below": below, "n": int(cnt.sum())}
-    ref = {"__ref__": ray.put(payload)}
-    ckey = f"pct-rank:{ref['__ref__'].hex()}"
+    ref = Broadcast(payload)
     tol = 10.0**round_to
 
     def attach(b: pa.Table) -> pa.Table:
-        p = _cached_kernel(ckey, ref, lambda x: x)
+        p = ref.get()
         ks = np.asarray(pc.cast(b[group_col], pa.string())).astype(object)
         v = np.asarray(b[value_col], np.float64)
         out = np.zeros(len(v), np.float64)
@@ -1553,10 +1544,6 @@ def window_ranks(
     - ``cume_dist``  = rows <= value / n (rounded half-away).
 
     Output: the input columns plus ``rank, dense_rank, cume_dist``."""
-    import ray
-
-    from .spatial import _cached_kernel
-
     hist = _gated_pair_histogram(ds, group_col, value_col, domain_limit)
     hist = hist.sort_values([group_col, value_col], kind="stable")
     payload = {}
@@ -1568,12 +1555,11 @@ def window_ranks(
         payload[str(g)] = {
             "vals": vals, "below": below, "cum": cum, "n": int(cum[-1])
         }
-    ref = {"__ref__": ray.put(payload)}
-    ckey = f"win-ranks:{ref['__ref__'].hex()}"
+    ref = Broadcast(payload)
     tol = 10.0**round_to
 
     def attach(b: pa.Table) -> pa.Table:
-        p = _cached_kernel(ckey, ref, lambda x: x)
+        p = ref.get()
         ks = np.asarray(pc.cast(b[group_col], pa.string())).astype(object)
         v = np.asarray(b[value_col], np.float64)
         rank = np.ones(len(v), np.int64)

@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-from pygridmap_ray.cluster import resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
 
 #: language -> stopword regex (RE2; identical string used in SQL twins)
 LANG_PATTERNS: dict[str, str] = {
@@ -1293,14 +1293,10 @@ def unigram_logprob_score(
     toks = np.asarray(vocab["ngram"]).astype(object)
     cnts = np.asarray(vocab["cnt"], dtype=np.float64)
     order = np.argsort(toks)
-    ref = {"__ref__": ray.put((toks[order], cnts[order], float(cnts.sum())))}
+    ref = Broadcast((toks[order], cnts[order], float(cnts.sum())))
 
     def score(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        toks_s, cnts_s, total = _cached_kernel(
-            f"unigram:{ref['__ref__'].hex()}", ref, lambda v: v
-        )
+        toks_s, cnts_s, total = ref.get()
         la = pc.split_pattern_regex(batch[text_col], r"\s+")
         if isinstance(la, pa.ChunkedArray):
             la = la.combine_chunks()
@@ -1621,8 +1617,6 @@ def bigram_logprob_score(
     import ray
     from ray.data.aggregate import Sum
 
-    from .spatial import _cached_kernel
-
     def counts_of(n: int):
         c = (
             ds.map_batches(
@@ -1651,13 +1645,11 @@ def bigram_logprob_score(
     uni_g, uni_c = counts_of(1)
     big_g, big_c = counts_of(2)
     vsize = float(len(uni_g))
-    ref = {"__ref__": ray.put((uni_g, uni_c, big_g, big_c, vsize))}
+    ref = Broadcast((uni_g, uni_c, big_g, big_c, vsize))
     tol = 10.0 ** round_to
 
     def score(batch: pa.Table) -> pa.Table:
-        ug, uc, bg, bc, v = _cached_kernel(
-            f"bigramlm:{ref['__ref__'].hex()}", ref, lambda x: x
-        )
+        ug, uc, bg, bc, v = ref.get()
         la = pc.split_pattern_regex(batch[text_col], r"\s+")
         if isinstance(la, pa.ChunkedArray):
             la = la.combine_chunks()
@@ -2098,7 +2090,6 @@ def pmi_bigrams(ds, *, min_count: int = 5, text_col: str = "text",
     stage is stateless vectorized over the min_count-filtered bigram
     totals, which stream — no stage ever materializes corpus-scale
     data on the driver."""
-    import ray
     from ray.data.aggregate import Sum
 
     # one tiny (n1, n2) partial per batch -> Sum reduce
@@ -2131,16 +2122,12 @@ def pmi_bigrams(ds, *, min_count: int = 5, text_col: str = "text",
     toks = np.asarray(uni["ngram"]).astype(object)
     cnts = np.asarray(uni["cnt"], dtype=np.float64)
     order = np.argsort(toks)
-    ref = {"__ref__": ray.put((toks[order], cnts[order], n1, n2))}
+    ref = Broadcast((toks[order], cnts[order], n1, n2))
 
     big = _ngram_totals(ds, n=2, text_col=text_col, min_count=min_count)
 
     def score(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        toks_s, cnts_s, t1, t2 = _cached_kernel(
-            f"pmi:{ref['__ref__'].hex()}", ref, lambda v: v
-        )
+        toks_s, cnts_s, t1, t2 = ref.get()
         grams = np.asarray(batch["ngram"]).astype(object)
         cab = np.asarray(batch["cnt"], dtype=np.float64)
         # tokens are \S+ so every bigram has exactly one space
@@ -2252,7 +2239,6 @@ def fuzzy_vocab_pairs(ds, *, max_dist: int = 2, min_count: int = 1,
     banded vocabulary broadcast once (``ray.put``, per-worker cache).
     ASCII token law (DuckDB's levenshtein counts unicode codepoints;
     the uint8 DP counts bytes — identical on ASCII corpora)."""
-    import ray
     import ray.data as rd
 
     vocab = _gather_totals(
@@ -2272,7 +2258,7 @@ def fuzzy_vocab_pairs(ds, *, max_dist: int = 2, min_count: int = 1,
         for r, t in enumerate(bt):
             mat[r, : len(t)] = np.frombuffer(t.encode("ascii"), np.uint8)
         bands[int(L)] = {"toks": bt, "cnts": bc, "mat": mat}
-    ref = {"__ref__": ray.put(bands)}
+    ref = Broadcast(bands)
     pairs = [
         {"la": int(a), "lb": int(b)}
         for a in sorted(bands)
@@ -2292,11 +2278,7 @@ def fuzzy_vocab_pairs(ds, *, max_dist: int = 2, min_count: int = 1,
         return rd.from_arrow(empty)
 
     def solve(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        bds = _cached_kernel(
-            f"fuzzyvocab:{ref['__ref__'].hex()}", ref, lambda v: v
-        )
+        bds = ref.get()
         outs = []
         for la, lb in zip(
             np.asarray(batch["la"]), np.asarray(batch["lb"])
@@ -2792,14 +2774,10 @@ def dsir_weights(
         CT[bk] += np.asarray(p["ct"], np.float64)
         CR[bk] += np.asarray(p["cr"], np.float64)
     tt, tr, nb = float(CT.sum()), float(CR.sum()), float(n_buckets)
-    ref = {"__ref__": ray.put((CT, CR))}
+    ref = Broadcast((CT, CR))
 
     def score(batch: pa.Table) -> pa.Table:
-        from .spatial import _cached_kernel
-
-        ct_s, cr_s = _cached_kernel(
-            f"dsir:{ref['__ref__'].hex()}", ref, lambda v: v
-        )
+        ct_s, cr_s = ref.get()
         words, rid = _tokens(batch)
         b = _buckets(words)
         lw = np.log(

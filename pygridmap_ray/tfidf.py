@@ -41,7 +41,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-from pygridmap_ray.cluster import resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
 
 _PAIR_SHIFT = 31  # doc ids must fit [0, 2^31): packed pair key layout
 
@@ -205,10 +205,7 @@ def _dense_pairs(
     holds them).  Same weight / threshold / rounding law as the sparse
     path; dgemm changes only the float addition order, which the 1e-6
     rounding step dwarfs (<= vocab addends of |x| <= 1)."""
-    import ray
     import ray.data as rd
-
-    from .spatial import _cached_kernel
 
     empty = pa.table(
         {
@@ -235,14 +232,13 @@ def _dense_pairs(
     nrm = np.sqrt(np.einsum("ij,ij->i", W, W))
     nrm[nrm == 0.0] = 1.0
     W /= nrm[:, None]
-    ref = {"__ref__": ray.put((ids_u, W))}
-    ckey = f"tfidf-dense:{ref['__ref__'].hex()}"
+    ref = Broadcast((ids_u, W))
     rows_cap = max(1, (64 << 20) // (n * 8))  # 64 MB gram slab per task
     block_rows = max(1, min(rows_cap, -(-n // (num_partitions * 4))))
     nb = -(-n // block_rows)
 
     def pair_block(b: pa.Table) -> pa.Table:
-        ids_b, W_b = _cached_kernel(ckey, ref, lambda p: p)
+        ids_b, W_b = ref.get()
         nn = len(ids_b)
         ia_l, ib_l, cv_l = [], [], []
         for k in np.asarray(b["id"], dtype=np.int64):
@@ -315,7 +311,6 @@ def tfidf_pairs(
       consumer (pay 2x compute, hold nothing).
     """
     num_buckets = _resolve_buckets(num_buckets)
-    import ray
 
     n_docs = docs.count()  # parquet metadata count — no data scan
     max_df = int(np.floor(max_df_frac * n_docs))
@@ -431,19 +426,16 @@ def tfidf_pairs(
         # norms are one float per doc — broadcast them (ray.put once,
         # per-worker cache) and normalize weights inside the pair pass:
         # the coarse-summed partial IS the cosine; no join anywhere.
-        from .spatial import _cached_kernel
-
         narr = norms.to_pandas()
         o = np.argsort(narr["a"].to_numpy(np.int64), kind="stable")
         payload = {
             "ids": narr["a"].to_numpy(np.int64)[o],
             "nrm": narr["nrm"].to_numpy(np.float64)[o],
         }
-        ref = {"__ref__": ray.put(payload)}
-        ckey = f"tfidf-norms:{ref['__ref__'].hex()}"
+        ref = Broadcast(payload)
 
         def attach_nrm(b: pa.Table) -> pa.Table:
-            p = _cached_kernel(ckey, ref, lambda x: x)
+            p = ref.get()
             d = np.asarray(b["doc"], np.int64)
             if len(p["ids"]):
                 # a doc with ONLY pruned (df > max_df) terms has no norm

@@ -236,21 +236,51 @@ def test_no_literal_bucket_widths():
     count must be resolved ON THE DRIVER and captured — a worker-side
     cache (the removed ``auto_num_buckets``) can diverge across an
     elastic-cluster resize and silently split coarse groups.  Pin both:
-    no ``_bucket_of(x, <int literal>)`` call and no worker-side
+    no ``_bucket_of(x, w)`` call whose width ``w`` is an int literal or
+    a name bound to one in the same function, and no worker-side
     resolver name anywhere in the engine source."""
+    import ast
     import re
     from pathlib import Path
+
+    def int_literal(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int
 
     root = Path(__file__).resolve().parents[1] / "pygridmap_ray"
     offenders = []
     for mod in root.rglob("*.py"):
+        src = mod.read_text()
+        tree = ast.parse(src)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            literal_names = {
+                t.id
+                for n in ast.walk(fn)
+                if isinstance(n, ast.Assign) and int_literal(n.value)
+                for t in n.targets
+                if isinstance(t, ast.Name)
+            }
+            for call in ast.walk(fn):
+                if not (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "_bucket_of"
+                    and len(call.args) >= 2
+                ):
+                    continue
+                w = call.args[1]
+                if int_literal(w) or (
+                    isinstance(w, ast.Name) and w.id in literal_names
+                ):
+                    offenders.append(
+                        f"{mod.name}:{call.lineno}: literal width "
+                        f"{ast.unparse(call)}"
+                    )
         # comments may explain the removed resolver; only code counts
         txt = "\n".join(
-            ln for ln in mod.read_text().splitlines()
-            if not ln.lstrip().startswith("#")
+            ln for ln in src.splitlines() if not ln.lstrip().startswith("#")
         )
-        for m in re.finditer(r"_bucket_of\([^()]*,\s*(\d+)\s*\)", txt):
-            offenders.append(f"{mod.name}: literal width {m.group(0)}")
         for name in ("auto_num_buckets", "_auto_nb"):
             if re.search(rf"\b{name}\b", txt):
                 offenders.append(f"{mod.name}: worker-side resolver {name}")

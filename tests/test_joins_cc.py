@@ -227,35 +227,8 @@ def test_null_order_keys(ray_session):
     assert pd.isna(lj.set_index("v").loc[2.0, "iv_id"])
 
 
-def test_interval_join_actor_pool_parity(ray_session):
-    """concurrency= (actor pool) and the default stateless-task path
-    produce identical rows."""
-    rng = np.random.default_rng(5)
-    pts = _mk(
-        {
-            "ts": _ts(rng.integers(0, 1000, size=300)),
-            "user_id": rng.integers(0, 5, size=300).astype(np.int64),
-            "p": np.arange(300, dtype=np.int64),
-        }
-    )
-    iv = {
-        "key": np.arange(5, dtype=np.int64),
-        "start": np.full(5, 100, dtype=np.int64),
-        "end": np.full(5, 600, dtype=np.int64),
-        "iv_id": np.arange(5, dtype=np.int64),
-    }
-    a = interval_join(pts, iv, how="inner").to_pandas().sort_values("p").reset_index(drop=True)
-    b = (
-        interval_join(pts, iv, how="inner", concurrency=2)
-        .to_pandas()
-        .sort_values("p")
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
-
-
-def test_nearest_polygon_actor_pool_parity(ray_session):
-    from pygridmap_ray.spatial import nearest_polygon_join
+def test_nearest_polygon_interior_distance_zero(ray_session):
+    from pygridmap_ray.spatial import join_points_to_polygons, nearest_polygon_join
     from pygridmap_ray.synth import polygon_layer
 
     rng = np.random.default_rng(9)
@@ -267,22 +240,15 @@ def test_nearest_polygon_actor_pool_parity(ray_session):
         }
     )
     layer = polygon_layer()
-    a = (
-        nearest_polygon_join(pts, layer)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    b = (
-        nearest_polygon_join(pts, layer, concurrency=2)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
+    a = nearest_polygon_join(pts, layer).to_pandas()
+    assert sorted(a["doc_id"]) == list(range(200))
     # interior points have distance exactly 0 and match the PIP join
     inside = a[a["dist"] == 0.0]
     assert len(inside) > 0
+    pip = join_points_to_polygons(pts, layer, how="inner").to_pandas()
+    assert set(inside["doc_id"]) == set(pip["doc_id"])
+    pairs = set(zip(pip["doc_id"], pip["poly_id"]))
+    assert all(p in pairs for p in zip(inside["doc_id"], inside["nearest_poly_id"]))
 
 
 def test_lookup_join_inner_left_and_dup_key(ray_session):
@@ -309,31 +275,6 @@ def test_lookup_join_inner_left_and_dup_key(ray_session):
     dup = pa.table({"k": [1, 1], "name": ["x", "y"]})
     with pytest.raises(Exception, match="duplicate"):
         lookup_join(facts, dup, on="fk", key="k").to_pandas()
-
-
-def test_lookup_join_actor_pool_parity(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from pygridmap_ray.joins import lookup_join
-
-    rng = np.random.default_rng(5)
-    dim = pa.table(
-        {"k": np.arange(100, dtype=np.int64), "w": rng.uniform(size=100)}
-    )
-    facts = rd.from_arrow(
-        pa.table({"fk": rng.integers(0, 130, 500), "i": np.arange(500)})
-    ).repartition(4)
-    a = (
-        lookup_join(facts, dim, on="fk", key="k", how="left")
-        .to_pandas().sort_values("i").reset_index(drop=True)
-    )
-    b = (
-        lookup_join(facts, dim, on="fk", key="k", how="left", concurrency=2)
-        .to_pandas().sort_values("i").reset_index(drop=True)
-    )
-    assert a.equals(b)
 
 
 def test_semi_anti_partition_and_duckdb_parity(ray_session):
@@ -367,12 +308,31 @@ def test_semi_anti_partition_and_duckdb_parity(ray_session):
         g = got.sort_values(["k", "v"]).reset_index(drop=True)
         x = exp.sort_values(["k", "v"]).reset_index(drop=True)
         assert g.equals(x)
-    # string keys + precollected array form + actor pool
+    # string keys + precollected array form
     lstr = rd.from_arrow(pa.table({"k": ["a", "b", "c", "d", "a"]}))
-    out = semi_join(
-        lstr, np.array(["a", "d"], dtype=object), on="k", concurrency=2
-    ).to_pandas()
+    out = semi_join(lstr, np.array(["a", "d"], dtype=object), on="k").to_pandas()
     assert sorted(out["k"]) == ["a", "a", "d"]
+
+
+def test_broadcast_builds_once_per_process_and_evicts_fifo(ray_session):
+    """Broadcast.get() runs ``build`` once per process (cached by object
+    ref) and the cache keeps at most ``_BUILT_MAX`` values, oldest out."""
+    from pygridmap_ray import cluster
+
+    calls = []
+
+    def build(v):
+        calls.append(v)
+        return v * 2
+
+    first = cluster.Broadcast(21, build)
+    assert first.get() == 42 and first.get() == 42
+    assert calls == [21]
+    later = [cluster.Broadcast(i) for i in range(cluster._BUILT_MAX)]
+    assert [b.get() for b in later] == list(range(cluster._BUILT_MAX))
+    assert len(cluster._BUILT) == cluster._BUILT_MAX
+    assert first.get() == 42
+    assert calls == [21, 21]  # evicted first, rebuilt on the next get
 
 
 def test_bloom_prefilter_superset_and_fp_rate(ray_session):

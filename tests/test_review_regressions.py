@@ -339,8 +339,11 @@ def test_safe_join_survives_empty_first_block_schema_race(ray_session):
 
     sch_l = pa.schema([("k", pa.int64()), ("x", pa.float64())])
     sch_r = pa.schema([("k", pa.int64()), ("y", pa.float64())])
+    # width 4 > the right side's 3 keys, so row-less partitions still
+    # occur; Ray sizes one aggregator per partition, and 16 of them ask
+    # for more memory than a small host has, so the join never starts
     out = safe_join(
-        mk(20, 8, "x"), mk(3, 8, "y"), "inner", num_partitions=16,
+        mk(20, 8, "x"), mk(3, 8, "y"), "inner", num_partitions=4,
         on=("k",), left_schema=sch_l, right_schema=sch_r,
     ).to_pandas()
     assert sorted(out["k"].tolist()) == [0, 1, 2]
@@ -352,7 +355,7 @@ def test_safe_join_survives_empty_first_block_schema_race(ray_session):
                    "y": pa.array([], pa.float64())})]
     )
     out = safe_join(
-        mk(5, 0, "x"), empty, "inner", num_partitions=16, on=("k",),
+        mk(5, 0, "x"), empty, "inner", num_partitions=4, on=("k",),
         left_schema=sch_l, right_schema=sch_r,
     ).to_pandas()
     assert len(out) == 0

@@ -1,5 +1,4 @@
-"""Byte-level span invariance through every stage, and the actor-pool
-(concurrency=) code paths that the stateless default no longer exercises."""
+"""Byte-level span invariance through every stage."""
 
 import numpy as np
 import pyarrow as pa
@@ -51,66 +50,3 @@ def test_spans_byte_identical_through_stages(span_docs, tmp_path):
     assert set(before) == set(after)
     for d in before:
         assert before[d] == after[d], f"doc {d} spans changed"
-
-
-def test_make_grid_actor_pool_path(ray_session):
-    from pygridmap_ray.gridding import make_grid
-    from pygridmap_ray.synth import DOMAIN
-
-    mask = polygon_layer()
-    a = (
-        make_grid(mask, cellsize=25_000.0, bbox=DOMAIN)
-        .to_pandas()
-        .sort_values("cell_id")
-        .reset_index(drop=True)
-    )
-    b = (
-        make_grid(mask, cellsize=25_000.0, bbox=DOMAIN, concurrency=2)
-        .to_pandas()
-        .sort_values("cell_id")
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
-
-
-def test_join_actor_pool_path(span_docs):
-    from pygridmap_ray.spatial import join_points_to_polygons
-
-    a = (
-        join_points_to_polygons(span_docs, polygon_layer(), how="inner")
-        .to_pandas()
-        .sort_values(["doc_id", "poly_id"])
-        .reset_index(drop=True)
-    )
-    b = (
-        join_points_to_polygons(
-            span_docs, polygon_layer(), how="inner", concurrency=2
-        )
-        .to_pandas()
-        .sort_values(["doc_id", "poly_id"])
-        .reset_index(drop=True)
-    )
-    assert a[["doc_id", "poly_id"]].equals(b[["doc_id", "poly_id"]])
-
-
-def test_overlay_actor_pool_path(ray_session):
-    from pygridmap_ray.gridding import make_grid
-    from pygridmap_ray.overlay import overlay_fragments
-    from pygridmap_ray.planning import plan_grid
-    from pygridmap_ray.synth import DOMAIN
-
-    spec = plan_grid(DOMAIN, 50_000.0, tile=(8, 8))
-    grid = make_grid(True, cellsize=50_000.0, bbox=DOMAIN, tile=(8, 8))
-    a = (
-        overlay_fragments(grid, polygon_layer(), spec)
-        .to_pandas()
-        .sort_values(["cell_id", "poly_id"])
-        .reset_index(drop=True)
-    )
-    b = (
-        overlay_fragments(grid, polygon_layer(), spec, concurrency=2)
-        .to_pandas()
-        .sort_values(["cell_id", "poly_id"])
-        .reset_index(drop=True)
-    )
-    assert a[["cell_id", "poly_id", "area"]].equals(b[["cell_id", "poly_id", "area"]])
