@@ -399,7 +399,10 @@ def make_grid(
         for tix in range(spec.nxtiles)
     ]
     ds = rd.from_items(specs)
-    # ~1 tile per block so tiles parallelize across the pool
+    # one tile spec per input block; batch_size=4 below then bundles 4
+    # tiles per call (so 16 tiles give 4 output blocks).  One tile per
+    # call was slower on a 16-tile grid and moves overlay areas by ulps:
+    # OverlayKernel's coverage window depends on which cells share a batch
     ds = ds.repartition(min(len(specs), 256))
     if mode not in ("prll", "seq", "qtree"):
         raise ValueError(f"mode must be prll|seq|qtree, got {mode!r}")

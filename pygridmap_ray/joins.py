@@ -34,7 +34,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import (
+    Broadcast,
+    default_num_partitions,
+    resolve_num_buckets as _resolve_buckets,
+)
 
 _HASH_MULT = 2654435761  # Knuth multiplicative hash (public domain constant)
 
@@ -543,7 +547,7 @@ def salted_join(
     on: str,
     right_on: str | None = None,
     salt: int = 8,
-    num_partitions: int = 32,
+    num_partitions: int | None = None,
 ):
     """Inner hash join that survives pathological key skew: a hot key's
     left rows spread across ``salt`` sub-shards (key, s) while the right
@@ -557,8 +561,13 @@ def salted_join(
     result does not depend on block layout.  Cost model: right-side
     shuffle volume multiplies by ``salt`` — use for small-to-medium right
     sides against a skew-prone left (the FK-join shape); for broadcast-
-    sized right sides :func:`lookup_join` is strictly cheaper."""
+    sized right sides :func:`lookup_join` is strictly cheaper.
+    ``num_partitions`` defaults to the cluster's width
+    (:func:`cluster.default_num_partitions`), resolved here on the
+    driver."""
     right_on = right_on or on
+    if num_partitions is None:
+        num_partitions = default_num_partitions()
 
     def tag_left(b: pa.Table) -> pa.Table:
         return b.append_column(

@@ -13,19 +13,25 @@ Ray-Data-native re-expression of the reference ``GridOverlay``
    ``how='union'`` additionally emits one remainder row per cell with
    uncovered area and null polygon attributes (the NaN ``__area_pct__``
    rows of the reference union output, overlay.ipynb cell 34).
-2. **Aggregation stage** (global Ray groupby on ``cell_id`` — equivalent
-   to the reference's per-tile groupby because cells never span tiles,
-   SURVEY.md §2.3 note): ``cover`` collect-list (overlay.py:312-323) and
-   attribute rules sum/min/max/list (overlay.py:338-374).
+2. **Cell finish** (:func:`_finish_cells`, in the SAME ``map_batches``
+   task as the fragment stage): ``cover`` collect-list (overlay.py:
+   312-323) and attribute rules sum/min/max/list (overlay.py:338-374).
+   The kernel emits every fragment of a cell from the one call that sees
+   the cell's grid row, so each cell is reduced where its fragments were
+   made and nothing is exchanged — the reference likewise assigns in the
+   tile worker (overlay.py:377-412), because cells never span tiles
+   (SURVEY.md §2.3 note).
 
 Remainder semantics (documented): remainder area = max(0, cell_area −
 Σ fragment areas) — exact when the polygon layer is non-overlapping,
 which holds for every union test the reference exercises (grid-on-grid).
 
-Partitioning assumption: fragment batches should be spatially coherent
-(e.g. straight from ``make_grid`` tiles) so the per-polygon dense
-coverage window stays small; a shuffled grid still computes correctly but
-with larger windows.
+Grid contract: one row per cell.  Every ``cell_id`` appears once in the
+grid (``make_grid`` output, or any frame with unique ids); a cell
+repeated across blocks would come out once per block.  Grid batches
+should also be spatially coherent (e.g. straight from ``make_grid``
+tiles) so the per-polygon dense coverage window stays small; a shuffled
+grid still computes correctly but with larger windows.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .cluster import Broadcast
 from .geom.index import BBoxIndex
@@ -158,6 +165,14 @@ class OverlayKernel:
         return t
 
 
+def _kernel_layer(polygons, spec: GridSpec, how: str, attr_cols) -> Broadcast:
+    if how not in ("intersection", "union"):
+        # fail on the driver, not inside a worker
+        raise ValueError(f"how must be intersection|union, got {how!r}")
+    args = (spec.cellsize, spec.bbox[:2], how, attr_cols)
+    return Broadcast(polygons, lambda p: OverlayKernel(p, *args))
+
+
 def overlay_fragments(
     grid_ds,
     polygons: list[dict],
@@ -171,11 +186,7 @@ def overlay_fragments(
 
     Stateless tasks (elastic, fuse with neighbors); each worker builds
     the kernel once (:class:`cluster.Broadcast`)."""
-    if how not in ("intersection", "union"):
-        # fail on the driver, not inside a worker
-        raise ValueError(f"how must be intersection|union, got {how!r}")
-    args = (spec.cellsize, spec.bbox[:2], how, attr_cols)
-    layer = Broadcast(polygons, lambda p: OverlayKernel(p, *args))
+    layer = _kernel_layer(polygons, spec, how, attr_cols)
 
     def apply(batch: pa.Table) -> pa.Table:
         return layer.get()(batch)
@@ -183,41 +194,72 @@ def overlay_fragments(
     return grid_ds.map_batches(apply, batch_format="pyarrow", batch_size=batch_size)
 
 
-def _final_cell_row(
-    g: pd.DataFrame,
+def _run_heads(*keys: np.ndarray) -> np.ndarray:
+    """True where a row starts a new run of equal key tuples."""
+    head = np.ones(len(keys[0]), dtype=bool)
+    head[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    return head
+
+
+def _finish_cells(
+    frags: pa.Table,
     rule: str | None,
     columns: list[str],
     carry: list[str],
     cover: bool,
-) -> pd.DataFrame:
-    row = {"cell_id": g["cell_id"].iloc[0]}
-    for c in carry:
-        row[c] = g[c].iloc[0]
-    real = g[g["poly_id"].notna()]
-    if cover:
-        ids = sorted(int(v) for v in real["poly_id"].unique())
-        row["cover"] = ",".join(str(v) for v in ids) if ids else None
-        row["n_polys"] = len(ids)
-    if rule in ("sum", "list"):
+) -> pa.Table:
+    """One row per cell of a fragment batch: ``cell_id, *carry,
+    *columns[, cover, n_polys]``.  Union remainder rows (null poly_id)
+    keep their cell in the output but contribute nothing: sum 0, null
+    cover with n_polys 0, null min/max/list."""
+    _, first, inv = np.unique(
+        np.asarray(frags["cell_id"]), return_index=True, return_inverse=True
+    )
+    n = len(first)
+    ri = np.nonzero(np.asarray(pc.is_valid(frags["poly_id"])))[0]
+    cell = inv[ri]
+    pid = np.asarray(frags["poly_id"].take(ri), dtype=np.int64)
+    pct = np.asarray(frags["area_pct"].take(ri), dtype=np.float64)
+    out = {c: frags[c].take(first) for c in ("cell_id", *carry)}
+
+    def lists(cells, values, sep):
+        # join each cell's run of values; ``cells`` (row -> cell) ascends
+        offsets = np.searchsorted(cells, np.arange(n + 1)).astype(np.int32)
+        joined = pc.binary_join(
+            pa.ListArray.from_arrays(
+                offsets, values, mask=pa.array(offsets[1:] == offsets[:-1])
+            ),
+            sep,
+        )
+        return joined, np.diff(offsets).astype(np.int64)
+
+    by_pid = np.lexsort((pid, cell))
+    if rule in ("min", "max"):
+        best = np.lexsort((pid, pct if rule == "min" else -pct, cell))
+        best = best[_run_heads(cell[best])]
+        idx = np.full(n, -1, dtype=np.int64)
+        idx[cell[best]] = ri[best]
+        take = pa.array(idx, mask=idx < 0)
         for c in columns:
-            wv = real[c] * real["area_pct"]
-            if rule == "sum":
-                row[c] = float(wv.sum()) if len(real) else 0.0
-            else:  # deterministic order by poly_id; 9-decimal repr
-                order = real["poly_id"].argsort(kind="stable")
-                row[c] = ";".join(f"{v:.9f}" for v in wv.iloc[order]) or None
-    elif rule in ("min", "max"):
-        if len(real):
-            asc = rule == "min"
-            r = real.sort_values(
-                ["area_pct", "poly_id"], ascending=[asc, True], kind="stable"
-            ).iloc[0]
-            for c in columns:
-                row[c] = r[c]
+            out[c] = frags[c].take(take)
+    for c in columns if rule in ("sum", "list") else ():
+        wv = np.asarray(frags[c].take(ri), dtype=np.float64) * pct
+        if rule == "sum":
+            # pandas' compensated groupby sum, in emission order: plain
+            # float adds (np.add.reduceat) differ by ulps
+            s = pd.Series(wv).groupby(cell).sum()
+            sums = np.zeros(n)
+            sums[s.index.to_numpy()] = s.to_numpy()
+            out[c] = pa.array(sums)
         else:
-            for c in columns:
-                row[c] = None
-    return pd.DataFrame([row])
+            vals = pa.array([f"{v:.9f}" for v in wv[by_pid].tolist()], pa.string())
+            out[c] = lists(cell[by_pid], vals, ";")[0]
+    if cover:
+        o = by_pid[_run_heads(cell[by_pid], pid[by_pid])]
+        ids = pc.cast(pa.array(pid[o]), pa.string())
+        out["cover"], count = lists(cell[o], ids, ",")
+        out["n_polys"] = pa.array(count)
+    return pa.table(out)
 
 
 def grid_overlay(
@@ -244,167 +286,26 @@ def grid_overlay(
     contributing-polygon id string (reference collect-list, overlay.py:
     312-323).  ``carry`` = grid columns to keep (constant per cell).
     Cells with no fragment rows (intersection) are absent, matching the
-    reference inner merge (overlay.py:369-374).
+    reference inner merge (overlay.py:369-374).  Output columns:
+    ``cell_id, *carry, *columns[, cover, n_polys]``; with neither a rule
+    nor ``cover`` the fragment rows are returned as they are.
+
+    ``grid_ds`` must hold one row per cell (unique ``cell_id``, as
+    ``make_grid`` emits): the per-cell finish runs inside the fragment
+    task, on that task's batch, with no exchange.
     """
     if rule is not None and rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}")
+    if rule is None and not cover:
+        return overlay_fragments(grid_ds, polygons, spec, how=how, attr_cols=attr_cols)
+    layer = _kernel_layer(polygons, spec, how, attr_cols)
     columns = list(columns or [])
     carry = list(carry or [])
-    frags = overlay_fragments(
-        grid_ds,
-        polygons,
-        spec,
-        how=how,
-        attr_cols=attr_cols,
-    )
-    if rule is None and not cover:
-        return frags
 
-    keep_cols = ["cell_id", *carry, "poly_id", "area_pct", *columns]
+    def apply(batch: pa.Table) -> pa.Table:
+        return _finish_cells(layer.get()(batch), rule, columns, carry, cover)
 
-    def project(b: pa.Table) -> pa.Table:
-        return b.select([c for c in keep_cols if c in b.column_names])
-
-    frags = frags.map_batches(project, batch_format="pyarrow")
-
-    if rule in (None, "sum"):
-        # fast path: vectorized per-batch partials + built-in Sum shuffle —
-        # the per-cell map_groups final would cost ~1ms/cell in Python,
-        # minutes at 1km national grids
-        return _sum_cover_two_phase(frags, columns, carry, cover, rule == "sum")
-
-    if rule in ("min", "max") and not cover and how == "intersection":
-        # the join path filters to real fragments, so union's
-        # remainder-only cells would vanish — route union argext to the
-        # generic path, which keeps them with null attrs
-        return _argext_joins(frags, rule, columns, carry)
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return _final_cell_row(g, rule, columns, carry, cover)
-
-    return frags.groupby("cell_id").map_groups(final, batch_format="pandas")
-
-
-def _argext_joins(frags, rule, columns, carry):
-    """Vectorized argext (the reference's sort-then-first, overlay.py:
-    340-360): per-cell best area_pct via a built-in aggregate, hash-join
-    back, filter to the best rows, then min poly_id as the deterministic
-    tie-break — three shuffles, zero per-cell Python."""
-    import ray
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min
-
-    # join aggregator actors hold CPU slots: size the partition count to
-    # the session or the two joins deadlock small clusters
-    nparts = max(2, int(ray.cluster_resources().get("CPU", 4)) // 2)
-
-    real = frags.map_batches(
-        lambda b: b.filter(pc.is_valid(b["poly_id"])), batch_format="pyarrow"
-    )
-    agg = Max if rule == "max" else Min
-    best = real.groupby("cell_id").aggregate(
-        agg("area_pct", alias_name="__best_pct__")
-    )
-    # best/tie are aggregate outputs and f1 a filter-on-join output —
-    # all can carry empty blocks on small inputs (the hash-shuffle
-    # schema race, cluster.compact_blocks docstring).  Balanced
-    # repartitions keep every block non-empty whenever rows >= width
-    # without pinning the (cell-scale, unbounded) sides.
-    j1 = real.join(
-        best.repartition(nparts), "inner", num_partitions=nparts,
-        on=("cell_id",),
-    )
-    f1 = j1.map_batches(
-        lambda b: b.filter(
-            pc.equal(b["area_pct"], b["__best_pct__"])
-        ).drop_columns(["__best_pct__"]),
-        batch_format="pyarrow",
-    ).repartition(nparts)
-    tie = f1.groupby("cell_id").aggregate(Min("poly_id", alias_name="__best_poly__"))
-    j2 = f1.join(
-        tie.repartition(nparts), "inner", num_partitions=nparts,
-        on=("cell_id",),
-    )
-    out = j2.map_batches(
-        lambda b: b.filter(
-            pc.equal(b["poly_id"], b["__best_poly__"])
-        ).drop_columns(["__best_poly__"]),
-        batch_format="pyarrow",
-    )
-    keep = ["cell_id", *carry, *columns]
-    return out.map_batches(
-        lambda b: b.select([c for c in keep if c in b.column_names]),
-        batch_format="pyarrow",
-    )
-
-
-def _sum_cover_two_phase(frags, columns, carry, cover, with_sum):
-    from ray.data.aggregate import AggregateFn, Max, Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        real = df[df["poly_id"].notna()]
-        g = df.groupby("cell_id", sort=False)
-        # index over ALL cells in the batch — remainder-only cells (union
-        # rows with null poly_id) must survive with zero sums, so the
-        # frame's index can never come solely from real-fragment groupbys
-        res = pd.DataFrame(index=pd.Index(g.size().index, name="cell_id"))
-        for c in carry:
-            res[c] = g[c].first()
-        if with_sum:
-            for c in columns:
-                w = (real[c] * real["area_pct"]).groupby(
-                    real["cell_id"], sort=False
-                ).sum()
-                res[f"{c}__w"] = w
-        if cover:
-            res["__cover__"] = real.groupby("cell_id", sort=False)["poly_id"].agg(
-                lambda s: ",".join(str(int(v)) for v in sorted(s.unique()))
-            )
-        res = res.reset_index()
-        # cells with only remainder rows: weighted sums default to 0
-        if with_sum:
-            for c in columns:
-                res[f"{c}__w"] = res[f"{c}__w"].fillna(0.0)
-        if cover:
-            res["__cover__"] = res["__cover__"].fillna("")
-        return pa.Table.from_pandas(res, preserve_index=False)
-
-    partials = frags.map_batches(partial, batch_format="pyarrow")
-    aggs = []
-    for c in carry:
-        aggs.append(Max(c, alias_name=c))
-    if with_sum:
-        for c in columns:
-            aggs.append(Sum(f"{c}__w", alias_name=c))
-    if cover:
-        # merge comma-strings of sorted unique poly ids across partials
-        aggs.append(
-            AggregateFn(
-                init=lambda k: "",
-                accumulate_row=lambda acc, row: (
-                    acc + "," + row["__cover__"] if acc else row["__cover__"]
-                ),
-                merge=lambda a, b: (a + "," + b) if a and b else (a or b),
-                name="__cover_acc__",
-            )
-        )
-    out = partials.groupby("cell_id").aggregate(*aggs)
-    if not cover:
-        return out
-
-    def finish(b: pa.Table) -> pa.Table:
-        raw = b["__cover_acc__"].to_pylist()
-        covs, ns = [], []
-        for s in raw:
-            ids = sorted({int(v) for v in (s or "").split(",") if v != ""})
-            covs.append(",".join(str(v) for v in ids) if ids else None)
-            ns.append(len(ids))
-        b = b.drop_columns(["__cover_acc__"])
-        b = b.append_column("cover", pa.array(covs, pa.string()))
-        return b.append_column("n_polys", pa.array(np.asarray(ns, dtype=np.int64)))
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return grid_ds.map_batches(apply, batch_format="pyarrow", batch_size=None)
 
 
 def area_interpolate(
@@ -434,8 +335,6 @@ def crop_grid_bbox(grid_ds, bbox, x_col: str = "x", y_col: str = "y"):
     """Partition pruning by coordinate predicate — O3 strategy (c)
     (reference crop_polygon, overlay.py:206-208): keep cells with
     xmin <= x <= xmax and ymin <= y <= ymax, vectorized per batch."""
-    import pyarrow.compute as pc
-
     xmin, ymin, xmax, ymax = bbox
 
     def f(b: pa.Table) -> pa.Table:
@@ -458,8 +357,6 @@ def crop_grid_tiles(grid_ds, tile_ids, tile_col: str = "tile_id"):
     """Partition pruning by stored tile id — O3 strategy (a) (reference
     overlay.py:196-199): the tile id is a COLUMN, so pruning is a
     vectorized membership filter, not a scheduling concern."""
-    import pyarrow.compute as pc
-
     ids = pa.array(sorted(int(t) for t in tile_ids), pa.int64())
 
     def f(b: pa.Table) -> pa.Table:
@@ -602,37 +499,22 @@ def disaggregate(
     spec: GridSpec,
     variables: list[str],
 ):
-    """Dasymetric disaggregation — the INVERSE of :func:`area_interpolate`:
-    each polygon's extensive totals are spread down onto the grid cells
-    proportionally to intersection area,
+    """Dasymetric disaggregation: each polygon's extensive totals are
+    spread down onto the grid cells proportionally to intersection area,
     ``cell_v = sum_p v_p * area(cell ∩ p) / area(p)``, so per-polygon
     mass is conserved exactly for polygons fully inside the grid (the
     Eurostat gridded-statistics production direction: region totals ->
-    1 km grid).  Plan: the overlay fragment kernel (broadcast layer,
-    bbox-pruned, vectorized coverage) -> one vectorized weight batch ->
-    per-cell Sum groupby (two-phase; shuffle carries cells, not
-    fragments x variables)."""
-    import numpy as np
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    frags = overlay_fragments(grid_ds, polygons, spec, how="intersection")
-    max_pid = max(p["poly_id"] for p in polygons)
-    parea = np.zeros(max_pid + 1, dtype=np.float64)
-    for p in polygons:
-        parea[p["poly_id"]] = float(p["area"])
-
-    def weigh(b: pa.Table) -> pa.Table:
-        pid = np.asarray(b["poly_id"], dtype=np.int64)
-        w = np.asarray(b["area"], dtype=np.float64) / parea[pid]
-        out = {c: b[c] for c in ("cell_id", "ix", "iy")}
-        for v in variables:
-            out[v] = pa.array(np.asarray(b[v], dtype=np.float64) * w)
-        return pa.table(out)
-
-    weighted = frags.map_batches(weigh, batch_format="pyarrow")
-    return weighted.groupby(["cell_id", "ix", "iy"]).aggregate(
-        *(Sum(v, alias_name=v) for v in variables)
+    1 km grid).  ``area / area(p)`` is the fragment's ``area_pct``, so
+    this is :func:`area_interpolate`'s weighting with ``ix``/``iy``
+    carried and no cover: ``cell_id, ix, iy, *variables``."""
+    return grid_overlay(
+        grid_ds,
+        polygons,
+        spec,
+        how="intersection",
+        rule="sum",
+        columns=variables,
+        carry=["ix", "iy"],
     )
 
 

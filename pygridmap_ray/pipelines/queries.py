@@ -7757,9 +7757,9 @@ FROM s
 
 
 def q_disaggregate(sf_dir: str):
-    """Dasymetric disaggregation (inverse area interpolation): polygon
-    totals spread onto cells by intersection-area weight; the final Sum
-    is rounded 6dp on both sides."""
+    """Dasymetric disaggregation: polygon totals spread onto cells by
+    intersection-area weight (area_interpolate's weighting with ix/iy
+    carried); the final sum is rounded 6dp on both sides."""
     from ..overlay import disaggregate
 
     spec, grid = _grid50()

@@ -841,8 +841,7 @@ def grid_aggregation(
     # combine == "shuffle": built-in Sum aggregates over the partial
     # columns + ONE vectorized finish batch — never a per-group Python row
     # builder (at ~1ms/group that path costs hours on a 1km national
-    # grid).  'single' goes through the arg-min join pattern (same as
-    # overlay._argext_joins).
+    # grid).  'single' goes through the arg-min join below.
     import ray
     from ray.data.aggregate import Min, Sum
 

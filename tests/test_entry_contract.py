@@ -237,8 +237,11 @@ def test_no_literal_bucket_widths():
     cache (the removed ``auto_num_buckets``) can diverge across an
     elastic-cluster resize and silently split coarse groups.  Pin both:
     no ``_bucket_of(x, w)`` call whose width ``w`` is an int literal or
-    a name bound to one in the same function, and no worker-side
-    resolver name anywhere in the engine source."""
+    a name bound to one in the same function, no ``num_partitions``
+    parameter default or keyword argument that is an int literal (Ray
+    sizes one hash-shuffle aggregator per partition, so a literal 32
+    asks a small host for more memory than it has and never starts),
+    and no worker-side resolver name anywhere in the engine source."""
     import ast
     import re
     from pathlib import Path
@@ -251,6 +254,23 @@ def test_no_literal_bucket_widths():
     for mod in root.rglob("*.py"):
         src = mod.read_text()
         tree = ast.parse(src)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                for kw in node.keywords:
+                    if kw.arg == "num_partitions" and int_literal(kw.value):
+                        offenders.append(
+                            f"{mod.name}:{node.lineno}: literal "
+                            f"num_partitions={kw.value.value}"
+                        )
+            elif isinstance(node, ast.arguments):
+                pos = node.posonlyargs + node.args
+                pos = zip(pos[len(pos) - len(node.defaults):], node.defaults)
+                for p, d in [*pos, *zip(node.kwonlyargs, node.kw_defaults)]:
+                    if p.arg == "num_partitions" and int_literal(d):
+                        offenders.append(
+                            f"{mod.name}:{d.lineno}: literal default "
+                            f"num_partitions={d.value}"
+                        )
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

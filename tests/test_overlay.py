@@ -175,6 +175,106 @@ def test_rule_min_max(grid50, polys):
     assert got.tolist() == exp.tolist()
 
 
+def _reference_cells(frags, rule, columns, carry, cover):
+    """One row per cell, built per cell in plain pandas from the
+    fragment rows — the reference's cover and attribute rules
+    (overlay.py:312-374) with the engine's deterministic tie-breaks."""
+    rows = []
+    for cid, g in frags.groupby("cell_id", sort=True):
+        real = g[g["poly_id"].notna()]
+        row = {"cell_id": cid, **{c: g[c].iloc[0] for c in carry}}
+        if cover:
+            ids = sorted({int(v) for v in real["poly_id"]})
+            row["cover"] = ",".join(map(str, ids)) if ids else None
+            row["n_polys"] = len(ids)
+        by_pid = real.sort_values("poly_id", kind="stable")
+        best = real.sort_values(
+            ["area_pct", "poly_id"], ascending=[rule == "min", True], kind="stable"
+        )
+        for c in columns:
+            if rule in ("min", "max"):
+                row[c] = best[c].iloc[0] if len(real) else None
+                continue
+            wv = by_pid[c] * by_pid["area_pct"]
+            if rule == "sum":
+                row[c] = float(wv.sum()) if len(real) else 0.0
+            else:
+                row[c] = ";".join(f"{v:.9f}" for v in wv) or None
+        rows.append(row)
+    return pd.DataFrame(rows)
+
+
+_CELL_CASES = [("intersection", None, True), ("union", None, True)] + [
+    (how, rule, cov)
+    for how in ("intersection", "union")
+    for rule in ("sum", "min", "max", "list")
+    for cov in (False, True)
+]
+
+
+@pytest.mark.parametrize("how,rule,cover", _CELL_CASES)
+def test_cell_rules_match_pandas_reference(grid50, polys, how, rule, cover):
+    """Every (how, rule, cover) combination of grid_overlay against a
+    per-cell pandas reference over the same fragments, compared column
+    by column by name."""
+    spec, ds = grid50
+    carry = ["ix", "iy"]
+    columns = [] if rule is None else (
+        ["nuts_id", "pop"] if rule in ("min", "max") else ["pop"]
+    )
+    frags = overlay_fragments(ds, polys, spec, how=how).to_pandas()
+    exp = _reference_cells(frags, rule, columns, carry, cover)
+    got = (
+        grid_overlay(
+            ds, polys, spec, how=how, rule=rule, columns=columns,
+            cover=cover, carry=carry,
+        )
+        .to_pandas()
+        .sort_values("cell_id")
+        .reset_index(drop=True)
+    )
+    assert sorted(got.columns) == sorted(exp.columns)
+    assert len(got) == len(exp) == frags["cell_id"].nunique()
+    for c in exp.columns:
+        g, e = got[c], exp[c]
+        assert g.isna().tolist() == e.isna().tolist(), c
+        g, e = g[e.notna()], e[e.notna()]
+        if rule == "sum" and c in columns:
+            np.testing.assert_allclose(g.to_numpy(float), e.to_numpy(float), rtol=1e-12)
+        else:
+            assert g.tolist() == e.tolist(), c
+
+
+def test_no_fragment_grid_keeps_declared_schema(ray_session, polys):
+    """A grid whose cells touch no polygon yields zero rows (intersection)
+    but keeps the declared column names and types."""
+    import pyarrow as pa
+
+    from pygridmap_ray.overlay import disaggregate
+
+    bbox = (2_000_000.0, 2_000_000.0, 2_400_000.0, 2_400_000.0)
+    spec = plan_grid(bbox, 50_000.0, tile=(4, 4))
+    grid = make_grid(True, cellsize=50_000.0, bbox=bbox, tile=(4, 4)).materialize()
+    assert grid.count() > 0
+    cases = [
+        (
+            grid_overlay(grid, polys, spec, rule="sum", columns=["pop"], cover=True),
+            [("cell_id", pa.int64()), ("pop", pa.float64()),
+             ("cover", pa.string()), ("n_polys", pa.int64())],
+        ),
+        (
+            disaggregate(polys, grid, spec, ["pop"]),
+            [("cell_id", pa.int64()), ("ix", pa.int32()), ("iy", pa.int32()),
+             ("pop", pa.float64())],
+        ),
+    ]
+    for ds, want in cases:
+        out = ds.materialize()
+        assert out.count() == 0
+        schema = out.schema()
+        assert list(zip(schema.names, schema.types)) == want
+
+
 def test_area_interpolate_wrapper(grid50, polys):
     spec, ds = grid50
     out = area_interpolate(polys, ds, spec, ["pop"]).to_pandas()
