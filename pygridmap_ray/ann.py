@@ -515,10 +515,9 @@ def kmeans_fit(
     summation-order ulp drift before it can flip a later assignment."""
     import pyarrow.compute as pc
 
-    from .cluster import resolve_num_buckets
+    from .cluster import segment_apply
 
     tol = 10.0**round_to
-    nb = resolve_num_buckets(None)  # driver-resolved once, captured
 
     init = (
         ds.map_batches(
@@ -540,7 +539,6 @@ def kmeans_fit(
             "cid": pa.array([], pa.int64()),
             "n": pa.array([], pa.float64()),
             "s": pa.array([], pa.list_(pa.float64())),
-            "__cg": pa.array([], pa.int64()),
         }
     )
 
@@ -568,47 +566,41 @@ def kmeans_fit(
             np.concatenate([[True], inv[order][1:] != inv[order][:-1]])
         )
         s = np.add.reduceat(X[order], st, axis=0)
-        cg = (
-            (uk.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(nb)
-        ).astype(np.int64)
         return pa.table(
             {
                 "cid": pa.array(uk),
                 "n": pa.array(n),
                 "s": pa.array(list(s), pa.list_(pa.float64())),
-                "__cg": pa.array(cg),
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        # per-bucket vectorized (cid -> count, sum-vector) reduce: every
-        # partial row of a cid hashes to ONE bucket, so the bucket fold
-        # is total for its cids and the driver sees <= k rows per sweep
-        cid = g["cid"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.float64)
-        S = np.stack(g["s"].to_numpy())
-        order = np.argsort(cid, kind="stable")
-        cid, n, S = cid[order], n[order], S[order]
-        st = np.flatnonzero(np.concatenate([[True], cid[1:] != cid[:-1]]))
-        return pd.DataFrame(
-            {
-                "cid": cid[st],
-                "n": np.add.reduceat(n, st),
-                "s": list(np.add.reduceat(S, st, axis=0)),
-            }
-        )
+    def fold(t: pa.Table, starts: np.ndarray) -> dict:
+        # vectorized (cid -> count, sum-vector) reduce: every partial row
+        # of a cid meets in ONE call, so the fold is total for its cids
+        # and the driver sees <= k rows per sweep
+        S = np.asarray(t["s"].combine_chunks().flatten(), np.float64)
+        S = S.reshape(t.num_rows, -1)
+        return {
+            "cid": np.asarray(t["cid"], np.int64)[starts],
+            "n": np.add.reduceat(np.asarray(t["n"], np.float64), starts),
+            "s": list(np.add.reduceat(S, starts, axis=0)),
+        }
+
+    fold_schema = pa.schema(
+        {"cid": pa.int64(), "n": pa.float64(), "s": pa.list_(pa.float64())}
+    )
 
     for _ in range(iters):
         ref = Broadcast(cents)
-        p = (
+        p = segment_apply(
             ds.map_batches(
                 lambda b, ref=ref: partials(b, ref=ref),
                 batch_format="pyarrow",
-            )
-            .groupby("__cg")
-            .map_groups(fold, batch_format="pandas")
-            .to_pandas()
-        )
+            ),
+            "cid",
+            fold,
+            fold_schema,
+        ).to_pandas()
         new = cents.copy()
         if len(p):
             cid = p["cid"].to_numpy(np.int64)

@@ -9,12 +9,25 @@ sandbox; on a real cluster ``ray.cluster_resources()`` reflects all
 nodes, so the same call scales the plan with the cluster).
 
 It also holds :class:`Broadcast`, the one way a stage ships a driver-side
-value (polygon layer, dimension table, centroids) to its workers.
+value (polygon layer, dimension table, centroids) to its workers, and
+:func:`segment_apply`, the one keyed exchange for hash-like keys: rows
+are coarsely bucketed by :func:`bucket_of` (width from
+:func:`resolve_num_buckets`, so the Python cost is per bucket, never
+per key), and each bucket is sorted once and handed to a vectorized
+kernel together with its segment offsets.
 """
 
 from __future__ import annotations
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
+
+#: Knuth multiplicative constant of the engine's one bucket hash
+_HASH_MULT = 2654435761
+#: the bucket column :func:`segment_apply` shuffles on (internal)
+_BUCKET = "__segment_bucket"
 
 
 def default_num_partitions(min_parts: int = 2, per_cpu: float = 0.5) -> int:
@@ -34,8 +47,8 @@ def default_num_partitions(min_parts: int = 2, per_cpu: float = 0.5) -> int:
 
 
 def default_num_buckets(min_buckets: int = 8, per_cpu: float = 2.0) -> int:
-    """Coarse-bucket shuffle width (the ``groupby(hash % nb).map_groups``
-    plans): a few buckets per core, rounded UP to a power of two.
+    """Coarse-bucket shuffle width (the :func:`segment_apply` exchange):
+    a few buckets per core, rounded UP to a power of two.
 
     Bucket keys are hashes everywhere in the engine, so any count is
     law-neutral — the count only sets (a) the ``map_groups`` parallelism
@@ -58,6 +71,170 @@ def resolve_num_buckets(num_buckets: int | None) -> int:
     through (callers that must pin a width — tests, reproducible plans —
     keep that ability)."""
     return default_num_buckets() if num_buckets is None else num_buckets
+
+
+def bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
+    """The engine's one coarse bucket law for int64 keys:
+    ``((k * 2654435761) & 0x7FFFFFFF) % num_buckets`` in int64
+    wrap-around.  Persisted layouts depend on it
+    (``state.bucketed``), so it never changes."""
+    k = np.asarray(keys).astype(np.int64)
+    return ((k * _HASH_MULT) & 0x7FFFFFFF) % num_buckets
+
+
+def _key_code(table: pa.Table, keys: list[str]) -> np.ndarray:
+    """One int64 code per row, equal for equal key tuples.  A single
+    integer key is its own code (so :func:`bucket_of` of it is the
+    persisted law); other types go through pandas' fixed-seed
+    ``hash_array``, and several keys are mixed polynomially."""
+    import pandas as pd
+
+    code = np.zeros(table.num_rows, np.int64)
+    for k in keys:
+        col = table[k]
+        if pa.types.is_integer(col.type) or pa.types.is_boolean(col.type):
+            v = np.asarray(pc.fill_null(col, 0)).astype(np.int64)
+        else:
+            v = pd.util.hash_array(
+                np.asarray(col.to_pandas(), dtype=object)
+            ).view(np.int64)
+        code = code * 1000003 + v
+    return code
+
+
+def segment_starts(table: pa.Table, keys: list[str]) -> np.ndarray:
+    """Row offsets where the key tuple changes in a key-sorted table
+    (nulls compare equal to each other)."""
+    n = table.num_rows
+    change = np.zeros(n, dtype=bool)
+    if n:
+        change[0] = True
+    for k in keys:
+        col = table[k]
+        a, b = col.slice(1), col.slice(0, max(n - 1, 0))
+        ne = pc.not_equal(a, b)
+        if ne.null_count:
+            ne = pc.if_else(
+                pc.is_null(ne), pc.not_equal(pc.is_null(a), pc.is_null(b)), ne
+            )
+        change[1:] |= ne.to_numpy(zero_copy_only=False).astype(bool)
+    return np.flatnonzero(change)
+
+
+def _as_table(out, schema: pa.Schema | None) -> pa.Table:
+    import pandas as pd
+
+    if schema is None:
+        # undeclared (pass-through of an input whose schema is unknown)
+        if isinstance(out, pd.DataFrame):
+            return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.table(out) if isinstance(out, dict) else out
+    if out is None:
+        return schema.empty_table()
+    if isinstance(out, pd.DataFrame):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    elif isinstance(out, dict):
+        return pa.table({f.name: out[f.name] for f in schema}, schema=schema)
+    return out.select(schema.names).cast(schema)
+
+
+def _sort_keys(keys: list[str], order) -> list[tuple[str, str]]:
+    return [(c, "ascending") for c in keys] + [
+        o if isinstance(o, tuple) else (o, "ascending") for o in order
+    ]
+
+
+def apply_segments(table: pa.Table, keys, kernel, order=()):
+    """Run a :func:`segment_apply` kernel on one in-memory table: the
+    same stable sort and segment offsets, no exchange (the driver-side
+    twin for inputs already gathered)."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    t = table.take(pc.sort_indices(table, sort_keys=_sort_keys(keys, order)))
+    return kernel(t, segment_starts(t, keys))
+
+
+def segment_apply(ds, keys, kernel, schema: pa.Schema | None, *, order=(),
+                  num_buckets: int | None = None):
+    """Apply a vectorized ``kernel`` to every group of ``keys`` with ONE
+    Python call per coarse bucket, never one per key.
+
+    Rows are tagged with ``bucket_of(key code) % num_buckets`` (width
+    resolved here, on the driver; an explicit count passes through) and
+    exchanged with the sort-shuffle ``groupby(bucket).map_groups``, so
+    all rows of a key meet in one call.  Per bucket the rows get one
+    stable sort on ``(*keys, *order)`` (an ``order`` entry may be a
+    ``(column, "descending")`` pair; nulls sort last) and one
+    segment-start pass, then ``kernel(table, starts)`` runs once:
+    ``table`` is the sorted ``pa.Table`` (bucket column dropped) and
+    ``starts`` the int64 row offset of each key group, ready for
+    ``np.add.reduceat``.  The kernel returns a ``pa.Table``, a pandas
+    frame, a dict of columns or ``None`` (no rows); it is cast to
+    ``schema``.  A zero-row input still yields a dataset whose
+    ``schema()`` is ``schema`` (Ray's groupby alone would report none).
+    ``schema=None`` (see :func:`passthrough_schema`) leaves the kernel's
+    output uncast and declares nothing for the zero-row case.
+    """
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    nb = resolve_num_buckets(num_buckets)
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column(_BUCKET, pa.array(bucket_of(_key_code(t, keys), nb)))
+
+    def apply(t: pa.Table) -> pa.Table:
+        out = apply_segments(t.drop_columns([_BUCKET]), keys, kernel, order)
+        return _as_table(out, schema)
+
+    # The sort-shuffle groupby, not ``repartition(n, keys=)``: the latter
+    # needs DataContext.shuffle_strategy=HASH_SHUFFLE and runs one
+    # memory-reserving aggregator actor per partition.
+    out = (
+        ds.map_batches(tag, batch_format="pyarrow")
+        .groupby(_BUCKET)
+        .map_groups(apply, batch_format="pyarrow")
+    )
+    return out if schema is None else declare_schema(out, schema)
+
+
+def declare_schema(ds, schema: pa.Schema):
+    """``ds`` plus one empty ``schema`` block, so that ``schema()`` is
+    ``schema`` even when no block has rows: a zero-row input never
+    calls a ``map_groups`` UDF, and a sort of zero rows drops the
+    schema too.  Harmless when ``ds`` has rows."""
+    import ray.data as rd
+
+    return ds.union(rd.from_arrow(schema.empty_table()))
+
+
+def segment_sum(ds, keys, vals=("val",), *, num_buckets: int | None = None):
+    """Sum the ``vals`` columns (as float64) per int64 ``keys`` tuple:
+    one :func:`segment_apply` exchange, one ``np.add.reduceat`` per
+    bucket.  Output columns: the keys (int64) then the sums."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        out = {k: np.asarray(t[k], np.int64)[starts] for k in keys}
+        for v in vals:
+            out[v] = np.add.reduceat(np.asarray(t[v], np.float64), starts)
+        return out
+
+    schema = pa.schema(
+        [(k, pa.int64()) for k in keys] + [(v, pa.float64()) for v in vals]
+    )
+    return segment_apply(ds, keys, kernel, schema, num_buckets=num_buckets)
+
+
+def passthrough_schema(ds, extra=(), drop=()) -> pa.Schema | None:
+    """``ds``'s columns (minus ``drop``) plus ``extra`` ``(name, type)``
+    pairs: the declared :func:`segment_apply` schema of a kernel that
+    passes its input rows through.  ``None`` when the plan does not
+    know ``ds``'s Arrow schema without running (a map, join or
+    aggregate upstream): learning it would execute the upstream a
+    second time, so such a call skips the schema declaration."""
+    s = ds.schema(fetch_if_missing=False)
+    if s is None or not all(isinstance(t, pa.DataType) for t in s.types):
+        return None
+    fields = [(n, t) for n, t in zip(s.names, s.types) if n not in drop]
+    return pa.schema(fields + list(extra))
 
 
 #: per-worker-process cache of built broadcast values, keyed by object

@@ -24,8 +24,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pygridmap_ray.cluster import (
     Broadcast,
-    resolve_num_buckets as _resolve_buckets,
+    apply_segments,
+    segment_apply,
+    segment_sum,
 )
+from pygridmap_ray.synth import KNUTH_MULT
 
 TOKEN_RE = re.compile(r"\S+")
 
@@ -85,59 +88,28 @@ def _band_buckets(sig: np.ndarray, band: int) -> np.ndarray:
     return bucket.astype(np.int64)
 
 
-def _coarse_group_apply(
-    ds,
-    key_cols: list[str],
-    per_group,
-    empty_df: pd.DataFrame,
-    num_buckets: int | None = None,
-):
-    """``groupby(key_cols).map_groups(per_group)`` with per-group Python
-    cost proportional to MULTI-MEMBER groups only.
+def _pair_groups(per_group):
+    """:func:`segment_apply` kernel running the all-pairs ``per_group``
+    verify on each key group with >= 2 rows — singletons can never emit
+    a pair, so the mostly-singleton groups of hash-like keys (shingles,
+    LSH band codes) cost nothing."""
 
-    A fine-grained groupby over hash-like keys (shingles, LSH bucket
-    codes) produces millions of mostly-singleton groups, and Ray's
-    map_groups pays ~1 ms of Python per group — the measured hot cost of
-    the candidate-generation stages.  Here rows are coarsely grouped by
-    ``hash(keys) % num_buckets`` (bounded Python calls), each coarse
-    partition is sorted once, real group slices are found vectorized, and
-    ``per_group`` runs only on slices with >= 2 rows (singletons can
-    never emit a pair).  All rows of one real group share a coarse bucket
-    by construction, so semantics are identical to the fine groupby.
-    """
-    num_buckets = _resolve_buckets(num_buckets)
+    def kernel(t: pa.Table, starts: np.ndarray):
+        ends = np.append(starts[1:], t.num_rows)
+        multi = np.flatnonzero(ends - starts >= 2)
+        if not len(multi):
+            return None
+        g = t.to_pandas()
+        frames = [per_group(g.iloc[starts[i]:ends[i]]) for i in multi]
+        frames = [f for f in frames if len(f)]
+        return pd.concat(frames, ignore_index=True) if frames else None
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        h = np.zeros(b.num_rows, dtype=np.uint64)
-        for c in key_cols:
-            h = h * np.uint64(1000003) + np.asarray(b[c]).astype(np.uint64)
-        cg = ((h * np.uint64(2654435761)) % np.uint64(num_buckets)).astype(
-            np.int64
-        )
-        return b.append_column("__cg", pa.array(cg))
+    return kernel
 
-    def apply(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort(
-            tuple(g[c].to_numpy() for c in reversed(key_cols))
-        )
-        g = g.iloc[order]
-        keys = np.column_stack([g[c].to_numpy() for c in key_cols])
-        change = np.any(keys[1:] != keys[:-1], axis=1)
-        starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(g)]])
-        frames = []
-        for i in range(len(starts) - 1):
-            lo, hi = int(starts[i]), int(starts[i + 1])
-            if hi - lo < 2:
-                continue
-            out = per_group(g.iloc[lo:hi])
-            if len(out):
-                frames.append(out)
-        return pd.concat(frames, ignore_index=True) if frames else empty_df
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(apply, batch_format="pandas")
+def _pair_schema(score: str, score_type: pa.DataType) -> pa.Schema:
+    return pa.schema(
+        [("id_a", pa.int64()), ("id_b", pa.int64()), (score, score_type)]
     )
 
 
@@ -260,12 +232,8 @@ def minhash_lsh_pairs(
              "val": pa.array(cnt.astype(np.int64))}
         )
 
-    from .tfidf import _coarse_sum
-
     hot_ds = (
-        _coarse_sum(
-            sigged.map_batches(thin_partial, batch_format="pyarrow"), ["k"]
-        )
+        segment_sum(sigged.map_batches(thin_partial, batch_format="pyarrow"), ["k"])
         .map_batches(
             lambda b: b.filter(
                 pc.greater_equal(b["val"], pa.scalar(2))
@@ -456,14 +424,9 @@ def minhash_lsh_pairs(
     # emission is canonical (identical sigs in band 0 only; cross-sig
     # pairs in their first agreeing band only), so the bucket outputs are
     # already globally distinct — no pair-dedup shuffle
-    return _coarse_group_apply(
-        exploded, ["band", "bucket"], verify, pd.DataFrame(
-        {
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "jaccard": pd.Series([], dtype="float64"),
-        }
-    )
+    return segment_apply(
+        exploded, ["band", "bucket"], _pair_groups(verify),
+        _pair_schema("jaccard", pa.float64()),
     )
 
 
@@ -636,14 +599,6 @@ def ngram_jaccard_pairs(
 
     prefix = sets.map_batches(explode_prefix, batch_format="pyarrow")
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
-    def _add_cg(b: pa.Table) -> pa.Table:
-        # coarse partition key: all rows of one shingle group share it
-        h = np.asarray(b["shingle"]).astype(np.uint64)
-        cg = ((h * np.uint64(2654435761))
-              % np.uint64(_nb_cap)).astype(np.int64)
-        return b.append_column("__cg", pa.array(cg))
-
     _CAND_EMPTY = pd.DataFrame(
         {
             "id_a": pd.Series([], dtype="int64"),
@@ -654,7 +609,7 @@ def ngram_jaccard_pairs(
         }
     )
 
-    def candgen_partition(g: pd.DataFrame) -> pd.DataFrame:
+    def candgen_partition(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
         """All shingle groups of one coarse partition at once — ZERO
         per-group Python.  Real text shares common n-grams, so prefix
         groups number in the tens of thousands; pair slots are
@@ -664,23 +619,15 @@ def ngram_jaccard_pairs(
         identical-set pair lands in exactly one segment at pos 0 — its
         common first shingle), cross-fingerprint pairs passing the
         t*max<=min length filter emit the verify marker -1."""
-        if len(g) < 2:
-            return _CAND_EMPTY
-        ids = g[id_col].to_numpy(dtype=np.int64)
-        sh = g["shingle"].to_numpy(dtype=np.int64)
-        sizes = g["size"].to_numpy(dtype=np.int64)
-        pos = g["pos"].to_numpy(dtype=np.int64)
-        shash = g["set_hash"].to_numpy(dtype=np.int64)
-        order = np.lexsort((ids, sh))  # segment by shingle, ids ascending
-        ids, sh, sizes, pos, shash = (
-            a[order] for a in (ids, sh, sizes, pos, shash)
-        )
-        change = sh[1:] != sh[:-1]
-        starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(sh)]])
-        m = np.diff(starts)
+        # segments by shingle, ids ascending within each
+        ids = np.asarray(t[id_col], np.int64)
+        sizes = np.asarray(t["size"], np.int64)
+        pos = np.asarray(t["pos"], np.int64)
+        shash = np.asarray(t["set_hash"], np.int64)
+        m = np.diff(np.append(starts, len(ids)))
         ga_l, gb_l = [], []
         for sz in np.unique(m[m >= 2]):
-            segs = starts[:-1][m == sz]
+            segs = starts[m == sz]
             la, lb = np.triu_indices(int(sz), k=1)
             ga_l.append((segs[:, None] + la[None, :]).ravel())
             gb_l.append((segs[:, None] + lb[None, :]).ravel())
@@ -709,9 +656,8 @@ def ngram_jaccard_pairs(
 
     import pyarrow.compute as pc
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def _pack_pairs(b: pa.Table) -> pa.Table:
-        """Candidate rows -> (pairkey, sizes, bucket).  One int64 key per
+        """Candidate rows -> (pairkey, sizes).  One int64 key per
         pair keeps the dedup-count stage fully vectorized; a generic
         multi-key ``groupby().aggregate(Count)`` here built one PYTHON
         group per unique pair (727k at sf0.1 — 76 s of remote wall time,
@@ -723,19 +669,15 @@ def ngram_jaccard_pairs(
             raise ValueError(
                 "pair packing needs id_a < 2^31 and id_b < 2^32; remap ids"
             )
-        key = (ia << np.int64(32)) | ib
-        bucket = ((key.astype(np.uint64) * np.uint64(2654435761))
-                  % np.uint64(_nb_cap)).astype(np.int64)
         return pa.table(
             {
-                "pairkey": pa.array(key),
+                "pairkey": pa.array((ia << np.int64(32)) | ib),
                 "size_a": b["size_a"],
                 "size_b": b["size_b"],
-                "__b": pa.array(bucket),
             }
         )
 
-    def _count_filter(g: pd.DataFrame) -> pd.DataFrame:
+    def _count_filter(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
         """Per-bucket vectorized pair dedup + the PPJoin prefix count
         filter (exact): a pair with jaccard >= t has overlap
         o >= alpha = ceil(t/(1+t)*(sa+sb)) and therefore shares at least
@@ -744,12 +686,10 @@ def ngram_jaccard_pairs(
         threshold and never enter the join/verify.  (Measured at sf0.1:
         790k raw candidate slots -> exactly the 256 true pairs, zero
         recall loss by the bound.)"""
-        k = g["pairkey"].to_numpy(dtype=np.int64)
-        order = np.argsort(k, kind="stable")
-        k = k[order]
-        uniq, first, n = np.unique(k, return_index=True, return_counts=True)
-        sa = g["size_a"].to_numpy(dtype=np.float64)[order][first]
-        sb = g["size_b"].to_numpy(dtype=np.float64)[order][first]
+        uniq = np.asarray(t["pairkey"], np.int64)[starts]
+        n = np.diff(np.append(starts, t.num_rows))
+        sa = np.asarray(t["size_a"], np.float64)[starts]
+        sb = np.asarray(t["size_b"], np.float64)[starts]
         alpha = np.ceil(threshold / (1.0 + threshold) * (sa + sb))
         need = np.maximum(
             1,
@@ -783,7 +723,10 @@ def ngram_jaccard_pairs(
             if t.num_rows
         ]
         em = (
-            candgen_partition(pa.concat_tables(pparts).to_pandas())
+            apply_segments(
+                pa.concat_tables(pparts), "shingle", candgen_partition,
+                order=(id_col,),
+            )
             if pparts
             else _CAND_EMPTY
         )
@@ -798,10 +741,10 @@ def ngram_jaccard_pairs(
             )
         )
         cf = (
-            _count_filter(
-                _pack_pairs(
-                    pa.Table.from_pandas(em, preserve_index=False)
-                ).to_pandas()
+            apply_segments(
+                _pack_pairs(pa.Table.from_pandas(em, preserve_index=False)),
+                "pairkey",
+                _count_filter,
             )
             if len(em)
             else pd.DataFrame(
@@ -818,10 +761,18 @@ def ngram_jaccard_pairs(
         n_cands = cand_tbl.num_rows
         cands = rd.from_arrow(cand_tbl)
     else:
+        I = pa.int64()
         emitted = (
-            prefix.map_batches(_add_cg, batch_format="pyarrow")
-            .groupby("__cg")
-            .map_groups(candgen_partition, batch_format="pandas")
+            segment_apply(
+                prefix,
+                "shingle",
+                candgen_partition,
+                pa.schema(
+                    {"id_a": I, "id_b": I, "jaccard": pa.float64(),
+                     "size_a": I, "size_b": I}
+                ),
+                order=(id_col,),
+            )
             # two consumers below (direct pairs + candidate counting) —
             # without this pin, Ray re-executes the whole shingle/prefix
             # lineage once per consumer.  Pair-slot rows are tiny.
@@ -834,10 +785,13 @@ def ngram_jaccard_pairs(
             batch_format="pyarrow",
         )
         cands = (
-            emitted.map_batches(_pack_pairs, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(_count_filter, batch_format="pandas")
-            # the hash-shuffle map_groups emits COLUMN-LESS blocks for
+            segment_apply(
+                emitted.map_batches(_pack_pairs, batch_format="pyarrow"),
+                "pairkey",
+                _count_filter,
+                _cand_schema,
+            )
+            # the sort-shuffle exchange emits COLUMN-LESS blocks for
             # empty partitions; the repartition merges them for the two
             # bloom-build consumers (their map UDFs skip empty blocks
             # anyway), and the verify JOIN below is guarded by
@@ -1592,7 +1546,7 @@ def _rh_hyperplanes(dim: int) -> np.ndarray:
     the DuckDB twin regenerates the identical float64 matrix."""
     j = np.arange(_RH_PLANES, dtype=np.int64)[:, None]
     d = np.arange(dim, dtype=np.int64)[None, :]
-    return ((j * 2654435761 + d * 40503) % 1000003) / 1000003.0 - 0.5
+    return ((j * KNUTH_MULT + d * 40503) % 1000003) / 1000003.0 - 0.5
 
 
 def _emb_matrix(col, n: int) -> np.ndarray:
@@ -1699,14 +1653,9 @@ def embedding_lsh_pairs(
             {"id_a": ids[ia], "id_b": ids[ib], "cosine": sims[ia, ib]}
         )
 
-    return _coarse_group_apply(
-        exploded, ["band", "code"], verify, pd.DataFrame(
-        {
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "cosine": pd.Series([], dtype="float64"),
-        }
-    )
+    return segment_apply(
+        exploded, ["band", "code"], _pair_groups(verify),
+        _pair_schema("cosine", pa.float64()),
     )
 
 
@@ -1718,7 +1667,7 @@ def sql_embedding_lsh(threshold: float = 0.9, dim: int = 64) -> str:
 WITH sd AS (
   SELECT e.vec_id, j.j AS j,
          SUM((e.embedding::DOUBLE[])[d.d + 1]
-             * (((j.j * 2654435761 + d.d * 40503) % 1000003) / 1000003.0 - 0.5)) AS dot
+             * (((j.j * {KNUTH_MULT} + d.d * 40503) % 1000003) / 1000003.0 - 0.5)) AS dot
   FROM embeddings e,
        (SELECT UNNEST(generate_series(0, {_RH_PLANES - 1})) AS j) j,
        (SELECT UNNEST(generate_series(0, {dim - 1})) AS d) d
@@ -1850,14 +1799,9 @@ def simhash_pairs(
             {"id_a": ids[ia], "id_b": ids[ib], "hamming": ham[ia, ib]}
         )
 
-    return _coarse_group_apply(
-        exploded, ["band", "code"], verify, pd.DataFrame(
-        {
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "hamming": pd.Series([], dtype="int64"),
-        }
-    )
+    return segment_apply(
+        exploded, ["band", "code"], _pair_groups(verify),
+        _pair_schema("hamming", pa.int64()),
     )
 
 
@@ -2209,7 +2153,6 @@ def dedup_lines(
 
     Emits (doc_id, n_lines, n_kept, text_kept); docs whose every line is
     a later occurrence drop out (their text is fully redundant)."""
-    num_buckets = _resolve_buckets(num_buckets)
     if splitter not in ("chunk", "newline"):
         raise ValueError(f"splitter must be chunk|newline, got {splitter!r}")
 
@@ -2323,54 +2266,39 @@ def dedup_lines(
         batch_format="pyarrow",
     )
 
-    def add_kb(b: pa.Table) -> pa.Table:
-        h = np.asarray(b["key"]).astype(np.uint64)
-        return b.append_column(
-            "__b",
-            pa.array((((h * np.uint64(2654435761)) % np.uint64(num_buckets)))
-                     .astype(np.int64)),
-        )
-
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
-        k = g["key"].to_numpy(dtype=np.int64)
-        pos = (
-            g[id_col].to_numpy(dtype=np.int64) << _LINE_IDX_BITS
-        ) | g["idx"].to_numpy(dtype=np.int64)
-        order = np.lexsort((pos, k))
-        k, pos = k[order], pos[order]
-        first = np.zeros(len(k), dtype=bool)
-        if len(k):
-            first[0] = True
-            first[1:] = k[1:] != k[:-1]
-        return g.iloc[order[first]]
-
-    kept = (
-        lines.map_batches(add_kb, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(keep_first, batch_format="pandas")
+    I = pa.int64()
+    # the first occurrence of a line (lowest (doc, idx)) is kept
+    kept = segment_apply(
+        lines,
+        "key",
+        lambda t, starts: t.take(starts),
+        pa.schema(
+            [(id_col, I), ("idx", I), ("n_lines", I), ("line", pa.string()),
+             ("key", I)]
+        ),
+        order=(id_col, "idx"),
+        num_buckets=num_buckets,
     )
 
-    def add_db(b: pa.Table) -> pa.Table:
-        h = np.asarray(b[id_col]).astype(np.uint64)
-        return b.append_column(
-            "__d",
-            pa.array((((h * np.uint64(2654435761)) % np.uint64(num_buckets)))
-                     .astype(np.int64)),
-        )
+    def assemble(t: pa.Table, starts: np.ndarray) -> dict:
+        offsets = pa.array(np.append(starts, t.num_rows).astype(np.int32))
+        kept_lines = pa.ListArray.from_arrays(offsets, t["line"].combine_chunks())
+        return {
+            id_col: np.asarray(t[id_col], np.int64)[starts],
+            "n_lines": np.asarray(t["n_lines"], np.int64)[starts],
+            "n_kept": np.diff(np.asarray(offsets)),
+            "text_kept": pc.binary_join(kept_lines, sep),
+        }
 
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([id_col, "idx"], kind="mergesort")
-        agg = g.groupby(id_col, sort=False).agg(
-            n_lines=("n_lines", "first"),
-            n_kept=("idx", "size"),
-            text_kept=("line", sep.join),
-        )
-        return agg.reset_index()
-
-    return (
-        kept.map_batches(add_db, batch_format="pyarrow")
-        .groupby("__d")
-        .map_groups(assemble, batch_format="pandas")
+    return segment_apply(
+        kept,
+        id_col,
+        assemble,
+        pa.schema(
+            [(id_col, I), ("n_lines", I), ("n_kept", I), ("text_kept", pa.string())]
+        ),
+        order=("idx",),
+        num_buckets=num_buckets,
     )
 
 
@@ -2479,36 +2407,34 @@ def dup_gram_coverage(
     Output: ``doc_id, n_grams, dup_grams, dup_frac`` (docs with fewer
     than ``n`` tokens have no gram positions and are absent, matching
     the SQL twin)."""
-    num_buckets = _resolve_buckets(num_buckets)
-    import pandas as pd
 
-    from .tfidf import _coarse_sum, doc_term_freqs
+    from .tfidf import doc_term_freqs
 
     def tf_stage(b: pa.Table) -> pa.Table:
-        t = doc_term_freqs(b, id_col=id_col, text_col=text_col, n=n)
-        h = pd.util.hash_array(np.asarray(t["term"]).astype(object))
-        cg = (h % np.uint64(num_buckets)).astype(np.int64)
-        return t.append_column("__cg", pa.array(cg))
+        return doc_term_freqs(b, id_col=id_col, text_col=text_col, n=n)
 
-    def bucket_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby("term", sort=False)["tf"].transform("sum")
-        tf = g["tf"].to_numpy(np.float64)
-        dup = np.where(tot.to_numpy(np.float64) >= 2.0, tf, 0.0)
-        out = pd.DataFrame(
-            {"doc": g["doc"].to_numpy(np.int64), "n_grams": tf, "dup_grams": dup}
-        )
-        return (
-            out.groupby("doc", sort=False)[["n_grams", "dup_grams"]]
-            .sum()
-            .reset_index()
-        )
+    def bucket_kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        # every posting of a term is here: its corpus total is exact
+        tf = np.asarray(t["tf"], np.float64)
+        tot = np.repeat(np.add.reduceat(tf, starts), np.diff(np.append(starts, len(tf))))
+        dup = np.where(tot >= 2.0, tf, 0.0)
+        doc, inv = np.unique(np.asarray(t["doc"], np.int64), return_inverse=True)
+        return {
+            "doc": doc,
+            "n_grams": np.bincount(inv, tf, len(doc)),
+            "dup_grams": np.bincount(inv, dup, len(doc)),
+        }
 
-    partials = (
-        docs.map_batches(tf_stage, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(bucket_kernel, batch_format="pandas")
+    partials = segment_apply(
+        docs.map_batches(tf_stage, batch_format="pyarrow"),
+        "term",
+        bucket_kernel,
+        pa.schema(
+            {"doc": pa.int64(), "n_grams": pa.float64(), "dup_grams": pa.float64()}
+        ),
+        num_buckets=num_buckets,
     )
-    summed = _coarse_sum(
+    summed = segment_sum(
         partials, ["doc"], ("n_grams", "dup_grams"), num_buckets=num_buckets
     )
     tol = 10.0**round_to
@@ -2597,7 +2523,6 @@ def neardup_keep_best(
     buckets by ``hash(component) % num_buckets``).
 
     Output: ``id_col, component, score_col`` — one row per component."""
-    num_buckets = _resolve_buckets(num_buckets)
     from .cluster import default_num_partitions
     from .stats import grouped_topk
 

@@ -29,8 +29,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .tfidf import _coarse_sum
-from pygridmap_ray.cluster import resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import (
+    resolve_num_buckets as _resolve_buckets,
+    segment_apply,
+    segment_sum,
+)
 
 #: cell coords must fit this packing (iy * 2^32 + ix, both >= 0;
 #: iy is bounded so pk - and the clusters path sentinel pk + 2^32
@@ -103,7 +106,6 @@ def focal_counts(
     ``focal_mean = round(focal_sum / (2k+1)^2, round_to)`` half-away —
     the SQL twin is a self-join on ``BETWEEN +-k`` (:func:`sql_focal_mean`).
     """
-    num_buckets = _resolve_buckets(num_buckets)
     if ksize < 1:
         raise ValueError("ksize must be >= 1")
     denom = float((2 * ksize + 1) ** 2)
@@ -114,7 +116,7 @@ def focal_counts(
         batch_format="pyarrow",
         fn_kwargs=dict(ix_col=ix_col, iy_col=iy_col, ksize=ksize),
     )
-    summed = _coarse_sum(
+    summed = segment_sum(
         spread,
         ["tix", "tiy"],
         ("contrib", "self_cnt"),
@@ -193,8 +195,6 @@ def cell_clusters(
     Output: ``cluster_id`` (min packed cell key in the component),
     ``n_cells``, ``n_docs`` — rows with ``n_docs >= min_cluster_docs``.
     """
-    num_buckets = _resolve_buckets(num_buckets)
-    import pandas as pd
 
     from .dedup import connected_components
     from .cluster import default_num_partitions
@@ -231,7 +231,7 @@ def cell_clusters(
     # so the join below needs no further left-side guard — see
     # cluster.compact_blocks (hash-shuffle schema race)
     cells = compact_blocks(
-        _coarse_sum(
+        segment_sum(
             ds.map_batches(count_partial, batch_format="pyarrow"),
             ["pk"],
             ("cnt",),
@@ -259,10 +259,10 @@ def cell_clusters(
             {"key": pa.array(key), "src": pa.array(src), "anchor": pa.array(anchor)}
         )
 
-    def edge_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        key = g["key"].to_numpy(np.int64)
-        src = g["src"].to_numpy(np.int64)
-        anc = g["anchor"].to_numpy(np.int64) == 1
+    def edge_kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        key = np.asarray(t["key"], np.int64)
+        src = np.asarray(t["src"], np.int64)
+        anc = np.asarray(t["anchor"], np.int64) == 1
         anchored = np.sort(key[anc])
         cl_key, cl_src = key[~anc], src[~anc]
         if len(anchored):
@@ -270,30 +270,17 @@ def cell_clusters(
             hit = anchored[pos] == cl_key
         else:  # bucket holds claims only (their targets are unoccupied)
             hit = np.zeros(len(cl_key), dtype=bool)
-        return pd.DataFrame(
-            {
-                "id_a": np.concatenate([cl_src[hit], key[anc]]),
-                "id_b": np.concatenate([cl_key[hit], key[anc]]),
-            }
-        )
+        return {
+            "id_a": np.concatenate([cl_src[hit], key[anc]]),
+            "id_b": np.concatenate([cl_key[hit], key[anc]]),
+        }
 
-    edges = (
-        cells.map_batches(claims, batch_format="pyarrow")
-        .map_batches(
-            lambda b: b.append_column(
-                "__cg",
-                pa.array(
-                    (
-                        (np.asarray(b["key"], np.int64).astype(np.uint64)
-                         * np.uint64(2654435761))
-                        % np.uint64(num_buckets)
-                    ).astype(np.int64)
-                ),
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("__cg")
-        .map_groups(edge_kernel, batch_format="pandas")
+    edges = segment_apply(
+        cells.map_batches(claims, batch_format="pyarrow"),
+        "key",
+        edge_kernel,
+        pa.schema({"id_a": pa.int64(), "id_b": pa.int64()}),
+        num_buckets=num_buckets,
     )
     labels = connected_components(edges, src="id_a", dst="id_b").materialize()
 
@@ -345,7 +332,7 @@ def cell_clusters(
             }
         )
 
-    agg = _coarse_sum(
+    agg = segment_sum(
         joined.map_batches(cluster_partial, batch_format="pyarrow"),
         ["component"],
         ("n_docs", "n_cells"),
@@ -436,7 +423,6 @@ def cell_majority(
 
     Output: ``ix, iy, top_cat, n_top, n_total, share`` (share rounded
     half-away)."""
-    num_buckets = _resolve_buckets(num_buckets)
     import pandas as pd
 
     def partial(b: pa.Table) -> pa.Table:
@@ -473,26 +459,17 @@ def cell_majority(
             }
         )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        h = (
-            np.asarray(b["pk"], np.int64).astype(np.uint64)
-            * np.uint64(2654435761)
-        ) % np.uint64(num_buckets)
-        return b.append_column("__cg", pa.array(h.astype(np.int64)))
-
     tol = 10.0**round_to
 
-    def bucket_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        pk = g["pk"].to_numpy(np.int64)
-        cat = g["cat"].to_numpy(object)
-        cnt = g["cnt"].to_numpy(np.float64)
-        # fold batch partials: sum per (pk, cat)
-        order = np.lexsort((cat, pk))
-        pk, cat, cnt = pk[order], cat[order], cnt[order]
-        change = np.r_[True, (pk[1:] != pk[:-1]) | (cat[1:] != cat[:-1])]
-        starts = np.nonzero(change)[0]
-        pk, cat = pk[starts], cat[starts]
-        cnt = np.add.reduceat(cnt, starts)
+    def bucket_kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        # fold batch partials: sum per (pk, cat), cats ascending per pk
+        cat = np.asarray(t["cat"], dtype=object)
+        change = np.r_[True, cat[1:] != cat[:-1]]
+        change[starts] = True
+        runs = np.nonzero(change)[0]
+        pk = np.asarray(t["pk"], np.int64)[runs]
+        cat = cat[runs]
+        cnt = np.add.reduceat(np.asarray(t["cnt"], np.float64), runs)
         # winner per pk: order by (pk, -cnt, cat), take first
         order = np.lexsort((cat, -cnt, pk))
         pk, cat, cnt = pk[order], cat[order], cnt[order]
@@ -500,22 +477,26 @@ def cell_majority(
         totals = np.add.reduceat(cnt, np.nonzero(first)[0])
         wpk, wcat, wcnt = pk[first], cat[first], cnt[first]
         share = np.floor((wcnt / totals) * tol + 0.5) / tol
-        return pd.DataFrame(
-            {
-                ix_col: wpk % _PACK_SHIFT,
-                iy_col: wpk // _PACK_SHIFT,
-                "top_cat": wcat,
-                "n_top": wcnt.astype(np.int64),
-                "n_total": totals.astype(np.int64),
-                "share": share,
-            }
-        )
+        return {
+            ix_col: wpk % _PACK_SHIFT,
+            iy_col: wpk // _PACK_SHIFT,
+            "top_cat": wcat,
+            "n_top": wcnt.astype(np.int64),
+            "n_total": totals.astype(np.int64),
+            "share": share,
+        }
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(bucket_kernel, batch_format="pandas")
+    I = pa.int64()
+    return segment_apply(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "pk",
+        bucket_kernel,
+        pa.schema(
+            [(ix_col, I), (iy_col, I), ("top_cat", pa.string()), ("n_top", I),
+             ("n_total", I), ("share", pa.float64())]
+        ),
+        order=("cat",),
+        num_buckets=num_buckets,
     )
 
 

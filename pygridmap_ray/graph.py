@@ -30,7 +30,16 @@ import pyarrow.compute as pc
 from pygridmap_ray.cluster import (
     Broadcast,
     resolve_num_buckets as _resolve_buckets,
+    segment_apply,
 )
+
+#: schema of a distinct node-id Dataset
+_V_SCHEMA = pa.schema([("v", pa.int64())])
+
+
+def _first_v(t: pa.Table, starts: np.ndarray) -> dict:
+    """:func:`segment_apply` kernel: one ``v`` per distinct value."""
+    return {"v": np.asarray(t["v"], np.int64)[starts]}
 
 
 def pagerank(
@@ -63,7 +72,7 @@ def pagerank(
     Seeds are inherently a small broadcastable set; supported on the
     broadcast-state path (the sharded-state variant needs one extra
     LEFT join of the node universe per superstep — not wired)."""
-    from .tfidf import _coarse_sum
+    from .cluster import segment_sum
 
     if num_partitions is None:
         from .cluster import default_num_partitions
@@ -80,10 +89,13 @@ def pagerank(
         )
 
     tagged = edges.map_batches(one, batch_format="pyarrow")
-    deg = _coarse_sum(
-        tagged.map_batches(lambda b: b.select(["src", "val"]), batch_format="pyarrow"),
+    deg = segment_sum(
+        # narrow inputs often arrive as 1-2 blocks: split them so the
+        # exchange's map phase is not serialized on one task
+        tagged.map_batches(
+            lambda b: b.select(["src", "val"]), batch_format="pyarrow"
+        ).repartition(num_partitions),
         ["src"],
-        map_parallelism=num_partitions,
     )
     tol = 10.0**round_to
 
@@ -162,7 +174,7 @@ def pagerank(
                 )
                 return pa.table({"dst": b["dst"], "val": pa.array(v)})
 
-            s = _coarse_sum(
+            s = segment_sum(
                 wedges.map_batches(contrib, batch_format="pyarrow"), ["dst"]
             ).to_pandas()
             pr = tvec.copy()
@@ -280,7 +292,7 @@ def pagerank(
             ),
             batch_format="pyarrow",
         )
-        summed = _coarse_sum(contrib.union(zeros), ["dst"])
+        summed = segment_sum(contrib.union(zeros), ["dst"])
         pr = summed.map_batches(
             _update, batch_format="pyarrow"
         ).materialize()
@@ -347,27 +359,23 @@ def distinct_int_pairs(ds, a_col: str, b_col: str, *, num_buckets: int | None = 
     partial on the packed 64-bit key -> coarse-bucket shuffle (all copies
     of one pair share a bucket) -> per-bucket np.unique -> unpacked
     ``(a, b)`` rows.  Requires both values < 2^31 (packed key layout)."""
-    num_buckets = _resolve_buckets(num_buckets)
-
     def pack(b: pa.Table) -> pa.Table:
         a = np.asarray(b[a_col], dtype=np.int64)
         v = np.asarray(b[b_col], dtype=np.int64)
         if len(a) and (a.max() >= (1 << 31) or v.max() >= (1 << 31) or a.min() < 0 or v.min() < 0):
             raise ValueError("pair values must be in [0, 2^31)")
-        k = np.unique(a * (1 << 31) + v)
-        cg = ((k.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(num_buckets)).astype(np.int64)
-        return pa.table({"k": pa.array(k), "__cg": pa.array(cg)})
+        return pa.table({"k": pa.array(np.unique(a * (1 << 31) + v))})
 
-    def uniq(g):
-        import pandas as pd
+    def uniq(t: pa.Table, starts: np.ndarray) -> dict:
+        k = np.asarray(t["k"], np.int64)[starts]
+        return {a_col: k >> 31, b_col: k & ((1 << 31) - 1)}
 
-        k = np.unique(g["k"].to_numpy(np.int64))
-        return pd.DataFrame({a_col: k >> 31, b_col: k & ((1 << 31) - 1)})
-
-    return (
-        ds.map_batches(pack, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(uniq, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(pack, batch_format="pyarrow"),
+        "k",
+        uniq,
+        pa.schema([(a_col, pa.int64()), (b_col, pa.int64())]),
+        num_buckets=num_buckets,
     )
 
 
@@ -439,42 +447,27 @@ def degree_histogram(pairs, a_col: str, b_col: str, *,
     Mirrors reference ``gridtiler.py`` aggregation staging (partial ->
     tiny final), applied to graph degrees.
     """
-    num_buckets = _resolve_buckets(num_buckets)
     from ray.data.aggregate import Sum
 
     def explode(b: pa.Table) -> pa.Table:
         a = np.asarray(b[a_col], np.int64) * 2
         v = np.asarray(b[b_col], np.int64) * 2 + 1
         node, cnt = np.unique(np.concatenate([a, v]), return_counts=True)
-        cg = (
-            (node.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return pa.table(
-            {"node": pa.array(node), "cnt": pa.array(cnt.astype(np.int64)),
-             "__cg": pa.array(cg)}
-        )
+        return pa.table({"node": pa.array(node), "cnt": pa.array(cnt)})
 
-    def per_bucket(g):
-        import pandas as pd
-
-        node = g["node"].to_numpy(np.int64)
-        cnt = g["cnt"].to_numpy(np.int64)
-        order = np.argsort(node, kind="stable")
-        node, cnt = node[order], cnt[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], node[1:] != node[:-1]])
-        )
-        deg = np.add.reduceat(cnt, starts)
+    def per_bucket(t: pa.Table, starts: np.ndarray) -> dict:
+        deg = np.add.reduceat(np.asarray(t["cnt"], np.int64), starts)
         dval, dcnt = np.unique(deg, return_counts=True)
-        return pd.DataFrame(
-            {"degree": dval, "n_nodes": dcnt.astype(np.int64)}
-        )
+        return {"degree": dval, "n_nodes": dcnt}
 
     return (
-        pairs.map_batches(explode, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(per_bucket, batch_format="pandas")
+        segment_apply(
+            pairs.map_batches(explode, batch_format="pyarrow"),
+            "node",
+            per_bucket,
+            pa.schema({"degree": pa.int64(), "n_nodes": pa.int64()}),
+            num_buckets=num_buckets,
+        )
         .groupby("degree")
         .aggregate(Sum("n_nodes", alias_name="n_nodes"))
     )
@@ -512,8 +505,6 @@ def co_occurrence(ds, key_col: str, item_col: str, *,
     emission (no Python loop over keys) + packed-pair partial counts ->
     second coarse shuffle on pair hash -> reduceat sum.  Pair ids are
     HIGH-cardinality so they never see a fine groupby."""
-    num_buckets = _resolve_buckets(num_buckets)
-
     def bucket(b: pa.Table) -> pa.Table:
         k = np.asarray(b[key_col], np.int64)
         it = np.asarray(b[item_col], np.int64)
@@ -523,29 +514,22 @@ def co_occurrence(ds, key_col: str, item_col: str, *,
         ):
             raise ValueError("key/item values must be in [0, 2^31)")
         u = np.unique(k * (1 << 31) + it)  # per-batch partial dedup
-        k = u >> 31
-        cg = (
-            (k.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
         return pa.table(
-            {"k": pa.array(k),
-             "it": pa.array(u & ((1 << 31) - 1)),
-             "__cg": pa.array(cg)}
+            {"k": pa.array(u >> 31), "it": pa.array(u & ((1 << 31) - 1))}
         )
 
-    def emit_pairs(g):
+    def emit_pairs(t: pa.Table, starts: np.ndarray):
         import pandas as pd
 
         # global (key, item) dedup: every copy of a pair shares this
-        # bucket; the sorted unpack is already lexsorted by (k, it)
-        u = np.unique(
-            g["k"].to_numpy(np.int64) * (1 << 31)
-            + g["it"].to_numpy(np.int64)
-        )
-        k = u >> 31
-        it = u & ((1 << 31) - 1)
-        starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
+        # call, sorted by (k, it), so copies are adjacent
+        k = np.asarray(t["k"], np.int64)
+        it = np.asarray(t["it"], np.int64)
+        first = np.zeros(len(k), dtype=bool)
+        first[starts] = True
+        keep = first | np.append(True, it[1:] != it[:-1])
+        k, it = k[keep], it[keep]
+        starts = np.flatnonzero(first[keep])
         n = np.diff(np.append(starts, len(k)))
         keep = n <= max_degree
         # drop hot keys entirely (both-sides law)
@@ -575,37 +559,31 @@ def co_occurrence(ds, key_col: str, item_col: str, *,
         pk, pn = np.unique(lo * (1 << 31) + hi, return_counts=True)
         return pd.DataFrame({"pair": pk, "n": pn.astype(np.int64)})
 
-    def rebucket(b: pa.Table) -> pa.Table:
-        p = np.asarray(b["pair"], np.int64)
-        cg = (
-            (p.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return b.append_column("__cg2", pa.array(cg))
+    def final(t: pa.Table, starts: np.ndarray) -> dict:
+        pu = np.asarray(t["pair"], np.int64)[starts]
+        return {
+            "item_a": pu >> 31,
+            "item_b": pu & ((1 << 31) - 1),
+            "n_shared": np.add.reduceat(np.asarray(t["n"], np.int64), starts),
+        }
 
-    def final(g):
-        import pandas as pd
-
-        p = g["pair"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.int64)
-        order = np.argsort(p, kind="stable")
-        p, n = p[order], n[order]
-        starts = np.flatnonzero(np.concatenate([[True], p[1:] != p[:-1]]))
-        tot = np.add.reduceat(n, starts)
-        pu = p[starts]
-        return pd.DataFrame(
-            {"item_a": pu >> 31, "item_b": pu & ((1 << 31) - 1),
-             "n_shared": tot.astype(np.int64)}
-        )
-
-    return (
-        ds.select_columns([key_col, item_col])
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(emit_pairs, batch_format="pandas")
-        .map_batches(rebucket, batch_format="pyarrow")
-        .groupby("__cg2")
-        .map_groups(final, batch_format="pandas")
+    I = pa.int64()
+    pairs = segment_apply(
+        ds.select_columns([key_col, item_col]).map_batches(
+            bucket, batch_format="pyarrow"
+        ),
+        "k",
+        emit_pairs,
+        pa.schema({"pair": I, "n": I}),
+        order=("it",),
+        num_buckets=num_buckets,
+    )
+    return segment_apply(
+        pairs,
+        "pair",
+        final,
+        pa.schema({"item_a": I, "item_b": I, "n_shared": I}),
+        num_buckets=num_buckets,
     )
 
 
@@ -644,16 +622,13 @@ def _coocc_pair_partials(ds, group_col: str, item_col: str,
         ):
             raise ValueError("group/item values must be in [0, 2^31)")
         k = np.unique(g * (1 << 31) + it)
-        cg = (
-            ((k >> 31).astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return pa.table({"k": pa.array(k), "__cg": pa.array(cg)})
+        return pa.table({"g": pa.array(k >> 31), "k": pa.array(k)})
 
-    def bucket_pairs(t: "pd.DataFrame") -> "pd.DataFrame":
+    def bucket_pairs(t: pa.Table, starts: np.ndarray) -> "pd.DataFrame":
         import pandas as pd
 
-        k = np.unique(t["k"].to_numpy(np.int64))
+        k = np.asarray(t["k"], np.int64)  # sorted; copies are adjacent
+        k = k[np.append(True, k[1:] != k[:-1])]
         g = k >> 31
         it = k & ((1 << 31) - 1)
         # k sorted => (g, it) lexsorted: items ascend within each group
@@ -677,10 +652,13 @@ def _coocc_pair_partials(ds, group_col: str, item_col: str,
         pk, cnt = np.unique(np.concatenate(parts), return_counts=True)
         return pd.DataFrame({"pk": pk, "cnt": cnt.astype(np.int64)})
 
-    return (
-        ds.map_batches(emit_pairs, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(emit_pairs, batch_format="pyarrow"),
+        "g",
+        bucket_pairs,
+        pa.schema({"pk": pa.int64(), "cnt": pa.int64()}),
+        order=("k",),
+        num_buckets=num_buckets,
     )
 
 
@@ -1017,7 +995,6 @@ def hits_scores_ds(
     from .cluster import compact_blocks, default_num_partitions, safe_join
 
     w = default_num_partitions()
-    nb_distinct = _resolve_buckets(None)  # driver-resolved, captured in UDFs
     I = pa.int64()
     edge_schema = pa.schema([(hub_col, I), (auth_col, I)])
     h_schema = pa.schema([("v", I), ("s", pa.float64())])
@@ -1025,24 +1002,10 @@ def hits_scores_ds(
 
     def _distinct_col(col):
         def part(b: pa.Table) -> pa.Table:
-            u = np.unique(np.asarray(b[col], np.int64))
-            cg = (
-                (u.astype(np.uint64) * np.uint64(2654435761))
-                % np.uint64(nb_distinct)
-            ).astype(np.int64)
-            return pa.table({"v": pa.array(u), "__cg": pa.array(cg)})
+            return pa.table({"v": pa.array(np.unique(np.asarray(b[col], np.int64)))})
 
-        import pandas as pd
-
-        def fold(g):
-            return pd.DataFrame(
-                {"v": np.unique(g["v"].to_numpy(np.int64))}
-            )
-
-        return (
-            edges_c.map_batches(part, batch_format="pyarrow")
-            .groupby("__cg")
-            .map_groups(fold, batch_format="pandas")
+        return segment_apply(
+            edges_c.map_batches(part, batch_format="pyarrow"), "v", _first_v, _V_SCHEMA
         )
 
     hubs = compact_blocks(
@@ -1066,7 +1029,10 @@ def hits_scores_ds(
             edges_c, src_state, "inner", num_partitions=w,
             on=(on_col,), right_on=("v",), right_schema=h_schema,
         )
-        summed = _coarse_sum_float(msgs, out_col).materialize()
+        summed = _coarse_reduce_by_key(
+            msgs, out_col, "s", op="sum", out_key="v", out_val="s",
+            val_type=pa.float64(),
+        ).materialize()
         mx = summed.max("s")
         return compact_blocks(
             summed.map_batches(
@@ -1079,49 +1045,6 @@ def hits_scores_ds(
                 batch_format="pyarrow",
             ),
             h_schema,
-        )
-
-    def _coarse_sum_float(ds, key_col):
-        import pandas as pd
-
-        nb = _resolve_buckets(None)
-
-        def part(b: pa.Table) -> pa.Table:
-            k = np.asarray(b[key_col], np.int64)
-            x = np.asarray(b["s"], np.float64)
-            o = np.argsort(k, kind="stable")
-            k, x = k[o], x[o]
-            st = np.flatnonzero(
-                np.concatenate([[True], k[1:] != k[:-1]])
-            )
-            cg = (
-                (k[st].astype(np.uint64) * np.uint64(2654435761))
-                % np.uint64(nb)
-            ).astype(np.int64)
-            return pa.table(
-                {
-                    "v": pa.array(k[st]),
-                    "s": pa.array(np.add.reduceat(x, st)),
-                    "__cg": pa.array(cg),
-                }
-            )
-
-        def fold(g):
-            k = g["v"].to_numpy(np.int64)
-            x = g["s"].to_numpy(np.float64)
-            o = np.argsort(k, kind="stable")
-            k, x = k[o], x[o]
-            st = np.flatnonzero(
-                np.concatenate([[True], k[1:] != k[:-1]])
-            )
-            return pd.DataFrame(
-                {"v": k[st], "s": np.add.reduceat(x, st)}
-            )
-
-        return (
-            ds.map_batches(part, batch_format="pyarrow")
-            .groupby("__cg")
-            .map_groups(fold, batch_format="pandas")
         )
 
     for _ in range(iters):
@@ -1294,7 +1217,6 @@ def bfs_hops(
     from .cluster import compact_blocks, safe_join
 
     v_schema = pa.schema([("v", pa.int64())])
-    vcg_schema = pa.schema([("v", pa.int64()), ("__cg", pa.int64())])
     vis_schema = pa.schema([("v", pa.int64()), ("hops", pa.int64())])
     visited_ds = rd.from_arrow(
         pa.table({"v": pa.array(seeds), "hops": pa.array(
@@ -1317,28 +1239,14 @@ def bfs_hops(
             right_schema=v_schema,
         )
 
-        _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
         def _uniq(b: pa.Table) -> pa.Table:
-            u = np.unique(np.asarray(b[b_col], np.int64))
-            cg = (
-                (u.astype(np.uint64) * np.uint64(2654435761))
-                % np.uint64(_nb_cap)
-            ).astype(np.int64)
-            return pa.table({"v": pa.array(u), "__cg": pa.array(cg)})
+            return pa.table({"v": pa.array(np.unique(np.asarray(b[b_col], np.int64)))})
 
-        def _uniq_g(g):
-            import pandas as pd
-
-            return pd.DataFrame(
-                {"v": np.unique(g["v"].to_numpy(np.int64))}
-            )
-
-        cand = (
-            compact_blocks(
-                exp.map_batches(_uniq, batch_format="pyarrow"), vcg_schema
-            )
-            .groupby("__cg")
-            .map_groups(_uniq_g, batch_format="pandas")
+        cand = segment_apply(
+            compact_blocks(exp.map_batches(_uniq, batch_format="pyarrow"), v_schema),
+            "v",
+            _first_v,
+            _V_SCHEMA,
         )
         anti = safe_join(
             compact_blocks(
@@ -1424,10 +1332,6 @@ def _endpoint_distinct(ep_ds, a_col: str, b_col: str, *,
     """Distinct endpoint ids of a pair Dataset as a ``("v",)`` Dataset —
     per-batch ``np.unique`` partials + ONE coarse-bucket shuffle (node
     ids are high-cardinality; never a fine groupby)."""
-    import pandas as pd
-
-    num_buckets = _resolve_buckets(num_buckets)
-
     def part(b: pa.Table) -> pa.Table:
         u = np.unique(
             np.concatenate(
@@ -1435,66 +1339,51 @@ def _endpoint_distinct(ep_ds, a_col: str, b_col: str, *,
                  np.asarray(b[b_col], np.int64)]
             )
         )
-        cg = (
-            (u.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return pa.table({"v": pa.array(u), "__cg": pa.array(cg)})
+        return pa.table({"v": pa.array(u)})
 
-    def fold(g):
-        return pd.DataFrame({"v": np.unique(g["v"].to_numpy(np.int64))})
-
-    return (
-        ep_ds.map_batches(part, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(fold, batch_format="pandas")
+    return segment_apply(
+        ep_ds.map_batches(part, batch_format="pyarrow"),
+        "v",
+        _first_v,
+        _V_SCHEMA,
+        num_buckets=num_buckets,
     )
 
 
 def _coarse_reduce_by_key(ds, key_col: str, val_col: str, *, op: str,
                           out_key: str, out_val: str,
-                          num_buckets: int | None = None):
-    """``(key, max/min(val))`` over an int64 pair stream: per-batch
+                          num_buckets: int | None = None,
+                          val_type: pa.DataType = pa.int64()):
+    """``(key, max/min/sum(val))`` over an int64-keyed stream: per-batch
     sort+``reduceat`` partials shrink each batch to its distinct keys,
-    then ONE coarse bucket shuffle folds per key vectorized — the
-    aggregation shape every high-cardinality key takes in this engine."""
-    import pandas as pd
-
-    num_buckets = _resolve_buckets(num_buckets)
+    then one :func:`segment_apply` exchange folds per key vectorized —
+    the aggregation shape every high-cardinality key takes in this
+    engine.  ``val_type`` is the value column's type (int64 or float64)."""
     red = {"max": np.maximum, "min": np.minimum, "sum": np.add}[op]
+    dt = val_type.to_pandas_dtype()
 
     def part(b: pa.Table) -> pa.Table:
         k = np.asarray(b[key_col], np.int64)
-        x = np.asarray(b[val_col], np.int64)
+        x = np.asarray(b[val_col], dt)
         o = np.argsort(k, kind="stable")
         k, x = k[o], x[o]
         st = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
-        ku = k[st]
-        xv = red.reduceat(x, st) if len(st) else x[:0]
-        cg = (
-            (ku.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
         return pa.table(
-            {out_key: pa.array(ku), out_val: pa.array(xv),
-             "__cg": pa.array(cg)}
+            {out_key: pa.array(k[st]), out_val: pa.array(red.reduceat(x, st))}
         )
 
-    def fold(g):
-        k = g[out_key].to_numpy(np.int64)
-        x = g[out_val].to_numpy(np.int64)
-        o = np.argsort(k, kind="stable")
-        k, x = k[o], x[o]
-        st = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
-        return pd.DataFrame(
-            {out_key: k[st],
-             out_val: red.reduceat(x, st) if len(st) else x[:0]}
-        )
+    def fold(t: pa.Table, starts: np.ndarray) -> dict:
+        return {
+            out_key: np.asarray(t[out_key], np.int64)[starts],
+            out_val: red.reduceat(np.asarray(t[out_val], dt), starts),
+        }
 
-    return (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(fold, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(part, batch_format="pyarrow"),
+        out_key,
+        fold,
+        pa.schema([(out_key, pa.int64()), (out_val, val_type)]),
+        num_buckets=num_buckets,
     )
 
 
@@ -1515,7 +1404,6 @@ def _scc_sharded(ep_ds, nodes_ds, *, a_col: str, b_col: str,
     from .cluster import compact_blocks, default_num_partitions, safe_join
 
     w = default_num_partitions()
-    nb_cand = _resolve_buckets(None)  # driver-resolved, captured in UDFs
     I = pa.int64()
     edge_schema = pa.schema([(a_col, I), (b_col, I)])
     state_schema = pa.schema(
@@ -1643,15 +1531,10 @@ def _scc_sharded(ep_ds, nodes_ds, *, a_col: str, b_col: str,
                 u = np.asarray(b[a_col], np.int64)
                 ct = np.asarray(b["ct"], np.int64)
                 k = np.unique((u << np.int64(31)) | ct)
-                cg = (
-                    (k.astype(np.uint64) * np.uint64(2654435761))
-                    % np.uint64(nb_cand)
-                ).astype(np.int64)
                 return pa.table(
                     {
                         "uc": pa.array(k >> np.int64(31)),
                         "ct": pa.array(k & np.int64((1 << 31) - 1)),
-                        "__cg": pa.array(cg),
                     }
                 )
 
@@ -2140,36 +2023,19 @@ def _fold_pair_partials_ds(partials, min_weight: int, num_buckets: int):
     """Distributed fold of the (pk, cnt) pair partials: a second coarse
     shuffle on PAIR hash co-locates every partial of a pair; each
     bucket sums and thresholds vectorized."""
-    import pandas as pd
-
-    def rebucket(b: pa.Table) -> pa.Table:
-        pk = np.asarray(b["pk"], np.int64)
-        cg = (
-            (pk.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return pa.table(
-            {"pk": b["pk"], "cnt": b["cnt"], "__cg2": pa.array(cg)}
-        )
-
-    def fold(g: "pd.DataFrame") -> "pd.DataFrame":
-        pk = g["pk"].to_numpy(np.int64)
-        cnt = g["cnt"].to_numpy(np.int64)
-        o = np.argsort(pk, kind="stable")
-        pk, cnt = pk[o], cnt[o]
-        st = np.flatnonzero(np.concatenate([[True], pk[1:] != pk[:-1]]))
-        tot = np.add.reduceat(cnt, st)
-        pku = pk[st]
+    def fold(t: pa.Table, starts: np.ndarray) -> dict:
+        tot = np.add.reduceat(np.asarray(t["cnt"], np.int64), starts)
+        pku = np.asarray(t["pk"], np.int64)[starts]
         keep = tot >= min_weight
         pku, tot = pku[keep], tot[keep]
-        return pd.DataFrame(
-            {"u": pku >> 31, "v": pku & ((1 << 31) - 1), "w": tot}
-        )
+        return {"u": pku >> 31, "v": pku & ((1 << 31) - 1), "w": tot}
 
-    return (
-        partials.map_batches(rebucket, batch_format="pyarrow")
-        .groupby("__cg2")
-        .map_groups(fold, batch_format="pandas")
+    return segment_apply(
+        partials,
+        "pk",
+        fold,
+        pa.schema({"u": pa.int64(), "v": pa.int64(), "w": pa.int64()}),
+        num_buckets=num_buckets,
     )
 
 
@@ -2255,23 +2121,9 @@ def _wedge_partials(oriented, *, with_center: bool,
     when ``with_center`` (the per-node census needs the third corner)."""
     import pandas as pd
 
-    num_buckets = _resolve_buckets(num_buckets)
-
-    def tag(b: pa.Table) -> pa.Table:
-        srt = np.asarray(b["src"], np.int64)
-        cg = (
-            (srt.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return b.append_column("__cg", pa.array(cg))
-
-    def wedges(g: "pd.DataFrame") -> "pd.DataFrame":
-        srt = g["src"].to_numpy(np.int64)
-        dn = g["dst"].to_numpy(np.int64)
-        dpk = g["dpk"].to_numpy(np.int64)
-        o = np.lexsort((dpk, srt))
-        srt, dn, dpk = srt[o], dn[o], dpk[o]
-        seg_starts = np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]])
+    def wedges(t: pa.Table, seg_starts: np.ndarray) -> "pd.DataFrame":
+        srt = np.asarray(t["src"], np.int64)
+        dn = np.asarray(t["dst"], np.int64)
         seg_sizes = np.diff(np.append(seg_starts, len(srt)))
         wk_l, extra_l = [], []
         for sz in np.unique(seg_sizes):
@@ -2306,10 +2158,13 @@ def _wedge_partials(oriented, *, with_center: bool,
         wku, cnt = np.unique(wk, return_counts=True)
         return pd.DataFrame({"wk": wku, "cnt": cnt.astype(np.int64)})
 
-    return (
-        oriented.map_batches(tag, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(wedges, batch_format="pandas")
+    return segment_apply(
+        oriented,
+        "src",
+        wedges,
+        pa.schema([("wk", pa.int64()), ("center" if with_center else "cnt", pa.int64())]),
+        order=("dpk",),
+        num_buckets=num_buckets,
     )
 
 
@@ -2773,10 +2628,8 @@ def label_prop_membership(
         ),
         lab_schema,
     )
-    nb = _resolve_buckets(None)
-
     def count_part(b: pa.Table) -> pa.Table:
-        # per-batch (node, label) count partial, coarse NODE bucket
+        # per-batch (node, label) count partial
         u = np.asarray(b[a_col], np.int64)
         la = np.asarray(b["lab"], np.int64)
         df = (
@@ -2785,22 +2638,18 @@ def label_prop_membership(
             .size()
             .reset_index(name="c")
         )
-        uu = df["u"].to_numpy(np.int64)
-        cg = (
-            (uu.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(nb)
-        ).astype(np.int64)
-        df["__cg"] = cg
         df["c"] = df["c"].astype(np.int64)
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    def argmax_fold(g: pd.DataFrame) -> pd.DataFrame:
-        d = (
-            g.groupby(["u", "la"], sort=False)["c"].sum().reset_index()
-        )
-        uu = d["u"].to_numpy(np.int64)
-        la = d["la"].to_numpy(np.int64)
-        c = d["c"].to_numpy(np.int64)
+    def argmax_fold(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        # sum partial counts per (u, la): sorted, so copies are adjacent
+        la = np.asarray(t["la"], np.int64)
+        first = np.zeros(len(la), dtype=bool)
+        first[starts] = True
+        pair = np.flatnonzero(first | np.append(True, la[1:] != la[:-1]))
+        uu = np.asarray(t["u"], np.int64)[pair]
+        la = la[pair]
+        c = np.add.reduceat(np.asarray(t["c"], np.int64), pair)
         pick = np.lexsort((la, -c, uu))
         first = np.concatenate(
             [[True], uu[pick][1:] != uu[pick][:-1]]
@@ -2816,9 +2665,13 @@ def label_prop_membership(
             on=(b_col,), right_on=("v",), right_schema=lab_schema,
         )
         upd = compact_blocks(
-            msgs.map_batches(count_part, batch_format="pyarrow")
-            .groupby("__cg")
-            .map_groups(argmax_fold, batch_format="pandas"),
+            segment_apply(
+                msgs.map_batches(count_part, batch_format="pyarrow"),
+                "u",
+                argmax_fold,
+                upd_schema,
+                order=("la",),
+            ),
             upd_schema,
         )
         joined = safe_join(
@@ -3100,7 +2953,6 @@ def assoc_rules(
     round6(n_both / n_ante)``, ``lift = round6((n_both * 1.0 *
     n_baskets) / (n_ante * 1.0 * n_cons))`` — same literals, same op
     order."""
-    num_buckets = _resolve_buckets(num_buckets)
     import pandas as pd
     import ray.data as rd
 
@@ -3133,23 +2985,19 @@ def assoc_rules(
             )
         ).astype(np.int64)
         u = np.unique(k * np.int64(K) + it)  # per-batch partial dedup
-        uk = u // np.int64(K)
-        cg = (
-            (uk.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
         return pa.table(
-            {"k": pa.array(uk), "it": pa.array(u % np.int64(K)),
-             "__cg": pa.array(cg)}
+            {"k": pa.array(u // np.int64(K)), "it": pa.array(u % np.int64(K))}
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        u = np.unique(
-            g["k"].to_numpy(np.int64) * np.int64(K)
-            + g["it"].to_numpy(np.int64)
-        )
-        k = u // np.int64(K)
-        it = u % np.int64(K)
+    def fold(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        # distinct (basket, item): sorted, so copies are adjacent
+        k = np.asarray(t["k"], np.int64)
+        it = np.asarray(t["it"], np.int64)
+        first = np.zeros(len(k), dtype=bool)
+        first[starts] = True
+        keep = first | np.append(True, it[1:] != it[:-1])
+        k, it = k[keep], it[keep]
+        starts = np.flatnonzero(first[keep])
         rows_a, rows_b, rows_n, rows_kind = [], [], [], []
         # item partial counts
         iv, ic = np.unique(it, return_counts=True)
@@ -3158,7 +3006,6 @@ def assoc_rules(
         rows_b.append(np.zeros(len(iv), np.int64))
         rows_n.append(ic.astype(np.int64))
         # unordered pair partial counts (within-basket segments)
-        starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
         n = np.diff(np.append(starts, len(k)))
         local = np.arange(len(k)) - np.repeat(starts, n)
         rem = np.repeat(n, n) - 1 - local
@@ -3189,10 +3036,16 @@ def assoc_rules(
         )
 
     part = (
-        ds.select_columns([key_col, item_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(fold, batch_format="pandas")
+        segment_apply(
+            ds.select_columns([key_col, item_col]).map_batches(
+                tag, batch_format="pyarrow"
+            ),
+            "k",
+            fold,
+            pa.schema({c: pa.int64() for c in ("kind", "a", "b", "n")}),
+            order=("it",),
+            num_buckets=num_buckets,
+        )
         .groupby(["kind", "a", "b"])
         .sum("n")
         .to_pandas()

@@ -6,9 +6,9 @@ here need ORDER within a key:
 - :func:`asof_join` — attach to each left row the latest right row at or
   before it in event time (DuckDB's ``ASOF JOIN``, pandas
   ``merge_asof``).  One hash shuffle: both sides are schema-aligned,
-  tagged and unioned, bucketed by ``hash(by) % num_buckets`` (bounded
-  group count independent of key cardinality), and each bucket resolves
-  with a single vectorized ``pandas.merge_asof(by=...)`` over an
+  tagged and unioned, exchanged with ``cluster.segment_apply`` on ``by``
+  (bounded group count independent of key cardinality), and each bucket
+  resolves with a single vectorized ``pandas.merge_asof(by=...)`` over an
   index-only frame — matched right values are then gathered with Arrow
   ``take`` so output columns keep their exact Arrow types (no
   pandas int->float null promotion).
@@ -38,13 +38,8 @@ from pygridmap_ray.cluster import (
     Broadcast,
     default_num_partitions,
     resolve_num_buckets as _resolve_buckets,
+    segment_apply,
 )
-
-_HASH_MULT = 2654435761  # Knuth multiplicative hash (public domain constant)
-
-
-def _bucket_of(arr: np.ndarray, num_buckets: int) -> np.ndarray:
-    return ((arr.astype(np.int64) * _HASH_MULT) & 0x7FFFFFFF) % num_buckets
 
 
 def asof_join(
@@ -105,7 +100,6 @@ def asof_join(
         + [("__side", pa.int8())]
     )
     union_schema = pa.schema(union_fields)
-    group_key = "__bucket" if num_buckets else by
 
     def _align_left(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -113,13 +107,7 @@ def asof_join(
             pa.nulls(n, rtypes[c]) for c in out_right_cols
         ]
         cols.append(pa.nulls(n, pa.int8()).fill_null(0))
-        t = pa.table(cols, schema=union_schema)
-        if num_buckets:
-            t = t.append_column(
-                "__bucket",
-                pa.array(_bucket_of(np.asarray(b[by]), num_buckets)),
-            )
-        return t
+        return pa.table(cols, schema=union_schema)
 
     def _align_right(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -132,13 +120,7 @@ def asof_join(
         cols.append(pc.cast(b[on], rtypes[on + suffix]))
         cols.extend(pc.cast(b[c], rtypes[renamed[c]]) for c in rvalue_cols)
         cols.append(pa.nulls(n, pa.int8()).fill_null(1))
-        t = pa.table(cols, schema=union_schema)
-        if num_buckets:
-            t = t.append_column(
-                "__bucket",
-                pa.array(_bucket_of(np.asarray(b[by]), num_buckets)),
-            )
-        return t
+        return pa.table(cols, schema=union_schema)
 
     la = left.map_batches(_align_left, batch_format="pyarrow")
     ra = right.map_batches(_align_right, batch_format="pyarrow")
@@ -212,8 +194,11 @@ def asof_join(
         t = pa.table(out, schema=out_schema)
         return pa.concat_tables([t, null_out]) if null_out is not None else t
 
-    return unioned.groupby(group_key).map_groups(
-        _merge, batch_format="pyarrow"
+    if not num_buckets:
+        return unioned.groupby(by).map_groups(_merge, batch_format="pyarrow")
+    return segment_apply(
+        unioned, by, lambda t, starts: _merge(t), out_schema,
+        num_buckets=num_buckets,
     )
 
 
@@ -617,45 +602,38 @@ def key_set_op(left, right, key_col: str, *, op: str,
             k = np.unique(np.asarray(b[key_col], np.int64))
             if len(k) and (k.min() < 0 or k.max() >= (1 << 62)):
                 raise ValueError("keys must be in [0, 2^62)")
-            cg = _bucket_of(k, num_buckets)
             return pa.table(
                 {
                     "k": pa.array(k),
                     "side": pa.array(
                         np.full(len(k), side, dtype=np.int64)
                     ),
-                    "__cg": pa.array(cg),
                 }
             )
 
         return fn
 
-    def resolve(g):
-        import pandas as pd
-
-        k = g["k"].to_numpy(np.int64)
-        s = g["side"].to_numpy(np.int64)
-        # distinct (key, side), then membership per key via sorted runs
-        pk = np.unique(k * 2 + s)
-        ku = pk >> 1
-        starts = np.flatnonzero(
-            np.concatenate([[True], ku[1:] != ku[:-1]])
-        )
-        n = np.diff(np.append(starts, len(ku)))
-        in_both = n == 2
-        first_side = pk[starts] & 1
+    def resolve(t: pa.Table, starts: np.ndarray) -> dict:
+        # sides ascend within each key: first row = lowest, last = highest
+        ku = np.asarray(t["k"], np.int64)[starts]
+        s = np.asarray(t["side"], np.int64)
+        first_side = s[starts]
+        in_both = first_side != s[np.append(starts[1:], len(s)) - 1]
         if op == "intersect":
-            keep = ku[starts][in_both]
+            keep = ku[in_both]
         elif op == "except":
-            keep = ku[starts][(~in_both) & (first_side == 0)]
+            keep = ku[(~in_both) & (first_side == 0)]
         else:  # union
-            keep = ku[starts]
-        return pd.DataFrame({key_col: keep})
+            keep = ku
+        return {key_col: keep}
 
     both = left.map_batches(tag(0), batch_format="pyarrow").union(
         right.map_batches(tag(1), batch_format="pyarrow")
     )
-    return both.groupby("__cg").map_groups(resolve, batch_format="pandas")
+    return segment_apply(
+        both, "k", resolve, pa.schema([(key_col, pa.int64())]),
+        order=("side",), num_buckets=num_buckets,
+    )
 
 
 # --------------------------------------------------------------------------

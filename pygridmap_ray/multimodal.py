@@ -174,10 +174,11 @@ def media_dup_groups(ds, *, min_refs: int = 2):
 
     Scale shape: pure-Arrow span explode -> stateless fingerprint map
     -> per-batch (cfp, count, distinct-doc partials, min-pack) combine
-    -> ONE bounded groupby (the fingerprint domain) -> vectorized
-    fold.  Distinct-doc counting stays exact by carrying (cfp, doc)
-    unique pairs per batch — bounded by batch x domain."""
-    import pandas as pd
+    -> ONE ``cluster.segment_apply`` exchange on the fingerprint ->
+    vectorized fold.  Distinct-doc counting stays exact by carrying
+    (cfp, doc) unique pairs per batch — bounded by batch x domain.  An
+    empty input yields zero rows with the declared output schema."""
+    from .cluster import declare_schema, segment_apply
 
     def rows(b: pa.Table) -> pa.Table:
         med = explode_media_spans(b)
@@ -190,11 +191,13 @@ def media_dup_groups(ds, *, min_refs: int = 2):
             )
         d = np.asarray(med["doc_id"], np.int64)
         s = np.asarray(med["span_idx"], np.int64)
-        if len(d) and d.max() >= (1 << 40):
+        if len(d) and (d.min() < 0 or d.max() >= (1 << 40)):
             # the (cfp, doc) pack below would leak doc bits into the
-            # fingerprint field and silently merge groups
+            # fingerprint field (or borrow from it, for a negative id)
+            # and silently merge groups
             raise ValueError(
-                "media_dup_groups packing needs doc ids < 2^40; remap ids"
+                "media_dup_groups packing needs doc ids in [0, 2^40); "
+                "remap ids"
             )
         cfp = (d * 31 + s * 17) % MEDIA_CFP_MOD
         pack = d * 8 + s
@@ -214,38 +217,36 @@ def media_dup_groups(ds, *, min_refs: int = 2):
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        cfp = g["cfp"].to_numpy(np.int64)
-        doc = g["doc"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.int64)
-        kp = g["kp"].to_numpy(np.int64)
-        order = np.lexsort((doc, cfp))
-        cfp, doc, n, kp = cfp[order], doc[order], n[order], kp[order]
-        st = np.flatnonzero(np.concatenate([[True], cfp[1:] != cfp[:-1]]))
-        n_refs = np.add.reduceat(n, st)
+    def fold(t: pa.Table, starts: np.ndarray) -> dict:
+        doc = np.asarray(t["doc"], np.int64)
+        n_refs = np.add.reduceat(np.asarray(t["n"], np.int64), starts)
         # distinct docs: (cfp, doc) rows are unique per batch but can
         # repeat across batches — count distinct within the sorted run
-        new_doc = np.concatenate(
-            [[True], (cfp[1:] != cfp[:-1]) | (doc[1:] != doc[:-1])]
-        )
-        n_docs = np.add.reduceat(new_doc.astype(np.int64), st)
-        kpm = np.minimum.reduceat(kp, st)
+        new_doc = np.concatenate([[True], doc[1:] != doc[:-1]])
+        new_doc[starts] = True
+        n_docs = np.add.reduceat(new_doc.astype(np.int64), starts)
+        kpm = np.minimum.reduceat(np.asarray(t["kp"], np.int64), starts)
         keep = n_refs >= min_refs
-        return pd.DataFrame(
-            {
-                "cfp": cfp[st][keep],
-                "n_refs": n_refs[keep],
-                "n_docs": n_docs[keep],
-                "keep_doc": kpm[keep] // 8,
-                "keep_span": kpm[keep] % 8,
-            }
-        )
+        return {
+            "cfp": np.asarray(t["cfp"], np.int64)[starts][keep],
+            "n_refs": n_refs[keep],
+            "n_docs": n_docs[keep],
+            "keep_doc": kpm[keep] // 8,
+            "keep_span": kpm[keep] % 8,
+        }
 
-    return (
-        ds.map_batches(rows, batch_format="pyarrow")
-        .groupby("cfp")  # bounded domain (MEDIA_CFP_MOD groups)
-        .map_groups(fold, batch_format="pandas")
-        .sort("cfp")
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("cfp", "n_refs", "n_docs", "keep_doc", "keep_span")]
+    )
+    return declare_schema(
+        segment_apply(
+            ds.map_batches(rows, batch_format="pyarrow"),
+            "cfp",
+            fold,
+            out_schema,
+            order=("doc",),
+        ).sort("cfp"),
+        out_schema,
     )
 
 

@@ -15,8 +15,9 @@ from Dataset ops only:
    combiner: at most ``n_buckets`` rows per batch leave the node);
 3. the ≤ ``n_buckets`` bucket totals collect on the driver (a few KB)
    and scan into exclusive bucket base offsets;
-4. one range shuffle (``groupby(bucket).map_groups``) co-locates each
-   bucket, which sorts and cumsums vectorized and adds its base.
+4. one range-bucket exchange (``cluster.segment_apply`` keyed on the
+   bucket id) co-locates each bucket, which sorts and cumsums
+   vectorized and adds its base.
 
 The single all-to-all in step 4 is inherent — a global rank needs
 order — and is the same cost class as ``Dataset.sort``.  Partitioning
@@ -32,7 +33,16 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from pygridmap_ray.cluster import resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import (
+    passthrough_schema,
+    resolve_num_buckets as _resolve_buckets,
+    segment_apply,
+)
+
+#: the range-bucket id of the order domain: the segment key of the scan,
+#: exchanged with ``num_buckets`` = the range-bucket count so each range
+#: bucket keeps its own exchange group when that count is a power of two
+_RNG = "__rng"
 
 
 def global_prefix_sum(
@@ -75,21 +85,20 @@ def global_prefix_sum(
         tot = np.zeros(nb, dtype=np.int64)
         np.add.at(tot, bk, v)
         nz = np.nonzero(tot)[0]
-        return pa.table({"__bk": pa.array(nz), "__sub": pa.array(tot[nz])})
+        return pa.table({_RNG: pa.array(nz), "__sub": pa.array(tot[nz])})
 
     sub = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
     totals = np.zeros(nb, dtype=np.int64)
-    np.add.at(totals, sub["__bk"].to_numpy(dtype=np.int64),
+    np.add.at(totals, sub[_RNG].to_numpy(dtype=np.int64),
               sub["__sub"].to_numpy(dtype=np.int64))
     base = np.concatenate([[0], np.cumsum(totals)[:-1]])  # nb int64s
 
     def tag(b: pa.Table) -> pa.Table:
         k = np.asarray(b[order_col], dtype=np.int64)
-        return b.append_column("__bk", pa.array(bucket_of(k)))
+        return b.append_column(_RNG, pa.array(bucket_of(k)))
 
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_col, kind="mergesort").reset_index(drop=True)
-        k = g[order_col].to_numpy(dtype=np.int64)
+    def scan_bucket(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        k = np.asarray(t[order_col], dtype=np.int64)
         if len(k) > 1 and (k[1:] == k[:-1]).any():
             # equal keys make the scan order — and thus every offset —
             # depend on block arrival; all rows of one key share a bucket,
@@ -98,15 +107,21 @@ def global_prefix_sum(
                 f"global_prefix_sum: duplicate {order_col!r} keys — the "
                 "order column must be unique for a deterministic scan"
             )
-        v = g[value_col].to_numpy(dtype=np.int64)
-        bk = int(g["__bk"].iloc[0])
-        g[out_col] = base[bk] + np.cumsum(v) - v
-        return g.drop(columns=["__bk"])
+        v = np.asarray(t[value_col], dtype=np.int64)
+        # exclusive cumsum restarted at each range bucket, plus its base
+        ex = np.cumsum(v) - v
+        seg = np.repeat(starts, np.diff(np.append(starts, len(v))))
+        rng = np.asarray(t[_RNG], np.int64)
+        out = base[rng] + ex - ex[seg]
+        return t.drop_columns([_RNG]).append_column(out_col, pa.array(out))
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bk")
-        .map_groups(scan_bucket, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        _RNG,
+        scan_bucket,
+        passthrough_schema(ds, [(out_col, pa.int64())]),
+        order=(order_col,),
+        num_buckets=nb,
     )
 
 
@@ -279,7 +294,7 @@ def keyed_prefix_sum(
         return pa.table(
             {
                 "__k": pa.array(ku[(pku // nb)], pa.string()),
-                "__bk": pa.array(pku % np.int64(nb)),
+                _RNG: pa.array(pku % np.int64(nb)),
                 "__sub": pa.array(tot),
             }
         )
@@ -295,41 +310,42 @@ def keyed_prefix_sum(
     base: dict = {}
     for kv, g in sub.groupby("__k", sort=False):
         tot = np.zeros(nb, dtype=np.int64)
-        np.add.at(tot, g["__bk"].to_numpy(np.int64),
+        np.add.at(tot, g[_RNG].to_numpy(np.int64),
                   g["__sub"].to_numpy(np.int64))
         base[kv] = np.concatenate([[0], np.cumsum(tot)[:-1]])
 
     def tag(b: pa.Table) -> pa.Table:
         o = np.asarray(b[order_col], dtype=np.int64)
-        return b.append_column("__bk", pa.array(bucket_of(o)))
+        return b.append_column(_RNG, pa.array(bucket_of(o)))
 
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_col, kind="mergesort").reset_index(
-            drop=True
-        )
-        o = g[order_col].to_numpy(dtype=np.int64)
+    def scan_bucket(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        o = np.asarray(t[order_col], dtype=np.int64)
         if len(o) > 1 and (o[1:] == o[:-1]).any():
             raise ValueError(
                 f"keyed_prefix_sum: duplicate {order_col!r} keys — the "
                 "order column must be globally unique"
             )
-        k = g[key_col].astype(str).to_numpy(dtype=object)
-        v = g[value_col].to_numpy(dtype=np.int64)
-        bk = int(g["__bk"].iloc[0])
+        k = np.asarray(pc.cast(t[key_col], pa.string())).astype(object)
+        v = np.asarray(t[value_col], dtype=np.int64)
+        rng = np.asarray(t[_RNG], np.int64)
+        # running sum per (range bucket, key), then the (key, bucket) base
+        seg = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(v))))
         cum = (
             pd.Series(v)
-            .groupby(pd.Series(k), sort=False)
+            .groupby([seg, k], sort=False)
             .cumsum()
             .to_numpy(np.int64)
         )
-        kb = np.array([base[kv][bk] for kv in k], dtype=np.int64)
-        g[out_col] = cum + kb
-        return g.drop(columns=["__bk"])
+        kb = np.array([base[kv][b] for kv, b in zip(k, rng)], dtype=np.int64)
+        return t.drop_columns([_RNG]).append_column(out_col, pa.array(cum + kb))
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bk")
-        .map_groups(scan_bucket, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        _RNG,
+        scan_bucket,
+        passthrough_schema(ds, [(out_col, pa.int64())]),
+        order=(order_col,),
+        num_buckets=nb,
     )
 
 
@@ -441,36 +457,39 @@ def shuffle_by_hash(
         h = hash_of(b)
         bk = h >> shift
         return b.append_column("__h", pa.array(h)).append_column(
-            "__bk", pa.array(bk.astype(np.int64))
+            _RNG, pa.array(bk.astype(np.int64))
         )
 
     tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
 
     def count_partial(b: pa.Table) -> pa.Table:
-        bk = np.asarray(b["__bk"], dtype=np.int64)
+        bk = np.asarray(b[_RNG], dtype=np.int64)
         tot = np.bincount(bk, minlength=nb).astype(np.int64)
         nz = np.nonzero(tot)[0]
-        return pa.table({"__bk": pa.array(nz), "__n": pa.array(tot[nz])})
+        return pa.table({_RNG: pa.array(nz), "__n": pa.array(tot[nz])})
 
     sub = tagged.map_batches(count_partial, batch_format="pyarrow").to_pandas()
     totals = np.zeros(nb, dtype=np.int64)
     if len(sub):
-        np.add.at(totals, sub["__bk"].to_numpy(dtype=np.int64),
+        np.add.at(totals, sub[_RNG].to_numpy(dtype=np.int64),
                   sub["__n"].to_numpy(dtype=np.int64))
     base = np.concatenate([[0], np.cumsum(totals)[:-1]])
 
-    def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["__h", key_col], kind="mergesort").reset_index(
-            drop=True
+    def rank_bucket(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        seg_len = np.diff(np.append(starts, t.num_rows))
+        rank = np.arange(t.num_rows) - np.repeat(starts, seg_len)
+        rng = np.asarray(t[_RNG], np.int64)
+        return t.drop_columns(["__h", _RNG]).append_column(
+            "pos", pa.array(base[rng] + rank)
         )
-        g["pos"] = base[int(g["__bk"].iloc[0])] + np.arange(
-            len(g), dtype=np.int64
-        )
-        return g.drop(columns=["__h", "__bk"])
 
-    return (
-        tagged.groupby("__bk")
-        .map_groups(rank_bucket, batch_format="pandas")
+    return segment_apply(
+        tagged,
+        _RNG,
+        rank_bucket,
+        passthrough_schema(tagged, [("pos", pa.int64())], drop=("__h", _RNG)),
+        order=("__h", key_col),
+        num_buckets=nb,
     )
 
 

@@ -52,6 +52,7 @@ from ..tiler import (
 from pygridmap_ray.cluster import (
     Broadcast,
     resolve_num_buckets as _resolve_buckets,
+    segment_apply,
 )
 
 RES, TSC = 1000.0, 128
@@ -1822,49 +1823,33 @@ def q_mutual_nn(sf_dir: str):
     Scale shape: the sphere_nn stage emits one directed edge per doc;
     edges shuffle ONCE by packed unordered-pair key and a per-bucket
     count == 2 test finds mutual pairs — no self-join."""
-    from ..joins import _bucket_of
 
     nn = q_sphere_nn(sf_dir)
-
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def edges(b: pa.Table) -> pa.Table:
         a = np.asarray(b["doc_id"], np.int64)
         c = np.asarray(b["nn_id"], np.int64)
         d = np.asarray(b["dot"], np.float64)
         lo = np.minimum(a, c)
         hi = np.maximum(a, c)
-        key = (lo << np.int64(32)) | hi
         return pa.table(
-            {
-                "pkey": pa.array(key),
-                "dot": pa.array(d),
-                "__b": pa.array(_bucket_of(key, _nb_cap)),
-            }
+            {"pkey": pa.array((lo << np.int64(32)) | hi), "dot": pa.array(d)}
         )
 
-    def mutual(g: "pd.DataFrame") -> "pd.DataFrame":
-        import pandas as pd
-
-        k = g["pkey"].to_numpy(np.int64)
-        d = g["dot"].to_numpy(np.float64)
-        order = np.argsort(k, kind="stable")
-        k, d = k[order], d[order]
-        u, starts = np.unique(k, return_index=True)
+    def mutual(t: pa.Table, starts: np.ndarray) -> dict:
+        k = np.asarray(t["pkey"], np.int64)
         counts = np.diff(np.append(starts, len(k)))
-        keep = counts == 2
-        u, starts = u[keep], starts[keep]
-        return pd.DataFrame(
-            {
-                "doc_a": u >> 32,
-                "doc_b": u & np.int64(4294967295),
-                "dot": d[starts],
-            }
-        )
+        s = starts[counts == 2]
+        return {
+            "doc_a": k[s] >> 32,
+            "doc_b": k[s] & np.int64(4294967295),
+            "dot": np.asarray(t["dot"], np.float64)[s],
+        }
 
-    return (
-        nn.map_batches(edges, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(mutual, batch_format="pandas")
+    return segment_apply(
+        nn.map_batches(edges, batch_format="pyarrow"),
+        "pkey",
+        mutual,
+        pa.schema({"doc_a": pa.int64(), "doc_b": pa.int64(), "dot": pa.float64()}),
     )
 
 
@@ -3830,9 +3815,9 @@ def _q_semi_anti(sf_dir: str, anti: bool):
 
     # coarse-bucket final (64 groups) — a fine groupby over ~1e5 order
     # keys pays the per-group Ray aggregate cost (measured 4.3s at sf0.1)
-    from ..tfidf import _coarse_sum
+    from ..cluster import segment_sum
 
-    summed = _coarse_sum(
+    summed = segment_sum(
         out.map_batches(partial, batch_format="pyarrow"),
         ["l_orderkey"],
         ("n_lines", "sum_qty"),
@@ -3903,8 +3888,11 @@ def q_hll_distinct(sf_dir: str):
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
+    # the narrow events table arrives as 1-2 blocks: split it to a
+    # cluster-derived width so the md5 partial is not serialized
     return hll_distinct(
-        ds, group_col="event_type", key_col="user_id", map_parallelism=16
+        ds, group_col="event_type", key_col="user_id",
+        map_parallelism=_resolve_buckets(None),
     )
 
 
@@ -5533,7 +5521,6 @@ def q3_shipping(sf_dir: str):
     import ray
     import pandas as pd
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def bucket_partial(b: pa.Table) -> pa.Table:
         k = np.asarray(b["l_orderkey"], np.int64)
         r = np.asarray(b["rev"], np.float64)
@@ -5546,35 +5533,24 @@ def q3_shipping(sf_dir: str):
         s = np.bincount(inv, weights=r, minlength=len(uk))
         first = np.zeros(len(uk), np.int64)
         first[inv[::-1]] = d[::-1]  # one date per order key
-        cg = (
-            (uk.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(_nb_cap)
-        ).astype(np.int64)
         return pa.table(
-            {
-                "k": pa.array(uk),
-                "d": pa.array(first),
-                "s": pa.array(s),
-                "__cg": pa.array(cg),
-            }
+            {"k": pa.array(uk), "d": pa.array(first), "s": pa.array(s)}
         )
 
-    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
-        k = g["k"].to_numpy(np.int64)
-        s = g["s"].to_numpy(np.float64)
-        d = g["d"].to_numpy(np.int64)
-        order = np.argsort(k, kind="stable")
-        k, s, d = k[order], s[order], d[order]
-        starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
-        sums = np.add.reduceat(s, starts)
-        uk, ud = k[starts], d[starts]
+    def bucket_topk(t: pa.Table, starts: np.ndarray) -> dict:
+        sums = np.add.reduceat(np.asarray(t["s"], np.float64), starts)
+        uk = np.asarray(t["k"], np.int64)[starts]
+        ud = np.asarray(t["d"], np.int64)[starts]
         rev = np.sign(sums) * np.floor(np.abs(sums) * 1e2 + 0.5) / 1e2
         top = np.lexsort((uk, -rev))[:10]
-        return pd.DataFrame({"k": uk[top], "d": ud[top], "revenue": rev[top]})
+        return {"k": uk[top], "d": ud[top], "revenue": rev[top]}
 
-    cand_tops = j.map_batches(bucket_partial, batch_format="pyarrow").groupby(
-        "__cg"
-    ).map_groups(bucket_topk, batch_format="pandas").materialize()
+    cand_tops = segment_apply(
+        j.map_batches(bucket_partial, batch_format="pyarrow"),
+        "k",
+        bucket_topk,
+        pa.schema({"k": pa.int64(), "d": pa.int64(), "revenue": pa.float64()}),
+    ).materialize()
     # (materialize before to_arrow_refs: consuming a lazy Dataset via
     # refs triggers schema-probe re-executions of the whole DAG)
     parts = [
@@ -6160,7 +6136,6 @@ def q_token_js(sf_dir: str):
     from ..dedup import TOKEN_RE
 
     docs = _docs(sf_dir, ("doc_id", "text"))
-    nb = np.uint64(_resolve_buckets(None))
 
     def tok_partial(b: pa.Table) -> pa.Table:
         did = np.asarray(b["doc_id"], np.int64)
@@ -6176,7 +6151,6 @@ def q_token_js(sf_dir: str):
                     "side": pa.array([], pa.int64()),
                     "t": pa.array([], pa.string()),
                     "n": pa.array([], pa.int64()),
-                    "__cg": pa.array([], pa.int64()),
                 }
             )
         df = (
@@ -6185,8 +6159,6 @@ def q_token_js(sf_dir: str):
             .size()
             .reset_index(name="n")
         )
-        h = pd.util.hash_array(df["t"].to_numpy(object))
-        df["__cg"] = (h % nb).astype(np.int64)
         df["n"] = df["n"].astype(np.int64)
         return pa.Table.from_pandas(df, preserve_index=False)
 
@@ -6201,16 +6173,12 @@ def q_token_js(sf_dir: str):
         np.add.at(tot, sd, nn)
     sa, sb = float(tot[0]), float(tot[1])
 
-    def bucket_terms(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(["t", "side"], sort=False)["n"].sum().unstack(
-            fill_value=0
-        )
-        na = agg[0].to_numpy(np.float64) if 0 in agg else np.zeros(
-            len(agg)
-        )
-        nb_ = agg[1].to_numpy(np.float64) if 1 in agg else np.zeros(
-            len(agg)
-        )
+    def bucket_terms(tb: pa.Table, starts: np.ndarray) -> dict:
+        side = np.asarray(tb["side"], np.int64)
+        n = np.asarray(tb["n"], np.int64)
+        seg = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(n))))
+        na = np.bincount(seg[side == 0], n[side == 0], len(starts))
+        nb_ = np.bincount(seg[side == 1], n[side == 1], len(starts))
         p = na / sa
         q = nb_ / sb
         m = (p + q) / 2.0
@@ -6218,18 +6186,14 @@ def q_token_js(sf_dir: str):
             tp = np.where(p > 0, 0.5 * p * np.log(p / m), 0.0)
             tq = np.where(q > 0, 0.5 * q * np.log(q / m), 0.0)
         micro = np.floor((tp + tq) * 1e9 + 0.5).astype(np.int64)
-        return pd.DataFrame(
-            {
-                "msum": [np.int64(micro.sum())],
-                "n_tokens": [np.int64(len(agg))],
-            }
-        )
+        return {"msum": [micro.sum()], "n_tokens": [len(starts)]}
 
-    fold = (
-        parts.groupby("__cg")
-        .map_groups(bucket_terms, batch_format="pandas")
-        .to_pandas()
-    )
+    fold = segment_apply(
+        parts,
+        "t",
+        bucket_terms,
+        pa.schema({"msum": pa.int64(), "n_tokens": pa.int64()}),
+    ).to_pandas()
     msum = int(fold["msum"].sum())
     n_tok = int(fold["n_tokens"].sum())
     js = np.floor(msum / 1e9 * 1e6 + 0.5) / 1e6  # js >= 0
@@ -6487,7 +6451,6 @@ def q_fd_check(sf_dir: str):
     import ray.data as rd
 
     names, nk, nv = [], [], []
-    nb = np.uint64(_resolve_buckets(None))
     for name, tbl, a_col, b_col in _FD_CHECKS:
         ds = rd.read_parquet(
             f"{sf_dir}/{tbl}.parquet", columns=[a_col, b_col]
@@ -6504,26 +6467,23 @@ def q_fd_check(sf_dir: str):
                     ).astype(object),
                 }
             ).drop_duplicates()
-            h = pd.util.hash_array(df["a"].to_numpy(object))
-            df["__cg"] = (h % nb).astype(np.int64)
             return pa.Table.from_pandas(df, preserve_index=False)
 
-        def fold(g: pd.DataFrame) -> pd.DataFrame:
-            d = g[["a", "b"]].drop_duplicates()
-            per = d.groupby("a", sort=False)["b"].nunique()
-            return pd.DataFrame(
-                {
-                    "n_keys": [np.int64(len(per))],
-                    "n_violating": [np.int64(int((per > 1).sum()))],
-                }
-            )
+        def fold(t: pa.Table, starts: np.ndarray) -> dict:
+            # distinct b per a: b ascends within each a segment
+            b = np.asarray(t["b"], dtype=object)
+            new_b = np.append(True, b[1:] != b[:-1])
+            new_b[starts] = True
+            per = np.add.reduceat(new_b.astype(np.int64), starts)
+            return {"n_keys": [len(per)], "n_violating": [int((per > 1).sum())]}
 
-        parts = (
-            ds.map_batches(part, batch_format="pyarrow")
-            .groupby("__cg")
-            .map_groups(fold, batch_format="pandas")
-            .to_pandas()
-        )
+        parts = segment_apply(
+            ds.map_batches(part, batch_format="pyarrow"),
+            "a",
+            fold,
+            pa.schema({"n_keys": pa.int64(), "n_violating": pa.int64()}),
+            order=("b",),
+        ).to_pandas()
         names.append(name)
         nk.append(int(parts["n_keys"].sum()))
         nv.append(int(parts["n_violating"].sum()))
@@ -6558,11 +6518,8 @@ def q_cross_snapshot_dups(sf_dir: str):
     first map; ONE coarse key-hash shuffle co-locates every copy of a
     key, so the old-side membership probe is exact in-bucket — no
     broadcast of the old corpus, no driver fold."""
-    import pandas as pd
 
     from ..text import md5_prefix_int
-
-    nb = np.uint64(_resolve_buckets(None))
 
     def part(b: pa.Table) -> pa.Table:
         did = np.asarray(b["doc_id"], np.int64)
@@ -6573,40 +6530,29 @@ def q_cross_snapshot_dups(sf_dir: str):
             "\x1f".join(TOKEN_RE.findall(t or "")[:4]) for t in texts
         ]
         h = md5_prefix_int(pa.array(pref, pa.string()), hexdigits=15)
-        k = h.astype(np.int64)
-        cg = ((h * np.uint64(2654435761)) % nb).astype(np.int64)
         return pa.table(
             {
                 "doc_id": pa.array(did),
                 "side": pa.array((did % 2).astype(np.int64)),
-                "k": pa.array(k),
-                "__cg": pa.array(cg),
+                "k": pa.array(h.astype(np.int64)),
             }
         )
 
-    def probe(g: pd.DataFrame) -> pd.DataFrame:
-        old = np.unique(
-            g.loc[g["side"] == 0, "k"].to_numpy(np.int64)
-        )
-        new = g[g["side"] == 1]
-        kk = new["k"].to_numpy(np.int64)
-        if len(old):
-            pos = np.minimum(np.searchsorted(old, kk), len(old) - 1)
-            hit = old[pos] == kk
-        else:
-            hit = np.zeros(len(kk), bool)
-        return pd.DataFrame(
-            {
-                "doc_id": new["doc_id"].to_numpy(np.int64),
-                "dup_of_old": hit,
-            }
-        )
+    def probe(t: pa.Table, starts: np.ndarray) -> dict:
+        side = np.asarray(t["side"], np.int64)
+        seg = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(side))))
+        has_old = np.bincount(seg[side == 0], minlength=len(starts)) > 0
+        new = side == 1
+        return {
+            "doc_id": np.asarray(t["doc_id"], np.int64)[new],
+            "dup_of_old": has_old[seg[new]],
+        }
 
-    return (
-        _docs(sf_dir, ("doc_id", "text"))
-        .map_batches(part, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(probe, batch_format="pandas")
+    return segment_apply(
+        _docs(sf_dir, ("doc_id", "text")).map_batches(part, batch_format="pyarrow"),
+        "k",
+        probe,
+        pa.schema({"doc_id": pa.int64(), "dup_of_old": pa.bool_()}),
     )
 
 
@@ -6654,9 +6600,9 @@ def q_dup_cluster_sizes(sf_dir: str):
             {"k": pa.array(ku), "val": pa.array(cnt.astype(np.int64))}
         )
 
-    from ..tfidf import _coarse_sum
+    from ..cluster import segment_sum
 
-    sizes = _coarse_sum(
+    sizes = segment_sum(
         _docs(sf_dir, ("doc_id", "text")).map_batches(
             hash_partial, batch_format="pyarrow"
         ),
@@ -8778,43 +8724,29 @@ def q_path_density(sf_dir: str):
 
     from .relational import events_od_paths
 
-    from ..joins import _bucket_of
-
     paths = events_od_paths(sf_dir, hex_size=HEX_SIZE)
-
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def partial(b: pa.Table) -> pa.Table:
         uid = np.asarray(b["user_id"], np.int64)
         key = _pack(np.asarray(b["hq"], np.int64), np.asarray(b["hr"], np.int64))
         # batch-local dedup shrinks the shuffle; exactness comes from the
         # second, bucket-level unique (a pair may straddle batches)
         pairs = np.unique(np.stack([key, uid], axis=1), axis=0)
-        mix = pairs[:, 0] ^ (pairs[:, 1] * np.int64(-7046029254386353131))
         return pa.table(
-            {
-                "hkey": pa.array(pairs[:, 0]),
-                "uid": pa.array(pairs[:, 1]),
-                "__b": pa.array(_bucket_of(mix, _nb_cap)),
-            }
+            {"hkey": pa.array(pairs[:, 0]), "uid": pa.array(pairs[:, 1])}
         )
 
-    def bucket_distinct(g: "pd.DataFrame") -> "pd.DataFrame":
-        import pandas as pd
-
-        arr = np.unique(
-            np.stack(
-                [g["hkey"].to_numpy(np.int64), g["uid"].to_numpy(np.int64)],
-                axis=1,
-            ),
-            axis=0,
-        )
-        u, c = np.unique(arr[:, 0], return_counts=True)
-        return pd.DataFrame({"hkey": u, "n": c.astype(np.int64)})
+    def bucket_distinct(t: pa.Table, starts: np.ndarray) -> dict:
+        # one segment per distinct (hkey, uid) pair
+        u, c = np.unique(np.asarray(t["hkey"], np.int64)[starts], return_counts=True)
+        return {"hkey": u, "n": c}
 
     agg = (
-        paths.map_batches(partial, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_distinct, batch_format="pandas")
+        segment_apply(
+            paths.map_batches(partial, batch_format="pyarrow"),
+            ["hkey", "uid"],
+            bucket_distinct,
+            pa.schema({"hkey": pa.int64(), "n": pa.int64()}),
+        )
         .groupby("hkey")
         .aggregate(Sum("n", alias_name="n_users"))
     )
@@ -10205,11 +10137,8 @@ def _traj_dp(sf_dir: str, kind: str, num_buckets: int | None = None):
     Scale shape: one user-hash coarse-bucket shuffle; inside a bucket the
     DP runs as L x 8 vectorized steps across ALL the bucket's users at
     once (no per-user Python dispatch)."""
-    num_buckets = _resolve_buckets(num_buckets)
     import pandas as pd
     import ray.data as rd
-
-    from ..joins import _bucket_of
 
     rx = np.array([p[0] for p in HAUS_REF])
     ry = np.array([p[1] for p in HAUS_REF])
@@ -10230,26 +10159,19 @@ def _traj_dp(sf_dir: str, kind: str, num_buckets: int | None = None):
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "x": pa.array(x),
                 "y": pa.array(y),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        x = g["x"].to_numpy(np.float64)
-        y = g["y"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, x, y = uid[order], x[order], y[order]
-        first = np.concatenate([[True], uid[1:] != uid[:-1]])
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        x = np.asarray(t["x"], np.float64)
+        y = np.asarray(t["y"], np.float64)
+        first = np.zeros(len(x), dtype=bool)
+        first[starts] = True
         gidx = np.cumsum(first) - 1
-        seq = np.arange(len(uid)) - np.flatnonzero(first)[gidx]
+        seq = np.arange(len(x)) - starts[gidx]
         keep = seq < TRAJ_L
-        uid, x, y, gidx, seq = (
-            uid[keep], x[keep], y[keep], gidx[keep], seq[keep]
-        )
-        users = uid[np.concatenate([[True], uid[1:] != uid[:-1]])]
+        x, y, gidx, seq = x[keep], y[keep], gidx[keep], seq[keep]
+        users = np.asarray(t["user_id"], np.int64)[starts]
         nu = len(users)
         lens = np.bincount(gidx, minlength=nu)
         # (nu, L) padded coordinate grids
@@ -10289,12 +10211,14 @@ def _traj_dp(sf_dir: str, kind: str, num_buckets: int | None = None):
             {"user_id": users, "n_pts": lens.astype(np.int64), "dist": rnd}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
-        .sort("user_id")
-    )
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema({"user_id": pa.int64(), "n_pts": pa.int64(), "dist": pa.float64()}),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
+    ).sort("user_id")
 
 
 def q_traj_frechet(sf_dir: str):
@@ -10839,11 +10763,8 @@ def q_knox_test(sf_dir: str):
     cell pass counts space/both pairs, a 1D time-bucket pass counts
     time pairs; all counts are exact integers, nothing but per-bucket
     partials ever shuffles."""
-    import pandas as pd
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts"]
@@ -10872,7 +10793,6 @@ def q_knox_test(sf_dir: str):
     pts = ds.map_batches(prep, batch_format="pyarrow").materialize()
 
     # --- spatial (and both) pairs: 3x3 ghost cells of size KNOX_DS ----
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def scat_xy(b: pa.Table) -> pa.Table:
         x = np.asarray(b["x"], np.float64)
         y = np.asarray(b["y"], np.float64)
@@ -10902,24 +10822,15 @@ def q_knox_test(sf_dir: str):
                 "pid": pa.array(np.concatenate(es)),
                 "pt": pa.array(np.concatenate(ts_)),
                 "own": pa.array(np.concatenate(ow)),
-                "__b": pa.array(_bucket_of(key, _nb_cap)),
             }
         )
 
-    def kern_xy(g: pd.DataFrame) -> pd.DataFrame:
-        ck = g["ckey"].to_numpy(np.int64)
-        px = g["px"].to_numpy(np.float64)
-        py = g["py"].to_numpy(np.float64)
-        pid = g["pid"].to_numpy(np.int64)
-        pt = g["pt"].to_numpy(np.int64)
-        own = g["own"].to_numpy(np.int8)
-        order = np.argsort(ck, kind="stable")
-        ck, px, py, pid, pt, own = (
-            ck[order], px[order], py[order], pid[order], pt[order],
-            own[order],
-        )
-        starts = np.flatnonzero(np.concatenate([[True], ck[1:] != ck[:-1]]))
-        ends = np.append(starts[1:], len(ck))
+    def kern_xy(t: pa.Table, starts: np.ndarray) -> dict:
+        px = np.asarray(t["px"], np.float64)
+        py = np.asarray(t["py"], np.float64)
+        pt = np.asarray(t["pt"], np.int64)
+        own = np.asarray(t["own"], np.int8)
+        ends = np.append(starts[1:], len(px))
         n_space = n_both = 0
         # Clustered inputs make dense own x block compares quadratic in
         # cluster size (tens of millions of pairs sit entirely inside
@@ -10995,17 +10906,15 @@ def q_knox_test(sf_dir: str):
                     n_both += int((dtv <= KNOX_DT).sum())
             n_space -= no
             n_both -= no
-        return pd.DataFrame({"n_space": [n_space], "n_both": [n_both]})
+        return {"n_space": [n_space], "n_both": [n_both]}
 
-    sp = (
-        pts.map_batches(scat_xy, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kern_xy, batch_format="pandas")
-        .sum(["n_space", "n_both"])
-    )
-
+    sp = segment_apply(
+        pts.map_batches(scat_xy, batch_format="pyarrow"),
+        "ckey",
+        kern_xy,
+        pa.schema({"n_space": pa.int64(), "n_both": pa.int64()}),
+    ).sum(["n_space", "n_both"])
     # --- temporal pairs: 1D ghost buckets of width KNOX_DT ------------
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def scat_t(b: pa.Table) -> pa.Table:
         eid = np.asarray(b["eid"], np.int64)
         us = np.asarray(b["us"], np.int64)
@@ -11023,19 +10932,13 @@ def q_knox_test(sf_dir: str):
                 "pid": pa.array(np.concatenate(es)),
                 "pt": pa.array(np.concatenate(ts_)),
                 "own": pa.array(np.concatenate(ow)),
-                "__b": pa.array(_bucket_of(key, _nb_cap)),
             }
         )
 
-    def kern_t(g: pd.DataFrame) -> pd.DataFrame:
-        tk = g["tkey"].to_numpy(np.int64)
-        pid = g["pid"].to_numpy(np.int64)
-        pt = g["pt"].to_numpy(np.int64)
-        own = g["own"].to_numpy(np.int8)
-        order = np.argsort(tk, kind="stable")
-        tk, pid, pt, own = tk[order], pid[order], pt[order], own[order]
-        starts = np.flatnonzero(np.concatenate([[True], tk[1:] != tk[:-1]]))
-        ends = np.append(starts[1:], len(tk))
+    def kern_t(t: pa.Table, starts: np.ndarray) -> dict:
+        pt = np.asarray(t["pt"], np.int64)
+        own = np.asarray(t["own"], np.int8)
+        ends = np.append(starts[1:], len(pt))
         n_time = 0
         cnt = 0
         # same self-pair closed form as the spatial kernel (pid unique);
@@ -11052,14 +10955,14 @@ def q_knox_test(sf_dir: str):
             lo = np.searchsorted(T, ot - KNOX_DT, side="left")
             n_time += int((hi - lo).sum()) - no
             cnt += no
-        return pd.DataFrame({"n_time": [n_time], "n": [cnt]})
+        return {"n_time": [n_time], "n": [cnt]}
 
-    tm = (
-        pts.map_batches(scat_t, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kern_t, batch_format="pandas")
-        .sum(["n_time", "n"])
-    )
+    tm = segment_apply(
+        pts.map_batches(scat_t, batch_format="pyarrow"),
+        "tkey",
+        kern_t,
+        pa.schema({"n_time": pa.int64(), "n": pa.int64()}),
+    ).sum(["n_time", "n"])
 
     import ray.data as rd2
 
@@ -11135,13 +11038,10 @@ def q_bearing_stats(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from ..joins import _bucket_of
-
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
     )
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def tag(b: pa.Table) -> pa.Table:
         uid = np.asarray(b["user_id"], np.int64)
         eid = np.asarray(pc.cast(b["event_id"], pa.int64()))
@@ -11153,22 +11053,15 @@ def q_bearing_stats(sf_dir: str):
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "x": pa.array(x),
                 "y": pa.array(y),
-                "__b": pa.array(_bucket_of(uid, _nb_cap)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        x = g["x"].to_numpy(np.float64)
-        y = g["y"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, x, y = uid[order], x[order], y[order]
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        uid = np.asarray(t["user_id"], np.int64)
         same = uid[1:] == uid[:-1]
         du = uid[1:][same]
-        dx = np.diff(x)[same]
-        dy = np.diff(y)[same]
+        dx = np.diff(np.asarray(t["x"], np.float64))[same]
+        dy = np.diff(np.asarray(t["y"], np.float64))[same]
         norm = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-12)
         cu = dx / norm
         su = dy / norm
@@ -11188,10 +11081,15 @@ def q_bearing_stats(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "n_steps": pa.int64(),
+             "mean_bearing": pa.float64(), "resultant": pa.float64()}
+        ),
+        order=("us", "event_id"),
     )
 
 
@@ -11250,7 +11148,6 @@ def q_st_dbscan(sf_dir: str):
     import ray.data as rd
 
     from ..dedup import connected_components
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts"]
@@ -11276,7 +11173,6 @@ def q_st_dbscan(sf_dir: str):
 
     pts = ds.map_batches(prep, batch_format="pyarrow").materialize()
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def scat(b: pa.Table) -> pa.Table:
         x = np.asarray(b["x"], np.float64)
         y = np.asarray(b["y"], np.float64)
@@ -11306,18 +11202,17 @@ def q_st_dbscan(sf_dir: str):
                 "pid": pa.array(np.concatenate(es)),
                 "pt": pa.array(np.concatenate(ts_)),
                 "own": pa.array(np.concatenate(ow)),
-                "__b": pa.array(_bucket_of(key, _nb_cap)),
             }
         )
 
-    def _cells(g: pd.DataFrame):
-        ck = g["ckey"].to_numpy(np.int64)
-        order = np.argsort(ck, kind="stable")
-        starts = np.flatnonzero(
-            np.concatenate([[True], ck[order][1:] != ck[order][:-1]])
+    def _cols(t: pa.Table):
+        return (
+            np.asarray(t["px"], np.float64),
+            np.asarray(t["py"], np.float64),
+            np.asarray(t["pid"], np.int64),
+            np.asarray(t["pt"], np.int64),
+            np.asarray(t["own"], np.int8),
         )
-        ends = np.append(starts[1:], len(ck))
-        return order, starts, ends
 
     # Micro-cell machinery (the Knox closed-form, per-owner variant):
     # sub-bucket each cell block at MC = eps/1.5; micro self-pairs are
@@ -11353,13 +11248,9 @@ def q_st_dbscan(sf_dir: str):
         mxy = (dmy + 1) * STDB_MC
         return 1 if mxx * mxx + mxy * mxy <= _HI_GATE else 0
 
-    def kern_count(g: pd.DataFrame) -> pd.DataFrame:
-        order, starts, ends = _cells(g)
-        px = g["px"].to_numpy(np.float64)[order]
-        py = g["py"].to_numpy(np.float64)[order]
-        pid = g["pid"].to_numpy(np.int64)[order]
-        pt = g["pt"].to_numpy(np.int64)[order]
-        own = g["own"].to_numpy(np.int8)[order]
+    def kern_count(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        px, py, pid, pt, own = _cols(t)
+        ends = np.append(starts[1:], len(px))
         ids, cnts = [], []
         for s, e in zip(starts, ends):
             o = own[s:e] > 0
@@ -11412,9 +11303,11 @@ def q_st_dbscan(sf_dir: str):
         )
 
     scattered = pts.map_batches(scat, batch_format="pyarrow")
-    counts = (
-        scattered.groupby("__b")
-        .map_groups(kern_count, batch_format="pandas")
+    counts = segment_apply(
+        scattered,
+        "ckey",
+        kern_count,
+        pa.schema({"eid": pa.int64(), "cnt": pa.int64()}),
     )
     core_tbl = pa.concat_tables(
         counts.iter_batches(batch_size=None, batch_format="pyarrow")
@@ -11423,13 +11316,9 @@ def q_st_dbscan(sf_dir: str):
     cc_ = np.asarray(core_tbl["cnt"], np.int64)
     core_ids = np.sort(ce[cc_ >= STDB_MINPTS])
 
-    def kern_edges(g: pd.DataFrame, core=core_ids) -> pd.DataFrame:
-        order, starts, ends = _cells(g)
-        px = g["px"].to_numpy(np.float64)[order]
-        py = g["py"].to_numpy(np.float64)[order]
-        pid = g["pid"].to_numpy(np.int64)[order]
-        pt = g["pt"].to_numpy(np.int64)[order]
-        own = g["own"].to_numpy(np.int8)[order]
+    def kern_edges(t: pa.Table, starts: np.ndarray, core=core_ids) -> pd.DataFrame:
+        px, py, pid, pt, own = _cols(t)
+        ends = np.append(starts[1:], len(px))
         if len(core):
             pos = np.clip(np.searchsorted(core, pid), 0, len(core) - 1)
             is_core = core[pos] == pid
@@ -11550,8 +11439,11 @@ def q_st_dbscan(sf_dir: str):
     scattered_core = pts.map_batches(
         only_core, batch_format="pyarrow"
     ).map_batches(scat, batch_format="pyarrow")
-    edges = scattered_core.groupby("__b").map_groups(
-        kern_edges, batch_format="pandas"
+    edges = segment_apply(
+        scattered_core,
+        "ckey",
+        kern_edges,
+        pa.schema({"id_a": pa.int64(), "id_b": pa.int64()}),
     )
     comp = connected_components(edges)
     batches = list(comp.iter_batches(batch_size=None, batch_format="pyarrow"))
@@ -11640,15 +11532,12 @@ def q_traj_simplify(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from ..joins import _bucket_of
-
     eps2 = SIMP_EPS * SIMP_EPS
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
     )
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def tag(b: pa.Table) -> pa.Table:
         uid = np.asarray(b["user_id"], np.int64)
         eid = np.asarray(pc.cast(b["event_id"], pa.int64()))
@@ -11660,26 +11549,19 @@ def q_traj_simplify(sf_dir: str):
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "x": pa.array(x),
                 "y": pa.array(y),
-                "__b": pa.array(_bucket_of(uid, _nb_cap)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        x = g["x"].to_numpy(np.float64)
-        y = g["y"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, x, y = uid[order], x[order], y[order]
-        first = np.concatenate([[True], uid[1:] != uid[:-1]])
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        x = np.asarray(t["x"], np.float64)
+        y = np.asarray(t["y"], np.float64)
+        first = np.zeros(len(x), dtype=bool)
+        first[starts] = True
         gidx = np.cumsum(first) - 1
-        seq = np.arange(len(uid)) - np.flatnonzero(first)[gidx]
+        seq = np.arange(len(x)) - starts[gidx]
         keep = seq < TRAJ_L
-        uid, x, y, gidx, seq = (
-            uid[keep], x[keep], y[keep], gidx[keep], seq[keep]
-        )
-        users = uid[np.concatenate([[True], uid[1:] != uid[:-1]])]
+        x, y, gidx, seq = x[keep], y[keep], gidx[keep], seq[keep]
+        users = np.asarray(t["user_id"], np.int64)[starts]
         nu = len(users)
         lens = np.bincount(gidx, minlength=nu)
         gx = np.full((nu, TRAJ_L), np.nan)
@@ -11721,10 +11603,15 @@ def q_traj_simplify(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "seq": pa.int64(), "x": pa.float64(),
+             "y": pa.float64()}
+        ),
+        order=("us", "event_id"),
     )
 
 
@@ -13193,69 +13080,15 @@ def q_hex_cusum(sf_dir: str):
     composite aggregate, one coarse bucket pass whose scan loops over
     week ordinals (a handful) vectorized across all hexes."""
     import pandas as pd
-    import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from ..hex import _pack, _unpack, hex_axial
-    from ..joins import _bucket_of
+    from ..hex import _unpack
+    from .relational import _hex_week_counts
 
-    WEEK_US = 7 * 86_400_000_000
+    agg = _hex_week_counts(sf_dir, HEX_SIZE)
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts"]
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        eid = np.asarray(pc.cast(b["event_id"], pa.int64()))
-        us = np.asarray(
-            pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64())
-        )
-        week = us // WEEK_US
-        x, y = derive_xy(eid)
-        hkey = _pack(*hex_axial(x, y, HEX_SIZE))
-        order = np.lexsort((week, hkey))
-        hs, ws = hkey[order], week[order]
-        bound = np.concatenate(
-            [[True], (hs[1:] != hs[:-1]) | (ws[1:] != ws[:-1])]
-        )
-        s = np.flatnonzero(bound)
-        n = np.diff(np.append(s, len(hs)))
-        return pa.table(
-            {
-                "hkey": pa.array(hs[s]),
-                "week": pa.array(ws[s]),
-                "n": pa.array(n.astype(np.int64)),
-            }
-        )
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["hkey", "week"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
-    def tag(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hkey": pa.array([], pa.int64()),
-                    "week": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "__b": pa.array([], pa.int64()),
-                }
-            )
-        k = np.asarray(b["hkey"], np.int64)
-        return b.append_column("__b", pa.array(_bucket_of(k, _nb_cap)))
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        k = g["hkey"].to_numpy(np.int64)
-        w = g["week"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.int64)
-        order = np.lexsort((w, k))
-        k, n = k[order], n[order]
-        bound = np.concatenate([[True], k[1:] != k[:-1]])
-        starts = np.flatnonzero(bound)
+    def kernel(tb: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        k = np.asarray(tb["hkey"], np.int64)
+        n = np.asarray(tb["n"], np.int64)
         L = np.diff(np.append(starts, len(k)))
         seg = np.repeat(np.arange(len(starts)), L)
         mu = np.bincount(seg, weights=n.astype(np.float64)) / L
@@ -13287,10 +13120,15 @@ def q_hex_cusum(sf_dir: str):
             }
         )
 
-    return (
-        agg.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        agg,
+        "hkey",
+        kernel,
+        pa.schema(
+            {"hq": pa.int64(), "hr": pa.int64(), "n_weeks": pa.int64(),
+             "peak": pa.float64(), "peak_week": pa.int64()}
+        ),
+        order=("week",),
     )
 
 
@@ -13607,17 +13445,13 @@ def q_ipf_balance(sf_dir: str):
     endpoints; the 81-cell matrix balances on the driver (margins are
     region-scale — the broadcast-state superstep path at finer
     partitions)."""
-    import pandas as pd
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
     )
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def tag(b: pa.Table) -> pa.Table:
         uid = np.asarray(b["user_id"], np.int64)
         eid = np.asarray(pc.cast(b["event_id"], pa.int64()))
@@ -13632,31 +13466,23 @@ def q_ipf_balance(sf_dir: str):
                 "event_id": pa.array(eid),
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "reg": pa.array(reg),
-                "__b": pa.array(_bucket_of(uid, _nb_cap)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        reg = g["reg"].to_numpy(np.int64)
-        order = np.lexsort((eid, us, uid))
-        uid, reg = uid[order], reg[order]
-        first = np.concatenate([[True], uid[1:] != uid[:-1]])
-        last = np.concatenate([uid[1:] != uid[:-1], [True]])
-        o = reg[first]
-        d = reg[last]
-        key = o * 9 + d
-        u, c = np.unique(key, return_counts=True)
-        return pd.DataFrame(
-            {"od": u, "n": c.astype(np.int64)}
-        )
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        reg = np.asarray(t["reg"], np.int64)
+        last = np.append(starts[1:], len(reg)) - 1
+        u, c = np.unique(reg[starts] * 9 + reg[last], return_counts=True)
+        return {"od": u, "n": c}
 
     flows = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            ds.map_batches(tag, batch_format="pyarrow"),
+            "user_id",
+            kernel,
+            pa.schema({"od": pa.int64(), "n": pa.int64()}),
+            order=("us", "event_id"),
+        )
         .groupby("od")
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -13849,17 +13675,13 @@ def q_movement_entropy(sf_dir: str):
     Scale shape: the one-coarse-bucket trajectory plan emitting integer
     (from, to) transition combiners; the 81-cell table folds on the
     driver."""
-    import pandas as pd
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
     )
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def tag(b: pa.Table) -> pa.Table:
         uid = np.asarray(b["user_id"], np.int64)
         eid = np.asarray(pc.cast(b["event_id"], pa.int64()))
@@ -13874,26 +13696,24 @@ def q_movement_entropy(sf_dir: str):
                 "event_id": pa.array(eid),
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "reg": pa.array(reg),
-                "__b": pa.array(_bucket_of(uid, _nb_cap)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        reg = g["reg"].to_numpy(np.int64)
-        order = np.lexsort((eid, us, uid))
-        uid, reg = uid[order], reg[order]
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        uid = np.asarray(t["user_id"], np.int64)
+        reg = np.asarray(t["reg"], np.int64)
         same = uid[1:] == uid[:-1]
-        key = reg[:-1][same] * 9 + reg[1:][same]
-        u, c = np.unique(key, return_counts=True)
-        return pd.DataFrame({"ft": u, "n": c.astype(np.int64)})
+        u, c = np.unique(reg[:-1][same] * 9 + reg[1:][same], return_counts=True)
+        return {"ft": u, "n": c}
 
     agg = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            ds.map_batches(tag, batch_format="pyarrow"),
+            "user_id",
+            kernel,
+            pa.schema({"ft": pa.int64(), "n": pa.int64()}),
+            order=("us", "event_id"),
+        )
         .groupby("ft")
         .aggregate(Sum("n", alias_name="n"))
     )

@@ -13,7 +13,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import (
+    Broadcast,
+    resolve_num_buckets as _resolve_buckets,
+    segment_apply,
+)
+from pygridmap_ray.synth import KNUTH_MULT
 
 US_PER_HOUR = 3_600_000_000
 US_SESSION_GAP = 1_800_000_000  # 30 min
@@ -69,10 +74,7 @@ def events_sessionize(sf_dir: str, *, num_buckets: int | None = None):
     Never a per-user group: a fine ``groupby(user_id).map_groups`` costs
     ~1 ms Python PER USER (the repo's documented rule), which at 10^8
     users is days; this plan's per-user cost is a few sorted-array ops."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
@@ -88,36 +90,29 @@ def events_sessionize(sf_dir: str, *, num_buckets: int | None = None):
                 "user_id": pa.array(uid),
                 "event_id": pc.cast(b["event_id"], pa.int64()),
                 "us": us,
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        order = np.lexsort((eid, us, uid))
-        uid, us = uid[order], us[order]
-        user_change = np.empty(len(uid), dtype=bool)
-        user_change[0] = True
-        user_change[1:] = uid[1:] != uid[:-1]
-        gaps = np.diff(us, prepend=us[0])
-        new_sess = user_change | (gaps > US_SESSION_GAP)
-        starts = np.flatnonzero(user_change)
-        n_events = np.diff(np.append(starts, len(uid)))
-        n_sessions = np.add.reduceat(new_sess.astype(np.int64), starts)
-        return pd.DataFrame(
-            {
-                "user_id": uid[starts],
-                "n_events": n_events,
-                "n_sessions": n_sessions,
-            }
-        )
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        us = np.asarray(t["us"], np.int64)
+        new_sess = np.diff(us, prepend=us[0]) > US_SESSION_GAP
+        new_sess[starts] = True
+        return {
+            "user_id": np.asarray(t["user_id"], np.int64)[starts],
+            "n_events": np.diff(np.append(starts, len(us))),
+            "n_sessions": np.add.reduceat(new_sess.astype(np.int64), starts),
+        }
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "n_events": pa.int64(),
+             "n_sessions": pa.int64()}
+        ),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -369,8 +364,6 @@ def events_funnel(sf_dir: str, stages: tuple[str, ...] = FUNNEL_STAGES,
     ties law-exact."""
     import ray.data as rd
 
-    from ..joins import _bucket_of
-
     ev = rd.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_type", "value"],
@@ -382,15 +375,9 @@ def events_funnel(sf_dir: str, stages: tuple[str, ...] = FUNNEL_STAGES,
         batch_format="pyarrow",
     )
 
-    nb = _resolve_buckets(None)  # driver-resolved once, captured below
-
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "__b", pa.array(_bucket_of(np.asarray(b["user_id"]), nb))
-        )
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        users = np.unique(g["user_id"].to_numpy(dtype=np.int64))
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        g = t.to_pandas()
+        users = g["user_id"].to_numpy(dtype=np.int64)[starts]
         reached = pd.Series(
             np.zeros(len(users), dtype=np.int64), index=users
         )
@@ -411,10 +398,9 @@ def events_funnel(sf_dir: str, stages: tuple[str, ...] = FUNNEL_STAGES,
             {"user_id": users, "stage": reached.to_numpy()}
         )
 
-    return (
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ev, "user_id", kernel,
+        pa.schema({"user_id": pa.int64(), "stage": pa.int64()}),
     )
 
 
@@ -474,10 +460,7 @@ def events_retention(sf_dir: str, *, num_buckets: int | None = None):
     plan's user→cohort hash join and per-(cohort,week,user) distinct
     groupby (~1 ms Python per group) are both gone.
     Integer week ids (epoch_us // WEEK_US) keep the law hash-exact."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
-
-    from ..joins import _bucket_of
 
     ev = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
@@ -499,41 +482,36 @@ def events_retention(sf_dir: str, *, num_buckets: int | None = None):
         ):
             raise ValueError("user/week id out of packed range")
         k = np.unique((uid << _WEEK_BITS) | week)
-        return pa.table(
-            {
-                "k": pa.array(k),
-                "__b": pa.array(_bucket_of(k >> _WEEK_BITS, num_buckets)),
-            }
-        )
+        return pa.table({"user_id": pa.array(k >> _WEEK_BITS), "k": pa.array(k)})
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        k = np.unique(g["k"].to_numpy(np.int64))  # global (user, week) set
-        uid = k >> _WEEK_BITS
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        # sorted by (user, week); a pair may repeat across batches
+        k = np.asarray(t["k"], np.int64)
         week = k & ((1 << _WEEK_BITS) - 1)
-        # k is sorted, so each user's first row holds its min week
-        starts = np.empty(len(k), dtype=bool)
-        starts[0] = True
-        starts[1:] = uid[1:] != uid[:-1]
-        cohort = week[starts][np.cumsum(starts) - 1]
-        cw = (cohort << _WEEK_BITS) | week
+        # each user's first row holds its min week
+        cohort = np.repeat(week[starts], np.diff(np.append(starts, len(k))))
+        first = np.append(True, k[1:] != k[:-1])
+        cw = ((cohort << _WEEK_BITS) | week)[first]
         pairs, n = np.unique(cw, return_counts=True)
-        return pd.DataFrame(
-            {
-                "cohort_week": (pairs >> _WEEK_BITS) - _WEEK_BIAS,
-                "week": (pairs & ((1 << _WEEK_BITS) - 1)) - _WEEK_BIAS,
-                "n": n.astype(np.int64),
-            }
-        )
+        return {
+            "cohort_week": (pairs >> _WEEK_BITS) - _WEEK_BIAS,
+            "week": (pairs & ((1 << _WEEK_BITS) - 1)) - _WEEK_BIAS,
+            "n": n,
+        }
 
     # weeks^2-sized partials (<= num_buckets x weeks^2 rows): a Ray
     # aggregate pays ~1 s fixed overhead on a driver-fold-sized input
     # (the events_watermark finding), so the finish folds on the driver
-    part = (
-        ev.map_batches(pack, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
-        .to_pandas()
-    )
+    part = segment_apply(
+        ev.map_batches(pack, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"cohort_week": pa.int64(), "week": pa.int64(), "n": pa.int64()}
+        ),
+        order=("k",),
+        num_buckets=num_buckets,
+    ).to_pandas()
     agg = (
         part.groupby(["cohort_week", "week"], sort=True)["n"]
         .sum()
@@ -569,11 +547,8 @@ def events_transitions(sf_dir: str, *, num_buckets: int | None = None):
     then the (src, dst) pairs (LOW-cardinality: event types squared)
     feed the one small built-in groupby.  Never a per-user group and the
     strings never shuffle twice: types are factorized per bucket."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -589,36 +564,32 @@ def events_transitions(sf_dir: str, *, num_buckets: int | None = None):
                 "event_id": pc.cast(b["event_id"], pa.int64()),
                 "us": us,
                 "event_type": pc.cast(b["event_type"], pa.string()),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        codes, cats = pd.factorize(g["event_type"], sort=True)
-        order = np.lexsort((eid, us, uid))
-        uid, codes = uid[order], codes[order]
-        if len(uid) < 2:
-            return pd.DataFrame({"src": [], "dst": [], "n": []}).astype(
-                {"src": str, "dst": str, "n": np.int64}
-            )
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        uid = np.asarray(t["user_id"], np.int64)
+        codes, cats = pd.factorize(
+            np.asarray(t["event_type"], dtype=object), sort=True
+        )
         same_user = uid[1:] == uid[:-1]
         pair = codes[:-1].astype(np.int64) * len(cats) + codes[1:]
         pk, pn = np.unique(pair[same_user], return_counts=True)
-        return pd.DataFrame(
-            {
-                "src": cats[(pk // len(cats))],
-                "dst": cats[(pk % len(cats))],
-                "n": pn.astype(np.int64),
-            }
-        )
+        return {
+            "src": cats[(pk // len(cats))],
+            "dst": cats[(pk % len(cats))],
+            "n": pn,
+        }
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            ds.map_batches(tag, batch_format="pyarrow"),
+            "user_id",
+            kernel,
+            pa.schema({"src": pa.string(), "dst": pa.string(), "n": pa.int64()}),
+            order=("us", "event_id"),
+            num_buckets=num_buckets,
+        )
         .groupby(["src", "dst"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -646,10 +617,8 @@ def events_ewma(sf_dir: str, *, num_buckets: int | None = None):
     weighting (no per-user Python).  alpha = 0.5 keeps every weight an
     exact binary power so the numpy and SQL laws agree bit-for-bit
     before the shared 6dp rounding."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
 
-    from ..joins import _bucket_of
     from .queries import round_half_away
 
     ds = rd.read_parquet(
@@ -666,33 +635,30 @@ def events_ewma(sf_dir: str, *, num_buckets: int | None = None):
                 "event_id": pc.cast(b["event_id"], pa.int64()),
                 "us": us,
                 "value": pc.cast(b["value"], pa.float64()),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        val = g["value"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, val = uid[order], val[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], uid[1:] != uid[:-1]])
-        )
-        seg_len = np.diff(np.append(starts, len(uid)))
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        val = np.asarray(t["value"], np.float64)
+        seg_len = np.diff(np.append(starts, len(val)))
         # k = age in events (0 = newest); position within segment
-        pos = np.arange(len(uid)) - np.repeat(starts, seg_len)
+        pos = np.arange(len(val)) - np.repeat(starts, seg_len)
         k = np.repeat(seg_len, seg_len) - 1 - pos
         w = np.power(0.5, k.astype(np.float64))  # exact binary powers
         num = np.add.reduceat(val * w, starts)
         den = np.add.reduceat(w, starts)
-        return pd.DataFrame({"user_id": uid[starts], "ewma": num / den})
+        return {
+            "user_id": np.asarray(t["user_id"], np.int64)[starts],
+            "ewma": num / den,
+        }
 
-    out = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    out = segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema({"user_id": pa.int64(), "ewma": pa.float64()}),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
     )
     return out.map_batches(
         lambda b: round_half_away(b, ["ewma"], 6), batch_format="pyarrow"
@@ -728,7 +694,6 @@ def events_rolling_users(sf_dir: str, *, num_buckets: int | None = None):
     unique, then only LOW-cardinality (day, partial-count) rows reach
     the built-in groupby.  Day uses the truncate-toward-zero law so the
     numpy and DuckDB ``//`` agree on pre-1970 timestamps."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -752,22 +717,21 @@ def events_rolling_users(sf_dir: str, *, num_buckets: int | None = None):
             (np.repeat(d0, ROLLING_DAYS) + j + DOFF) * (np.int64(1) << 31)
             + np.repeat(u0, ROLLING_DAYS)
         )
-        cg = (
-            (wk.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return pa.table({"k": pa.array(wk), "__cg": pa.array(cg)})
+        return pa.table({"k": pa.array(wk)})
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = np.unique(g["k"].to_numpy(np.int64))
-        day = (k >> 31) - DOFF
+    def per_bucket(t: pa.Table, starts: np.ndarray) -> dict:
+        day = (np.asarray(t["k"], np.int64)[starts] >> 31) - DOFF
         dval, dcnt = np.unique(day, return_counts=True)
-        return pd.DataFrame({"wday": dval, "n": dcnt.astype(np.int64)})
+        return {"wday": dval, "n": dcnt}
 
     return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(per_bucket, batch_format="pandas")
+        segment_apply(
+            ds.map_batches(explode, batch_format="pyarrow"),
+            "k",
+            per_bucket,
+            pa.schema({"wday": pa.int64(), "n": pa.int64()}),
+            num_buckets=num_buckets,
+        )
         .groupby("wday")
         .aggregate(Sum("n", alias_name="n_users"))
     )
@@ -798,10 +762,7 @@ def events_gap_fill(sf_dir: str, *, num_buckets: int | None = None):
     single vectorized per-bucket pass: lexsort, per-(user, day) last
     value, per-user day grids via repeat+arange, ``searchsorted``
     carry-forward.  Day uses the truncate-toward-zero law."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -820,18 +781,13 @@ def events_gap_fill(sf_dir: str, *, num_buckets: int | None = None):
                 "us": us,
                 "day": pa.array(day),
                 "value": pc.cast(b["value"], pa.float64()),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        day = g["day"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        val = g["value"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, day, uid))
-        uid, day, val = uid[order], day[order], val[order]
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        uid = np.asarray(t["user_id"], np.int64)
+        day = np.asarray(t["day"], np.int64)
+        val = np.asarray(t["value"], np.float64)
         # last row per (user, day): the latest (ts, event_id) wins
         last = np.concatenate(
             [(uid[1:] != uid[:-1]) | (day[1:] != day[:-1]), [True]]
@@ -867,10 +823,15 @@ def events_gap_fill(sf_dir: str, *, num_buckets: int | None = None):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "day": pa.int64(), "value": pa.float64()}
+        ),
+        order=("day", "us", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -912,10 +873,8 @@ def events_trajectory(sf_dir: str, *, num_buckets: int | None = None):
     half-away to 2dp (sums of ~1e5-magnitude steps: the step dwarfs
     summation-order ulp noise on both sides).
     """
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
 
-    from ..joins import _bucket_of
     from ..synth import derive_xy
 
     ds = rd.read_parquet(
@@ -933,41 +892,40 @@ def events_trajectory(sf_dir: str, *, num_buckets: int | None = None):
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "x": pa.array(x),
                 "y": pa.array(y),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        x = g["x"].to_numpy(np.float64)
-        y = g["y"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, x, y = uid[order], x[order], y[order]
-        starts = np.concatenate([[True], uid[1:] != uid[:-1]])
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        x = np.asarray(t["x"], np.float64)
+        y = np.asarray(t["y"], np.float64)
+        first = np.zeros(len(x), dtype=bool)
+        first[starts] = True
         dx = np.diff(x)
         dy = np.diff(y)
         step = np.sqrt(dx * dx + dy * dy)
         # zero out steps that cross a user boundary
-        step = np.where(starts[1:], 0.0, step)
-        inv = np.cumsum(starts) - 1
-        n_users = int(inv[-1]) + 1 if len(inv) else 0
-        path = np.bincount(inv[1:], weights=step, minlength=n_users)
-        n_events = np.bincount(inv, minlength=n_users).astype(np.int64)
+        step = np.where(first[1:], 0.0, step)
+        inv = np.cumsum(first) - 1
+        path = np.bincount(inv[1:], weights=step, minlength=len(starts))
         path = np.sign(path) * np.floor(np.abs(path) * 1e2 + 0.5) / 1e2
         return pd.DataFrame(
             {
-                "user_id": uid[starts],
-                "n_events": n_events,
+                "user_id": np.asarray(t["user_id"], np.int64)[starts],
+                "n_events": np.diff(np.append(starts, len(x))),
                 "path_len": path,
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "n_events": pa.int64(),
+             "path_len": pa.float64()}
+        ),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -993,6 +951,57 @@ FROM d GROUP BY user_id
 """
 
 
+def _od_flows(sf_dir: str, hex_size: float, num_buckets: int | None):
+    """Users per (origin hex, destination hex) of their first and last
+    event by (ts, event_id): one coarse user-hash exchange whose kernel
+    emits partial (okey, dkey, n) counts, then a composite-key sum."""
+    import ray.data as rd
+    from ray.data.aggregate import Sum
+
+    from ..hex import _pack, hex_axial
+    from ..synth import derive_xy
+
+    ds = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
+    )
+
+    def tag(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "user_id": pc.cast(b["user_id"], pa.int64()),
+                "event_id": pc.cast(b["event_id"], pa.int64()),
+                "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
+            }
+        )
+
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        eid = np.asarray(t["event_id"], np.int64)
+        ends = np.append(starts[1:], len(eid)) - 1
+        ox, oy = derive_xy(eid[starts])
+        dx, dy = derive_xy(eid[ends])
+        okey = _pack(*hex_axial(ox, oy, hex_size))
+        dkey = _pack(*hex_axial(dx, dy, hex_size))
+        po = np.lexsort((dkey, okey))
+        ok, dk = okey[po], dkey[po]
+        bound = np.concatenate([[True], (ok[1:] != ok[:-1]) | (dk[1:] != dk[:-1])])
+        s = np.flatnonzero(bound)
+        n = np.diff(np.append(s, len(ok)))
+        return pd.DataFrame({"okey": ok[s], "dkey": dk[s], "n": n})
+
+    return (
+        segment_apply(
+            ds.map_batches(tag, batch_format="pyarrow"),
+            "user_id",
+            kernel,
+            pa.schema({"okey": pa.int64(), "dkey": pa.int64(), "n": pa.int64()}),
+            order=("us", "event_id"),
+            num_buckets=num_buckets,
+        )
+        .groupby(["okey", "dkey"])
+        .aggregate(Sum("n", alias_name="n_users"))
+    )
+
+
 def events_od_matrix(sf_dir: str, *, hex_size: float, num_buckets: int | None = None):
     """Origin-destination flow matrix over the hex lattice: each user's
     FIRST and LAST event (by ts, event_id) become origin/destination
@@ -1004,57 +1013,10 @@ def events_od_matrix(sf_dir: str, *, hex_size: float, num_buckets: int | None = 
     emits (okey, dkey, n) partial counts; a tiny composite-key hash
     aggregate finishes.  Raw events never shuffle twice, never a
     per-user group."""
-    num_buckets = _resolve_buckets(num_buckets)
-    import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from ..hex import _pack, _unpack, hex_axial
-    from ..joins import _bucket_of
-    from ..synth import derive_xy
+    from ..hex import _unpack
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
-    )
-
-    def tag(b: pa.Table) -> pa.Table:
-        uid = np.asarray(b["user_id"], np.int64)
-        return pa.table(
-            {
-                "user_id": pa.array(uid),
-                "event_id": pc.cast(b["event_id"], pa.int64()),
-                "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
-            }
-        )
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        order = np.lexsort((eid, us, uid))
-        uid, eid = uid[order], eid[order]
-        starts = np.concatenate([[True], uid[1:] != uid[:-1]])
-        ends = np.concatenate([uid[1:] != uid[:-1], [True]])
-        ox, oy = derive_xy(eid[starts])
-        dx, dy = derive_xy(eid[ends])
-        okey = _pack(*hex_axial(ox, oy, hex_size))
-        dkey = _pack(*hex_axial(dx, dy, hex_size))
-        po = np.lexsort((dkey, okey))
-        ok, dk = okey[po], dkey[po]
-        bound = np.concatenate([[True], (ok[1:] != ok[:-1]) | (dk[1:] != dk[:-1])])
-        s = np.flatnonzero(bound)
-        n = np.diff(np.append(s, len(ok)))
-        return pd.DataFrame(
-            {"okey": ok[s], "dkey": dk[s], "n": n.astype(np.int64)}
-        )
-
-    agg = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
-        .groupby(["okey", "dkey"])
-        .aggregate(Sum("n", alias_name="n_users"))
-    )
+    agg = _od_flows(sf_dir, hex_size, num_buckets)
 
     def finish(b: pa.Table) -> pa.Table:
         if b.num_columns == 0 or b.num_rows == 0:
@@ -1120,11 +1082,9 @@ def events_hex_dwell(sf_dir: str, *, hex_size: float, num_buckets: int | None = 
     (run lengths, then per-user max via ``np.maximum.at``) — the
     vectorized replacement for the SQL double-ROW_NUMBER islands trick.
     """
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
 
     from ..hex import _pack, hex_axial
-    from ..joins import _bucket_of
     from ..synth import derive_xy
 
     ds = rd.read_parquet(
@@ -1142,32 +1102,30 @@ def events_hex_dwell(sf_dir: str, *, hex_size: float, num_buckets: int | None = 
                 "event_id": pa.array(eid),
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "hkey": pa.array(hkey),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        k = g["hkey"].to_numpy(np.int64)
-        order = np.lexsort((eid, us, uid))
-        uid, k = uid[order], k[order]
-        starts = np.concatenate([[True], uid[1:] != uid[:-1]])
-        new_run = starts | np.concatenate([[True], k[1:] != k[:-1]])
-        run_id = np.cumsum(new_run) - 1
-        run_len = np.bincount(run_id)
-        user_inv = np.cumsum(starts) - 1
-        run_user = user_inv[new_run]
-        n_users = int(user_inv[-1]) + 1 if len(user_inv) else 0
-        longest = np.zeros(n_users, dtype=np.int64)
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        k = np.asarray(t["hkey"], np.int64)
+        first = np.zeros(len(k), dtype=bool)
+        first[starts] = True
+        new_run = first | np.concatenate([[True], k[1:] != k[:-1]])
+        run_len = np.bincount(np.cumsum(new_run) - 1)
+        run_user = (np.cumsum(first) - 1)[new_run]
+        longest = np.zeros(len(starts), dtype=np.int64)
         np.maximum.at(longest, run_user, run_len)
-        return pd.DataFrame({"user_id": uid[starts], "max_run": longest})
+        return pd.DataFrame(
+            {"user_id": np.asarray(t["user_id"], np.int64)[starts],
+             "max_run": longest}
+        )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema({"user_id": pa.int64(), "max_run": pa.int64()}),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -1206,11 +1164,9 @@ def events_step_bearings(sf_dir: str, *, num_buckets: int | None = None):
     each bucket emits ONE 8-cell bincount partial.  Sector boundaries
     are irrational for the synth points, so libm atan2 ulps cannot flip
     a sector (measure-zero law, same footing as the haversine ops)."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..joins import _bucket_of
     from ..synth import derive_xy
 
     ds = rd.read_parquet(
@@ -1228,21 +1184,14 @@ def events_step_bearings(sf_dir: str, *, num_buckets: int | None = None):
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "x": pa.array(x),
                 "y": pa.array(y),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        x = g["x"].to_numpy(np.float64)
-        y = g["y"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, x, y = uid[order], x[order], y[order]
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        uid = np.asarray(t["user_id"], np.int64)
         same = uid[1:] == uid[:-1]
-        dx = np.diff(x)[same]
-        dy = np.diff(y)[same]
+        dx = np.diff(np.asarray(t["x"], np.float64))[same]
+        dy = np.diff(np.asarray(t["y"], np.float64))[same]
         deg = np.arctan2(dy, dx) * (180.0 / np.pi)
         sector = np.floor(((deg + 360.0) % 360.0) / 45.0).astype(np.int64)
         n = np.bincount(sector, minlength=8).astype(np.int64)
@@ -1251,9 +1200,14 @@ def events_step_bearings(sf_dir: str, *, num_buckets: int | None = None):
         )
 
     agg = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            ds.map_batches(tag, batch_format="pyarrow"),
+            "user_id",
+            kernel,
+            pa.schema({"sector": pa.int64(), "n_steps": pa.int64()}),
+            order=("us", "event_id"),
+            num_buckets=num_buckets,
+        )
         .groupby("sector")
         .aggregate(Sum("n_steps", alias_name="n_steps"))
     )
@@ -1302,10 +1256,8 @@ def events_session_paths(sf_dir: str, *, num_buckets: int | None = None):
     gap flags, per-session step sums that never cross a session
     boundary.  session_idx is 1-based within each user (the SQL running
     SUM law).  path_len rounded half-away to 2dp."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
 
-    from ..joins import _bucket_of
     from ..synth import derive_xy
 
     ds = rd.read_parquet(
@@ -1323,29 +1275,21 @@ def events_session_paths(sf_dir: str, *, num_buckets: int | None = None):
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "x": pa.array(x),
                 "y": pa.array(y),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        x = g["x"].to_numpy(np.float64)
-        y = g["y"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, us, x, y = uid[order], us[order], x[order], y[order]
-        user_change = np.empty(len(uid), dtype=bool)
-        user_change[0] = True
-        user_change[1:] = uid[1:] != uid[:-1]
-        gaps = np.diff(us, prepend=us[0])
-        new_sess = user_change | (gaps > US_SESSION_GAP)
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        uid = np.asarray(t["user_id"], np.int64)
+        us = np.asarray(t["us"], np.int64)
+        x = np.asarray(t["x"], np.float64)
+        y = np.asarray(t["y"], np.float64)
+        new_sess = np.diff(us, prepend=us[0]) > US_SESSION_GAP
+        new_sess[starts] = True
         # 1-based session index within user: cumulative new_sess minus
         # the cumulative count at the user's first row (its own flag
         # makes the first session 1)
         cums = np.cumsum(new_sess)
-        ustart = np.flatnonzero(user_change)
-        base = np.repeat(cums[ustart] - 1, np.diff(np.append(ustart, len(uid))))
+        base = np.repeat(cums[starts] - 1, np.diff(np.append(starts, len(uid))))
         sidx = cums - base
         # per-session segment sums
         sess_id = np.cumsum(new_sess) - 1  # global session ordinal
@@ -1367,10 +1311,16 @@ def events_session_paths(sf_dir: str, *, num_buckets: int | None = None):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "session_idx": pa.int64(),
+             "n_events": pa.int64(), "path_len": pa.float64()}
+        ),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -1506,12 +1456,10 @@ def events_location_entropy(sf_dir: str, *, hex_size: float, num_buckets: int | 
     user-bucket pass computes each user's entropy with a lexsort +
     segment reduction (users are high-cardinality — never a fine
     groupby).  Entropy rounded 6dp (p·ln p ulps are far below)."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
     from ray.data.aggregate import Sum
 
     from ..hex import _pack, hex_axial
-    from ..joins import _bucket_of
     from ..synth import derive_xy
 
     ds = rd.read_parquet(
@@ -1542,44 +1490,33 @@ def events_location_entropy(sf_dir: str, *, hex_size: float, num_buckets: int | 
         .aggregate(Sum("n", alias_name="n"))
     )
 
-    def tag(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "hkey": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "__b": pa.array([], pa.int64()),
-                }
-            )
-        uid = np.asarray(b["user_id"], np.int64)
-        return b.append_column("__b", pa.array(_bucket_of(uid, num_buckets)))
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.float64)
-        order = np.lexsort((g["hkey"].to_numpy(np.int64), uid))
-        uid, n = uid[order], n[order]
-        starts = np.concatenate([[True], uid[1:] != uid[:-1]])
-        inv = np.cumsum(starts) - 1
-        k = int(inv[-1]) + 1 if len(inv) else 0
-        total = np.bincount(inv, weights=n, minlength=k)
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        n = np.asarray(t["n"], np.float64)
+        n_hexes = np.diff(np.append(starts, len(n)))
+        inv = np.repeat(np.arange(len(starts)), n_hexes)
+        total = np.bincount(inv, weights=n, minlength=len(starts))
         p = n / total[inv]
-        ent = -np.bincount(inv, weights=p * np.log(p), minlength=k)
+        ent = -np.bincount(inv, weights=p * np.log(p), minlength=len(starts))
         ent = np.sign(ent) * np.floor(np.abs(ent) * 1e6 + 0.5) / 1e6
         return pd.DataFrame(
             {
-                "user_id": uid[starts],
-                "n_hexes": np.bincount(inv, minlength=k).astype(np.int64),
+                "user_id": np.asarray(t["user_id"], np.int64)[starts],
+                "n_hexes": n_hexes,
                 "n_events": total.astype(np.int64),
                 "loc_entropy": ent,
             }
         )
 
-    return (
-        mix.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        mix,
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "n_hexes": pa.int64(),
+             "n_events": pa.int64(), "loc_entropy": pa.float64()}
+        ),
+        order=("hkey",),
+        num_buckets=num_buckets,
     )
 
 
@@ -1608,28 +1545,17 @@ GROUP BY m.user_id, t.n_hexes, t.total
 """
 
 
-def events_hex_weekly_growth(
-    sf_dir: str, *, hex_size: float, num_buckets: int | None = None
-):
-    """Week-over-week activity growth per hex: events bucketed to
-    (hex, epoch-week), then LAG + percent change along each hex's weekly
-    series.  pct is 0.0 for a hex's first week (COALESCE'd LAG law — avoids the NaN-vs-NULL hash ambiguity) and
-    weeks are only the OBSERVED ones (sparse series — LAG skips gaps,
-    it does not fill them).
-
-    Scale shape: (hex, week) count partials -> one composite aggregate
-    -> ONE coarse hex-bucket pass (lexsort + shifted-diff).  Weeks use
-    the nonnegative-epoch truncation law."""
-    num_buckets = _resolve_buckets(num_buckets)
+def _hex_week_counts(sf_dir: str, hex_size: float):
+    """Events per (hex, epoch week): per-batch count partials, then one
+    composite-key sum.  Weeks use the nonnegative-epoch truncation law
+    (synth timestamps are all >= epoch)."""
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..hex import _pack, _unpack, hex_axial
-    from ..joins import _bucket_of
+    from ..hex import _pack, hex_axial
     from ..synth import derive_xy
 
     WEEK_US = 7 * 86_400_000_000
-
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts"]
     )
@@ -1637,7 +1563,7 @@ def events_hex_weekly_growth(
     def partial(b: pa.Table) -> pa.Table:
         eid = np.asarray(pc.cast(b["event_id"], pa.int64()))
         us = np.asarray(pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()))
-        week = us // WEEK_US  # synth timestamps are all >= epoch
+        week = us // WEEK_US
         x, y = derive_xy(eid)
         hkey = _pack(*hex_axial(x, y, hex_size))
         order = np.lexsort((week, hkey))
@@ -1653,32 +1579,36 @@ def events_hex_weekly_growth(
             }
         )
 
-    agg = (
+    return (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby(["hkey", "week"])
         .aggregate(Sum("n", alias_name="n"))
     )
 
-    def tag(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hkey": pa.array([], pa.int64()),
-                    "week": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "__b": pa.array([], pa.int64()),
-                }
-            )
-        k = np.asarray(b["hkey"], np.int64)
-        return b.append_column("__b", pa.array(_bucket_of(k, num_buckets)))
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        k = g["hkey"].to_numpy(np.int64)
-        w = g["week"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.int64)
-        order = np.lexsort((w, k))
-        k, w, n = k[order], w[order], n[order]
-        same = np.concatenate([[False], k[1:] == k[:-1]])
+def events_hex_weekly_growth(
+    sf_dir: str, *, hex_size: float, num_buckets: int | None = None
+):
+    """Week-over-week activity growth per hex: events bucketed to
+    (hex, epoch-week), then LAG + percent change along each hex's weekly
+    series.  pct is 0.0 for a hex's first week (COALESCE'd LAG law — avoids the NaN-vs-NULL hash ambiguity) and
+    weeks are only the OBSERVED ones (sparse series — LAG skips gaps,
+    it does not fill them).
+
+    Scale shape: (hex, week) count partials -> one composite aggregate
+    -> ONE coarse hex-bucket pass (lexsort + shifted-diff).  Weeks use
+    the nonnegative-epoch truncation law."""
+
+    from ..hex import _unpack
+
+    agg = _hex_week_counts(sf_dir, hex_size)
+
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        k = np.asarray(t["hkey"], np.int64)
+        w = np.asarray(t["week"], np.int64)
+        n = np.asarray(t["n"], np.int64)
+        same = np.ones(len(k), dtype=bool)
+        same[starts] = False
         prev = np.concatenate([[0], n[:-1]])
         pct = np.where(
             same,
@@ -1697,10 +1627,16 @@ def events_hex_weekly_growth(
             }
         )
 
-    return (
-        agg.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        agg,
+        "hkey",
+        kernel,
+        pa.schema(
+            {"hq": pa.int64(), "hr": pa.int64(), "week": pa.int64(),
+             "n": pa.int64(), "pct_change": pa.float64()}
+        ),
+        order=("week",),
+        num_buckets=num_buckets,
     )
 
 
@@ -1747,67 +1683,14 @@ def events_hex_mann_kendall(
     VECTORIZED (repeat/arange construction, no per-hex Python loop) —
     pair volume is sum L^2 with L <= #weeks, linear in hexes.
     """
-    num_buckets = _resolve_buckets(num_buckets)
-    import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from ..hex import _pack, _unpack, hex_axial
-    from ..joins import _bucket_of
-    from ..synth import derive_xy
+    from ..hex import _unpack
 
-    WEEK_US = 7 * 86_400_000_000
+    agg = _hex_week_counts(sf_dir, hex_size)
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts"]
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        eid = np.asarray(pc.cast(b["event_id"], pa.int64()))
-        us = np.asarray(pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()))
-        week = us // WEEK_US
-        x, y = derive_xy(eid)
-        hkey = _pack(*hex_axial(x, y, hex_size))
-        order = np.lexsort((week, hkey))
-        hs, ws = hkey[order], week[order]
-        bound = np.concatenate([[True], (hs[1:] != hs[:-1]) | (ws[1:] != ws[:-1])])
-        s = np.flatnonzero(bound)
-        n = np.diff(np.append(s, len(hs)))
-        return pa.table(
-            {
-                "hkey": pa.array(hs[s]),
-                "week": pa.array(ws[s]),
-                "n": pa.array(n.astype(np.int64)),
-            }
-        )
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["hkey", "week"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def tag(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hkey": pa.array([], pa.int64()),
-                    "week": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "__b": pa.array([], pa.int64()),
-                }
-            )
-        k = np.asarray(b["hkey"], np.int64)
-        return b.append_column("__b", pa.array(_bucket_of(k, num_buckets)))
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        k = g["hkey"].to_numpy(np.int64)
-        w = g["week"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.int64)
-        order = np.lexsort((w, k))
-        k, w, n = k[order], w[order], n[order]
-        # segments (one per hex)
-        bound = np.concatenate([[True], k[1:] != k[:-1]])
-        starts = np.flatnonzero(bound)
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        k = np.asarray(t["hkey"], np.int64)
+        n = np.asarray(t["n"], np.int64)
         L = np.diff(np.append(starts, len(k)))
         seg_of = np.repeat(np.arange(len(starts)), L)
         # vectorized i<j pair construction within segments
@@ -1856,10 +1739,16 @@ def events_hex_mann_kendall(
             }
         )
 
-    return (
-        agg.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        agg,
+        "hkey",
+        kernel,
+        pa.schema(
+            {"hq": pa.int64(), "hr": pa.int64(), "n_weeks": pa.int64(),
+             "s": pa.int64(), "z": pa.float64()}
+        ),
+        order=("week",),
+        num_buckets=num_buckets,
     )
 
 
@@ -1918,57 +1807,11 @@ def events_od_gravity(sf_dir: str, *, hex_size: float, num_buckets: int | None =
     closed-form fit — flows never leave the cluster, the driver sees six
     numbers.
     """
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from ..hex import _pack, _unpack, hex_axial, hex_center
-    from ..joins import _bucket_of
-    from ..synth import derive_xy
+    from ..hex import _unpack, hex_center
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
-    )
-
-    def tag(b: pa.Table) -> pa.Table:
-        uid = np.asarray(b["user_id"], np.int64)
-        return pa.table(
-            {
-                "user_id": pa.array(uid),
-                "event_id": pc.cast(b["event_id"], pa.int64()),
-                "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
-            }
-        )
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        order = np.lexsort((eid, us, uid))
-        uid, eid = uid[order], eid[order]
-        starts = np.concatenate([[True], uid[1:] != uid[:-1]])
-        ends = np.concatenate([uid[1:] != uid[:-1], [True]])
-        ox, oy = derive_xy(eid[starts])
-        dx, dy = derive_xy(eid[ends])
-        okey = _pack(*hex_axial(ox, oy, hex_size))
-        dkey = _pack(*hex_axial(dx, dy, hex_size))
-        po = np.lexsort((dkey, okey))
-        ok, dk = okey[po], dkey[po]
-        bound = np.concatenate([[True], (ok[1:] != ok[:-1]) | (dk[1:] != dk[:-1])])
-        s = np.flatnonzero(bound)
-        n = np.diff(np.append(s, len(ok)))
-        return pd.DataFrame(
-            {"okey": ok[s], "dkey": dk[s], "n": n.astype(np.int64)}
-        )
-
-    agg = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
-        .groupby(["okey", "dkey"])
-        .aggregate(Sum("n", alias_name="n_users"))
-    )
+    agg = _od_flows(sf_dir, hex_size, num_buckets)
 
     def sums(b: pa.Table) -> pa.Table:
         if b.num_columns == 0 or b.num_rows == 0:
@@ -2106,11 +1949,9 @@ def events_home_work(sf_dir: str, *, hex_size: float, num_buckets: int | None = 
     first-row-per-user under the (count DESC, hq, hr) tie order) and one
     in-bucket merge — no per-user Python, no second shuffle.
     """
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
 
     from ..hex import hex_axial
-    from ..joins import _bucket_of
     from ..synth import derive_xy
 
     HOUR_US = 3_600_000_000
@@ -2126,7 +1967,6 @@ def events_home_work(sf_dir: str, *, hex_size: float, num_buckets: int | None = 
                 "user_id": pa.array(uid),
                 "event_id": pc.cast(b["event_id"], pa.int64()),
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
@@ -2146,11 +1986,10 @@ def events_home_work(sf_dir: str, *, hex_size: float, num_buckets: int | None = 
         first = np.concatenate([[True], gu[1:] != gu[:-1]])
         return gu[first], gq[first], gr[first], c[first]
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        hour = (us // HOUR_US) % 24
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        uid = np.asarray(t["user_id"], np.int64)
+        eid = np.asarray(t["event_id"], np.int64)
+        hour = (np.asarray(t["us"], np.int64) // HOUR_US) % 24
         x, y = derive_xy(eid)
         hq, hr = hex_axial(x, y, hex_size)
         night = (hour < 6) | (hour >= 22)
@@ -2165,10 +2004,15 @@ def events_home_work(sf_dir: str, *, hex_size: float, num_buckets: int | None = 
         )
         return h.merge(w, on="user_id", how="inner")
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {c: pa.int64() for c in ("user_id", "home_q", "home_r", "n_home",
+                                     "work_q", "work_r", "n_work")}
+        ),
+        num_buckets=num_buckets,
     )
 
 
@@ -2226,11 +2070,9 @@ def events_coloc(
     the hour slicing, and hot cells are visible in the group sizes, not
     hidden in a shuffle.
     """
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
 
     from ..hex import _pack, hex_axial
-    from ..joins import _bucket_of
     from ..synth import derive_xy
 
     HOUR_US = 3_600_000_000
@@ -2245,36 +2087,23 @@ def events_coloc(
         uid = np.asarray(b["user_id"], np.int64)
         x, y = derive_xy(eid)
         hkey = _pack(*hex_axial(x, y, hex_size))
-        hb = us // HOUR_US
-        # bucket on a hash MIX of (cell, hour) — collisions there only
-        # co-locate groups, they never merge them (the kernel groups on
-        # the exact pair of columns)
-        mix = hkey ^ (hb * np.int64(-7046029254386353131))
         return pa.table(
             {
                 "hkey": pa.array(hkey),
-                "hb": pa.array(hb),
+                "hb": pa.array(us // HOUR_US),
                 "user_id": pa.array(uid),
-                "__b": pa.array(_bucket_of(mix, num_buckets)),
             }
         )
 
-    def pair_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        hk = g["hkey"].to_numpy(np.int64)
-        hb = g["hb"].to_numpy(np.int64)
-        uid = g["user_id"].to_numpy(np.int64)
+    def pair_kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        u = np.asarray(t["user_id"], np.int64)
         # distinct (cell, hour, user) presence
-        order = np.lexsort((uid, hb, hk))
-        hk, hb, u = hk[order], hb[order], uid[order]
-        keep = np.concatenate(
-            [[True],
-             (hk[1:] != hk[:-1]) | (hb[1:] != hb[:-1]) | (u[1:] != u[:-1])]
-        )
-        hk, hb, u = hk[keep], hb[keep], u[keep]
+        first = np.zeros(len(u), dtype=bool)
+        first[starts] = True
+        keep = first | np.append(True, u[1:] != u[:-1])
+        u = u[keep]
         # per-(cell, hour) sorted-user segments -> i<j pairs (repeat/arange)
-        starts = np.flatnonzero(
-            np.concatenate([[True], (hk[1:] != hk[:-1]) | (hb[1:] != hb[:-1])])
-        )
+        starts = np.flatnonzero(first[keep])
         L = np.diff(np.append(starts, len(u)))
         idx = np.arange(len(u))
         seg_end = np.repeat(starts + L, L)
@@ -2287,25 +2116,11 @@ def events_coloc(
         jidx = iidx + 1 + jj
         pkey = (u[iidx] << np.int64(32)) | u[jidx]  # ua < ub by sort order
         pk, c = np.unique(pkey, return_counts=True)
-        return pd.DataFrame({"pkey": pk, "n": c.astype(np.int64)})
+        return pd.DataFrame({"pkey": pk, "n": c})
 
-    def ptag(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "pkey": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "__p": pa.array([], pa.int64()),
-                }
-            )
-        k = np.asarray(b["pkey"], np.int64)
-        return b.append_column("__p", pa.array(_bucket_of(k, num_buckets)))
-
-    def count_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        k = g["pkey"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.int64)
-        u, inv = np.unique(k, return_inverse=True)
-        tot = np.bincount(inv, weights=n.astype(np.float64)).astype(np.int64)
+    def count_kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        u = np.asarray(t["pkey"], np.int64)[starts]
+        tot = np.add.reduceat(np.asarray(t["n"], np.int64), starts)
         keep = tot >= min_meets
         u, tot = u[keep], tot[keep]
         return pd.DataFrame(
@@ -2316,13 +2131,22 @@ def events_coloc(
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(pair_kernel, batch_format="pandas")
-        .map_batches(ptag, batch_format="pyarrow")
-        .groupby("__p")
-        .map_groups(count_kernel, batch_format="pandas")
+    pairs = segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        ["hkey", "hb"],
+        pair_kernel,
+        pa.schema({"pkey": pa.int64(), "n": pa.int64()}),
+        order=("user_id",),
+        num_buckets=num_buckets,
+    )
+    return segment_apply(
+        pairs,
+        "pkey",
+        count_kernel,
+        pa.schema(
+            {"user_a": pa.int64(), "user_b": pa.int64(), "n_meets": pa.int64()}
+        ),
+        num_buckets=num_buckets,
     )
 
 
@@ -2361,11 +2185,9 @@ def events_od_paths(sf_dir: str, *, hex_size: float, num_buckets: int | None = N
     kernel finds first/last with a lexsort segment scan and explodes
     paths VECTORIZED (repeat/arange over per-user step counts).
     """
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
 
     from ..hex import _pack, hex_axial, hex_center
-    from ..joins import _bucket_of
     from ..synth import derive_xy
 
     ds = rd.read_parquet(
@@ -2379,19 +2201,13 @@ def events_od_paths(sf_dir: str, *, hex_size: float, num_buckets: int | None = N
                 "user_id": pa.array(uid),
                 "event_id": pc.cast(b["event_id"], pa.int64()),
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        order = np.lexsort((eid, us, uid))
-        uid, eid = uid[order], eid[order]
-        starts = np.concatenate([[True], uid[1:] != uid[:-1]])
-        ends = np.concatenate([uid[1:] != uid[:-1], [True]])
-        users = uid[starts]
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        eid = np.asarray(t["event_id"], np.int64)
+        ends = np.append(starts[1:], len(eid)) - 1
+        users = np.asarray(t["user_id"], np.int64)[starts]
         ox, oy = derive_xy(eid[starts])
         dx, dy = derive_xy(eid[ends])
         oq, orr = hex_axial(ox, oy, hex_size)
@@ -2408,9 +2224,9 @@ def events_od_paths(sf_dir: str, *, hex_size: float, num_buckets: int | None = N
             np.cumsum(reps) - reps, reps
         )
         nf = np.where(n[ui] == 0, 1, n[ui]).astype(np.float64)
-        t = seq.astype(np.float64) / nf
-        sx = cox[ui] + t * (cdx[ui] - cox[ui])
-        sy = coy[ui] + t * (cdy[ui] - coy[ui])
+        frac = seq.astype(np.float64) / nf
+        sx = cox[ui] + frac * (cdx[ui] - cox[ui])
+        sy = coy[ui] + frac * (cdy[ui] - coy[ui])
         hq, hr = hex_axial(sx, sy, hex_size)
         return pd.DataFrame(
             {
@@ -2421,10 +2237,13 @@ def events_od_paths(sf_dir: str, *, hex_size: float, num_buckets: int | None = N
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema({c: pa.int64() for c in ("user_id", "seq", "hq", "hr")}),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -2490,10 +2309,8 @@ def events_speed_outliers(
 
     Scale shape: the trajectory one-coarse-bucket plan; the kernel is
     one lexsort + vectorized diffs (no per-user Python)."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
 
-    from ..joins import _bucket_of
     from ..synth import derive_xy
 
     ds = rd.read_parquet(
@@ -2511,18 +2328,14 @@ def events_speed_outliers(
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "x": pa.array(x),
                 "y": pa.array(y),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        x = g["x"].to_numpy(np.float64)
-        y = g["y"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, us, x, y = uid[order], us[order], x[order], y[order]
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        uid = np.asarray(t["user_id"], np.int64)
+        us = np.asarray(t["us"], np.int64)
+        x = np.asarray(t["x"], np.float64)
+        y = np.asarray(t["y"], np.float64)
         same = uid[1:] == uid[:-1]
         du = uid[1:][same]
         dt = np.diff(us)[same]
@@ -2554,10 +2367,16 @@ def events_speed_outliers(
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "n_steps": pa.int64(),
+             "n_flagged": pa.int64(), "mean_speed": pa.float64()}
+        ),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -2612,70 +2431,15 @@ def events_hex_theil_sen(
     composite aggregate, ONE coarse hex-bucket pass with vectorized
     repeat/arange pair construction and a lexsort median (no per-hex
     Python)."""
-    num_buckets = _resolve_buckets(num_buckets)
-    import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from ..hex import _pack, _unpack, hex_axial
-    from ..joins import _bucket_of
-    from ..synth import derive_xy
+    from ..hex import _unpack
 
-    WEEK_US = 7 * 86_400_000_000
+    agg = _hex_week_counts(sf_dir, hex_size)
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts"]
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        eid = np.asarray(pc.cast(b["event_id"], pa.int64()))
-        us = np.asarray(
-            pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64())
-        )
-        week = us // WEEK_US
-        x, y = derive_xy(eid)
-        hkey = _pack(*hex_axial(x, y, hex_size))
-        order = np.lexsort((week, hkey))
-        hs, ws = hkey[order], week[order]
-        bound = np.concatenate(
-            [[True], (hs[1:] != hs[:-1]) | (ws[1:] != ws[:-1])]
-        )
-        s = np.flatnonzero(bound)
-        n = np.diff(np.append(s, len(hs)))
-        return pa.table(
-            {
-                "hkey": pa.array(hs[s]),
-                "week": pa.array(ws[s]),
-                "n": pa.array(n.astype(np.int64)),
-            }
-        )
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["hkey", "week"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def tag(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hkey": pa.array([], pa.int64()),
-                    "week": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "__b": pa.array([], pa.int64()),
-                }
-            )
-        k = np.asarray(b["hkey"], np.int64)
-        return b.append_column("__b", pa.array(_bucket_of(k, num_buckets)))
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        k = g["hkey"].to_numpy(np.int64)
-        w = g["week"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.int64)
-        order = np.lexsort((w, k))
-        k, w, n = k[order], w[order], n[order]
-        bound = np.concatenate([[True], k[1:] != k[:-1]])
-        starts = np.flatnonzero(bound)
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        k = np.asarray(t["hkey"], np.int64)
+        w = np.asarray(t["week"], np.int64)
+        n = np.asarray(t["n"], np.int64)
         L = np.diff(np.append(starts, len(k)))
         seg_of = np.repeat(np.arange(len(starts)), L)
         idx = np.arange(len(k))
@@ -2714,10 +2478,16 @@ def events_hex_theil_sen(
             }
         )
 
-    return (
-        agg.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        agg,
+        "hkey",
+        kernel,
+        pa.schema(
+            {"hq": pa.int64(), "hr": pa.int64(), "n_weeks": pa.int64(),
+             "slope": pa.float64()}
+        ),
+        order=("week",),
+        num_buckets=num_buckets,
     )
 
 
@@ -2964,10 +2734,7 @@ def events_interarrival(sf_dir: str, *, num_buckets: int | None = None):
     Plan: the sessionize shape — one coarse user-hash bucket shuffle,
     one lexsort + np.diff + np.add.reduceat per bucket; all per-user
     math is three reduceat sums and the closed forms."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
@@ -2981,23 +2748,15 @@ def events_interarrival(sf_dir: str, *, num_buckets: int | None = None):
                 "user_id": pa.array(uid),
                 "event_id": pc.cast(b["event_id"], pa.int64()),
                 "sec": pa.array(np.asarray(us, np.int64) // 1_000_000),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        sec = g["sec"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        order = np.lexsort((eid, sec, uid))
-        uid, sec = uid[order], sec[order]
-        same_user = np.empty(len(uid), dtype=bool)
-        same_user[0] = False
-        same_user[1:] = uid[1:] == uid[:-1]
-        gap = np.diff(sec, prepend=sec[0])
-        starts = np.flatnonzero(~same_user)
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        uid = np.asarray(t["user_id"], np.int64)
+        sec = np.asarray(t["sec"], np.int64)
         # per-user sums over that user's gaps (exclude each first event)
-        gv = np.where(same_user, gap, 0)
+        gv = np.diff(sec, prepend=sec[0])
+        gv[starts] = 0
         m = np.diff(np.append(starts, len(uid))) - 1
         sg = np.add.reduceat(gv, starts)
         sgg = np.add.reduceat(gv * gv, starts)
@@ -3020,10 +2779,17 @@ def events_interarrival(sf_dir: str, *, num_buckets: int | None = None):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "n_gaps": pa.int64(),
+             "mean_gap_s": pa.float64(), "cv": pa.float64(),
+             "burstiness": pa.float64()}
+        ),
+        order=("sec", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -3303,10 +3069,7 @@ def events_type_jaccard(sf_dir: str, *, num_buckets: int | None = None):
     per-type distinct-user counts; the T x T table finalizes
     driver-side.  Per-user work is a sorted scan — never a fine
     per-user group; pair volume is bounded by n_types^2 per user."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
-
-    from ..joins import _bucket_of
 
     ev = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
@@ -3322,16 +3085,17 @@ def events_type_jaccard(sf_dir: str, *, num_buckets: int | None = None):
             {
                 "user_id": pa.array(uid),
                 "event_type": pa.array(df["event_type"], pa.string()),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        df = g[["user_id", "event_type"]].drop_duplicates()
-        codes, types = pd.factorize(df["event_type"], sort=True)
-        uid = df["user_id"].to_numpy(np.int64)
-        order = np.lexsort((codes, uid))
-        uid, codes = uid[order], codes[order]
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        uid = np.asarray(t["user_id"], np.int64)
+        et = np.asarray(t["event_type"], dtype=object)
+        # distinct (user, type), types ascending within each user
+        keep = np.append(True, et[1:] != et[:-1])
+        keep[starts] = True
+        uid = uid[keep]
+        codes, types = pd.factorize(et[keep], sort=True)
         T = len(types)
         parts = []
         d = 0
@@ -3360,9 +3124,16 @@ def events_type_jaccard(sf_dir: str, *, num_buckets: int | None = None):
     from ray.data.aggregate import Sum
 
     agg = (
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            ev.map_batches(tag, batch_format="pyarrow"),
+            "user_id",
+            kernel,
+            pa.schema(
+                {"type_a": pa.string(), "type_b": pa.string(), "n": pa.int64()}
+            ),
+            order=("event_type",),
+            num_buckets=num_buckets,
+        )
         .groupby(["type_a", "type_b"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -3425,10 +3196,7 @@ def events_state_intervals(sf_dir: str, *, num_buckets: int | None = None):
     Plan: one coarse user-hash bucket shuffle; per bucket one lexsort
     picks the last event per (user, day) and one vectorized break scan
     + reduceat builds the intervals.  Never a per-user group."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -3444,20 +3212,15 @@ def events_state_intervals(sf_dir: str, *, num_buckets: int | None = None):
                 "event_id": pc.cast(b["event_id"], pa.int64()),
                 "event_type": b["event_type"],
                 "us": us,
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        st = g["event_type"].to_numpy(object)
-        day = us // DAY_US
-        # ascending (user, day, us, eid): the LAST row of each (user,
-        # day) run is the day's state
-        order = np.lexsort((eid, us, day, uid))
-        uid, day, st = uid[order], day[order], st[order]
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        # ascending (user, us, eid), so (user, day) too: the LAST row of
+        # each (user, day) run is the day's state
+        uid = np.asarray(t["user_id"], np.int64)
+        day = np.asarray(t["us"], np.int64) // DAY_US
+        st = np.asarray(t["event_type"], dtype=object)
         last = np.empty(len(uid), bool)
         last[-1] = True
         last[:-1] = (uid[1:] != uid[:-1]) | (day[1:] != day[:-1])
@@ -3469,22 +3232,28 @@ def events_state_intervals(sf_dir: str, *, num_buckets: int | None = None):
             | (day[1:] != day[:-1] + 1)
             | (st[1:] != st[:-1])
         )
-        starts = np.flatnonzero(brk)
-        ends = np.append(starts[1:], len(uid)) - 1
+        runs = np.flatnonzero(brk)
+        ends = np.append(runs[1:], len(uid)) - 1
         return pd.DataFrame(
             {
-                "user_id": uid[starts],
-                "state": st[starts],
-                "from_day": day[starts],
+                "user_id": uid[runs],
+                "state": st[runs],
+                "from_day": day[runs],
                 "to_day": day[ends],
-                "n_days": ends - starts + 1,
+                "n_days": ends - runs + 1,
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "state": pa.string(), "from_day": pa.int64(),
+             "to_day": pa.int64(), "n_days": pa.int64()}
+        ),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -3720,11 +3489,8 @@ def events_attribution(sf_dir: str, *, num_buckets: int | None = None):
     Plan: one coarse user-hash bucket pass; per bucket one lexsort,
     then a vectorized last-touch scan (cummax of touch indices along
     the ordered stream) — never a per-user group or a join."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -3741,38 +3507,29 @@ def events_attribution(sf_dir: str, *, num_buckets: int | None = None):
                 "event_type": b["event_type"],
                 "us": us,
                 "value": pc.cast(b["value"], pa.float64()),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        et = g["event_type"].to_numpy(object)
-        val = g["value"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, us, et, val = uid[order], us[order], et[order], val[order]
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        us = np.asarray(t["us"], np.int64)
+        et = np.asarray(t["event_type"], dtype=object)
+        val = np.asarray(t["value"], np.float64)
         is_touch = np.isin(et, list(ATTR_TOUCHES))
         is_purch = et == "purchase"
-        idx = np.arange(len(uid))
+        n = len(us)
+        idx = np.arange(n)
         # latest touch index at-or-before each row, per user: segmented
         # cummax over touch positions (user changes reset the running max)
-        touch_pos = np.where(is_touch, idx, -1)
-        user_start = np.empty(len(uid), bool)
-        if len(uid):
-            user_start[0] = True
-            user_start[1:] = uid[1:] != uid[:-1]
+        user_start = np.zeros(n, bool)
+        user_start[starts] = True
         seg = np.cumsum(user_start) - 1
         # reset cummax per segment: offset trick — add seg * n so maxima
         # never cross users, subtract after
-        n = len(uid)
         biased = np.where(is_touch, idx + seg * n, -1)
         run = np.maximum.accumulate(biased)
         last_touch = run - seg * n
         last_touch = np.where(run >= seg * n, last_touch, -1)
-        p = is_purch & (len(uid) > 0)
-        pi = np.flatnonzero(p)
+        pi = np.flatnonzero(is_purch)
         lt = last_touch[pi]
         ok = lt >= 0
         ok[ok] &= (us[pi[ok]] - us[lt[ok]]) <= ATTR_WINDOW_US
@@ -3793,9 +3550,14 @@ def events_attribution(sf_dir: str, *, num_buckets: int | None = None):
         )
 
     agg = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            ds.map_batches(tag, batch_format="pyarrow"),
+            "user_id",
+            kernel,
+            pa.schema({"channel": pa.string(), "n": pa.int64(), "s": pa.float64()}),
+            order=("us", "event_id"),
+            num_buckets=num_buckets,
+        )
         .groupby("channel")
         .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
     )
@@ -3870,11 +3632,9 @@ def events_path_cell_length(
     finishes.  Every float expression (crossing t, midpoint, piece
     length) is mirrored term-for-term in the SQL twin; the 2dp output
     rounding dwarfs summation-order noise on ~1e5-scale lengths."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..joins import _bucket_of
     from ..synth import derive_xy
     from .queries import round_half_away
 
@@ -3893,32 +3653,19 @@ def events_path_cell_length(
                 "us": pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64()),
                 "x": pa.array(x),
                 "y": pa.array(y),
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    empty = pd.DataFrame(
-        {
-            "ix": pd.Series([], dtype=np.int64),
-            "iy": pd.Series([], dtype=np.int64),
-            "total_len": pd.Series([], dtype=np.float64),
-        }
-    )
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        x = g["x"].to_numpy(np.float64)
-        y = g["y"].to_numpy(np.float64)
-        order = np.lexsort((eid, us, uid))
-        uid, x, y = uid[order], x[order], y[order]
+    def kernel(tb: pa.Table, starts: np.ndarray) -> pd.DataFrame | None:
+        uid = np.asarray(tb["user_id"], np.int64)
+        x = np.asarray(tb["x"], np.float64)
+        y = np.asarray(tb["y"], np.float64)
         same = uid[1:] == uid[:-1]
         x1, y1 = x[:-1][same], y[:-1][same]
         x2, y2 = x[1:][same], y[1:][same]
         n = len(x1)
         if n == 0:
-            return empty
+            return None
         dx, dy = x2 - x1, y2 - y1
         seglen = np.sqrt(dx * dx + dy * dy)
         fx1, fx2 = np.floor(x1 / cell), np.floor(x2 / cell)
@@ -3961,9 +3708,14 @@ def events_path_cell_length(
         )
 
     agg = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            ds.map_batches(tag, batch_format="pyarrow"),
+            "user_id",
+            kernel,
+            pa.schema({"ix": pa.int64(), "iy": pa.int64(), "total_len": pa.float64()}),
+            order=("us", "event_id"),
+            num_buckets=num_buckets,
+        )
         .groupby(["ix", "iy"])
         .aggregate(Sum("total_len", alias_name="total_len"))
         .map_batches(
@@ -4031,7 +3783,7 @@ FROM pieces GROUP BY ix, iy ORDER BY ix, iy
 
 WM_HORIZON_US = 15 * 24 * 3_600_000_000  # lateness allowance
 WM_WIN_US = 3_600_000_000  # 1 h tumbling windows
-WM_MULT = 2654435761
+WM_MULT = KNUTH_MULT
 WM_MOD = 4294967296
 
 
@@ -4070,13 +3822,12 @@ def events_watermark(sf_dir: str, *, num_buckets: int | None = None):
         us = np.asarray(
             pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64())
         )
-        bid = (a * num_buckets) // WM_MOD
         return pa.table(
             {
                 "event_id": pa.array(eid),
                 "a": pa.array(a),
                 "us": pa.array(us),
-                "__b": pa.array(bid),
+                "bid": pa.array((a * num_buckets) // WM_MOD),
             }
         )
 
@@ -4090,13 +3841,13 @@ def events_watermark(sf_dir: str, *, num_buckets: int | None = None):
     bmax = tagged.map_batches(
         lambda b: pa.table(
             {
-                "__b": pa.array(
-                    np.unique(np.asarray(b["__b"], np.int64))
+                "bid": pa.array(
+                    np.unique(np.asarray(b["bid"], np.int64))
                 ),
                 "mx": pa.array(
                     pd.DataFrame(
                         {
-                            "b": np.asarray(b["__b"], np.int64),
+                            "b": np.asarray(b["bid"], np.int64),
                             "u": np.asarray(b["us"], np.int64),
                         }
                     )
@@ -4109,7 +3860,7 @@ def events_watermark(sf_dir: str, *, num_buckets: int | None = None):
         batch_format="pyarrow",
     ).to_pandas()
     prefix = np.full(num_buckets, np.iinfo(np.int64).min, dtype=np.int64)
-    pb = bmax["__b"].to_numpy(np.int64)
+    pb = bmax["bid"].to_numpy(np.int64)
     pm = bmax["mx"].to_numpy(np.int64)
     run = np.iinfo(np.int64).min
     for b in range(num_buckets):
@@ -4118,16 +3869,17 @@ def events_watermark(sf_dir: str, *, num_buckets: int | None = None):
         if sel.any():
             run = max(run, int(pm[sel].max()))
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        bid = int(g["__b"].iloc[0])
-        a = g["a"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        order = np.lexsort((eid, a))
-        us = us[order]
-        seed = prefix[bid]
-        shifted = np.concatenate([[seed], us[:-1]])
-        hwm = np.maximum.accumulate(shifted)
+    def kernel(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        # one segment per range bucket (at most num_buckets in all), each
+        # in arrival order and seeded with its strict-prefix max
+        bid = np.asarray(t["bid"], np.int64)
+        us = np.asarray(t["us"], np.int64)
+        shifted = np.concatenate([[0], us[:-1]])
+        shifted[starts] = prefix[bid[starts]]
+        ends = np.append(starts[1:], len(us))
+        hwm = np.concatenate(
+            [np.maximum.accumulate(shifted[a:b]) for a, b in zip(starts, ends)]
+        )
         valid = hwm != np.iinfo(np.int64).min
         late = valid & (us < hwm - WM_HORIZON_US)
         win = (us // WM_WIN_US) * WM_WIN_US
@@ -4148,11 +3900,16 @@ def events_watermark(sf_dir: str, *, num_buckets: int | None = None):
     # (calendar-bounded), so the final window sum is a driver fold —
     # the Ray aggregate alternative paid ~7 s of fixed overhead for
     # 46k rows at sf0.1.
-    part = (
-        tagged.groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
-        .to_pandas()
-    )
+    part = segment_apply(
+        tagged,
+        "bid",
+        kernel,
+        pa.schema(
+            {"win_us": pa.int64(), "n_total": pa.int64(), "n_late": pa.int64()}
+        ),
+        order=("a", "event_id"),
+        num_buckets=num_buckets,
+    ).to_pandas()
     win = part["win_us"].to_numpy(np.int64)
     uw, inv = np.unique(win, return_inverse=True)
     n_total = np.bincount(
@@ -4309,10 +4066,7 @@ def events_scd2(sf_dir: str, *, num_buckets: int | None = None):
     Plan: ONE coarse user-hash bucket shuffle (the sessionize shape),
     one lexsort per bucket, vectorized run-boundary detection +
     reduceat counts — zero joins, zero per-user Python."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
-
-    from ..joins import _bucket_of
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -4328,19 +4082,15 @@ def events_scd2(sf_dir: str, *, num_buckets: int | None = None):
                 "event_id": pc.cast(b["event_id"], pa.int64()),
                 "us": us,
                 "event_type": b["event_type"],
-                "__b": pa.array(_bucket_of(uid, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        typ = g["event_type"].to_numpy()
-        order = np.lexsort((eid, us, uid))
-        uid, us, typ = uid[order], us[order], typ[order]
-        new_user = np.concatenate([[True], uid[1:] != uid[:-1]])
-        chg = np.concatenate([[True], typ[1:] != typ[:-1]]) | new_user
+    def kernel(t: pa.Table, user_starts: np.ndarray) -> pd.DataFrame:
+        uid = np.asarray(t["user_id"], np.int64)
+        us = np.asarray(t["us"], np.int64)
+        typ = np.asarray(t["event_type"], dtype=object)
+        chg = np.concatenate([[True], typ[1:] != typ[:-1]])
+        chg[user_starts] = True
         starts = np.flatnonzero(chg)
         n = np.diff(np.append(starts, len(uid))).astype(np.int64)
         vfrom = us[starts]
@@ -4366,10 +4116,17 @@ def events_scd2(sf_dir: str, *, num_buckets: int | None = None):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"user_id": pa.int64(), "event_type": pa.string(),
+             "valid_from_us": pa.int64(), "valid_to_us": pa.float64(),
+             "n_events": pa.int64()}
+        ),
+        order=("us", "event_id"),
+        num_buckets=num_buckets,
     )
 
 
@@ -4806,10 +4563,7 @@ def events_ltv(sf_dir: str, *, num_buckets: int | None = None):
     bounded to ±9.2e12 units by the micro-int law; shift the scale for
     larger books).  ARPU divides the identical cum/1e6 by the cohort
     size in the same op order before the shared 6dp round."""
-    num_buckets = _resolve_buckets(num_buckets)
     import ray.data as rd
-
-    from ..joins import _bucket_of
 
     ev = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
@@ -4838,18 +4592,13 @@ def events_ltv(sf_dir: str, *, num_buckets: int | None = None):
         k = key[starts]
         v = np.add.reduceat(val, starts) if len(val) else val
         return pa.table(
-            {
-                "k": pa.array(k),
-                "v": pa.array(v),
-                "__b": pa.array(_bucket_of(k >> _WEEK_BITS, num_buckets)),
-            }
+            {"user_id": pa.array(k >> _WEEK_BITS), "k": pa.array(k), "v": pa.array(v)}
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        key = g["k"].to_numpy(np.int64)
-        val = g["v"].to_numpy(np.float64)
-        order = np.argsort(key, kind="stable")
-        key, val = key[order], val[order]
+    def kernel(t: pa.Table, _user_starts: np.ndarray) -> pd.DataFrame:
+        # sorted by (user, week); a pair may repeat across batches
+        key = np.asarray(t["k"], np.int64)
+        val = np.asarray(t["v"], np.float64)
         starts = np.flatnonzero(
             np.concatenate([[True], key[1:] != key[:-1]])
         )
@@ -4887,12 +4636,17 @@ def events_ltv(sf_dir: str, *, num_buckets: int | None = None):
             }
         )
 
-    part = (
-        ev.map_batches(pack, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
-        .to_pandas()
-    )
+    part = segment_apply(
+        ev.map_batches(pack, batch_format="pyarrow"),
+        "user_id",
+        kernel,
+        pa.schema(
+            {"kind": pa.int64(), "cohort_week": pa.int64(), "week": pa.int64(),
+             "rev": pa.float64(), "n": pa.int64()}
+        ),
+        order=("k",),
+        num_buckets=num_buckets,
+    ).to_pandas()
     sz = (
         part[part["kind"] == 1]
         .groupby("cohort_week", sort=True)["n"].sum()

@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..cluster import Broadcast
+from ..cluster import Broadcast, segment_apply
 
 # shared constants (engine and SQL twins read THESE — never inline)
 Q6_D0, Q6_D1 = "1996-01-01", "1997-01-01"
@@ -57,12 +57,6 @@ def _ts_us(date: str) -> int:
     return int(np.datetime64(date).astype("datetime64[us]").astype(np.int64))
 
 
-def _bucket_of(k: np.ndarray, nb: int) -> np.ndarray:
-    """Deterministic coarse bucket of an int64 key (Knuth multiplicative
-    hash in uint64 wrap-around, like ``dedup._coarse_group_apply``)."""
-    return (
-        (k.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(nb)
-    ).astype(np.int64)
 
 
 def _round_half_away_scalar(v: float, decimals: int) -> float:
@@ -279,7 +273,6 @@ def q4_priority(sf_dir: str):
                 "us": pa.array(mx),
                 "prio": pa.array([""] * len(k), pa.string()),
                 "src": pa.array(np.zeros(len(k), np.int8)),
-                "__b": pa.array(_bucket_of(k, nb)),
             }
         )
 
@@ -295,7 +288,6 @@ def q4_priority(sf_dir: str):
                 "us": pa.array(thr),
                 "prio": b["o_orderpriority"],
                 "src": pa.array(np.ones(len(k), np.int8)),
-                "__b": pa.array(_bucket_of(k, nb)),
             }
         )
 
@@ -307,44 +299,34 @@ def q4_priority(sf_dir: str):
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
     ).map_batches(ord_rows, batch_format="pyarrow")
 
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        src = g["src"].to_numpy()
-        lk = g["key"].to_numpy()[src == 0]
-        lus = g["us"].to_numpy()[src == 0]
-        ok = g["key"].to_numpy()[src == 1]
-        othr = g["us"].to_numpy()[src == 1]
-        oprio = g["prio"].to_numpy()[src == 1]
-        if not len(lk) or not len(ok):
-            return pd.DataFrame(
-                {"o_orderpriority": pd.Series([], dtype=object),
-                 "order_count": pd.Series([], dtype=np.int64)}
-            )
-        order = np.argsort(lk, kind="stable")
-        lk, lus = lk[order], lus[order]
-        starts = np.flatnonzero(np.concatenate([[True], lk[1:] != lk[:-1]]))
-        mx = np.maximum.reduceat(lus, starts)
-        uk = lk[starts]
-        oorder = np.argsort(ok, kind="stable")
-        ok_s, othr_s, oprio_s = ok[oorder], othr[oorder], oprio[oorder]
-        pos = np.searchsorted(ok_s, uk)
-        pos = np.minimum(pos, len(ok_s) - 1)
-        hit = ok_s[pos] == uk
-        late = hit & (mx >= othr_s[pos])
-        vc = pd.Series(oprio_s[pos[late]]).value_counts()
-        return pd.DataFrame(
-            {"o_orderpriority": vc.index.to_numpy(object),
-             "order_count": vc.to_numpy(np.int64)}
+    def bucket(t: pa.Table, starts: np.ndarray) -> dict:
+        # per order key: lineitem max-ship partials (src 0), then the
+        # order row (src 1, orderkeys are unique)
+        src = np.asarray(t["src"], np.int8)
+        us = np.asarray(t["us"], np.int64)
+        seg = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(us))))
+        mx = np.maximum.reduceat(
+            np.where(src == 0, us, np.iinfo(np.int64).min), starts
         )
+        o = np.flatnonzero(src == 1)
+        late = mx[seg[o]] >= us[o]
+        vc = pd.Series(np.asarray(t["prio"], dtype=object)[o[late]]).value_counts()
+        return {
+            "o_orderpriority": vc.index.to_numpy(object),
+            "order_count": vc.to_numpy(np.int64),
+        }
 
     # the per-bucket partials are <= nb x 5 rows — a Ray aggregate here
     # pays ~1 s of fixed overhead for a driver-fold-sized input (the
     # events_watermark finding), so the 5-row finish folds on the driver
-    part = (
-        li.union(orders)
-        .groupby("__b")
-        .map_groups(bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    part = segment_apply(
+        li.union(orders),
+        "key",
+        bucket,
+        pa.schema({"o_orderpriority": pa.string(), "order_count": pa.int64()}),
+        order=("src",),
+        num_buckets=nb,
+    ).to_pandas()
     agg = (
         part.groupby("o_orderpriority", sort=True)["order_count"]
         .sum()
@@ -542,36 +524,28 @@ def q10_returned(sf_dir: str) -> pa.Table:
         if b.num_columns == 0 or b.num_rows == 0:
             return pa.table(
                 {"k": pa.array([], pa.int64()),
-                 "s": pa.array([], pa.float64()),
-                 "__cg": pa.array([], pa.int64())}
+                 "s": pa.array([], pa.float64())}
             )
         k = np.asarray(b["o_custkey"], np.int64)
         r = np.asarray(b["rev"], np.float64)
         uk, inv = np.unique(k, return_inverse=True)
         s = np.bincount(inv, weights=r, minlength=len(uk))
-        return pa.table(
-            {"k": pa.array(uk), "s": pa.array(s),
-             "__cg": pa.array(_bucket_of(uk, nb))}
-        )
+        return pa.table({"k": pa.array(uk), "s": pa.array(s)})
 
-    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
-        k = g["k"].to_numpy(np.int64)
-        s = g["s"].to_numpy(np.float64)
-        order = np.argsort(k, kind="stable")
-        k, s = k[order], s[order]
-        starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
-        sums = np.add.reduceat(s, starts)
-        uk = k[starts]
+    def bucket_topk(t: pa.Table, starts: np.ndarray) -> dict:
+        sums = np.add.reduceat(np.asarray(t["s"], np.float64), starts)
+        uk = np.asarray(t["k"], np.int64)[starts]
         rev = np.sign(sums) * np.floor(np.abs(sums) * 1e2 + 0.5) / 1e2
         top = np.lexsort((uk, -rev))[:Q10_K]
-        return pd.DataFrame({"k": uk[top], "revenue": rev[top]})
+        return {"k": uk[top], "revenue": rev[top]}
 
-    cand = (
-        j.map_batches(bucket_partial, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(bucket_topk, batch_format="pandas")
-        .materialize()
-    )
+    cand = segment_apply(
+        j.map_batches(bucket_partial, batch_format="pyarrow"),
+        "k",
+        bucket_topk,
+        pa.schema({"k": pa.int64(), "revenue": pa.float64()}),
+        num_buckets=nb,
+    ).materialize()
     parts = [
         t if isinstance(t, pa.Table)
         else pa.Table.from_pandas(t, preserve_index=False)
@@ -1476,18 +1450,15 @@ def q21_waiting(sf_dir: str) -> pa.Table:
                     .astype("datetime64[us]")
                     .view("int64")
                 ),
-                "__b": pa.array(_bucket_of(k, nb)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        k = g["k"].to_numpy(np.int64)
-        s = g["s"].to_numpy(np.int64)
-        us = g["us"].to_numpy(np.int64)
-        order = np.lexsort((s, k))
-        k, s, us = k[order], s[order], us[order]
-        first = np.concatenate([[True], k[1:] != k[:-1]])
-        starts = np.flatnonzero(first)
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        k = np.asarray(t["k"], np.int64)
+        s = np.asarray(t["s"], np.int64)
+        us = np.asarray(t["us"], np.int64)
+        first = np.zeros(len(k), dtype=bool)
+        first[starts] = True
         mx = np.maximum.reduceat(us, starts)
         oid = np.cumsum(first) - 1  # dense order index per row
         # distinct suppliers per order: (k, s) sorted -> new-pair mask
@@ -1508,20 +1479,18 @@ def q21_waiting(sf_dir: str) -> pa.Table:
         win_o, win_s = po_w[first_w], pw[first_w]
         sole = (nm[win_o] == 1) & (ns[win_o] >= 2)
         winners = win_s[sole]
-        if not len(winners):
-            return pd.DataFrame(
-                {"s_suppkey": pd.Series([], dtype=np.int64),
-                 "numwait": pd.Series([], dtype=np.int64)}
-            )
         uk, cnt = np.unique(winners, return_counts=True)
-        return pd.DataFrame(
-            {"s_suppkey": uk, "numwait": cnt.astype(np.int64)}
-        )
+        return {"s_suppkey": uk, "numwait": cnt}
 
     counts = (
-        lf.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            lf.map_batches(tag, batch_format="pyarrow"),
+            "k",
+            kernel,
+            pa.schema({"s_suppkey": pa.int64(), "numwait": pa.int64()}),
+            order=("s",),
+            num_buckets=nb,
+        )
         .groupby("s_suppkey")
         .aggregate(Sum("numwait", alias_name="numwait"))
         .to_pandas()

@@ -19,7 +19,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .geom.kernels import points_in_rings
-from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import (
+    Broadcast,
+    resolve_num_buckets as _resolve_buckets,
+    segment_apply,
+)
 
 
 class PointJoinKernel:
@@ -734,12 +738,8 @@ def ripley_k(
     pairs are counted from the owner's side only, so no global dedup is
     needed; the driver reduces one count per radius.
     """
-    num_buckets = _resolve_buckets(num_buckets)
-    import pandas as pd
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from .joins import _bucket_of
 
     rmax = float(max(radii))
     r2s = [float(r) * float(r) for r in radii]
@@ -769,22 +769,15 @@ def ripley_k(
                 "py": pa.array(np.concatenate(parts_y)),
                 "pid": pa.array(np.concatenate(parts_id)),
                 "own": pa.array(np.concatenate(parts_own)),
-                "__b": pa.array(_bucket_of(key, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        ck = g["ckey"].to_numpy(np.int64)
-        px = g["px"].to_numpy(np.float64)
-        py = g["py"].to_numpy(np.float64)
-        pid = g["pid"].to_numpy(np.int64)
-        own = g["own"].to_numpy(np.int8)
-        order = np.argsort(ck, kind="stable")
-        ck, px, py, pid, own = (
-            ck[order], px[order], py[order], pid[order], own[order]
-        )
-        starts = np.flatnonzero(np.concatenate([[True], ck[1:] != ck[:-1]]))
-        ends = np.append(starts[1:], len(ck))
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        px = np.asarray(t["px"], np.float64)
+        py = np.asarray(t["py"], np.float64)
+        pid = np.asarray(t["pid"], np.int64)
+        own = np.asarray(t["own"], np.int8)
+        ends = np.append(starts[1:], len(px))
         counts = np.zeros(len(r2s), np.int64)
         for s, e in zip(starts, ends):
             ox = px[s:e][own[s:e] > 0]
@@ -798,14 +791,16 @@ def ripley_k(
             neq = oid[:, None] != pid[s:e][None, :]
             for k, r2 in enumerate(r2s):
                 counts[k] += int(((d2 <= r2) & neq).sum())
-        return pd.DataFrame(
-            {"ri": np.arange(len(r2s)), "cnt": counts}
-        )
+        return {"ri": np.arange(len(r2s)), "cnt": counts}
 
     agg = (
-        ds.map_batches(scatter, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            ds.map_batches(scatter, batch_format="pyarrow"),
+            "ckey",
+            kernel,
+            pa.schema({"ri": pa.int64(), "cnt": pa.int64()}),
+            num_buckets=num_buckets,
+        )
         .groupby("ri")
         .aggregate(Sum("cnt", alias_name="cnt"))
     )
@@ -855,12 +850,8 @@ def variogram(
     trig-free |dx|/|dy| comparison edges at +-22.5 degrees, so the twin
     is bit-identical) — the anisotropy diagnostic.
     """
-    num_buckets = _resolve_buckets(num_buckets)
-    import pandas as pd
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from .joins import _bucket_of
 
     rmax = float(max(hi for _, hi in bins))
     b2 = [(float(lo) * float(lo), float(hi) * float(hi)) for lo, hi in bins]
@@ -893,23 +884,16 @@ def variogram(
                 "pv": pa.array(np.concatenate(vs)),
                 "pid": pa.array(np.concatenate(ids)),
                 "own": pa.array(np.concatenate(owns)),
-                "__b": pa.array(_bucket_of(key, num_buckets)),
             }
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        ck = g["ckey"].to_numpy(np.int64)
-        px = g["px"].to_numpy(np.float64)
-        py = g["py"].to_numpy(np.float64)
-        pv = g["pv"].to_numpy(np.float64)
-        pid = g["pid"].to_numpy(np.int64)
-        own = g["own"].to_numpy(np.int8)
-        order = np.argsort(ck, kind="stable")
-        ck, px, py, pv, pid, own = (
-            ck[order], px[order], py[order], pv[order], pid[order], own[order]
-        )
-        starts = np.flatnonzero(np.concatenate([[True], ck[1:] != ck[:-1]]))
-        ends = np.append(starts[1:], len(ck))
+    def kernel(t: pa.Table, starts: np.ndarray) -> dict:
+        px = np.asarray(t["px"], np.float64)
+        py = np.asarray(t["py"], np.float64)
+        pv = np.asarray(t["pv"], np.float64)
+        pid = np.asarray(t["pid"], np.int64)
+        own = np.asarray(t["own"], np.int8)
+        ends = np.append(starts[1:], len(px))
         n_sec = 4 if directional else 1
         cnt = np.zeros(len(b2) * n_sec, np.int64)
         ssq = np.zeros(len(b2) * n_sec, np.float64)
@@ -945,14 +929,16 @@ def variogram(
                 else:
                     cnt[k] += int(m.sum())
                     ssq[k] += float(dz2[m].sum())
-        return pd.DataFrame(
-            {"bi": np.arange(len(cnt)), "cnt": cnt, "ssq": ssq}
-        )
+        return {"bi": np.arange(len(cnt)), "cnt": cnt, "ssq": ssq}
 
     agg = (
-        ds.map_batches(scatter, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+        segment_apply(
+            ds.map_batches(scatter, batch_format="pyarrow"),
+            "ckey",
+            kernel,
+            pa.schema({"bi": pa.int64(), "cnt": pa.int64(), "ssq": pa.float64()}),
+            num_buckets=num_buckets,
+        )
         .groupby("bi")
         .aggregate(Sum("cnt", alias_name="cnt"), Sum("ssq", alias_name="ssq"))
         .to_pandas()
@@ -1100,7 +1086,7 @@ def grid_join_counts(
     import ray.data as rd
 
     from .cluster import compact_blocks, default_num_partitions, safe_join
-    from .tfidf import _coarse_sum
+    from .cluster import segment_sum
 
     w = default_num_partitions()
     I = pa.int64()
@@ -1121,7 +1107,7 @@ def grid_join_counts(
             {"k": pa.array(ku), "val": pa.array(cnt.astype(np.int64))}
         )
 
-    marked = _coarse_sum(
+    marked = segment_sum(
         ds.map_batches(cell_partial, batch_format="pyarrow"), ["k"]
     ).map_batches(
         lambda b: pa.table(

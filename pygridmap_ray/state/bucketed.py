@@ -14,7 +14,7 @@ backpressure and retries apply per bucket.
 Pick ``num_buckets`` so a single bucket pair fits a worker's heap
 (buckets are the unit of join memory AND of resume — a failed run
 reuses every finished bucket output).  Reuses the engine-wide bucket
-law (``joins._bucket_of``) so datasets bucketed by any stage of this
+law (``cluster.bucket_of``) so datasets bucketed by any stage of this
 repo co-locate.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..joins import _bucket_of
+from ..cluster import bucket_of
 
 
 def bucketed_write(ds, out_dir: str, *, key: str,
@@ -39,7 +39,7 @@ def bucketed_write(ds, out_dir: str, *, key: str,
     def tag(b: pa.Table) -> pa.Table:
         k = np.asarray(b[key], np.int64)
         return b.append_column(
-            "__bucket", pa.array(_bucket_of(k, num_buckets))
+            "__bucket", pa.array(bucket_of(k, num_buckets))
         )
 
     tagged = ds.map_batches(tag, batch_format="pyarrow")

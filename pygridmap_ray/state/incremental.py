@@ -24,10 +24,8 @@ import json
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-from pygridmap_ray.cluster import resolve_num_buckets as _resolve_buckets
 
 
 def _partition_fingerprint(part_dir: str) -> str:
@@ -162,18 +160,13 @@ def snapshot_diff(
     One union + coarse-bucket shuffle on the id; per bucket the two
     sides align with vectorized index reindexing — no per-id Python.
     Ids must be unique within each snapshot."""
-    num_buckets = _resolve_buckets(num_buckets)
-    from ..joins import _bucket_of
+    from ..cluster import passthrough_schema, segment_apply
 
     def tag(side: int):
         def f(t: pa.Table) -> pa.Table:
             t = t.select([id_col, hash_col])
-            t = t.append_column("__side", pa.array(
+            return t.append_column("__side", pa.array(
                 np.full(t.num_rows, side, dtype=np.int8)))
-            return t.append_column(
-                "__b",
-                pa.array(_bucket_of(np.asarray(t[id_col]), num_buckets)),
-            )
 
         return f
 
@@ -181,21 +174,28 @@ def snapshot_diff(
         b.map_batches(tag(1), batch_format="pyarrow")
     )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        sa = g[g["__side"] == 0].set_index(id_col)[hash_col]
-        sb = g[g["__side"] == 1].set_index(id_col)[hash_col]
-        ids = np.union1d(sa.index.to_numpy(), sb.index.to_numpy())
-        ha = sa.reindex(ids).to_numpy(dtype=object)
-        hb = sb.reindex(ids).to_numpy(dtype=object)
-        in_a = pd.notna(ha)
-        in_b = pd.notna(hb)
+    def kernel(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # one or two rows per id (ids unique per snapshot), side A first
+        side = np.asarray(t["__side"], np.int8)
+        h = np.asarray(t[hash_col], dtype=object)
+        last = np.append(starts[1:], t.num_rows) - 1
         status = np.where(
-            ~in_a, "added",
-            np.where(~in_b, "removed",
-                     np.where(ha == hb, "unchanged", "changed")),
+            last > starts,
+            np.where(h[starts] == h[last], "unchanged", "changed"),
+            np.where(side[starts] == 0, "removed", "added"),
         )
-        return pd.DataFrame({id_col: ids, "status": status})
+        return pa.table(
+            {id_col: t[id_col].take(starts), "status": pa.array(status, pa.string())}
+        )
 
-    return (
-        u.groupby("__b").map_groups(kernel, batch_format="pandas")
+    schema = passthrough_schema(a)
+    if schema is not None:
+        schema = pa.schema([schema.field(id_col), ("status", pa.string())])
+    return segment_apply(
+        u,
+        id_col,
+        kernel,
+        schema,
+        order=("__side",),
+        num_buckets=num_buckets,
     )

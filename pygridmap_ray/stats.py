@@ -25,8 +25,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pygridmap_ray.cluster import (
     Broadcast,
+    passthrough_schema,
     resolve_num_buckets as _resolve_buckets,
+    segment_apply,
 )
+
+
+#: most distinct (key, value) pairs :func:`_grouped_value_hist` gathers
+_HIST_DOMAIN_LIMIT = 2_000_000
 
 
 def _qlabel(q: float) -> str:
@@ -46,7 +52,13 @@ def _grouped_value_hist(ds, *, key: str, value: str) -> pd.DataFrame:
     vocabulary-scale table that the quantile finish materializes
     anyway; the combiner gather moves strictly fewer bytes.  Null
     values are excluded (SQL aggregate semantics); null keys keep
-    their own group (``dropna=False``)."""
+    their own group (``dropna=False``).
+
+    The vocabulary contract is ENFORCED before the driver concat: when
+    the partial rows exceed ``_HIST_DOMAIN_LIMIT`` the distinct (key,
+    value) pairs are counted with one :func:`segment_apply` pass over the
+    partials, and more than ``_HIST_DOMAIN_LIMIT`` of them raises instead of
+    gathering a continuous-looking domain onto the driver."""
     import ray
 
     ds = ds.select_columns([key, value]).map_batches(
@@ -65,6 +77,22 @@ def _grouped_value_hist(ds, *, key: str, value: str) -> pd.DataFrame:
     # materialize before to_arrow_refs: consuming a lazy Dataset via
     # refs triggers schema-probe re-executions of the whole DAG
     partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    domain_limit = _HIST_DOMAIN_LIMIT
+    if partials.count() > domain_limit:
+        n_pairs = segment_apply(
+            partials,
+            [key, value],
+            lambda t, starts: {"n": [len(starts)]},
+            pa.schema({"n": pa.int64()}),
+        ).sum("n")
+        if n_pairs > domain_limit:
+            raise ValueError(
+                f"{n_pairs} distinct ({key}, {value}) pairs exceed the "
+                f"discrete-domain gate ({domain_limit}): this operator "
+                "gathers the per-key value histogram, which only fits "
+                "bounded domains — for continuous values use "
+                "approx_quantiles"
+            )
     parts = [p for p in ray.get(partials.to_arrow_refs()) if p.num_rows]
     if not parts:
         return pd.DataFrame({key: [], value: [], "count()": []})
@@ -285,35 +313,14 @@ def rolling_aggregate(
     num_buckets = _resolve_buckets(num_buckets)
     if window < 1:
         raise ValueError("window must be >= 1")
-    from .joins import _bucket_of
 
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "__b", pa.array(_bucket_of(np.asarray(b[key_col]), num_buckets))
-        )
-
-    def kernel(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def kernel(g: pa.Table, starts: np.ndarray) -> pa.Table:
         n = g.num_rows
-        if n == 0:
-            return g
-        keys = np.asarray(g[key_col])
-        order_arrs = []
-        for c in order_cols:
-            col = g[c]
-            if pa.types.is_timestamp(col.type):
-                col = pc.cast(col, pa.int64())
-            order_arrs.append(np.asarray(col))
-        # lexsort: last key most significant -> (key, *order_cols)
-        order = np.lexsort((*reversed(order_arrs), keys))
         vcol = g[value_col]
-        null_mask = np.asarray(pc.is_null(vcol).combine_chunks())[order]
-        v = np.asarray(pc.fill_null(pc.cast(vcol, pa.float64()), 0.0))[order]
-        valid = ~null_mask
-        ks = keys[order]
+        valid = ~np.asarray(pc.is_null(vcol).combine_chunks())
+        v = np.asarray(pc.fill_null(pc.cast(vcol, pa.float64()), 0.0))
         idx = np.arange(n)
-        newk = np.r_[True, ks[1:] != ks[:-1]]
-        seg_start = idx[newk][np.cumsum(newk) - 1]
+        seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
         win_start = np.maximum(seg_start, idx - window + 1)
         psum = np.concatenate([[0.0], np.cumsum(np.where(valid, v, 0.0))])
         pcnt = np.concatenate([[0], np.cumsum(valid.astype(np.int64))])
@@ -334,21 +341,27 @@ def rolling_aggregate(
             tol = 10.0**round_to
             rsum = np.sign(rsum) * np.floor(np.abs(rsum) * tol + 0.5) / tol
             rmean = np.sign(rmean) * np.floor(np.abs(rmean) * tol + 0.5) / tol
-        out = g.take(pa.array(order.astype(np.int64)))
-        out = out.append_column("roll_sum", pa.array(rsum, mask=empty))
+        out = g.append_column("roll_sum", pa.array(rsum, mask=empty))
         out = out.append_column("roll_mean", pa.array(rmean, mask=empty))
         out = out.append_column("roll_min", pa.array(rmin, mask=empty))
         out = out.append_column("roll_max", pa.array(rmax, mask=empty))
         return out.append_column("roll_n", pa.array(rcnt))
 
-    return (
-        # narrow inputs often arrive as 1-2 blocks; the groupby below is a
+    f64 = pa.float64()
+    return segment_apply(
+        # narrow inputs often arrive as 1-2 blocks; the exchange is a
         # sort shuffle whose MAP parallelism equals the block count —
         # repartition first so it doesn't serialize on one task
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(max(16, num_buckets // 4))
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pyarrow")
+        ds.repartition(max(16, num_buckets // 4)),
+        key_col,
+        kernel,
+        passthrough_schema(
+            ds,
+            [("roll_sum", f64), ("roll_mean", f64), ("roll_min", f64),
+             ("roll_max", f64), ("roll_n", pa.int64())],
+        ),
+        order=order_cols,
+        num_buckets=num_buckets,
     )
 
 
@@ -721,28 +734,24 @@ def grouped_topk(
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    def tag(b: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(np.asarray(b[group_col]))
-        return b.append_column(
-            "__b", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
+    def kernel(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        cnt = np.diff(np.append(starts, t.num_rows))
+        rank = np.arange(t.num_rows) - np.repeat(starts, cnt) + 1
+        keep = rank <= k
+        return t.filter(pa.array(keep)).append_column(
+            "rank", pa.array(rank[keep])
         )
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__b").sort_values(
-            [group_col, order_col, tiebreak_col],
-            ascending=[True, not descending, True],
-            kind="stable",
-        )
-        rank = g.groupby(group_col, sort=False).cumcount() + 1
-        out = g[rank <= k].copy()
-        out["rank"] = rank[rank <= k].to_numpy(np.int64)
-        return out
-
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(max(16, num_buckets // 4))
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.repartition(max(16, num_buckets // 4)),
+        group_col,
+        kernel,
+        passthrough_schema(ds, [("rank", pa.int64())]),
+        order=(
+            (order_col, "descending" if descending else "ascending"),
+            tiebreak_col,
+        ),
+        num_buckets=num_buckets,
     )
 
 
@@ -1116,22 +1125,12 @@ def keyed_lag(
     ``hash(key) % num_buckets`` coarse buckets (bounded group count at
     any key cardinality), one lexsort per bucket, neighbor values via
     shifted views masked at key boundaries — zero per-key Python."""
-    num_buckets = _resolve_buckets(num_buckets)
-    from .joins import _bucket_of
-
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "__b", pa.array(_bucket_of(np.asarray(b[key_col]), num_buckets))
-        )
-
-    def kernel(g: pa.Table) -> pa.Table:
+    def kernel(g: pa.Table, starts: np.ndarray) -> pa.Table:
         n = g.num_rows
         keys = np.asarray(g[key_col], dtype=np.int64)
         ts = np.asarray(g[ts_col]).astype("datetime64[us]").view(np.int64)
         ids = np.asarray(g[id_col], dtype=np.int64)
         vals = np.asarray(g[value_col], dtype=np.float64)
-        order = np.lexsort((ids, ts, keys))
-        keys, ts, ids, vals = keys[order], ts[order], ids[order], vals[order]
         same_prev = np.zeros(n, dtype=bool)
         same_prev[1:] = keys[1:] == keys[:-1]
         same_next = np.zeros(n, dtype=bool)
@@ -1149,10 +1148,17 @@ def keyed_lag(
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pyarrow")
+    return segment_apply(
+        ds,
+        key_col,
+        kernel,
+        pa.schema(
+            [(id_col, pa.int64()), (key_col, pa.int64()),
+             ("prev_value", pa.float64()), ("next_value", pa.float64()),
+             ("dt_us", pa.int64())]
+        ),
+        order=(ts_col, id_col),
+        num_buckets=num_buckets,
     )
 
 
@@ -1739,27 +1745,9 @@ def ntile(
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def tag(b: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(np.asarray(b[group_col]))
-        return b.append_column(
-            "__b", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-        )
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__b")
-        order = np.lexsort(
-            (
-                g[tiebreak_col].to_numpy(),
-                g[order_col].to_numpy(),
-                g[group_col].to_numpy(),
-            )
-        )
-        g = g.iloc[order].reset_index(drop=True)
-        keys = g[group_col].to_numpy()
-        first = np.r_[True, keys[1:] != keys[:-1]]
-        starts = np.nonzero(first)[0]
-        cnt = np.diff(np.append(starts, len(g)))
-        pos = np.arange(len(g)) - np.repeat(starts, cnt)
+    def kernel(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        cnt = np.diff(np.append(starts, g.num_rows))
+        pos = np.arange(g.num_rows) - np.repeat(starts, cnt)
         cnts = np.repeat(cnt, cnt)
         base = cnts // n
         rem = cnts % n
@@ -1770,14 +1758,15 @@ def ntile(
             pos // np.maximum(base + 1, 1),
             rem + (pos - boundary) // np.maximum(base, 1),
         )
-        g["tile"] = (tile + 1).astype(np.int64)
-        return g
+        return g.append_column("tile", pa.array(tile + 1))
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(max(16, num_buckets // 4))
-        .groupby("__b")
-        .map_groups(kernel, batch_format="pandas")
+    return segment_apply(
+        ds.repartition(max(16, num_buckets // 4)),
+        group_col,
+        kernel,
+        passthrough_schema(ds, [("tile", pa.int64())]),
+        order=(order_col, tiebreak_col),
+        num_buckets=num_buckets,
     )
 
 
@@ -1967,7 +1956,6 @@ def sample_exact_k(
 
     Plan: hash tag (one stateless stage) + :func:`grouped_topk`'s
     coarse-bucket rank kernel."""
-    num_buckets = _resolve_buckets(num_buckets)
     from .text import md5_prefix_int
 
     def tag(b: pa.Table) -> pa.Table:
@@ -2087,7 +2075,6 @@ def priority_sample_grouped(
     (one bounded shuffle, no per-group Python beyond the bucket scan).
 
     Output: the input columns plus ``rank`` (1-based within group)."""
-    num_buckets = _resolve_buckets(num_buckets)
     from .text import md5_prefix_int
 
     scale = float(1 << 60)
@@ -2619,9 +2606,6 @@ def grouped_latest(ds, *, key: str, order_cols: tuple,
     ``order_cols`` must be int64-comparable (cast timestamps upstream).
     Ties break by the full ``order_cols`` tuple, so the result is
     deterministic and partition-invariant."""
-    num_buckets = _resolve_buckets(num_buckets)
-    from .joins import _bucket_of
-
     cols = [key, *order_cols, *carry_cols]
 
     def last_per_key(df: pd.DataFrame) -> pd.DataFrame:
@@ -2639,18 +2623,23 @@ def grouped_latest(ds, *, key: str, order_cols: tuple,
         return df.iloc[take][cols].reset_index(drop=True)
 
     def partial(b: pa.Table) -> pa.Table:
-        df = b.select(cols).to_pandas()
-        red = last_per_key(df)
-        red["__cg"] = _bucket_of(red[key].to_numpy(np.int64), num_buckets)
+        red = last_per_key(b.select(cols).to_pandas())
         return pa.Table.from_pandas(red, preserve_index=False)
 
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        return last_per_key(g)
+    def resolve(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # sorted by (key, *order_cols): each key's last row is its latest
+        return t.take(np.append(starts[1:], t.num_rows) - 1)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(resolve, batch_format="pandas")
+    schema = passthrough_schema(ds)
+    if schema is not None:
+        schema = pa.schema([schema.field(c) for c in cols])
+    return segment_apply(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        key,
+        resolve,
+        schema,
+        order=order_cols,
+        num_buckets=num_buckets,
     )
 
 
@@ -2942,29 +2931,24 @@ def table_profile(ds, cols: list[str]):
     if len(cols) > 16:
         raise ValueError("table_profile packs <= 16 columns per call")
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def packk(b: pa.Table) -> pa.Table:
         h = np.asarray(b["h"], np.int64).astype(np.uint64)
         ci_ = np.asarray(b["ci"], np.int64).astype(np.uint64)
         k = np.unique((h << np.uint64(4)) | ci_)
-        cg = (
-            (k * np.uint64(2654435761)) % np.uint64(_nb_cap)
-        ).astype(np.int64)
-        return pa.table(
-            {"k": pa.array(k.astype(np.int64)), "__cg": pa.array(cg)}
-        )
+        return pa.table({"k": pa.array(k.astype(np.int64))})
 
-    def ucount(g: pd.DataFrame) -> pd.DataFrame:
-        k = np.unique(g["k"].to_numpy(np.int64).astype(np.uint64))
-        ci_ = (k & np.uint64(15)).astype(np.int64)
+    def ucount(t: pa.Table, starts: np.ndarray) -> dict:
+        ci_ = np.asarray(t["k"], np.int64)[starts] & 15
         u, c = np.unique(ci_, return_counts=True)
-        return pd.DataFrame({"ci": u, "c": c.astype(np.int64)})
+        return {"ci": u, "c": c}
 
-    dparts = (
-        ds.map_batches(dh, batch_format="pyarrow")
-        .map_batches(packk, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(ucount, batch_format="pandas")
+    dparts = segment_apply(
+        ds.map_batches(dh, batch_format="pyarrow").map_batches(
+            packk, batch_format="pyarrow"
+        ),
+        "k",
+        ucount,
+        pa.schema({"ci": pa.int64(), "c": pa.int64()}),
     )
     dcounts = np.zeros(len(cols), np.int64)
     for t in dparts.iter_batches(batch_size=None, batch_format="pyarrow"):
@@ -3047,7 +3031,6 @@ def k_anonymity(
 
     sep = "\x1f"
 
-    _nb_cap = _resolve_buckets(None)  # driver-resolved once, captured
     def part(b: pa.Table) -> pa.Table:
         cols = [
             pc.cast(b[c], pa.string()).to_pandas().astype(str)
@@ -3076,68 +3059,43 @@ def k_anonymity(
             np.concatenate([[True], h[1:] != h[:-1]])
         )
         cnt = np.diff(np.append(gstarts, len(h))).astype(np.int64)
-        cg = (
-            (h[gstarts].astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(_nb_cap)
-        ).astype(np.int64)
         gt = pa.table(
             {
                 "h": pa.array(h[gstarts]),
                 "key": pa.array(key[gstarts].astype(object), pa.string()),
                 "n": pa.array(cnt),
                 "sv": pa.array(np.full(len(gstarts), -1, np.int64)),
-                "__cg": pa.array(cg),
             }
         )
-        cg2 = (
-            (h[starts].astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(_nb_cap)
-        ).astype(np.int64)
         st = pa.table(
             {
                 "h": pa.array(h[starts]),
                 "key": pa.array(key[starts].astype(object), pa.string()),
                 "n": pa.array(np.zeros(len(starts), np.int64)),
                 "sv": pa.array(sv[starts]),
-                "__cg": pa.array(cg2),
             }
         )
         return pa.concat_tables([gt, st])
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        h = g["h"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.int64)
-        sv = g["sv"].to_numpy(np.int64)
-        key = g["key"].to_numpy(object)
-        order = np.lexsort((sv, h))
-        h, n, sv, key = h[order], n[order], sv[order], key[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], h[1:] != h[:-1]])
-        )
-        tot = np.add.reduceat(n, starts)
+    def fold(t: pa.Table, starts: np.ndarray) -> dict:
+        sv = np.asarray(t["sv"], np.int64)
+        tot = np.add.reduceat(np.asarray(t["n"], np.int64), starts)
         # distinct sensitive values per class: (h, sv) runs with sv >= 0
-        pair_new = np.concatenate(
-            [[True], (h[1:] != h[:-1]) | (sv[1:] != sv[:-1])]
-        )
-        grp = np.cumsum(
-            np.concatenate([[0], (h[1:] != h[:-1]).astype(np.int64)])
-        )
-        ldiv = np.bincount(
-            grp[pair_new & (sv >= 0)], minlength=len(starts)
-        ).astype(np.int64)
+        first = np.zeros(len(sv), dtype=bool)
+        first[starts] = True
+        pair_new = first | np.append(True, sv[1:] != sv[:-1])
+        grp = np.cumsum(first) - 1
+        ldiv = np.bincount(grp[pair_new & (sv >= 0)], minlength=len(starts))
         bad = tot < k
-        return pd.DataFrame(
-            {
-                "qkey": key[starts][bad].astype(object),
-                "n": tot[bad].astype(np.int64),
-                "l_div": ldiv[bad],
-            }
-        )
+        key = np.asarray(t["key"], dtype=object)
+        return {"qkey": key[starts][bad], "n": tot[bad], "l_div": ldiv[bad]}
 
-    return (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(fold, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(part, batch_format="pyarrow"),
+        "h",
+        fold,
+        pa.schema({"qkey": pa.string(), "n": pa.int64(), "l_div": pa.int64()}),
+        order=("sv",),
     )
 
 

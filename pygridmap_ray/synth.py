@@ -28,6 +28,11 @@ from .geom.kernels import as_ring, rings_area
 
 DOMAIN = (0.0, 0.0, 500_000.0, 501_000.0)
 
+#: Knuth's multiplicative constant, shared by the numpy/SQL twin laws
+#: below and by the ones other modules build on it (arrival orders,
+#: synthetic embeddings)
+KNUTH_MULT = 2654435761
+
 # --- point locations -------------------------------------------------------
 # u = ((doc_id * 2654435761) % 1000003) / 1000003.0      uniform-ish [0,1)
 # v = ((doc_id * 2246822519) % 1000033) / 1000033.0

@@ -16,7 +16,11 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import (
+    Broadcast,
+    declare_schema,
+    segment_apply,
+)
 
 #: language -> stopword regex (RE2; identical string used in SQL twins)
 LANG_PATTERNS: dict[str, str] = {
@@ -705,8 +709,6 @@ def ngram_diversity(
 
     from .dedup import _shingle_hashes
 
-    num_buckets = _resolve_buckets(num_buckets)
-
     def totals(b: pa.Table) -> pa.Table:
         # raw window MULTISET count is pure arithmetic on token counts:
         # ntok - min(n, ntok) + 1 windows per doc with >= 1 token
@@ -754,40 +756,42 @@ def ngram_diversity(
                 {
                     group_col: pa.array([], pa.string()),
                     "g": pa.array([], pa.int64()),
-                    "__cg": pa.array([], pa.int64()),
                 }
             )
         g = np.concatenate(gs)
         sv = np.concatenate(ss)
         df = pd.DataFrame({group_col: sv, "g": g}).drop_duplicates()
-        gg = df["g"].to_numpy(np.int64)
-        cg = (
-            (gg.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
         return pa.table(
             {
                 group_col: pa.array(
                     df[group_col].to_numpy(object), pa.string()
                 ),
-                "g": pa.array(gg),
-                "__cg": pa.array(cg),
+                "g": pa.array(df["g"].to_numpy(np.int64)),
             }
         )
 
-    def bucket_count(gdf: pd.DataFrame) -> pd.DataFrame:
-        d = gdf[[group_col, "g"]].drop_duplicates()
-        out = d.groupby(group_col, sort=False).size().reset_index(
-            name="n_distinct"
-        )
-        out["n_distinct"] = out["n_distinct"].astype(np.int64)
-        return out
+    def bucket_count(t: pa.Table, starts: np.ndarray) -> dict:
+        # distinct (gram, group): sorted, so copies are adjacent
+        src = np.asarray(t[group_col], dtype=object)
+        keep = np.append(True, src[1:] != src[:-1])
+        keep[starts] = True
+        vc = pd.Series(src[keep]).value_counts()
+        return {
+            group_col: vc.index.to_numpy(object),
+            "n_distinct": vc.to_numpy(np.int64),
+        }
 
     dis = (
-        ds.select_columns([group_col, text_col])
-        .map_batches(distinct_pairs, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(bucket_count, batch_format="pandas")
+        segment_apply(
+            ds.select_columns([group_col, text_col]).map_batches(
+                distinct_pairs, batch_format="pyarrow"
+            ),
+            "g",
+            bucket_count,
+            pa.schema([(group_col, pa.string()), ("n_distinct", pa.int64())]),
+            order=(group_col,),
+            num_buckets=num_buckets,
+        )
         .groupby(group_col)
         .aggregate(Sum("n_distinct", alias_name="n_distinct"))
         .to_pandas()
@@ -1064,14 +1068,10 @@ def winnow_dup_pairs(
     packed-key coarse sum — never a fine groupby over pair keys.
     Boilerplate fingerprints shared by m docs cost O(m^2) pairs, the
     same documented hot-bucket bound as the MinHash verify."""
-    import pandas as pd
 
-    from .cluster import resolve_num_buckets
     from .dedup import TOKEN_RE
-    from .tfidf import _coarse_sum
 
     w = int(window)
-    nb = resolve_num_buckets(None)  # driver-resolved once, captured
 
     def fp_rows(b: pa.Table) -> pa.Table:
         ids = np.asarray(b[id_col], np.int64)
@@ -1085,8 +1085,7 @@ def winnow_dup_pairs(
         if not keep.any():
             return pa.table(
                 {"hv": pa.array([], pa.int64()),
-                 "doc": pa.array([], pa.int64()),
-                 "__cg": pa.array([], pa.int64())}
+                 "doc": pa.array([], pa.int64())}
             )
         _, gdoc, sel, hv = _winnow_select(ids, tok_lists, ntok, keep, n, w)
         # DISTINCT (hash, doc): a hash selected at several positions of
@@ -1094,71 +1093,53 @@ def winnow_dup_pairs(
         dfu = np.unique(
             np.stack([hv[sel], ids[gdoc[sel]]], axis=1), axis=0
         )
-        cg = (
-            (dfu[:, 0].astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(nb)
-        ).astype(np.int64)
-        return pa.table(
-            {"hv": pa.array(dfu[:, 0]), "doc": pa.array(dfu[:, 1]),
-             "__cg": pa.array(cg)}
-        )
+        return pa.table({"hv": pa.array(dfu[:, 0]), "doc": pa.array(dfu[:, 1])})
 
-    _PAIR_EMPTY = pd.DataFrame(
-        {"k": pd.Series([], dtype="int64"),
-         "val": pd.Series([], dtype="int64")}
-    )
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # all rows of one hash land in one bucket; emit its doc pairs
-        # packed a*2^32+b — same contract (and same loud failure) as
-        # dedup._pack_pairs: a >= 2^31 would overflow int64 silently
-        h = g["hv"].to_numpy(np.int64)
-        d = g["doc"].to_numpy(np.int64)
-        if len(d) and d.max() >= (1 << 31):
+    def bucket_pairs(t: pa.Table, starts: np.ndarray) -> dict | None:
+        # every row of one hash is here, docs ascending: emit its doc
+        # pairs packed a*2^32+b — same contract (and same loud failure)
+        # as dedup._pack_pairs: a >= 2^31 would overflow int64 silently
+        d = np.asarray(t["doc"], np.int64)
+        if d.max() >= (1 << 31):
             raise ValueError(
                 "pair packing needs doc ids < 2^31; remap ids"
             )
-        order = np.lexsort((d, h))
-        h, d = h[order], d[order]
-        st = np.flatnonzero(np.concatenate([[True], h[1:] != h[:-1]]))
-        cnt = np.diff(np.append(st, len(h)))
+        sizes = np.diff(np.append(starts, len(d)))
         packed = []
-        for s, c in zip(st, cnt):
-            if c < 2:
-                continue
-            mem = d[s:s + c]  # ascending (lexsort)
-            ia, ib = np.triu_indices(c, k=1)
-            packed.append(mem[ia] * np.int64(1 << 32) + mem[ib])
+        for sz in np.unique(sizes[sizes >= 2]):  # one triu per group size
+            segs = starts[sizes == sz][:, None]
+            ia, ib = np.triu_indices(int(sz), k=1)
+            packed.append(
+                d[(segs + ia).ravel()] * np.int64(1 << 32) + d[(segs + ib).ravel()]
+            )
         if not packed:
-            return _PAIR_EMPTY
-        pk, pc_ = np.unique(np.concatenate(packed), return_counts=True)
-        return pd.DataFrame({"k": pk, "val": pc_.astype(np.int64)})
+            return None
+        pk, n = np.unique(np.concatenate(packed), return_counts=True)
+        return {"k": pk, "n": n}
 
-    rows = ds.select_columns([id_col, text_col]).map_batches(
-        fp_rows, batch_format="pyarrow"
-    )
-    counts = _coarse_sum(
-        rows.groupby("__cg").map_groups(
-            bucket_pairs, batch_format="pandas"
-        ),
-        ["k"],
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        k = np.asarray(b["k"], np.int64)
-        v = np.asarray(b["val"], np.float64).astype(np.int64)
+    def finish(t: pa.Table, starts: np.ndarray) -> dict:
+        k = np.asarray(t["k"], np.int64)[starts]
+        v = np.add.reduceat(np.asarray(t["n"], np.int64), starts)
         m = v >= min_shared
-        k, v = k[m], v[m]
-        return pa.table(
-            {
-                "id_a": pa.array(k >> np.int64(32)),
-                "id_b": pa.array(k & np.int64((1 << 32) - 1)),
-                "n_shared": pa.array(v),
-            }
-        )
+        return {
+            "id_a": k[m] >> np.int64(32),
+            "id_b": k[m] & np.int64((1 << 32) - 1),
+            "n_shared": v[m],
+        }
 
-    return counts.map_batches(finish, batch_format="pyarrow").sort(
-        ["id_a", "id_b"]
+    I = pa.int64()
+    pairs = segment_apply(
+        ds.select_columns([id_col, text_col]).map_batches(
+            fp_rows, batch_format="pyarrow"
+        ),
+        "hv",
+        bucket_pairs,
+        pa.schema({"k": I, "n": I}),
+        order=("doc",),
+    )
+    schema = pa.schema({"id_a": I, "id_b": I, "n_shared": I})
+    return declare_schema(
+        segment_apply(pairs, "k", finish, schema).sort(["id_a", "id_b"]), schema
     )
 
 
@@ -1197,24 +1178,25 @@ def top_ngrams(ds, *, n: int = 2, k: int = 20, text_col: str = "text"):
     The shuffle carries unique n-grams per batch, not token streams."""
     import pandas as pd
 
-    num_buckets = _resolve_buckets(None)
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = ngram_counts_partial(b, n=n, text_col=text_col)
-        h = pd.util.hash_array(np.asarray(t["ngram"]).astype(object))
-        cg = (h % np.uint64(num_buckets)).astype(np.int64)
-        return t.append_column("__cg", pa.array(cg))
-
-    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
-        totals = g.groupby("ngram", sort=False)["cnt"].sum().reset_index()
-        totals = totals.sort_values(
+    def bucket_topk(t: pa.Table, starts: np.ndarray) -> pd.DataFrame:
+        totals = pd.DataFrame(
+            {
+                "ngram": np.asarray(t["ngram"], dtype=object)[starts],
+                "cnt": np.add.reduceat(np.asarray(t["cnt"], np.int64), starts),
+            }
+        )
+        return totals.sort_values(
             ["cnt", "ngram"], ascending=[False, True], kind="stable"
         ).head(k)
-        return totals[["ngram", "cnt"]]
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    candidates = partials.groupby("__cg").map_groups(
-        bucket_topk, batch_format="pandas"
+    candidates = segment_apply(
+        ds.map_batches(
+            lambda b: ngram_counts_partial(b, n=n, text_col=text_col),
+            batch_format="pyarrow",
+        ),
+        "ngram",
+        bucket_topk,
+        pa.schema({"ngram": pa.string(), "cnt": pa.int64()}),
     )
     # final rank runs over at most num_buckets*k candidate rows — bounded
     # at any corpus scale (measured: the streaming sort+limit beats a
@@ -1874,10 +1856,8 @@ def keyword_search(index_dir: str, terms: tuple[str, ...], *,
     terms per doc via per-batch packed-unique partials + ONE coarse
     bucket on doc hash — doc ids are HIGH-cardinality so they never see
     a fine groupby — and keeps docs matching all k terms."""
-    coarse_buckets = _resolve_buckets(coarse_buckets)
     import zlib
 
-    import pandas as pd
     import ray.data as rd
 
     tset = sorted(set(terms))
@@ -1902,25 +1882,22 @@ def keyword_search(index_dir: str, terms: tuple[str, ...], *,
         doc = np.asarray(b[id_col], np.int64)[keep]
         tcode = tcode[keep]
         pk = np.unique(doc * np.int64(k + 1) + tcode)
-        d = pk // np.int64(k + 1)
-        cg = (
-            (d.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
-        return pa.table({"pk": pa.array(pk), "__cg": pa.array(cg)})
+        return pa.table({"d": pa.array(pk // np.int64(k + 1)), "pk": pa.array(pk)})
 
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        pk = np.unique(g["pk"].to_numpy(np.int64))
-        d = pk // np.int64(k + 1)
-        starts = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
-        cnt = np.diff(np.append(starts, len(d)))
-        hit = d[starts][cnt == k]
-        return pd.DataFrame({id_col: hit})
+    def resolve(t: pa.Table, starts: np.ndarray) -> dict:
+        # distinct matched terms per doc: pk repeats only across batches
+        pk = np.asarray(t["pk"], np.int64)
+        new = np.append(True, pk[1:] != pk[:-1])
+        cnt = np.add.reduceat(new.astype(np.int64), starts)
+        return {id_col: np.asarray(t["d"], np.int64)[starts][cnt == k]}
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(resolve, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "d",
+        resolve,
+        pa.schema([(id_col, pa.int64())]),
+        order=("pk",),
+        num_buckets=coarse_buckets,
     )
 
 
@@ -2029,25 +2006,23 @@ def _ngram_totals(ds, *, n: int, text_col: str = "text",
     hash-like-key rule: never one Ray group per unique gram) ->
     per-bucket vectorized sum, filtered to ``cnt >= min_count``.  The
     shuffle carries unique grams per batch, never token streams."""
-    num_buckets = _resolve_buckets(num_buckets)
-    import pandas as pd
+    def bucket_sum(t: pa.Table, starts: np.ndarray) -> dict:
+        cnt = np.add.reduceat(np.asarray(t["cnt"], np.int64), starts)
+        keep = cnt >= min_count
+        return {
+            "ngram": np.asarray(t["ngram"], dtype=object)[starts][keep],
+            "cnt": cnt[keep],
+        }
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = ngram_counts_partial(b, n=n, text_col=text_col)
-        h = pd.util.hash_array(np.asarray(t["ngram"]).astype(object))
-        cg = (h % np.uint64(num_buckets)).astype(np.int64)
-        return t.append_column("__cg", pa.array(cg))
-
-    def bucket_sum(g: pd.DataFrame) -> pd.DataFrame:
-        totals = g.groupby("ngram", sort=False)["cnt"].sum().reset_index()
-        if min_count > 1:
-            totals = totals[totals["cnt"] >= min_count]
-        return totals[["ngram", "cnt"]]
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(bucket_sum, batch_format="pandas")
+    return segment_apply(
+        ds.map_batches(
+            lambda b: ngram_counts_partial(b, n=n, text_col=text_col),
+            batch_format="pyarrow",
+        ),
+        "ngram",
+        bucket_sum,
+        pa.schema({"ngram": pa.string(), "cnt": pa.int64()}),
+        num_buckets=num_buckets,
     )
 
 

@@ -41,7 +41,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-from pygridmap_ray.cluster import Broadcast, resolve_num_buckets as _resolve_buckets
+from pygridmap_ray.cluster import (
+    Broadcast,
+    resolve_num_buckets as _resolve_buckets,
+    segment_apply,
+    segment_sum,
+)
 
 _PAIR_SHIFT = 31  # doc ids must fit [0, 2^31): packed pair key layout
 
@@ -89,80 +94,28 @@ def doc_term_freqs(
     )
 
 
-def _coarse_sum(
-    ds,
-    key_cols: list[str],
-    val_cols: tuple[str, ...] = ("val",),
-    *,
-    num_buckets: int | None = None,
-    map_parallelism: int = 0,
-):
-    """Sum ``val_cols`` per int64 key tuple without a fine groupby:
-    coarse hash buckets, then one lexsort + ``np.add.reduceat`` per
-    bucket.  ``map_parallelism > 0`` repartitions the input first so the
-    sort-shuffle's map phase is not serialized by a low block count
-    (narrow inputs often arrive as 1-2 blocks)."""
-    num_buckets = _resolve_buckets(num_buckets)
+def _pair_partials(t: pa.Table, starts: np.ndarray, *, max_df: int,
+                   nf: float) -> dict | None:
+    """Term-segmented postings -> packed-key normalized pair partials.
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        h = np.zeros(b.num_rows, dtype=np.uint64)
-        for c in key_cols:
-            h = h * np.uint64(1000003) + np.asarray(b[c]).astype(np.uint64)
-        cg = ((h * np.uint64(2654435761)) % np.uint64(num_buckets)).astype(np.int64)
-        return b.append_column("__cg", pa.array(cg))
-
-    def reduce(g: pd.DataFrame) -> pd.DataFrame:
-        arrs = [g[c].to_numpy(np.int64) for c in key_cols]
-        order = np.lexsort(tuple(reversed(arrs)))
-        ks = [a[order] for a in arrs]
-        change = np.zeros(len(order), dtype=bool)
-        change[0] = True
-        for a in ks:
-            change[1:] |= a[1:] != a[:-1]
-        starts = np.nonzero(change)[0]
-        out = {c: a[starts] for c, a in zip(key_cols, ks)}
-        for v in val_cols:
-            out[v] = np.add.reduceat(g[v].to_numpy(np.float64)[order], starts)
-        return pd.DataFrame(out)
-
-    if map_parallelism:
-        ds = ds.repartition(map_parallelism)
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__cg")
-        .map_groups(reduce, batch_format="pandas")
-    )
-
-
-def _pair_partials(g: pd.DataFrame, *, max_df: int, nf: float) -> pd.DataFrame:
-    """One term bucket -> packed-key normalized pair partials.
-
-    ``g`` columns: doc, th (int64 term hash), tf, nrm (per-doc norm
-    already attached).  Emits (pk, val) rows where ``pk = id_a << 31 |
-    id_b`` (id_a < id_b) and val sums to the pair's cosine across
-    buckets."""
-    empty = pd.DataFrame(
-        {"pk": pd.Series([], dtype="int64"), "val": pd.Series([], dtype="float64")}
-    )
-    th = g["th"].to_numpy(np.int64)
-    _, inv, cnt = np.unique(th, return_inverse=True, return_counts=True)
-    dfv = cnt[inv].astype(np.float64)
-    kept = (dfv <= max_df) & (dfv >= 2)  # singleton terms cannot pair
-    if not kept.any():
-        return empty
-    th = th[kept]
-    dfv = dfv[kept]
+    ``t`` columns: doc, th (int64 term hash), tf, nrm (per-doc norm
+    already attached), sorted by (th, doc) with ``starts`` the term
+    segments.  Emits (pk, val) rows where ``pk = id_a << 31 | id_b``
+    (id_a < id_b) and val sums to the pair's cosine across calls."""
+    cnt = np.diff(np.append(starts, t.num_rows))  # document frequency
+    seg_kept = (cnt <= max_df) & (cnt >= 2)  # singleton terms cannot pair
+    if not seg_kept.any():
+        return None
+    kept = np.repeat(seg_kept, cnt)
+    sizes = cnt[seg_kept]
+    starts = np.cumsum(sizes) - sizes
+    dfv = np.repeat(sizes, sizes).astype(np.float64)
     wn = (
-        g["tf"].to_numpy(np.float64)[kept]
+        np.asarray(t["tf"], np.float64)[kept]
         * np.log(nf / dfv)
-        / g["nrm"].to_numpy(np.float64)[kept]
+        / np.asarray(t["nrm"], np.float64)[kept]
     )
-    doc = g["doc"].to_numpy(np.int64)[kept]
-    order = np.lexsort((doc, th))
-    th, doc, wn = th[order], doc[order], wn[order]
-    change = np.r_[True, th[1:] != th[:-1]]
-    starts = np.nonzero(change)[0]
-    sizes = np.diff(np.append(starts, len(th)))
+    doc = np.asarray(t["doc"], np.int64)[kept]
     ga_l, gb_l = [], []
     for sz in np.unique(sizes):
         segs = starts[sizes == sz]
@@ -177,9 +130,7 @@ def _pair_partials(g: pd.DataFrame, *, max_df: int, nf: float) -> pd.DataFrame:
     o = np.argsort(pk, kind="stable")
     pk = pk[o]
     st = np.nonzero(np.r_[True, pk[1:] != pk[:-1]])[0]
-    return pd.DataFrame(
-        {"pk": pk[st], "val": np.add.reduceat(val[o], st)}
-    )
+    return {"pk": pk[st], "val": np.add.reduceat(val[o], st)}
 
 
 def _dense_pairs(
@@ -329,14 +280,8 @@ def tfidf_pairs(
         # accepted collision law as the shingle/minhash family.
         t = doc_term_freqs(b, id_col=id_col, text_col=text_col, n=n)
         h = pd.util.hash_array(np.asarray(t["term"]).astype(object))
-        cg = (h % np.uint64(num_buckets)).astype(np.int64)
         return pa.table(
-            {
-                "doc": t["doc"],
-                "th": pa.array(h.view(np.int64)),
-                "tf": t["tf"],
-                "__cg": pa.array(cg),
-            }
+            {"doc": t["doc"], "th": pa.array(h.view(np.int64)), "tf": t["tf"]}
         )
 
     tfd = docs.map_batches(tf_stage, batch_format="pyarrow")
@@ -381,25 +326,25 @@ def tfidf_pairs(
                 num_partitions=num_partitions,
             )
 
-    def norm_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        th = g["th"].to_numpy(np.int64)
-        _, inv, cnt = np.unique(th, return_inverse=True, return_counts=True)
-        dfv = cnt[inv].astype(np.float64)
+    def norm_kernel(t: pa.Table, starts: np.ndarray) -> dict | None:
+        cnt = np.diff(np.append(starts, t.num_rows))  # document frequency
+        dfv = np.repeat(cnt, cnt).astype(np.float64)
         kept = dfv <= max_df  # df=1 terms DO count toward the norm
         if not kept.any():
-            return pd.DataFrame(
-                {"a": pd.Series([], dtype="int64"),
-                 "val": pd.Series([], dtype="float64")}
-            )
-        w = g["tf"].to_numpy(np.float64)[kept] * np.log(nf / dfv[kept])
-        doc = g["doc"].to_numpy(np.int64)[kept]
+            return None
+        w = np.asarray(t["tf"], np.float64)[kept] * np.log(nf / dfv[kept])
+        doc = np.asarray(t["doc"], np.int64)[kept]
         o = np.argsort(doc, kind="stable")
         d, v = doc[o], (w * w)[o]
         st = np.nonzero(np.r_[True, d[1:] != d[:-1]])[0]
-        return pd.DataFrame({"a": d[st], "val": np.add.reduceat(v, st)})
+        return {"a": d[st], "val": np.add.reduceat(v, st)}
 
-    norms = _coarse_sum(
-        tfd.groupby("__cg").map_groups(norm_kernel, batch_format="pandas"),
+    norms = segment_sum(
+        segment_apply(
+            tfd, "th", norm_kernel,
+            pa.schema({"a": pa.int64(), "val": pa.float64()}),
+            num_buckets=num_buckets,
+        ),
         ["a"],
     ).map_batches(
         lambda b: pa.table({"a": b["a"], "nrm": pc.sqrt(b["val"])}),
@@ -459,14 +404,15 @@ def tfidf_pairs(
             na, "inner", num_partitions=num_partitions, on=("doc",)
         )
 
-    pairs = (
-        pair_src.groupby("__cg")
-        .map_groups(
-            lambda g: _pair_partials(g, max_df=max_df, nf=nf),
-            batch_format="pandas",
-        )
+    pairs = segment_apply(
+        pair_src,
+        "th",
+        lambda t, starts: _pair_partials(t, starts, max_df=max_df, nf=nf),
+        pa.schema({"pk": pa.int64(), "val": pa.float64()}),
+        order=("doc",),
+        num_buckets=num_buckets,
     )
-    return _coarse_sum(pairs, ["pk"]).map_batches(finish, batch_format="pyarrow")
+    return segment_sum(pairs, ["pk"]).map_batches(finish, batch_format="pyarrow")
 
 
 def sql_tfidf_pairs(

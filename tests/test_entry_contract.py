@@ -236,12 +236,14 @@ def test_no_literal_bucket_widths():
     count must be resolved ON THE DRIVER and captured — a worker-side
     cache (the removed ``auto_num_buckets``) can diverge across an
     elastic-cluster resize and silently split coarse groups.  Pin both:
-    no ``_bucket_of(x, w)`` call whose width ``w`` is an int literal or
+    no ``bucket_of(x, w)`` call whose width ``w`` is an int literal or
     a name bound to one in the same function, no ``num_partitions``
     parameter default or keyword argument that is an int literal (Ray
     sizes one hash-shuffle aggregator per partition, so a literal 32
     asks a small host for more memory than it has and never starts),
-    and no worker-side resolver name anywhere in the engine source."""
+    no int-literal ``map_parallelism=`` or ``segment_apply(...,
+    num_buckets=<literal>)`` keyword, and no worker-side resolver name
+    anywhere in the engine source."""
     import ast
     import re
     from pathlib import Path
@@ -256,11 +258,16 @@ def test_no_literal_bucket_widths():
         tree = ast.parse(src)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
+                fname = getattr(node.func, "id", getattr(node.func, "attr", ""))
                 for kw in node.keywords:
-                    if kw.arg == "num_partitions" and int_literal(kw.value):
+                    if not int_literal(kw.value):
+                        continue
+                    if kw.arg in ("num_partitions", "map_parallelism") or (
+                        kw.arg == "num_buckets" and fname == "segment_apply"
+                    ):
                         offenders.append(
                             f"{mod.name}:{node.lineno}: literal "
-                            f"num_partitions={kw.value.value}"
+                            f"{kw.arg}={kw.value.value}"
                         )
             elif isinstance(node, ast.arguments):
                 pos = node.posonlyargs + node.args
@@ -285,7 +292,7 @@ def test_no_literal_bucket_widths():
                 if not (
                     isinstance(call, ast.Call)
                     and isinstance(call.func, ast.Name)
-                    and call.func.id == "_bucket_of"
+                    and call.func.id in ("bucket_of", "_bucket_of")
                     and len(call.args) >= 2
                 ):
                     continue
@@ -304,6 +311,51 @@ def test_no_literal_bucket_widths():
         for name in ("auto_num_buckets", "_auto_nb"):
             if re.search(rf"\b{name}\b", txt):
                 offenders.append(f"{mod.name}: worker-side resolver {name}")
+    assert not offenders, offenders
+
+
+def test_one_coarse_bucket_exchange():
+    """Every hash-like keyed exchange goes through
+    ``cluster.segment_apply``: no ``.groupby(<__-prefixed bucket
+    column>).map_groups(...)`` chain and no literal Knuth constant
+    2654435761 (an inline bucket hash) outside ``cluster.py`` (which
+    owns the one bucket law) and ``synth.py`` (the numpy/SQL twin data
+    laws, which name it ``KNUTH_MULT``)."""
+    import ast
+    from pathlib import Path
+
+    def bucket_key(node) -> bool:
+        elts = node.elts if isinstance(node, (ast.List, ast.Tuple)) else [node]
+        return bool(elts) and all(
+            isinstance(e, ast.Constant)
+            and isinstance(e.value, str)
+            and e.value.startswith("__")
+            for e in elts
+        )
+
+    root = Path(__file__).resolve().parents[1] / "pygridmap_ray"
+    offenders = []
+    for mod in root.rglob("*.py"):
+        if mod.name in ("cluster.py", "synth.py"):
+            continue
+        rel = mod.relative_to(root)
+        for node in ast.walk(ast.parse(mod.read_text())):
+            if isinstance(node, ast.Constant) and node.value == 2654435761:
+                offenders.append(f"{rel}:{node.lineno}: literal 2654435761")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map_groups"
+                and isinstance(node.func.value, ast.Call)
+                and isinstance(node.func.value.func, ast.Attribute)
+                and node.func.value.func.attr == "groupby"
+                and node.func.value.args
+                and bucket_key(node.func.value.args[0])
+            ):
+                offenders.append(
+                    f"{rel}:{node.lineno}: groupby("
+                    f"{ast.unparse(node.func.value.args[0])}).map_groups"
+                )
     assert not offenders, offenders
 
 
