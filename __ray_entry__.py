@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
+from pathlib import Path
 from typing import Any
 
-sys.path.insert(0, "/root/repo")
+# this checkout's package, whatever directory it was cloned into
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from pygridmap_ray.pipelines import queries as _q  # noqa: E402
 

@@ -205,6 +205,13 @@ def declare_schema(ds, schema: pa.Schema):
     return ds.union(rd.from_arrow(schema.empty_table()))
 
 
+def to_frame(ds, schema: pa.Schema):
+    """``ds.to_pandas()`` for a driver fold, typed by ``schema`` when Ray
+    2.49 drops every (zero-row) block and returns a frame with no columns."""
+    df = ds.to_pandas()
+    return df if len(df.columns) else schema.empty_table().to_pandas()
+
+
 def segment_sum(ds, keys, vals=("val",), *, num_buckets: int | None = None):
     """Sum the ``vals`` columns (as float64) per int64 ``keys`` tuple:
     one :func:`segment_apply` exchange, one ``np.add.reduceat`` per

@@ -53,6 +53,7 @@ from pygridmap_ray.cluster import (
     Broadcast,
     resolve_num_buckets as _resolve_buckets,
     segment_apply,
+    to_frame,
 )
 
 RES, TSC = 1000.0, 128
@@ -2339,8 +2340,8 @@ def _sql_poly_hex_cover() -> str:
 def q_spatial_join_hexidx(sf_dir: str):
     """Point-in-polygon join THROUGH the hex-cover index (alternative
     strategy to the broadcast PIP kernel): conservative hex cover built
-    once from the layer, two searchsorted probes per point, exact rect
-    refine only for cover candidates.  Same output law as the plain
+    once from the layer, two searchsorted probes per point, exact ring
+    containment only for cover candidates.  Same output law as the plain
     rect join."""
     from ..spatial import join_points_via_hex_cover
     from ..synth import polygon_layer
@@ -6188,12 +6189,8 @@ def q_token_js(sf_dir: str):
         micro = np.floor((tp + tq) * 1e9 + 0.5).astype(np.int64)
         return {"msum": [micro.sum()], "n_tokens": [len(starts)]}
 
-    fold = segment_apply(
-        parts,
-        "t",
-        bucket_terms,
-        pa.schema({"msum": pa.int64(), "n_tokens": pa.int64()}),
-    ).to_pandas()
+    schema = pa.schema({"msum": pa.int64(), "n_tokens": pa.int64()})
+    fold = to_frame(segment_apply(parts, "t", bucket_terms, schema), schema)
     msum = int(fold["msum"].sum())
     n_tok = int(fold["n_tokens"].sum())
     js = np.floor(msum / 1e9 * 1e6 + 0.5) / 1e6  # js >= 0
@@ -6477,13 +6474,10 @@ def q_fd_check(sf_dir: str):
             per = np.add.reduceat(new_b.astype(np.int64), starts)
             return {"n_keys": [len(per)], "n_violating": [int((per > 1).sum())]}
 
-        parts = segment_apply(
-            ds.map_batches(part, batch_format="pyarrow"),
-            "a",
-            fold,
-            pa.schema({"n_keys": pa.int64(), "n_violating": pa.int64()}),
-            order=("b",),
-        ).to_pandas()
+        schema = pa.schema({"n_keys": pa.int64(), "n_violating": pa.int64()})
+        parts = to_frame(segment_apply(
+            ds.map_batches(part, batch_format="pyarrow"), "a", fold, schema, order=("b",)
+        ), schema)
         names.append(name)
         nk.append(int(parts["n_keys"].sum()))
         nv.append(int(parts["n_violating"].sum()))

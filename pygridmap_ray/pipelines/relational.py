@@ -17,6 +17,7 @@ from pygridmap_ray.cluster import (
     Broadcast,
     resolve_num_buckets as _resolve_buckets,
     segment_apply,
+    to_frame,
 )
 from pygridmap_ray.synth import KNUTH_MULT
 
@@ -502,16 +503,11 @@ def events_retention(sf_dir: str, *, num_buckets: int | None = None):
     # weeks^2-sized partials (<= num_buckets x weeks^2 rows): a Ray
     # aggregate pays ~1 s fixed overhead on a driver-fold-sized input
     # (the events_watermark finding), so the finish folds on the driver
-    part = segment_apply(
-        ev.map_batches(pack, batch_format="pyarrow"),
-        "user_id",
-        kernel,
-        pa.schema(
-            {"cohort_week": pa.int64(), "week": pa.int64(), "n": pa.int64()}
-        ),
-        order=("k",),
-        num_buckets=num_buckets,
-    ).to_pandas()
+    schema = pa.schema({"cohort_week": pa.int64(), "week": pa.int64(), "n": pa.int64()})
+    part = to_frame(segment_apply(
+        ev.map_batches(pack, batch_format="pyarrow"), "user_id", kernel, schema,
+        order=("k",), num_buckets=num_buckets,
+    ), schema)
     agg = (
         part.groupby(["cohort_week", "week"], sort=True)["n"]
         .sum()
@@ -3838,7 +3834,7 @@ def events_watermark(sf_dir: str, *, num_buckets: int | None = None):
     # the driver (a few thousand int64 rows) replaces a Ray sort
     # aggregate whose fixed per-partition overhead dwarfed the work
     # (measured 7 s of overhead on 46k-row inputs at sf0.1).
-    bmax = tagged.map_batches(
+    partials = tagged.map_batches(
         lambda b: pa.table(
             {
                 "bid": pa.array(
@@ -3858,7 +3854,8 @@ def events_watermark(sf_dir: str, *, num_buckets: int | None = None):
             }
         ),
         batch_format="pyarrow",
-    ).to_pandas()
+    )
+    bmax = to_frame(partials, pa.schema({"bid": pa.int64(), "mx": pa.int64()}))
     prefix = np.full(num_buckets, np.iinfo(np.int64).min, dtype=np.int64)
     pb = bmax["bid"].to_numpy(np.int64)
     pm = bmax["mx"].to_numpy(np.int64)
@@ -3900,16 +3897,10 @@ def events_watermark(sf_dir: str, *, num_buckets: int | None = None):
     # (calendar-bounded), so the final window sum is a driver fold —
     # the Ray aggregate alternative paid ~7 s of fixed overhead for
     # 46k rows at sf0.1.
-    part = segment_apply(
-        tagged,
-        "bid",
-        kernel,
-        pa.schema(
-            {"win_us": pa.int64(), "n_total": pa.int64(), "n_late": pa.int64()}
-        ),
-        order=("a", "event_id"),
-        num_buckets=num_buckets,
-    ).to_pandas()
+    schema = pa.schema({"win_us": pa.int64(), "n_total": pa.int64(), "n_late": pa.int64()})
+    part = to_frame(segment_apply(
+        tagged, "bid", kernel, schema, order=("a", "event_id"), num_buckets=num_buckets
+    ), schema)
     win = part["win_us"].to_numpy(np.int64)
     uw, inv = np.unique(win, return_inverse=True)
     n_total = np.bincount(
@@ -4636,17 +4627,14 @@ def events_ltv(sf_dir: str, *, num_buckets: int | None = None):
             }
         )
 
-    part = segment_apply(
-        ev.map_batches(pack, batch_format="pyarrow"),
-        "user_id",
-        kernel,
-        pa.schema(
-            {"kind": pa.int64(), "cohort_week": pa.int64(), "week": pa.int64(),
-             "rev": pa.float64(), "n": pa.int64()}
-        ),
-        order=("k",),
-        num_buckets=num_buckets,
-    ).to_pandas()
+    schema = pa.schema(
+        {"kind": pa.int64(), "cohort_week": pa.int64(), "week": pa.int64(),
+         "rev": pa.float64(), "n": pa.int64()}
+    )
+    part = to_frame(segment_apply(
+        ev.map_batches(pack, batch_format="pyarrow"), "user_id", kernel, schema,
+        order=("k",), num_buckets=num_buckets,
+    ), schema)
     sz = (
         part[part["kind"] == 1]
         .groupby("cohort_week", sort=True)["n"].sum()

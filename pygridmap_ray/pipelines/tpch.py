@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..cluster import Broadcast, segment_apply
+from ..cluster import Broadcast, segment_apply, to_frame
 
 # shared constants (engine and SQL twins read THESE — never inline)
 Q6_D0, Q6_D1 = "1996-01-01", "1997-01-01"
@@ -319,14 +319,13 @@ def q4_priority(sf_dir: str):
     # the per-bucket partials are <= nb x 5 rows — a Ray aggregate here
     # pays ~1 s of fixed overhead for a driver-fold-sized input (the
     # events_watermark finding), so the 5-row finish folds on the driver
-    part = segment_apply(
-        li.union(orders),
-        "key",
-        bucket,
-        pa.schema({"o_orderpriority": pa.string(), "order_count": pa.int64()}),
-        order=("src",),
-        num_buckets=nb,
-    ).to_pandas()
+    schema = pa.schema({"o_orderpriority": pa.string(), "order_count": pa.int64()})
+    part = to_frame(
+        segment_apply(
+            li.union(orders), "key", bucket, schema, order=("src",), num_buckets=nb
+        ),
+        schema,
+    )
     agg = (
         part.groupby("o_orderpriority", sort=True)["order_count"]
         .sum()

@@ -5,11 +5,18 @@ broadcast polygon layer (GISCO/NUTS-style) inside stateless
 ``map_batches`` tasks — the Ray-native form of the reference's per-tile
 ``sjoin``/rtree-candidate pattern (reference overlay.py:174-184, 258-260).
 
-Boundary convention: the even-odd ray-casting kernel classifies points on
+All three join paths test containment with the layer's one
+:class:`~pygridmap_ray.geom.index.PolygonIndex` (bins -> candidates ->
+slab edges -> parity), built once per worker by :class:`cluster.Broadcast`.
+Candidates come from its bbox bins (``join_points_to_polygons``), a
+cell-key hash join (``join_points_via_cell_index``) or a hex cover
+(``join_points_via_hex_cover``).
+
+Boundary convention: the even-odd ray-casting test classifies points on
 a polygon's left/bottom edges as inside and right/top edges as outside —
 exactly the half-open ``[xmin, xmax) x [ymin, ymax)`` convention of the
 SQL oracle's rect decomposition, so the two agree even for points exactly
-on edges.
+on edges.  The bbox candidate filter is half-open the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .geom.kernels import points_in_rings
+from .geom.index import PolygonIndex, ragged
 from pygridmap_ray.cluster import (
     Broadcast,
     resolve_num_buckets as _resolve_buckets,
@@ -27,7 +34,9 @@ from pygridmap_ray.cluster import (
 
 
 class PointJoinKernel:
-    """Broadcast join kernel: the polygon layer, built once per worker."""
+    """Broadcast join kernel: the polygon layer's index, built once per
+    worker.  Rows come out polygon-major, x-ascending (ties by row)
+    within a polygon, then the unmatched rows for ``how='left'``."""
 
     def __init__(
         self,
@@ -37,83 +46,25 @@ class PointJoinKernel:
         x_col: str = "x",
         y_col: str = "y",
     ):
-        self.polys = polygons
-        self.attr_cols = attr_cols
-        self.how = how
-        self.x_col = x_col
-        self.y_col = y_col
+        self.index = PolygonIndex(polygons, attr_cols)
+        self.how, self.x_col, self.y_col = how, x_col, y_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
         px = np.asarray(batch[self.x_col], dtype=np.float64)
         py = np.asarray(batch[self.y_col], dtype=np.float64)
-        matched = np.zeros(n, dtype=bool)
-        pos_parts: list[np.ndarray] = []
-        code_parts: list[np.ndarray] = []
-        # sorted-x prefilter: per polygon, binary-search the x-range instead
-        # of scanning the whole batch — O(P log n + hits), which is what
-        # keeps NUTS-scale layers (1000s of polygons) cheap per batch
-        order = np.argsort(px, kind="stable")
-        sx = px[order]
-        for j, p in enumerate(self.polys):
-            bx0, by0, bx1, by1 = p["bbox"]
-            lo = np.searchsorted(sx, bx0, side="left")
-            hi = np.searchsorted(sx, bx1, side="left")
-            if lo >= hi:
-                continue
-            cand = order[lo:hi]
-            sel = (py[cand] >= by0) & (py[cand] < by1)
-            if not sel.any():
-                continue
-            pos_all = cand[sel]
-            inside = points_in_rings(px[pos_all], py[pos_all], p["rings"])
-            pos = pos_all[inside]
-            if len(pos) == 0:
-                continue
-            matched[pos] = True
-            pos_parts.append(pos)
-            code_parts.append(np.full(len(pos), j, dtype=np.int64))
+        pt, poly = self.index.candidates(px, py)
+        inside = self.index.contains(px[pt], py[pt], poly)
+        pt, poly = pt[inside], poly[inside]
+        o = np.lexsort((pt, px[pt], poly))
+        pt, poly = pt[o], poly[o]
         if self.how == "left":
-            pos = np.nonzero(~matched)[0]
-            if len(pos):
-                pos_parts.append(pos)
-                code_parts.append(np.full(len(pos), -1, dtype=np.int64))
-        if pos_parts:
-            pos_all = np.concatenate(pos_parts)
-            codes = np.concatenate(code_parts)
-        else:
-            pos_all = np.empty(0, dtype=np.int64)
-            codes = np.empty(0, dtype=np.int64)
-        # ONE take + vectorized attr gather (per-polygon take/concat was the
-        # dominant per-batch cost for 1000+-polygon layers)
-        t = batch.take(pa.array(pos_all))
-        null_mask = codes < 0
-        safe = np.where(null_mask, 0, codes)
-        pid_lut = np.array([p["poly_id"] for p in self.polys] or [0], dtype=np.int64)
-        pid = pid_lut[safe]
-        t = t.append_column(
-            "poly_id",
-            pa.array(pid, pa.int64(), mask=null_mask)
-            if len(pid)
-            else pa.array([], pa.int64()),
-        )
-        for c in self.attr_cols:
-            vals = [p[c] for p in self.polys]
-            if vals and isinstance(vals[0], str):
-                lut = pa.array(vals or [""])
-                col = lut.take(
-                    pa.array(safe, pa.int64(), mask=null_mask)
-                    if len(safe)
-                    else pa.array([], pa.int64())
-                )
-            else:
-                v = np.asarray(vals or [0.0], dtype=np.float64)[safe]
-                col = (
-                    pa.array(v, pa.float64(), mask=null_mask)
-                    if len(v)
-                    else pa.array([], pa.float64())
-                )
-            t = t.append_column(c, col)
+            miss = np.nonzero(np.bincount(pt, minlength=batch.num_rows) == 0)[0]
+            pt = np.concatenate([pt, miss])
+            poly = np.concatenate([poly, np.full(len(miss), -1, np.int64)])
+        t = batch.take(pa.array(pt, pa.int64()))
+        codes = pa.array(poly, pa.int64(), mask=poly < 0)
+        for c, lut in self.index.luts.items():
+            t = t.append_column(c, lut.take(codes))
         return t
 
 
@@ -179,7 +130,7 @@ def polygon_cells_index(
     """
     import ray.data as rd
 
-    from .geom.kernels import TOL_EPS, cells_coverage
+    from .geom.kernels import cells_coverage
 
     layer = Broadcast(polygons)
     ox, oy = origin
@@ -187,7 +138,8 @@ def polygon_cells_index(
 
     def emit(batch: pa.Table) -> pa.Table:
         polys = layer.get()
-        keys, pids, fulls = [], [], []
+        keys, pids = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        fulls = [np.empty(0, bool)]
         for i in np.asarray(batch["id"], dtype=np.int64).tolist():
             p = polys[i]
             bx0, by0, bx1, by1 = p["bbox"]
@@ -205,20 +157,10 @@ def polygon_cells_index(
             # complete coverage skips the verify — both required for exact
             # parity with the broadcast join (review repros)
             iys, ixs = np.nonzero(cov > 0.0)
-            if len(iys) == 0:
-                continue
             full = cov[iys, ixs] >= cell_area * (1.0 - 1e-12)
             keys.append((iys + iy0).astype(np.int64) * 2**32 + (ixs + ix0))
             pids.append(np.full(len(iys), p["poly_id"], dtype=np.int64))
             fulls.append(full)
-        if not keys:
-            return pa.table(
-                {
-                    "cell_key": pa.array([], pa.int64()),
-                    "poly_id": pa.array([], pa.int64()),
-                    "full": pa.array([], pa.bool_()),
-                }
-            )
         return pa.table(
             {
                 "cell_key": pa.array(np.concatenate(keys)),
@@ -272,20 +214,16 @@ def join_points_via_cell_index(
     cand = pts.join(
         idx, "inner", num_partitions=num_partitions, on=("cell_key",)
     )
-    layer = Broadcast(polygons)
+    layer = Broadcast(polygons, PolygonIndex)
 
     def verify(batch: pa.Table) -> pa.Table:
-        polys = layer.get()
-        full = np.asarray(batch["full"])
-        px = np.asarray(batch[x_col], dtype=np.float64)
-        py = np.asarray(batch[y_col], dtype=np.float64)
-        pid = np.asarray(batch["poly_id"], dtype=np.int64)
-        keep = full.copy()
-        by_pid = {p["poly_id"]: p for p in polys}
-        for b_pid in np.unique(pid[~full]):
-            sel = np.nonzero((pid == b_pid) & ~full)[0]
-            inside = points_in_rings(px[sel], py[sel], by_pid[int(b_pid)]["rings"])
-            keep[sel] = inside
+        index = layer.get()
+        keep = np.asarray(batch["full"]).copy()
+        edge = np.nonzero(~keep)[0]
+        px = np.asarray(batch[x_col], dtype=np.float64)[edge]
+        py = np.asarray(batch[y_col], dtype=np.float64)[edge]
+        pid = np.asarray(batch["poly_id"], dtype=np.int64)[edge]
+        keep[edge] = index.contains(px, py, index.position(pid))
         return batch.filter(pa.array(keep)).drop_columns(["full", "cell_key"])
 
     return cand.map_batches(verify, batch_format="pyarrow")
@@ -376,17 +314,10 @@ class KnnJoinKernel:
                 key = (ciy + dy) * (2**32) + (cix + dx)
                 lo = np.searchsorted(self.sorted_key, key, side="left")
                 hi = np.searchsorted(self.sorted_key, key, side="right")
-                lens = hi - lo
-                tot = int(lens.sum())
-                if tot == 0:
+                if not (hi - lo).any():
                     continue
-                # ragged expansion: member positions lo[i]..hi[i] per point
-                pt = np.repeat(np.arange(n), lens)
-                starts = np.repeat(lo, lens)
-                within = np.arange(tot) - np.repeat(
-                    np.concatenate([[0], np.cumsum(lens)[:-1]]), lens
-                )
-                mem_parts.append(self.order[starts + within])
+                pt, at = ragged(lo, hi - lo)
+                mem_parts.append(self.order[at])
                 pt_parts.append(pt)
         if not pt_parts:
             return (
@@ -622,11 +553,12 @@ def join_points_via_hex_cover(
 ):
     """Point-in-polygon join THROUGH a hex-cover index: the polygon side
     is rasterized ONCE into a conservative (hkey -> poly candidates)
-    cover (hexes whose center lies within the rect expanded by the
+    cover (hexes whose center lies within a rect expanded by the
     circumradius — a superset of every intersecting hex, since a hex is
     contained in its center disk), points probe the sorted cover with
     two searchsorted calls, and only cover candidates pay the exact
-    rect-containment refine.
+    ring-containment test of the layer's :class:`PolygonIndex`.  The
+    ``rects`` only build the cover: they must cover each polygon.
 
     This is the 100 TB alternative to broadcasting the full polygon
     kernel: the cover is O(polygon area / hex area) keys; a point in an
@@ -644,8 +576,6 @@ def join_points_via_hex_cover(
     gkey = _pack(gq, gr)
 
     cover_k, cover_p = [], []
-    # per-poly rect arrays for the exact refine
-    rect_poly, rxmin, rymin, rxmax, rymax = [], [], [], [], []
     for poly in polygons:
         inside = np.zeros(len(gkey), dtype=bool)
         for x0, y0, x1, y1 in poly["rects"]:
@@ -655,60 +585,27 @@ def join_points_via_hex_cover(
                 & (cy >= y0 - hex_size)
                 & (cy < y1 + hex_size)
             )
-            rect_poly.append(poly["poly_id"])
-            rxmin.append(x0)
-            rymin.append(y0)
-            rxmax.append(x1)
-            rymax.append(y1)
         cover_k.append(gkey[inside])
         cover_p.append(np.full(int(inside.sum()), poly["poly_id"], np.int64))
     ck = np.concatenate(cover_k)
     cp = np.concatenate(cover_p)
     order = np.lexsort((cp, ck))
-    ck, cp = ck[order], cp[order]
-    rect_poly = np.asarray(rect_poly, np.int64)
-    rects = np.asarray([rxmin, rymin, rxmax, rymax], np.float64)
-    ro = np.argsort(rect_poly, kind="stable")
-    rect_poly, rects = rect_poly[ro], rects[:, ro]
-    cover = Broadcast((ck, cp, rect_poly, rects))
+    cover = Broadcast(
+        (ck[order], cp[order], polygons),
+        lambda v: (v[0], v[1], PolygonIndex(v[2])),
+    )
 
     def probe(b: pa.Table) -> pa.Table:
-        ck_, cp_, rpoly, rects_ = cover.get()
+        ck_, cp_, index = cover.get()
         x = np.asarray(b[x_col], np.float64)
         y = np.asarray(b[y_col], np.float64)
         k = _pack(*hex_axial(x, y, hex_size))
         lo = np.searchsorted(ck_, k, side="left")
-        hi = np.searchsorted(ck_, k, side="right")
-        cnt = hi - lo
-        rows = np.repeat(np.arange(len(k)), cnt)
-        if not len(rows):
-            return b.slice(0, 0).append_column(
-                "poly_id", pa.array([], pa.int64())
-            )
-        # candidate (point, poly) pairs
-        idx = np.concatenate([np.arange(l, h) for l, h in zip(lo, hi) if h > l])
-        cand_poly = cp_[idx]
-        # exact refine: point inside ANY rect of the candidate polygon
-        px, py = x[rows], y[rows]
-        keep = np.zeros(len(rows), dtype=bool)
-        # rects are sorted by poly; probe each candidate's rect run
-        r_lo = np.searchsorted(rpoly, cand_poly, side="left")
-        r_hi = np.searchsorted(rpoly, cand_poly, side="right")
-        max_rects = int((r_hi - r_lo).max()) if len(r_lo) else 0
-        for j in range(max_rects):
-            ridx = r_lo + j
-            valid = ridx < r_hi
-            rv = np.minimum(ridx, len(rpoly) - 1)
-            hitj = (
-                valid
-                & (px >= rects_[0][rv])
-                & (px < rects_[2][rv])
-                & (py >= rects_[1][rv])
-                & (py < rects_[3][rv])
-            )
-            keep |= hitj
-        sub = b.take(pa.array(rows[keep]))
-        return sub.append_column("poly_id", pa.array(cand_poly[keep]))
+        rows, at = ragged(lo, np.searchsorted(ck_, k, side="right") - lo)
+        cand_poly = cp_[at]
+        keep = index.contains(x[rows], y[rows], index.position(cand_poly))
+        sub = b.take(pa.array(rows[keep], pa.int64()))
+        return sub.append_column("poly_id", pa.array(cand_poly[keep], pa.int64()))
 
     return ds.map_batches(probe, batch_format="pyarrow")
 

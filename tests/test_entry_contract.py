@@ -27,7 +27,9 @@ def entrymod(ray_session):
     import importlib
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as e
 
     importlib.reload(e)
@@ -383,3 +385,68 @@ def test_no_library_ray_init():
                 continue
             offenders.append(str(mod))
     assert not offenders, f"library ray.init in: {offenders}"
+
+
+def test_entry_puts_its_own_directory_on_sys_path(tmp_path, monkeypatch):
+    """__ray_entry__ puts the directory it lives in at the front of
+    sys.path, never a fixed checkout path: a driver importing it from a
+    second checkout must run that checkout's package."""
+    import importlib.util
+    import shutil
+    import sys
+    from pathlib import Path
+
+    import pygridmap_ray.pipelines.queries  # noqa: F401  (its imports settle sys.path)
+
+    copy = tmp_path / "__ray_entry__.py"
+    shutil.copy(Path(__file__).resolve().parents[1] / "__ray_entry__.py", copy)
+    before = list(sys.path)
+    monkeypatch.setattr(sys, "path", list(before))
+    spec = importlib.util.spec_from_file_location("_entry_copy", copy)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert sys.path == [str(tmp_path.resolve())] + before
+
+
+def test_point_containment_has_one_home():
+    """The point-in-polygon join paths in spatial.py test containment only
+    through geom.index.PolygonIndex: the module never calls
+    points_in_rings, and no batch function (one taking a ``pa.Table``)
+    loops over the polygon layer or its rects."""
+    import ast
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "pygridmap_ray" / "spatial.py"
+    tree = ast.parse(path.read_text())
+    offenders = [
+        f"spatial.py:{n.lineno}: points_in_rings"
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and n.id == "points_in_rings")
+        or (isinstance(n, ast.Attribute) and n.attr == "points_in_rings")
+        or (isinstance(n, ast.alias) and n.name == "points_in_rings")
+    ]
+
+    def layer_words(node):
+        words = [n.id for n in ast.walk(node) if isinstance(n, ast.Name)]
+        words += [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+        words += [
+            n.value
+            for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        ]
+        return [w for w in words if any(k in w for k in ("poly", "rect", "layer"))]
+
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args.args + fn.args.kwonlyargs
+        if not any(a.annotation is not None and ast.unparse(a.annotation) == "pa.Table" for a in args):
+            continue
+        for loop in ast.walk(fn):
+            if isinstance(loop, (ast.For, ast.AsyncFor, ast.comprehension)):
+                hit = layer_words(loop.iter)
+                if hit:
+                    offenders.append(
+                        f"spatial.py:{getattr(loop, 'lineno', fn.lineno)}: "
+                        f"{fn.name} loops over {hit}"
+                    )
+    assert not offenders, offenders
