@@ -25,6 +25,10 @@ import numpy as np
 import pyarrow as pa
 
 
+#: (point, polygon) pairs :meth:`PolygonIndex.contains` tests per step
+CONTAINS_CHUNK = 16_384
+
+
 def _bin(v, origin, width, n):
     """Monotone bin of ``v``: trunc((v - origin) / width) clipped to
     [0, n-1]; NaN lands in bin 0 (the exact filters then reject it)."""
@@ -160,7 +164,16 @@ class PolygonIndex(BBoxIndex):
         return pt[keep], poly[keep]
 
     def contains(self, x: np.ndarray, y: np.ndarray, poly: np.ndarray) -> np.ndarray:
-        """Even-odd containment of float64 point ``k`` in polygon ``poly[k]``."""
+        """Even-odd containment of float64 point ``k`` in polygon ``poly[k]``,
+        ``CONTAINS_CHUNK`` pairs at a time so the expanded slab edges stay
+        in cache on large batches."""
+        out = np.empty(len(x), dtype=bool)
+        for a in range(0, len(x), CONTAINS_CHUNK):
+            b = a + CONTAINS_CHUNK
+            out[a:b] = self._contains(x[a:b], y[a:b], poly[a:b])
+        return out
+
+    def _contains(self, x: np.ndarray, y: np.ndarray, poly: np.ndarray) -> np.ndarray:
         s = self.slab_base[poly] + self._slab(y, poly)
         lo = self.slab_start[s]
         pair, e = ragged(lo, self.slab_start[s + 1] - lo)

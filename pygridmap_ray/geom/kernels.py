@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .index import ragged
+
 #: geometric tolerance, mirrors the reference's TOL_EPS (base.py:108)
 TOL_EPS = 1e-5
 
@@ -105,6 +107,124 @@ def points_in_rings(px: np.ndarray, py: np.ndarray, rings: Rings) -> np.ndarray:
     return inside
 
 
+# --- ragged Sutherland-Hodgman ----------------------------------------------
+# Every clip runs on a CSR ring set: ``xy`` (V, 2) float64 vertices and
+# ``off`` (R + 1,) int64 offsets, ring ``r`` being ``xy[off[r]:off[r + 1]]``.
+# One pass clips every ring of the set against its own half-plane, so one
+# ring, a tile's candidate polygons and all boundary cells of a polygon
+# are each a few passes of numpy, never a per-vertex Python loop.
+
+
+def _pack(rings: Rings) -> tuple[np.ndarray, np.ndarray]:
+    """Ring list -> (xy, off)."""
+    off = np.zeros(len(rings) + 1, dtype=np.int64)
+    np.cumsum(np.array([len(r) for r in rings], dtype=np.int64), out=off[1:])
+    if not rings:
+        return np.empty((0, 2), dtype=np.float64), off
+    return np.concatenate([np.asarray(r, dtype=np.float64) for r in rings]), off
+
+
+def _successor(off: np.ndarray, nv: int) -> np.ndarray:
+    """Index of each vertex's successor in its ring (the last wraps)."""
+    nxt = np.arange(1, nv + 1)
+    live = off[1:] > off[:-1]
+    nxt[off[1:][live] - 1] = off[:-1][live]
+    return nxt
+
+
+def _take(xy: np.ndarray, off: np.ndarray, rings: np.ndarray):
+    """The sub-set of ``rings`` (ring ids, repeats allowed), in that order."""
+    n = (off[1:] - off[:-1])[rings]
+    out = np.zeros(len(rings) + 1, dtype=np.int64)
+    np.cumsum(n, out=out[1:])
+    return xy[ragged(off[:-1][rings], n)[1]], out
+
+
+def _sh_pass(xy, off, ins: np.ndarray, t_of):
+    """One Sutherland-Hodgman pass over every ring of the set.
+
+    ``ins`` marks the vertices inside the half-plane and ``t_of(i, j)``
+    gives the crossing parameter of each edge ``i -> j`` whose ends differ.
+    Per vertex the output is the vertex itself when inside, then the
+    crossing point ``p + t * (q - p)`` when its edge leaves or enters:
+    the scalar algorithm's order and arithmetic, element for element."""
+    if ins.all():
+        return xy, off
+    nxt = _successor(off, len(xy))
+    i = np.flatnonzero(ins != ins[nxt])
+    j = nxt[i]
+    p = xy[i]
+    hit = p + t_of(i, j)[:, None] * (xy[j] - p)
+    cnt = ins.astype(np.int64)
+    cnt[i] += 1
+    end = np.zeros(len(xy) + 1, dtype=np.int64)
+    np.cumsum(cnt, out=end[1:])
+    out = np.empty((int(end[-1]), 2), dtype=np.float64)
+    out[end[:-1][ins]] = xy[ins]
+    out[end[1:][i] - 1] = hit
+    return out, end[off]
+
+
+def _half_plane(xy, off, axis: int, bound, keep_ge: bool):
+    """Clip every ring to ``xy[:, axis] >= bound`` (``<= bound`` unless
+    ``keep_ge``); ``bound`` is a scalar or one value per ring."""
+    b = np.asarray(bound, dtype=np.float64)
+    if b.ndim:
+        b = np.repeat(b, off[1:] - off[:-1])
+    c = xy[:, axis]
+    ins = c >= b if keep_ge else c <= b
+    return _sh_pass(xy, off, ins, lambda i, j: ((b[i] if b.ndim else b) - c[i]) / (c[j] - c[i]))
+
+
+def _clip_rect(xy, off, xmin, ymin, xmax, ymax):
+    """Clip every ring to its rect, half-planes in the order x >= xmin,
+    x <= xmax, y >= ymin, y <= ymax; bounds are scalars or per ring."""
+    xy, off = _half_plane(xy, off, 0, xmin, True)
+    xy, off = _half_plane(xy, off, 0, xmax, False)
+    xy, off = _half_plane(xy, off, 1, ymin, True)
+    return _half_plane(xy, off, 1, ymax, False)
+
+
+def _ring_areas(xy: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Signed shoelace area of every ring, bit-identical to
+    :func:`ring_signed_area` (0 below 3 vertices).
+
+    The edge terms are summed in ``np.sum``'s pairwise order: below 8
+    terms sequentially; up to 128 as eight lane sums (one ``bincount``)
+    combined ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail
+    sequentially; longer rings through ``np.sum`` itself."""
+    n = off[1:] - off[:-1]
+    if not len(xy):
+        return np.zeros(len(n))
+    nxt = _successor(off, len(xy))
+    x, y = xy[:, 0], xy[:, 1]
+    d = x * y[nxt] - x[nxt] * y
+    ring = np.repeat(np.arange(len(n)), n)
+    k = np.arange(len(d)) - off[:-1][ring]  # position within the ring
+    m = np.where(n <= 128, n - n % 8, 0)[ring]  # terms in the eight lanes
+    lane = k < m
+    s = np.zeros(len(n))
+    if lane.any():
+        r = np.bincount(ring[lane] * 8 + k[lane] % 8, weights=d[lane], minlength=8 * len(n))
+        r = r.reshape(-1, 8)
+        s = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    # then the < 8 terms after the lanes, one at a time (a padding 0.0
+    # can flip only the sign of a zero area)
+    tail = ~lane & (n <= 128)[ring]
+    rest = np.zeros((len(n), 7))
+    rest[ring[tail], (k - m)[tail]] = d[tail]
+    for col in rest.T:
+        s = s + col
+    for big in np.flatnonzero(n > 128):
+        s[big] = np.sum(d[off[big] : off[big + 1]])
+    return np.where(n >= 3, 0.5 * s, 0.0)
+
+
+def _rings_of(xy: np.ndarray, off: np.ndarray) -> Rings:
+    """CSR -> ring list, dropping rings below 3 vertices."""
+    return [xy[a:b] for a, b in zip(off[:-1].tolist(), off[1:].tolist()) if b - a >= 3]
+
+
 def clip_ring_rect(
     ring: Ring, xmin: float, ymin: float, xmax: float, ymax: float
 ) -> Ring:
@@ -112,57 +232,40 @@ def clip_ring_rect(
 
     Valid because one side is always a convex (rectangular) window — this is
     the engine's replacement for ``geom.intersection(cell)`` /
-    ``gpd.overlay`` (reference overlay.py:275,296-297).
-    """
-    pts = ring
-    # (inside predicate, intersection interpolator) per half-plane
-    for axis, bound, keep_ge in (
-        (0, xmin, True),
-        (0, xmax, False),
-        (1, ymin, True),
-        (1, ymax, False),
-    ):
-        n = len(pts)
-        if n == 0:
-            return pts
-        coord = pts[:, axis]
-        ins = coord >= bound if keep_ge else coord <= bound
-        if ins.all():
-            continue
-        out_pts = []
-        for i in range(n):
-            j = (i + 1) % n
-            pi, pj = pts[i], pts[j]
-            ii, ij = ins[i], ins[j]
-            if ii:
-                out_pts.append(pi)
-            if ii != ij:
-                t = (bound - pi[axis]) / (pj[axis] - pi[axis])
-                out_pts.append(pi + t * (pj - pi))
-        pts = (
-            np.array(out_pts, dtype=np.float64)
-            if out_pts
-            else np.empty((0, 2), dtype=np.float64)
-        )
-    return pts
+    ``gpd.overlay`` (reference overlay.py:275,296-297).  The one-ring case
+    of the ragged pass that :func:`cells_coverage` runs over all boundary
+    cells at once."""
+    return _clip_rect(*_pack([ring]), xmin, ymin, xmax, ymax)[0]
 
 
 def clip_rings_rect(
     rings: Rings, xmin: float, ymin: float, xmax: float, ymax: float
 ) -> Rings:
-    out = []
-    for r in rings:
-        c = clip_ring_rect(r, xmin, ymin, xmax, ymax)
-        if len(c) >= 3:
-            out.append(c)
-    return out
+    """Clip every ring to the rect; rings left with < 3 vertices drop."""
+    return _rings_of(*_clip_rect(*_pack(rings), xmin, ymin, xmax, ymax))
+
+
+def clip_areas_rect(polygons: list[Rings], xmin, ymin, xmax, ymax) -> np.ndarray:
+    """Area of each polygon ∩ rect, all polygons in one ragged pass; the
+    bounds are scalars or one value per polygon, and
+    ``clip_areas_rect(ps, ...)[k] == clip_area_rect(ps[k], ...)``."""
+    xy, off = _pack([r for rings in polygons for r in rings])
+    owner = np.repeat(np.arange(len(polygons)), [len(rings) for rings in polygons])
+    xmin, ymin, xmax, ymax = (
+        b[owner] if np.ndim(b) else b
+        for b in np.broadcast_arrays(xmin, ymin, xmax, ymax)
+    )
+    areas = _ring_areas(*_clip_rect(xy, off, xmin, ymin, xmax, ymax))
+    # bincount adds in ring order from 0.0, as rings_area's sum does (it
+    # returns int64 zeros when there is no ring at all)
+    return np.bincount(owner, weights=areas, minlength=len(polygons)).astype(np.float64)
 
 
 def clip_area_rect(
     rings: Rings, xmin: float, ymin: float, xmax: float, ymax: float
 ) -> float:
     """Area of polygon ∩ rect (exact for the clipped shape)."""
-    return rings_area(clip_rings_rect(rings, xmin, ymin, xmax, ymax))
+    return float(clip_areas_rect([rings], xmin, ymin, xmax, ymax)[0])
 
 
 def segments_of(rings: Rings) -> np.ndarray:
@@ -176,6 +279,66 @@ def segments_of(rings: Rings) -> np.ndarray:
     if not segs:
         return np.empty((0, 4), dtype=np.float64)
     return np.concatenate(segs, axis=0)
+
+
+def _boundary_cells(
+    segs: np.ndarray, x0: float, y0: float, w: float, h: float, nx: int, ny: int
+) -> np.ndarray:
+    """(ny, nx) mask of the cells whose rect overlaps an edge's bbox."""
+    ex0 = np.minimum(segs[:, 0], segs[:, 2])
+    ex1 = np.maximum(segs[:, 0], segs[:, 2])
+    ey0 = np.minimum(segs[:, 1], segs[:, 3])
+    ey1 = np.maximum(segs[:, 1], segs[:, 3])
+    ix0 = np.clip(np.floor((ex0 - x0) / w).astype(np.int64), 0, nx - 1)
+    ix1 = np.clip(np.floor((ex1 - x0) / w - TOL_EPS).astype(np.int64), 0, nx - 1)
+    iy0 = np.clip(np.floor((ey0 - y0) / h).astype(np.int64), 0, ny - 1)
+    iy1 = np.clip(np.floor((ey1 - y0) / h - TOL_EPS).astype(np.int64), 0, ny - 1)
+    wide = np.maximum(ix1, ix0) - ix0 + 1
+    e, k = ragged(np.zeros(len(segs), np.int64), wide * (np.maximum(iy1, iy0) - iy0 + 1))
+    boundary = np.zeros((ny, nx), dtype=bool)
+    boundary[iy0[e] + k // wide[e], ix0[e] + k % wide[e]] = True
+    return boundary
+
+
+def _boundary_areas(xy, off, iys, ixs, x0, y0, w, h) -> np.ndarray:
+    """Area of the CSR polygon ``(xy, off)`` inside each cell ``(iys[k],
+    ixs[k])``: :func:`clip_area_rect` per cell, in two levels.
+
+    The two x passes run once per column strip on the rings whose x-range
+    meets the strip; the two y passes run per cell on its strip's rings
+    whose y-range meets the cell.  A ring skipped by either test clips to
+    nothing, and the bounds are the per-cell ones (``x0 + ix*w``, ``+ w``,
+    ``y0 + iy*h``, ``+ h``), so every clipped vertex and area is the
+    per-cell clip's."""
+    cols, strip_of = np.unique(ixs, return_inverse=True)
+    sx0 = x0 + cols * w
+    sx1 = sx0 + w
+    starts = off[:-1]
+    rx0 = np.fmin.reduceat(xy[:, 0], starts)
+    rx1 = np.fmax.reduceat(xy[:, 0], starts)
+    # (strip, ring) pairs, strip-major and in ring order within a strip
+    s, r = np.nonzero((rx1[None, :] >= sx0[:, None]) & (rx0[None, :] <= sx1[:, None]))
+    sxy, soff = _take(xy, off, r)
+    sxy, soff = _half_plane(sxy, soff, 0, sx0[s], True)
+    sxy, soff = _half_plane(sxy, soff, 0, sx1[s], False)
+    live = np.flatnonzero(soff[1:] > soff[:-1])
+    if not len(live):
+        return np.zeros(len(iys))
+    sxy, soff, s = *_take(sxy, soff, live), s[live]
+    ry0 = np.fmin.reduceat(sxy[:, 1], soff[:-1])
+    ry1 = np.fmax.reduceat(sxy[:, 1], soff[:-1])
+    # (cell, strip ring) pairs: every cell against its strip's rings
+    first = np.searchsorted(s, np.arange(len(cols)), "left")
+    last = np.searchsorted(s, np.arange(len(cols)), "right")
+    cell, ring = ragged(first[strip_of], (last - first)[strip_of])
+    cy0 = y0 + iys[cell] * h
+    cy1 = cy0 + h
+    meet = (ry1[ring] >= cy0) & (ry0[ring] <= cy1)
+    cell, ring, cy0, cy1 = cell[meet], ring[meet], cy0[meet], cy1[meet]
+    cxy, coff = _take(sxy, soff, ring)
+    cxy, coff = _half_plane(cxy, coff, 1, cy0, True)
+    cxy, coff = _half_plane(cxy, coff, 1, cy1, False)
+    return np.bincount(cell, weights=_ring_areas(cxy, coff), minlength=len(iys))
 
 
 def cells_coverage(
@@ -193,11 +356,13 @@ def cells_coverage(
     Returns an (ny, nx) float64 array of overlap areas.
 
     Strategy (the per-tile kernel behind GridMaker/GridOverlay flags,
-    reference gridding.py:132-188): cells touched by a polygon edge
-    ("boundary cells") get an exact Sutherland-Hodgman clip; all other
-    cells are uniform — resolved in one vectorized point-in-polygon test of
-    their centers (full coverage if inside, zero otherwise).  Boundary-cell
-    count scales with perimeter/cellsize, interior cells are O(1) each.
+    reference gridding.py:132-188): the polygon is clipped to the grid's
+    window, then cells touched by a polygon edge ("boundary cells") get an
+    exact Sutherland-Hodgman clip, all of them in one ragged pass (x
+    passes per column strip, y passes per cell); all other cells are
+    uniform — resolved in one vectorized point-in-polygon test of their
+    centers (full coverage if inside, zero otherwise).  Every boundary
+    cell's area is bit-identical to ``clip_area_rect`` on that cell.
     """
     cov = np.zeros((ny, nx), dtype=np.float64)
     if not rings:
@@ -205,22 +370,7 @@ def cells_coverage(
     tile_rings = clip_rings_rect(rings, x0, y0, x0 + nx * w, y0 + ny * h)
     if not tile_rings:
         return cov
-
-    # mark boundary cells: cells whose rect overlaps an edge's bbox.
-    boundary = np.zeros((ny, nx), dtype=bool)
-    segs = segments_of(tile_rings)
-    ex0 = np.minimum(segs[:, 0], segs[:, 2])
-    ex1 = np.maximum(segs[:, 0], segs[:, 2])
-    ey0 = np.minimum(segs[:, 1], segs[:, 3])
-    ey1 = np.maximum(segs[:, 1], segs[:, 3])
-    ix0 = np.clip(np.floor((ex0 - x0) / w).astype(np.int64), 0, nx - 1)
-    ix1 = np.clip(np.floor((ex1 - x0) / w - TOL_EPS).astype(np.int64), 0, nx - 1)
-    iy0 = np.clip(np.floor((ey0 - y0) / h).astype(np.int64), 0, ny - 1)
-    iy1 = np.clip(np.floor((ey1 - y0) / h - TOL_EPS).astype(np.int64), 0, ny - 1)
-    ix1 = np.maximum(ix1, ix0)
-    iy1 = np.maximum(iy1, iy0)
-    for k in range(len(segs)):
-        boundary[iy0[k] : iy1[k] + 1, ix0[k] : ix1[k] + 1] = True
+    boundary = _boundary_cells(segments_of(tile_rings), x0, y0, w, h, nx, ny)
 
     # interior cells: vectorized even-odd test on cell centers
     interior = ~boundary
@@ -233,12 +383,9 @@ def cells_coverage(
 
     # boundary cells: exact clip
     iys, ixs = np.nonzero(boundary)
-    for iy, ix in zip(iys.tolist(), ixs.tolist()):
-        cx0 = x0 + ix * w
-        cy0 = y0 + iy * h
-        a = clip_area_rect(tile_rings, cx0, cy0, cx0 + w, cy0 + h)
-        if a > 0:
-            cov[iy, ix] = a
+    a = _boundary_areas(*_pack(tile_rings), iys, ixs, x0, y0, w, h)
+    hit = a > 0
+    cov[iys[hit], ixs[hit]] = a[hit]
     return cov
 
 
@@ -298,6 +445,25 @@ def bbox_union(*bboxes) -> tuple[float, float, float, float]:
     )
 
 
+def _clip_convex(xy, off, clips: list[Ring], owner: np.ndarray):
+    """Clip ring ``r`` of the set to the CONVEX CCW polygon
+    ``clips[owner[r]]``: pass ``e`` clips every ring against edge ``e`` of
+    its clip (``>= 0`` signed cross inside); a ring whose clip has no
+    edge ``e`` stays as it is."""
+    cxy, coff = _pack(clips)
+    n = coff[1:] - coff[:-1]
+    cnxt = _successor(coff, len(cxy))
+    for e in range(int(n.max(initial=0))):
+        k = np.minimum(coff[:-1] + e, len(cxy) - 1)
+        ax, ay = cxy[k, 0], cxy[k, 1]
+        ex, ey = cxy[cnxt[k], 0] - ax, cxy[cnxt[k], 1] - ay
+        v = np.repeat(owner, off[1:] - off[:-1])  # clip of each vertex
+        d = ex[v] * (xy[:, 1] - ay[v]) - ey[v] * (xy[:, 0] - ax[v])
+        ins = (d >= 0.0) | (e >= n)[v]
+        xy, off = _sh_pass(xy, off, ins, lambda i, j: d[i] / (d[i] - d[j]))
+    return xy, off
+
+
 def clip_ring_convex(ring: Ring, clip: Ring) -> Ring:
     """Sutherland-Hodgman clip of one ring against a CONVEX CCW clip
     polygon — the layer x layer generalization of :func:`clip_ring_rect`
@@ -311,51 +477,30 @@ def clip_ring_convex(ring: Ring, clip: Ring) -> Ring:
     SIGNED AREA of the output is exact and orientation is preserved
     (holes stay negative).  Vertex-order output is for area/centroid
     laws, not for re-clipping."""
-    pts = ring
-    m = len(clip)
-    for e in range(m):
-        n = len(pts)
-        if n == 0:
-            return pts
-        ax, ay = clip[e]
-        bx, by = clip[(e + 1) % m]
-        ex, ey = bx - ax, by - ay
-        # signed cross: >= 0 is inside (left of edge) for a CCW clip
-        d = ex * (pts[:, 1] - ay) - ey * (pts[:, 0] - ax)
-        ins = d >= 0.0
-        if ins.all():
-            continue
-        out_pts = []
-        for i in range(n):
-            j = (i + 1) % n
-            ii, ij = ins[i], ins[j]
-            if ii:
-                out_pts.append(pts[i])
-            if ii != ij:
-                t = d[i] / (d[i] - d[j])
-                out_pts.append(pts[i] + t * (pts[j] - pts[i]))
-        pts = (
-            np.array(out_pts, dtype=np.float64)
-            if out_pts
-            else np.empty((0, 2), dtype=np.float64)
-        )
-    return pts
+    return _clip_convex(*_pack([ring]), [clip], np.zeros(1, np.int64))[0]
 
 
 def clip_rings_convex(rings: Rings, clip: Ring) -> Rings:
-    out = []
-    for r in rings:
-        c = clip_ring_convex(r, clip)
-        if len(c) >= 3:
-            out.append(c)
-    return out
+    return _rings_of(*_clip_convex(*_pack(rings), [clip], np.zeros(len(rings), np.int64)))
+
+
+def clip_areas_convex(polygons: list[Rings], clips: list[Ring]) -> np.ndarray:
+    """Signed area of ``polygons[k] ∩ clips[k]`` for every k, all pairs
+    in one ragged pass; ``clip_areas_convex(ps, cs)[k] ==
+    clip_area_convex(ps[k], cs[k])``."""
+    xy, off = _pack([r for rings in polygons for r in rings])
+    nr = [len(rings) for rings in polygons]
+    areas = _ring_areas(*_clip_convex(xy, off, clips, np.repeat(np.arange(len(nr)), nr)))
+    # Python's sum over each pair's rings in ring order (holes subtract),
+    # as the one-pair case adds them
+    ends = np.cumsum(nr, dtype=np.int64).tolist()
+    areas = areas.tolist()
+    return np.array([sum(areas[e - n : e]) for e, n in zip(ends, nr)], dtype=np.float64)
 
 
 def clip_area_convex(rings: Rings, clip: Ring) -> float:
     """Signed-area sum of the convex-clipped rings (holes subtract)."""
-    return float(
-        sum(ring_signed_area(c) for c in clip_rings_convex(rings, clip))
-    )
+    return float(clip_areas_convex([rings], [clip])[0])
 
 
 def _points_in_tri(P: np.ndarray, a, b, c, eps: float) -> np.ndarray:
@@ -465,11 +610,11 @@ def clip_area_poly(rings: Rings, clip: Ring) -> float:
     """Signed intersection area of ``rings`` with an ARBITRARY simple
     clip polygon: the clip is ear-clipped into CCW triangles (exact
     tiling, so areas add) and each triangle clips via
-    :func:`clip_area_convex`.  Triangulate once and reuse
-    :func:`clip_area_convex` directly when calling in a loop."""
-    return float(
-        sum(clip_area_convex(rings, t) for t in triangulate_ring(clip))
-    )
+    :func:`clip_areas_convex`, all triangles in one pass.  Triangulate
+    once and reuse :func:`clip_areas_convex` when clipping many
+    polygons against one clip."""
+    tris = triangulate_ring(clip)
+    return float(sum(clip_areas_convex([rings] * len(tris), tris).tolist()))
 
 
 def heal_ring(ring: Ring, tol: float = 0.0) -> Ring:
@@ -681,19 +826,7 @@ def cells_coverage_parity(
     segs = segments_of(rings)
     if len(segs) == 0:
         return cov
-    boundary = np.zeros((ny, nx), dtype=bool)
-    ex0 = np.minimum(segs[:, 0], segs[:, 2])
-    ex1 = np.maximum(segs[:, 0], segs[:, 2])
-    ey0 = np.minimum(segs[:, 1], segs[:, 3])
-    ey1 = np.maximum(segs[:, 1], segs[:, 3])
-    ix0 = np.clip(np.floor((ex0 - x0) / w).astype(np.int64), 0, nx - 1)
-    ix1 = np.clip(np.floor((ex1 - x0) / w - TOL_EPS).astype(np.int64), 0, nx - 1)
-    iy0 = np.clip(np.floor((ey0 - y0) / h).astype(np.int64), 0, ny - 1)
-    iy1 = np.clip(np.floor((ey1 - y0) / h - TOL_EPS).astype(np.int64), 0, ny - 1)
-    ix1 = np.maximum(ix1, ix0)
-    iy1 = np.maximum(iy1, iy0)
-    for k in range(len(segs)):
-        boundary[iy0[k] : iy1[k] + 1, ix0[k] : ix1[k] + 1] = True
+    boundary = _boundary_cells(segs, x0, y0, w, h, nx, ny)
     interior = ~boundary
     if interior.any():
         iys, ixs = np.nonzero(interior)

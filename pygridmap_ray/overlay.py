@@ -669,11 +669,11 @@ def poly_overlay(
     polygons are ear-clipped into convex (triangle) pieces ONCE on the
     driver (:func:`geom.kernels.triangulate_ring` — areas add exactly
     over the tiling), so the per-batch kernel only ever runs convex SH.
-    Per-batch cost is polygons x surviving clip pieces — vertex loops
-    are numpy, the pair loop is polygon-scale, never vertex-scale
-    Python.  Emits (id_col, clip_id, area) rows with area > 0, rounded
+    Per-batch cost is polygons x surviving clip pieces: all of a
+    batch's (polygon, piece) pairs clip in one ragged numpy pass per
+    piece edge, and only the pair bookkeeping is Python.  Emits (id_col, clip_id, area) rows with area > 0, rounded
     half-away."""
-    from .geom.kernels import clip_area_convex, rings_bbox, triangulate_ring
+    from .geom.kernels import clip_areas_convex, rings_bbox, triangulate_ring
 
     def _is_convex_ccw(r: np.ndarray) -> bool:
         nxt = np.roll(r, -1, axis=0)
@@ -704,7 +704,7 @@ def poly_overlay(
         cl = clip_layer.get()
         ids = np.asarray(b[id_col], dtype=np.int64)
         rings_rows = b[rings_col].to_pylist()
-        out_id, out_cid, out_area = [], [], []
+        subj, pieces, pairs = [], [], []  # pairs: (row, clip_id, pieces)
         for i, raw in enumerate(rings_rows):
             rings = [np.asarray(r, dtype=np.float64) for r in raw]
             if heal_tol is not None:
@@ -719,18 +719,27 @@ def poly_overlay(
                 if bb[0] >= cb[2] or bb[2] <= cb[0] \
                         or bb[1] >= cb[3] or bb[3] <= cb[1]:
                     continue
-                a = sum(clip_area_convex(rings, p) for p in c["pieces"])
-                # round BEFORE the emission test: SH bridge geometry on a
-                # disjoint-but-bbox-overlapping pair is exactly 0 in exact
-                # arithmetic but +-1e-16 in float — testing the raw sum
-                # could emit a spurious 0.0 row the exact-arithmetic SQL
-                # twin never produces (both sides gate on the ROUNDED
-                # area)
-                ar = np.floor(abs(a) * tol + 0.5) / tol
-                if a > 0.0 and ar > 0.0:
-                    out_id.append(ids[i])
-                    out_cid.append(c["clip_id"])
-                    out_area.append(ar)
+                subj += [rings] * len(c["pieces"])
+                pieces += c["pieces"]
+                pairs.append((i, c["clip_id"], len(c["pieces"])))
+        # every (subject, clip piece) pair of the batch in one ragged pass
+        areas = clip_areas_convex(subj, pieces).tolist()
+        out_id, out_cid, out_area = [], [], []
+        at = 0
+        for i, cid, k in pairs:
+            a = sum(areas[at:at + k])
+            at += k
+            # round BEFORE the emission test: SH bridge geometry on a
+            # disjoint-but-bbox-overlapping pair is exactly 0 in exact
+            # arithmetic but +-1e-16 in float — testing the raw sum
+            # could emit a spurious 0.0 row the exact-arithmetic SQL
+            # twin never produces (both sides gate on the ROUNDED
+            # area)
+            ar = np.floor(abs(a) * tol + 0.5) / tol
+            if a > 0.0 and ar > 0.0:
+                out_id.append(ids[i])
+                out_cid.append(cid)
+                out_area.append(ar)
         return pa.table(
             {
                 id_col: pa.array(np.asarray(out_id, dtype=np.int64)),

@@ -450,3 +450,68 @@ def test_point_containment_has_one_home():
                         f"{fn.name} loops over {hit}"
                     )
     assert not offenders, offenders
+
+
+def test_rect_clip_has_one_home():
+    """Rect clipping has one home, the ragged pass in geom/kernels.py: no
+    loop or comprehension in gridding.py, overlay.py, spatial.py or
+    kernels.py calls the one-instance clips (clip_area_rect,
+    clip_rings_rect, clip_ring_rect, and the convex clip_area_convex,
+    clip_rings_convex, clip_ring_convex), and no kernels.py clip function
+    steps through a ring vertex by vertex (``for i in range(...)`` with a
+    ``(i + 1) % n`` successor)."""
+    import ast
+    from pathlib import Path
+
+    one_instance = {
+        "clip_area_rect", "clip_rings_rect", "clip_ring_rect",
+        "clip_area_convex", "clip_rings_convex", "clip_ring_convex",
+    }
+    pkg = Path(__file__).resolve().parents[1] / "pygridmap_ray"
+    offenders = []
+    for rel in ("gridding.py", "overlay.py", "spatial.py", "geom/kernels.py"):
+        tree = ast.parse((pkg / rel).read_text())
+        loops = [
+            n
+            for n in ast.walk(tree)
+            if isinstance(
+                n,
+                (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+                 ast.DictComp, ast.GeneratorExp),
+            )
+        ]
+        for loop in loops:
+            for call in ast.walk(loop):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in one_instance:
+                    offenders.append(f"{rel}:{call.lineno}: {name} in a loop")
+        if rel != "geom/kernels.py":
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or "clip" not in fn.name:
+                continue
+            for loop in ast.walk(fn):
+                if not (
+                    isinstance(loop, ast.For)
+                    and isinstance(loop.iter, ast.Call)
+                    and getattr(loop.iter.func, "id", None) == "range"
+                    and isinstance(loop.target, ast.Name)
+                ):
+                    continue
+                var = loop.target.id
+                for m in ast.walk(loop):
+                    if (
+                        isinstance(m, ast.BinOp)
+                        and isinstance(m.op, ast.Mod)
+                        and isinstance(m.left, ast.BinOp)
+                        and isinstance(m.left.op, ast.Add)
+                        and getattr(m.left.left, "id", None) == var
+                    ):
+                        offenders.append(
+                            f"{rel}:{loop.lineno}: {fn.name} steps through vertices"
+                        )
+                        break
+    assert not offenders, offenders
