@@ -16,7 +16,8 @@ base.py:446-472), built once per worker over the broadcast layer:
 - parity: :meth:`PolygonIndex.contains` counts crossings with one
   ``bincount``, using ``points_in_rings``' own arithmetic, so results
   are bit-identical to it (left/bottom edges inside, right/top outside);
-- LUTs: ``poly_id`` -> layer position, and one Arrow LUT per attribute.
+- LUTs: ``poly_id`` -> layer position, and one Arrow LUT per attribute
+  (:func:`layer_luts`, which the overlay kernel reads too).
 """
 
 from __future__ import annotations
@@ -53,6 +54,21 @@ def _csr(keys: np.ndarray, values: np.ndarray, nkeys: int):
     start = np.zeros(nkeys + 1, np.int64)
     np.cumsum(np.bincount(keys, minlength=nkeys), out=start[1:])
     return start, values[order]
+
+
+def layer_luts(polygons: list[dict], attr_cols: tuple[str, ...]) -> dict[str, pa.Array]:
+    """Layer position -> value Arrow LUTs of ``poly_id`` and each
+    attribute column, taken with the layer positions (null ones give
+    null).  An attribute column is a string column when its first
+    non-null value is a string, else float64; a ``None`` stays null.  An
+    empty layer gets one-row LUTs, so null positions can still be taken."""
+    pids = np.array([p["poly_id"] for p in polygons], dtype=np.int64)
+    luts = {"poly_id": pa.array(pids if len(pids) else np.zeros(1, np.int64))}
+    for c in attr_cols:
+        vals = [p.get(c) for p in polygons]
+        first = next((v for v in vals if v is not None), None)
+        luts[c] = pa.array(vals or [None], pa.string() if isinstance(first, str) else pa.float64())
+    return luts
 
 
 class BBoxIndex:
@@ -97,12 +113,8 @@ class PolygonIndex(BBoxIndex):
 
     def __init__(self, polygons: list[dict], attr_cols: tuple[str, ...] = ()):
         super().__init__(np.array([p["bbox"] for p in polygons], dtype=np.float64))
+        self.luts = layer_luts(polygons, attr_cols)
         pids = np.array([p["poly_id"] for p in polygons], dtype=np.int64)
-        self.luts = {"poly_id": pa.array(pids if len(pids) else np.zeros(1, np.int64))}
-        for c in attr_cols:  # strings stay strings, the rest is float64
-            vals = [p[c] for p in polygons]
-            str_col = bool(vals) and isinstance(vals[0], str)
-            self.luts[c] = pa.array(vals if str_col else np.asarray(vals or [0.0], np.float64))
         # poly_id -> position; a repeated poly_id resolves to its last polygon
         last = len(pids) - 1 - np.unique(pids[::-1], return_index=True)[1]
         self.sorted_pid, self.pid_pos = pids[last], last

@@ -68,10 +68,14 @@ def rings_bbox(rings: Rings) -> tuple[float, float, float, float]:
 def points_in_rings(px: np.ndarray, py: np.ndarray, rings: Rings) -> np.ndarray:
     """Even-odd-rule containment for many points against one polygon.
 
-    Replaces the per-cell shapely ``within`` test (reference
-    gridding.py:181).  Two vectorized paths: a fully-broadcast (edges x
-    points) kernel when the crossing matrix fits in cache, else a per-edge
-    loop vectorized over points (identical arithmetic, identical results).
+    The plain form of the engine's ray-crossing test: the reference the
+    tests hold the batched kernels to (:func:`coverage_pairs`' per-row
+    crossing count and ``PolygonIndex.contains`` reproduce its
+    arithmetic), and the interior-cell test of
+    :func:`cells_coverage_parity`.  Two vectorized paths: a
+    fully-broadcast (edges x points) kernel when the crossing matrix fits
+    in cache, else a per-edge loop vectorized over points (identical
+    arithmetic, identical results).
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
@@ -281,10 +285,9 @@ def segments_of(rings: Rings) -> np.ndarray:
     return np.concatenate(segs, axis=0)
 
 
-def _boundary_cells(
-    segs: np.ndarray, x0: float, y0: float, w: float, h: float, nx: int, ny: int
-) -> np.ndarray:
-    """(ny, nx) mask of the cells whose rect overlaps an edge's bbox."""
+def _boundary_cells(segs: np.ndarray, x0, y0, w: float, h: float, nx, ny):
+    """``(edge, iy, ix)`` of every cell whose rect overlaps an edge's
+    bbox; the window ``x0, y0, nx, ny`` is scalar or one per edge."""
     ex0 = np.minimum(segs[:, 0], segs[:, 2])
     ex1 = np.maximum(segs[:, 0], segs[:, 2])
     ey0 = np.minimum(segs[:, 1], segs[:, 3])
@@ -295,29 +298,37 @@ def _boundary_cells(
     iy1 = np.clip(np.floor((ey1 - y0) / h - TOL_EPS).astype(np.int64), 0, ny - 1)
     wide = np.maximum(ix1, ix0) - ix0 + 1
     e, k = ragged(np.zeros(len(segs), np.int64), wide * (np.maximum(iy1, iy0) - iy0 + 1))
-    boundary = np.zeros((ny, nx), dtype=bool)
-    boundary[iy0[e] + k // wide[e], ix0[e] + k % wide[e]] = True
-    return boundary
+    return e, iy0[e] + k // wide[e], ix0[e] + k % wide[e]
 
 
-def _boundary_areas(xy, off, iys, ixs, x0, y0, w, h) -> np.ndarray:
-    """Area of the CSR polygon ``(xy, off)`` inside each cell ``(iys[k],
-    ixs[k])``: :func:`clip_area_rect` per cell, in two levels.
+def _boundary_areas(xy, off, owner, inst, iys, ixs, x0, y0, w, h) -> np.ndarray:
+    """Area of instance ``inst[k]``'s rings (the CSR set ``(xy, off)``,
+    ring ``r`` belonging to instance ``owner[r]``, owners ascending)
+    inside its cell ``(iys[k], ixs[k])``: :func:`clip_area_rect` per
+    cell, in two levels.
 
-    The two x passes run once per column strip on the rings whose x-range
-    meets the strip; the two y passes run per cell on its strip's rings
-    whose y-range meets the cell.  A ring skipped by either test clips to
-    nothing, and the bounds are the per-cell ones (``x0 + ix*w``, ``+ w``,
-    ``y0 + iy*h``, ``+ h``), so every clipped vertex and area is the
-    per-cell clip's."""
-    cols, strip_of = np.unique(ixs, return_inverse=True)
-    sx0 = x0 + cols * w
+    The two x passes run once per (instance, column) strip on the
+    instance's rings whose x-range meets the strip; the two y passes run
+    per cell on its strip's rings whose y-range meets the cell.  A ring
+    skipped by either test clips to nothing, and the bounds are the
+    instance's per-cell ones (``x0 + ix*w``, ``+ w``, ``y0 + iy*h``,
+    ``+ h``), so every clipped vertex and area is the per-cell clip's."""
+    if not len(iys):
+        return np.zeros(0)
+    ncol = int(ixs.max()) + 1
+    keys, strip_of = np.unique(inst * ncol + ixs, return_inverse=True)
+    sinst, cols = keys // ncol, keys % ncol
+    sx0 = x0[sinst] + cols * w
     sx1 = sx0 + w
     starts = off[:-1]
     rx0 = np.fmin.reduceat(xy[:, 0], starts)
     rx1 = np.fmax.reduceat(xy[:, 0], starts)
-    # (strip, ring) pairs, strip-major and in ring order within a strip
-    s, r = np.nonzero((rx1[None, :] >= sx0[:, None]) & (rx0[None, :] <= sx1[:, None]))
+    # (strip, ring) pairs over the strip's instance's rings: strip-major
+    # and in ring order within a strip
+    first = np.searchsorted(owner, sinst, "left")
+    s, r = ragged(first, np.searchsorted(owner, sinst, "right") - first)
+    meet = (rx1[r] >= sx0[s]) & (rx0[r] <= sx1[s])
+    s, r = s[meet], r[meet]
     sxy, soff = _take(xy, off, r)
     sxy, soff = _half_plane(sxy, soff, 0, sx0[s], True)
     sxy, soff = _half_plane(sxy, soff, 0, sx1[s], False)
@@ -328,10 +339,10 @@ def _boundary_areas(xy, off, iys, ixs, x0, y0, w, h) -> np.ndarray:
     ry0 = np.fmin.reduceat(sxy[:, 1], soff[:-1])
     ry1 = np.fmax.reduceat(sxy[:, 1], soff[:-1])
     # (cell, strip ring) pairs: every cell against its strip's rings
-    first = np.searchsorted(s, np.arange(len(cols)), "left")
-    last = np.searchsorted(s, np.arange(len(cols)), "right")
+    first = np.searchsorted(s, np.arange(len(keys)), "left")
+    last = np.searchsorted(s, np.arange(len(keys)), "right")
     cell, ring = ragged(first[strip_of], (last - first)[strip_of])
-    cy0 = y0 + iys[cell] * h
+    cy0 = y0[inst[cell]] + iys[cell] * h
     cy1 = cy0 + h
     meet = (ry1[ring] >= cy0) & (ry0[ring] <= cy1)
     cell, ring, cy0, cy1 = cell[meet], ring[meet], cy0[meet], cy1[meet]
@@ -339,6 +350,101 @@ def _boundary_areas(xy, off, iys, ixs, x0, y0, w, h) -> np.ndarray:
     cxy, coff = _half_plane(cxy, coff, 1, cy0, True)
     cxy, coff = _half_plane(cxy, coff, 1, cy1, False)
     return np.bincount(cell, weights=_ring_areas(cxy, coff), minlength=len(iys))
+
+
+def _inside_centres(segs, si, base, x0, y0, w: float, h: float, nx, ny) -> np.ndarray:
+    """Flat indices, ascending, of the cells whose centre the even-odd
+    rule puts inside their instance's rings (edge ``e`` of ``segs``
+    belongs to instance ``si[e]``; cell ``(iy, ix)`` of instance ``k`` is
+    ``base[k] + iy * nx[k] + ix``), with :func:`points_in_rings`'
+    arithmetic, from the rows' crossings alone.
+
+    Each non-horizontal edge is expanded to the rows whose centre line
+    ``cy = y0 + (row + 0.5) * h`` its y-range may cross, one more on each
+    side, and kept where the test ``(b > cy) != (d > cy)`` holds, at
+    ``xint = x1 + (cy - b) * (x2 - x1) / (d - b)``.  A closed ring
+    crosses a line an even number of times, so a centre ``px`` has an
+    odd count of ``px < xint`` exactly when it lies in a span ``[c_2j,
+    c_2j+1)`` of its row's sorted crossings; each span is expanded to
+    its cells, one more on each side, and kept by that exact test."""
+    x1, b, x2, d = segs.T
+    y0e, nye = y0[si], ny[si]
+    lo = np.clip(np.floor((np.minimum(b, d) - y0e) / h - 0.5).astype(np.int64), 0, nye - 1)
+    hi = np.clip(np.floor((np.maximum(b, d) - y0e) / h - 0.5).astype(np.int64) + 1, 0, nye - 1)
+    e, row = ragged(lo, np.maximum(hi - lo + 1, 0) * (b != d))
+    cy = y0e[e] + (row + 0.5) * h
+    hit = (b[e] > cy) != (d[e] > cy)
+    e, row, cy = e[hit], row[hit], cy[hit]
+    xint = x1[e] + (cy - b[e]) * (x2[e] - x1[e]) / (d[e] - b[e])
+    k = si[e]
+    grp = base[k] + row * nx[k]  # the flat index of the row's first cell
+    o = np.lexsort((xint, grp))
+    xa, xb, k, grp = xint[o[0::2]], xint[o[1::2]], k[o[0::2]], grp[o[0::2]]
+    c0 = np.clip(np.floor((xa - x0[k]) / w - 0.5).astype(np.int64), 0, nx[k] - 1)
+    c1 = np.clip(np.floor((xb - x0[k]) / w - 0.5).astype(np.int64) + 1, 0, nx[k] - 1)
+    s, ix = ragged(c0, np.maximum(c1 - c0 + 1, 0))
+    px = x0[k[s]] + (ix + 0.5) * w
+    inside = (xa[s] <= px) & (px < xb[s])
+    return grp[s[inside]] + ix[inside]
+
+
+def coverage_pairs(polygons: list[Rings], x0, y0, w: float, h: float, nx, ny):
+    """:func:`cells_coverage` of N (polygon, window) instances in one
+    ragged pass, as sparse rows.
+
+    Instance ``k`` is the ring list ``polygons[k]`` over the window of
+    ``ny[k] x nx[k]`` cells of size ``w x h`` whose lower-left corner is
+    ``(x0[k], y0[k])``; ``x0``, ``y0``, ``nx`` and ``ny`` are scalars or
+    one value per instance.  Returns ``(inst, ix, iy, area)``, one row
+    per cell of positive area, ordered by (instance, iy, ix), where
+    ``area`` is bit for bit ``cells_coverage(polygons[k], x0[k], y0[k],
+    w, h, nx[k], ny[k])[iy, ix]``.
+
+    Stages (the per-tile kernel behind GridMaker/GridOverlay flags,
+    reference gridding.py:132-188):
+
+    - pre-clip: every ring to its instance's window, one ragged pass;
+    - boundary cells, those under a clipped edge's bbox: the exact
+      Sutherland-Hodgman clip of :func:`_boundary_areas`, x per
+      (instance, column) strip, then y per cell;
+    - interior cells are uniform: full when their centre is inside, by
+      the row crossings of :func:`_inside_centres`.
+
+    Memory follows the boundary and covered cells, not the windows'
+    area: no array spans a whole window."""
+    n = len(polygons)
+    x0, y0 = (np.broadcast_to(np.asarray(v, np.float64), (n,)) for v in (x0, y0))
+    nx, ny = (np.broadcast_to(np.asarray(v, np.int64), (n,)) for v in (nx, ny))
+    w, h = float(w), float(h)
+    owner = np.repeat(np.arange(n), [len(rings) for rings in polygons])
+    xy, off = _pack([r for rings in polygons for r in rings])
+    x1, y1 = x0 + nx * w, y0 + ny * h
+    xy, off = _clip_rect(xy, off, x0[owner], y0[owner], x1[owner], y1[owner])
+    # rings left below 3 vertices drop, as clip_rings_rect drops them
+    keep = np.flatnonzero((off[1:] - off[:-1] >= 3) & (nx > 0)[owner] & (ny > 0)[owner])
+    (xy, off), owner = _take(xy, off, keep), owner[keep]
+    # flat cell space: cell (iy, ix) of instance k is base[k] + iy * nx[k]
+    # + ix; an instance left with no ring has no cells
+    base = np.zeros(n + 1, np.int64)
+    np.cumsum(np.where(np.bincount(owner, minlength=n) > 0, nx * ny, 0), out=base[1:])
+    segs = np.concatenate([xy, xy[_successor(off, len(xy))]], axis=1)
+    si = np.repeat(owner, off[1:] - off[:-1])  # each edge's instance
+
+    def cells(flat):
+        k = np.searchsorted(base, flat, "right") - 1
+        return k, *np.divmod(flat - base[k], nx[k])
+
+    e, iy, ix = _boundary_cells(segs, x0[si], y0[si], w, h, nx[si], ny[si])
+    bflat = np.unique(base[si[e]] + iy * nx[si[e]] + ix)
+    a = _boundary_areas(xy, off, owner, *cells(bflat), x0, y0, w, h)
+    # interior cells, those off every boundary cell, are full or empty
+    iflat = _inside_centres(segs, si, base, x0, y0, w, h, nx, ny)
+    iflat = iflat[~np.isin(iflat, bflat, assume_unique=True)]
+    flat = np.concatenate([iflat, bflat[a > 0]])
+    area = np.concatenate([np.full(len(iflat), w * h), a[a > 0]])
+    o = np.argsort(flat, kind="stable")
+    k, iy, ix = cells(flat[o])
+    return k, ix, iy, area[o]
 
 
 def cells_coverage(
@@ -353,40 +459,26 @@ def cells_coverage(
     """Exact coverage area of a polygon over a regular (ny, nx) cell grid.
 
     Cell ``(iy, ix)`` spans ``[x0+ix*w, x0+(ix+1)*w] x [y0+iy*h, y0+(iy+1)*h]``.
-    Returns an (ny, nx) float64 array of overlap areas.
-
-    Strategy (the per-tile kernel behind GridMaker/GridOverlay flags,
-    reference gridding.py:132-188): the polygon is clipped to the grid's
-    window, then cells touched by a polygon edge ("boundary cells") get an
-    exact Sutherland-Hodgman clip, all of them in one ragged pass (x
-    passes per column strip, y passes per cell); all other cells are
-    uniform — resolved in one vectorized point-in-polygon test of their
-    centers (full coverage if inside, zero otherwise).  Every boundary
-    cell's area is bit-identical to ``clip_area_rect`` on that cell.
-    """
+    Returns an (ny, nx) float64 array of overlap areas: the one-instance
+    case of :func:`coverage_pairs`, where every boundary cell's area is
+    bit-identical to ``clip_area_rect`` on that cell and an interior cell
+    is ``w * h`` when ``points_in_rings`` holds its centre."""
     cov = np.zeros((ny, nx), dtype=np.float64)
-    if not rings:
-        return cov
-    tile_rings = clip_rings_rect(rings, x0, y0, x0 + nx * w, y0 + ny * h)
-    if not tile_rings:
-        return cov
-    boundary = _boundary_cells(segments_of(tile_rings), x0, y0, w, h, nx, ny)
-
-    # interior cells: vectorized even-odd test on cell centers
-    interior = ~boundary
-    if interior.any():
-        iys, ixs = np.nonzero(interior)
-        cx = x0 + (ixs + 0.5) * w
-        cy = y0 + (iys + 0.5) * h
-        inside = points_in_rings(cx, cy, tile_rings)
-        cov[iys[inside], ixs[inside]] = w * h
-
-    # boundary cells: exact clip
-    iys, ixs = np.nonzero(boundary)
-    a = _boundary_areas(*_pack(tile_rings), iys, ixs, x0, y0, w, h)
-    hit = a > 0
-    cov[iys[hit], ixs[hit]] = a[hit]
+    _, ix, iy, a = coverage_pairs([rings], x0, y0, w, h, nx, ny)
+    cov[iy, ix] = a
     return cov
+
+
+def snap_windows(bboxes: np.ndarray, ox: float, oy: float, w: float, h: float):
+    """Cell windows ``(ix0, iy0, nx, ny)`` of (N, 4) bboxes on the grid of
+    ``w x h`` cells anchored at ``(ox, oy)``: floor of the lower corner,
+    ceil of the upper one, at least one cell each way."""
+    b = np.asarray(bboxes, np.float64).reshape(-1, 4)
+    ix0 = np.floor((b[:, 0] - ox) / w).astype(np.int64)
+    iy0 = np.floor((b[:, 1] - oy) / h).astype(np.int64)
+    nx = np.maximum(np.ceil((b[:, 2] - ox) / w).astype(np.int64) - ix0, 1)
+    ny = np.maximum(np.ceil((b[:, 3] - oy) / h).astype(np.int64) - iy0, 1)
+    return ix0, iy0, nx, ny
 
 
 def rect_relation(
@@ -826,7 +918,8 @@ def cells_coverage_parity(
     segs = segments_of(rings)
     if len(segs) == 0:
         return cov
-    boundary = _boundary_cells(segs, x0, y0, w, h, nx, ny)
+    boundary = np.zeros((ny, nx), dtype=bool)
+    boundary[_boundary_cells(segs, x0, y0, w, h, nx, ny)[1:]] = True
     interior = ~boundary
     if interior.any():
         iys, ixs = np.nonzero(interior)

@@ -42,7 +42,7 @@ import numpy as np
 import pyarrow as pa
 
 from .cluster import Broadcast
-from .geom.kernels import TOL_EPS, cells_coverage, clip_areas_rect
+from .geom.kernels import TOL_EPS, clip_areas_rect, coverage_pairs
 from .planning import GridSpec, plan_grid, pos_offset
 
 
@@ -126,12 +126,15 @@ def emit_tile_cells(
             within = np.ones((ny, nx), dtype=bool)
             intersects = np.ones((ny, nx), dtype=bool)
         else:
+            # every candidate's coverage of the tile in one call, then the
+            # OR-fold over candidates of the per-cell tests
+            _, ixs, iys, cov = coverage_pairs([p["rings"] for p in cand], x0, y0, w, h, nx, ny)
             within = np.zeros((ny, nx), dtype=bool)
             intersects = np.zeros((ny, nx), dtype=bool)
-            for p in cand:
-                cov = cells_coverage(p["rings"], x0, y0, w, h, nx, ny)
-                within |= cov >= cell_area * (1.0 - TOL_EPS)
-                intersects |= cov > cell_area * TOL_EPS
+            hit = cov >= cell_area * (1.0 - TOL_EPS)
+            within[iys[hit], ixs[hit]] = True
+            hit = cov > cell_area * TOL_EPS
+            intersects[iys[hit], ixs[hit]] = True
             if trim and not intersects.any():
                 return None
     else:
@@ -164,147 +167,6 @@ def emit_tile_cells(
     }
 
 
-def emit_tile_cells_qtree(
-    spec: GridSpec,
-    tiy: int,
-    tix: int,
-    mask: list[dict] | bool | None,
-    trim: bool,
-    interior: bool,
-    tile_flags: bool = False,
-) -> dict[str, np.ndarray] | None:
-    """Quadtree variant of the cell-emission kernel (reference
-    qtree_process_tile, gridding.py:191-255): recursively split the tile's
-    cell window; a window fully covered by a single mask polygon
-    bulk-emits (within=1, intersects=1) without per-cell tests; a window
-    overlapping no polygon bbox prunes (trim) or bulk-emits (0, 0);
-    otherwise recurse to cell level.  Produces the IDENTICAL row set and
-    flags as :func:`emit_tile_cells` (the conformance target); unlike the
-    reference, tile sizes need not be powers of two (windows split at
-    midpoints, gridding.py:337-338 constraint dropped).
-
-    Measured (single core, every tile, 4-vCPU VM): 1.3-2.3x slower than
-    the prll kernel — 0.13-0.19 s against 0.08-0.12 s on the perfbench
-    ``grid_overlay`` layer (96-vertex stars, 2 km cells, 16x16 tiles),
-    0.022 s against 0.010-0.016 s on ``synth.polygon_layer`` (10 km
-    cells, 32x32 tiles).  The reference's quadtree wins by skipping
-    per-cell shapely calls, but the prll kernel clips all boundary cells
-    of a polygon in one ragged pass and resolves interior cells with one
-    vectorized center test, while the quadtree still pays one ragged pass
-    per level plus Python bookkeeping per window.  Kept for operator
-    parity; prll is the default and the fast path."""
-    if tile_flags or not (isinstance(mask, list) and mask):
-        # the tile-level trim=False path is already one vectorized stamp —
-        # nothing for the quadtree to subdivide
-        return emit_tile_cells(spec, tiy, tix, mask, trim, interior, tile_flags)
-    r0, r1, c0, c1 = _tile_cell_range(spec, tiy, tix)
-    if r1 - r0 <= 0 or c1 - c0 <= 0:
-        return None
-    w, h = spec.cellsize
-    x_org, y_org = spec.bbox[0], spec.bbox[1]
-    cell_area = w * h
-    acc_iy: list[np.ndarray] = []
-    acc_ix: list[np.ndarray] = []
-    acc_w: list[np.ndarray] = []
-    acc_i: list[np.ndarray] = []
-
-    def bulk(rr0, rr1, cc0, cc1, within_v, inter_v):
-        iy_g, ix_g = np.mgrid[rr0:rr1, cc0:cc1]
-        n = iy_g.size
-        acc_iy.append(iy_g.ravel())
-        acc_ix.append(ix_g.ravel())
-        acc_w.append(np.full(n, within_v, dtype=bool))
-        acc_i.append(np.full(n, inter_v, dtype=bool))
-
-    # breadth-first, one clip_areas_rect per quadtree level over every
-    # (window, candidate polygon) pair; an emitting window keeps its
-    # depth-first path (child numbers from the root), and the windows are
-    # emitted in path order, i.e. in the order of the recursive descent
-    emit = []
-    level = [((), r0, r1, c0, c1)]
-    while level:
-        wins, cands = [], []
-        for path, rr0, rr1, cc0, cc1 in level:
-            if rr1 <= rr0 or cc1 <= cc0:
-                continue
-            wx0 = x_org + cc0 * w
-            wy0 = y_org + rr0 * h
-            wx1 = x_org + cc1 * w
-            wy1 = y_org + rr1 * h
-            cand = [
-                p
-                for p in mask
-                if p["bbox"][0] < wx1
-                and p["bbox"][2] > wx0
-                and p["bbox"][1] < wy1
-                and p["bbox"][3] > wy0
-            ]
-            if not cand:
-                if not trim:
-                    emit.append((path, rr0, rr1, cc0, cc1, False, False))
-                continue
-            wins.append((path, rr0, rr1, cc0, cc1, (wx1 - wx0) * (wy1 - wy0)))
-            cands.append(cand)
-        n = [len(c) for c in cands]
-        bounds = np.repeat(
-            [(x_org + c0_ * w, y_org + r0_ * h, x_org + c1_ * w, y_org + r1_ * h)
-             for _, r0_, r1_, c0_, c1_, _ in wins],
-            n, axis=0,
-        ).reshape(-1, 4)
-        areas = np.split(
-            clip_areas_rect([p["rings"] for c in cands for p in c], *bounds.T),
-            np.cumsum(n)[:-1],
-        )
-        level = []
-        for (path, rr0, rr1, cc0, cc1, win_area), a in zip(wins, areas):
-            # same one-cell tolerance as the prll shortcut (row-set equality)
-            if (a >= win_area - cell_area * TOL_EPS).any():
-                emit.append((path, rr0, rr1, cc0, cc1, True, True))
-                continue
-            if rr1 - rr0 == 1 and cc1 - cc0 == 1:
-                within_v = bool((a >= cell_area * (1.0 - TOL_EPS)).any())
-                inter_v = bool((a > cell_area * TOL_EPS).any())
-                if trim and not inter_v and not within_v:
-                    continue
-                if interior and not within_v:
-                    continue
-                emit.append((path, rr0, rr1, cc0, cc1, within_v, inter_v))
-                continue
-            rm = (rr0 + rr1) // 2 if rr1 - rr0 > 1 else rr1
-            cm = (cc0 + cc1) // 2 if cc1 - cc0 > 1 else cc1
-            level += [
-                (path + (0,), rr0, rm, cc0, cm),
-                (path + (1,), rr0, rm, cm, cc1),
-                (path + (2,), rm, rr1, cc0, cm),
-                (path + (3,), rm, rr1, cm, cc1),
-            ]
-    for _, *win in sorted(emit, key=lambda e: e[0]):
-        bulk(*win)
-    if not acc_iy:
-        return None
-    iy_g = np.concatenate(acc_iy)
-    ix_g = np.concatenate(acc_ix)
-    within = np.concatenate(acc_w)
-    intersects = np.concatenate(acc_i)
-    if trim:
-        keep = within if interior else (within | intersects)
-        iy_g, ix_g = iy_g[keep], ix_g[keep]
-        within, intersects = within[keep], intersects[keep]
-        if len(iy_g) == 0:
-            return None
-    offx, offy = pos_offset(spec.xypos, spec.cellsize)
-    return {
-        "cell_id": (iy_g * spec.ncols + ix_g).astype(np.int64),
-        "ix": ix_g.astype(np.int32),
-        "iy": iy_g.astype(np.int32),
-        "x": spec.bbox[0] + ix_g * w + offx,
-        "y": spec.bbox[1] + iy_g * h + offy,
-        "tile_id": np.full(len(iy_g), spec.tile_id(tiy, tix), dtype=np.int64),
-        "intersects": intersects.astype(np.int8),
-        "within": within.astype(np.int8),
-    }
-
-
 class EmitCells:
     """Tile kernel holding the broadcast mask, built once per worker
     (reference ships the mask with every tile task, gridding.py:345-353)."""
@@ -315,7 +177,6 @@ class EmitCells:
         mask,
         trim: bool,
         interior: bool,
-        mode: str = "prll",
         tile_flags: bool = False,
     ):
         self.spec = spec
@@ -323,14 +184,13 @@ class EmitCells:
         self.trim = trim
         self.interior = interior
         self.tile_flags = tile_flags
-        self.kernel = emit_tile_cells_qtree if mode == "qtree" else emit_tile_cells
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         tiys = batch["tiy"].to_numpy()
         tixs = batch["tix"].to_numpy()
         parts = []
         for tiy, tix in zip(tiys.tolist(), tixs.tolist()):
-            out = self.kernel(
+            out = emit_tile_cells(
                 self.spec,
                 tiy,
                 tix,
@@ -381,7 +241,10 @@ def make_grid(
     — tile-level flags + one placeholder row per non-intersecting tile
     (see module docstring).  ``sort``: False | 'tile' | 'rc' — explicit
     ``ds.sort`` only when requested (Ray blocks are unordered; conformance
-    comparisons sort by cell_id, SURVEY.md §7.5.6).
+    comparisons sort by cell_id, SURVEY.md §7.5.6).  ``mode``: the
+    reference's tile strategy (prll | seq | qtree, gridding.py:64); every
+    mode runs the one tile kernel, :func:`emit_tile_cells`, so all three
+    give the same rows.
     """
     import ray.data as rd
 
@@ -406,15 +269,11 @@ def make_grid(
     ]
     # one tile spec per input block (up to 256 blocks); batch_size=4
     # below then bundles 4 tiles per call (so 16 tiles give 4 output
-    # blocks).  One tile per call was slower on a 16-tile grid and moves
-    # overlay areas by ulps: OverlayKernel's coverage window depends on
-    # which cells share a batch
+    # blocks).  One tile per call was slower on a 16-tile grid
     ds = rd.from_items(specs, override_num_blocks=min(len(specs), 256))
     if mode not in ("prll", "seq", "qtree"):
         raise ValueError(f"mode must be prll|seq|qtree, got {mode!r}")
-    cells = Broadcast(
-        mask, lambda m: EmitCells(spec, m, trim, interior, mode, placeholders)
-    )
+    cells = Broadcast(mask, lambda m: EmitCells(spec, m, trim, interior, placeholders))
 
     def apply(batch: pa.Table) -> pa.Table:
         return cells.get()(batch)

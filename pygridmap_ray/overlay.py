@@ -4,11 +4,12 @@ Ray-Data-native re-expression of the reference ``GridOverlay``
 (reference overlay.py:187-605).  Architecture:
 
 1. **Fragment stage** (:class:`OverlayKernel`, a broadcast kernel): the
-   polygon layer + its bbox index are built ONCE per worker (the
-   reference rebuilds ``poly.sindex`` inside every tile task,
-   overlay.py:258); each grid-cell
-   batch is joined against candidate polygons and clipped — one output row
-   per (cell, polygon) pair with positive overlap area (reference
+   polygon layer, its attribute LUTs and its (polygon, grid tile) pairs
+   are built ONCE per worker (the reference rebuilds ``poly.sindex``
+   inside every tile task, overlay.py:258); each grid-cell batch computes
+   the coverage of the tiles its cells lie in, every candidate polygon in
+   one batched pass, and looks its cells up in it — one output row per
+   (cell, polygon) pair with positive overlap area (reference
    clip_polygon + overlay_polygon + area_overlay, overlay.py:244-335).
    ``how='union'`` additionally emits one remainder row per cell with
    uncovered area and null polygon attributes (the NaN ``__area_pct__``
@@ -28,10 +29,9 @@ which holds for every union test the reference exercises (grid-on-grid).
 
 Grid contract: one row per cell.  Every ``cell_id`` appears once in the
 grid (``make_grid`` output, or any frame with unique ids); a cell
-repeated across blocks would come out once per block.  Grid batches
-should also be spatially coherent (e.g. straight from ``make_grid``
-tiles) so the per-polygon dense coverage window stays small; a shuffled
-grid still computes correctly but with larger windows.
+repeated across blocks would come out once per block.  Batches may hold
+any cells in any order: a fragment's area depends on its polygon and
+the grid alone, so every block layout gives the same fragments.
 """
 
 from __future__ import annotations
@@ -42,134 +42,125 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .cluster import Broadcast
-from .geom.index import BBoxIndex
-from .geom.kernels import TOL_EPS, cells_coverage
+from .geom.index import layer_luts, ragged
+from .geom.kernels import TOL_EPS, coverage_pairs, snap_windows
 from .planning import GridSpec
 
 RULES = ("sum", "min", "max", "list")
 
 
 class OverlayKernel:
-    """Fragment producer: broadcast polygon layer + bbox index in state."""
+    """Fragment producer over the broadcast polygon layer.
+
+    Coverage windows are cut on the grid's tile lattice (``tilesize``
+    cells, rows then columns, anchored at ``origin``): a polygon's window
+    in a tile is the tile's part of the polygon's bbox snapped to the
+    grid, with one cell of margin so a rounded snap cannot cut off a
+    sliver cell; ``tilesize=None`` cuts windows only at the origin's
+    row and column of cells.  A fragment's area is thus a function of the
+    polygon and the grid alone, never of how the grid is batched.
+
+    Built once per worker: the (polygon, tile) pairs, sorted by tile,
+    and the attribute LUTs of
+    :func:`~pygridmap_ray.geom.index.layer_luts`.  A batch computes the
+    windows of the tiles its cells lie in, in one
+    :func:`~pygridmap_ray.geom.kernels.coverage_pairs` call, sorts the
+    rows by (cell, layer position), and finds each grid row's run of
+    (polygon, area) pairs with ``searchsorted``; its memory follows the
+    batch's tiles, not the layer's extent."""
 
     def __init__(
         self,
-        polygons,
+        polygons: list[dict],
         cellsize: tuple[float, float],
         origin: tuple[float, float],
         how: str = "intersection",
         attr_cols: tuple[str, ...] = ("nuts_id", "pop"),
+        tilesize: tuple[int, int] | None = None,
     ):
-        self.polys = polygons
-        self.index = BBoxIndex(np.array([p["bbox"] for p in polygons]))
-        self.w, self.h = float(cellsize[0]), float(cellsize[1])
-        self.ox, self.oy = float(origin[0]), float(origin[1])
         if how not in ("intersection", "union"):
             raise ValueError(f"how must be intersection|union, got {how!r}")
         self.how = how
-        self.attr_cols = attr_cols
-        # null-column types for remainder/empty rows derive from the ACTUAL
-        # layer values — the first NON-NULL value across the layer, so a
-        # None (or heterogeneous) leading polygon cannot misclassify the
-        # column and crash pa.array() at fragment-emission time
-        def _first_type(c):
-            for p in polygons:
-                v = p.get(c)
-                if v is not None:
-                    return pa.string() if isinstance(v, str) else pa.float64()
-            return pa.float64()
+        self.w, self.h = float(cellsize[0]), float(cellsize[1])
+        self.ox, self.oy = float(origin[0]), float(origin[1])
+        self.luts = layer_luts(polygons, attr_cols)
+        self.poly_area = np.array([p["area"] for p in polygons], dtype=np.float64)
+        self.rings = [p["rings"] for p in polygons]
+        ix0, iy0, nx, ny = snap_windows([p["bbox"] for p in polygons], self.ox, self.oy, self.w, self.h)
+        # each polygon's cell range [x0, x1) x [y0, y1), margin included
+        self.x0, self.y0, self.x1, self.y1 = ix0 - 1, iy0 - 1, ix0 + nx + 1, iy0 + ny + 1
+        self.ty, self.tx = tilesize or (2**31, 2**31)
+        tx0, ty0 = self.x0 // self.tx, self.y0 // self.ty
+        ntx = (self.x1 - 1) // self.tx - tx0 + 1
+        poly, k = ragged(np.zeros(len(polygons), np.int64), ntx * ((self.y1 - 1) // self.ty - ty0 + 1))
+        tx, ty = tx0[poly] + k % ntx[poly], ty0[poly] + k // ntx[poly]
+        key = _cell_key(tx, ty)
+        o = np.argsort(key, kind="stable")
+        self.pair_key, self.pair_poly = key[o], poly[o]
+        self.pair_tx, self.pair_ty = tx[o], ty[o]
 
-        self.attr_types = {c: _first_type(c) for c in attr_cols}
+    def _coverage(self, tiles: np.ndarray):
+        """``(cell key, polygon, area)`` of every (polygon, tile) window of
+        ``tiles`` (tile keys), sorted by (cell, layer position)."""
+        lo = np.searchsorted(self.pair_key, tiles, "left")
+        _, at = ragged(lo, np.searchsorted(self.pair_key, tiles, "right") - lo)
+        poly, tx, ty = self.pair_poly[at], self.pair_tx[at], self.pair_ty[at]
+        x0 = np.maximum(self.x0[poly], tx * self.tx)
+        y0 = np.maximum(self.y0[poly], ty * self.ty)
+        nx = np.minimum(self.x1[poly], (tx + 1) * self.tx) - x0
+        ny = np.minimum(self.y1[poly], (ty + 1) * self.ty) - y0
+        inst, ix, iy, area = coverage_pairs(
+            [self.rings[i] for i in poly.tolist()],
+            self.ox + x0 * self.w,
+            self.oy + y0 * self.h,
+            self.w,
+            self.h,
+            nx,
+            ny,
+        )
+        key, poly = _cell_key(ix + x0[inst], iy + y0[inst]), poly[inst]
+        o = np.lexsort((poly, key))
+        return key[o], poly[o], area[o]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return self._empty(batch)
-        ix = np.asarray(batch["ix"], dtype=np.int64)
-        iy = np.asarray(batch["iy"], dtype=np.int64)
-        w, h = self.w, self.h
-        cx0 = self.ox + ix * w
-        cy0 = self.oy + iy * h
-        cell_area = w * h
-        frag_sum = np.zeros(n, dtype=np.float64)
-        parts: list[pa.Table] = []
-        # prune to polygons whose bbox overlaps this batch's extent — for
-        # NUTS-scale layers a spatially-coherent batch touches only a few
-        cand_ids = self.index.query(
-            float(cx0.min()),
-            float(cy0.min()),
-            float(cx0.max()) + w,
-            float(cy0.max()) + h,
-        )
-        for p in (self.polys[int(i)] for i in cand_ids):
-            bx0, by0, bx1, by1 = p["bbox"]
-            sel = (cx0 < bx1) & (cx0 + w > bx0) & (cy0 < by1) & (cy0 + h > by0)
-            if not sel.any():
-                continue
-            pos_all = np.nonzero(sel)[0]
-            six, siy = ix[pos_all], iy[pos_all]
-            ix0, ix1 = int(six.min()), int(six.max())
-            iy0, iy1 = int(siy.min()), int(siy.max())
-            cov = cells_coverage(
-                p["rings"],
-                self.ox + ix0 * w,
-                self.oy + iy0 * h,
-                w,
-                h,
-                ix1 - ix0 + 1,
-                iy1 - iy0 + 1,
-            )
-            areas = cov[siy - iy0, six - ix0]
-            hit = areas > 0.0
-            if not hit.any():
-                continue
-            pos = pos_all[hit]
-            a = areas[hit]
-            frag_sum[pos] += a
-            t = batch.take(pa.array(pos))
-            t = t.append_column("poly_id", pa.array(np.full(len(pos), p["poly_id"]), pa.int64()))
-            for c in self.attr_cols:
-                # coerce through attr_types: a Python-int attribute would
-                # otherwise infer int64 on fragment rows and clash with the
-                # float64 nulls of union remainders
-                t = t.append_column(c, pa.array([p[c]] * len(pos), self.attr_types[c]))
-            t = t.append_column("poly_area", pa.array(np.full(len(pos), p["area"])))
-            t = t.append_column("area", pa.array(a))
-            t = t.append_column("area_pct", pa.array(a / p["area"]))
-            parts.append(t)
-        if self.how == "union":
-            rem = cell_area - frag_sum
-            keep = rem > cell_area * TOL_EPS
-            if keep.any():
-                pos = np.nonzero(keep)[0]
-                t = batch.take(pa.array(pos))
-                t = t.append_column("poly_id", pa.nulls(len(pos), pa.int64()))
-                for c in self.attr_cols:
-                    t = t.append_column(c, pa.nulls(len(pos), self.attr_types[c]))
-                t = t.append_column("poly_area", pa.nulls(len(pos), pa.float64()))
-                t = t.append_column("area", pa.array(rem[pos]))
-                t = t.append_column("area_pct", pa.nulls(len(pos), pa.float64()))
-                parts.append(t)
-        if not parts:
-            return self._empty(batch)
-        return pa.concat_tables(parts)
+        ix, iy = np.asarray(batch["ix"], np.int64), np.asarray(batch["iy"], np.int64)
+        keys, polys, areas = self._coverage(np.unique(_cell_key(ix // self.tx, iy // self.ty)))
+        key = _cell_key(ix, iy)
+        lo = np.searchsorted(keys, key, "left")
+        row, at = ragged(lo, np.searchsorted(keys, key, "right") - lo)
+        poly, area = polys[at], areas[at]
+        t = batch.take(pa.array(row, pa.int64()))
+        codes = pa.array(poly, pa.int64())
+        for c, lut in self.luts.items():
+            t = t.append_column(c, lut.take(codes))
+        t = t.append_column("poly_area", pa.array(self.poly_area[poly]))
+        t = t.append_column("area", pa.array(area))
+        t = t.append_column("area_pct", pa.array(area / self.poly_area[poly]))
+        if self.how == "intersection":
+            return t
+        # each cell's uncovered rest, its fragments added in layer order
+        cell_area = self.w * self.h
+        rem = cell_area - np.bincount(row, weights=area, minlength=batch.num_rows)
+        pos = np.flatnonzero(rem > cell_area * TOL_EPS)
+        r = batch.take(pa.array(pos, pa.int64()))
+        for c, lut in self.luts.items():
+            r = r.append_column(c, pa.nulls(len(pos), lut.type))
+        r = r.append_column("poly_area", pa.nulls(len(pos), pa.float64()))
+        r = r.append_column("area", pa.array(rem[pos]))
+        r = r.append_column("area_pct", pa.nulls(len(pos), pa.float64()))
+        return pa.concat_tables([t, r])
 
-    def _empty(self, batch: pa.Table) -> pa.Table:
-        t = batch.slice(0, 0)
-        t = t.append_column("poly_id", pa.array([], pa.int64()))
-        for c in self.attr_cols:
-            t = t.append_column(c, pa.array([], self.attr_types[c]))
-        t = t.append_column("poly_area", pa.array([], pa.float64()))
-        t = t.append_column("area", pa.array([], pa.float64()))
-        t = t.append_column("area_pct", pa.array([], pa.float64()))
-        return t
+
+def _cell_key(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """One int64 per grid cell, ordered by (iy, ix); ix may be negative."""
+    return iy * 2**32 + ix
 
 
 def _kernel_layer(polygons, spec: GridSpec, how: str, attr_cols) -> Broadcast:
     if how not in ("intersection", "union"):
         # fail on the driver, not inside a worker
         raise ValueError(f"how must be intersection|union, got {how!r}")
-    args = (spec.cellsize, spec.bbox[:2], how, attr_cols)
+    args = (spec.cellsize, spec.bbox[:2], how, attr_cols, spec.tilesize)
     return Broadcast(polygons, lambda p: OverlayKernel(p, *args))
 
 

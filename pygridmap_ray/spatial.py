@@ -130,42 +130,36 @@ def polygon_cells_index(
     """
     import ray.data as rd
 
-    from .geom.kernels import cells_coverage
+    from .geom.kernels import coverage_pairs, snap_windows
 
-    layer = Broadcast(polygons)
     ox, oy = origin
     res = float(resolution)
+    # per worker: each polygon's rings, the cells of its snapped bbox, its id
+    layer = Broadcast(
+        polygons,
+        lambda ps: (
+            [p["rings"] for p in ps],
+            snap_windows([p["bbox"] for p in ps], ox, oy, res, res),
+            np.array([p["poly_id"] for p in ps], dtype=np.int64),
+        ),
+    )
 
     def emit(batch: pa.Table) -> pa.Table:
-        polys = layer.get()
-        keys, pids = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        fulls = [np.empty(0, bool)]
-        for i in np.asarray(batch["id"], dtype=np.int64).tolist():
-            p = polys[i]
-            bx0, by0, bx1, by1 = p["bbox"]
-            ix0 = int(np.floor((bx0 - ox) / res))
-            iy0 = int(np.floor((by0 - oy) / res))
-            ix1 = int(np.ceil((bx1 - ox) / res))
-            iy1 = int(np.ceil((by1 - oy) / res))
-            nx, ny = max(ix1 - ix0, 1), max(iy1 - iy0, 1)
-            cov = cells_coverage(
-                p["rings"], ox + ix0 * res, oy + iy0 * res, res, res, nx, ny
-            )
-            cell_area = res * res
-            # ANY positive coverage emits a candidate cell (a sliver cell
-            # still contains joinable points), and only numerically
-            # complete coverage skips the verify — both required for exact
-            # parity with the broadcast join (review repros)
-            iys, ixs = np.nonzero(cov > 0.0)
-            full = cov[iys, ixs] >= cell_area * (1.0 - 1e-12)
-            keys.append((iys + iy0).astype(np.int64) * 2**32 + (ixs + ix0))
-            pids.append(np.full(len(iys), p["poly_id"], dtype=np.int64))
-            fulls.append(full)
+        rings, windows, pids = layer.get()
+        ids = np.asarray(batch["id"], dtype=np.int64)
+        ix0, iy0, nx, ny = (v[ids] for v in windows)
+        k, ixs, iys, cov = coverage_pairs(
+            [rings[i] for i in ids.tolist()], ox + ix0 * res, oy + iy0 * res, res, res, nx, ny
+        )
+        # ANY positive coverage emits a candidate cell (a sliver cell
+        # still contains joinable points), and only numerically
+        # complete coverage skips the verify — both required for exact
+        # parity with the broadcast join (review repros)
         return pa.table(
             {
-                "cell_key": pa.array(np.concatenate(keys)),
-                "poly_id": pa.array(np.concatenate(pids)),
-                "full": pa.array(np.concatenate(fulls)),
+                "cell_key": pa.array((iys + iy0[k]) * 2**32 + (ixs + ix0[k])),
+                "poly_id": pa.array(pids[ids[k]]),
+                "full": pa.array(cov >= res * res * (1.0 - 1e-12)),
             }
         )
 

@@ -456,8 +456,9 @@ def test_rect_clip_has_one_home():
     """Rect clipping has one home, the ragged pass in geom/kernels.py: no
     loop or comprehension in gridding.py, overlay.py, spatial.py or
     kernels.py calls the one-instance clips (clip_area_rect,
-    clip_rings_rect, clip_ring_rect, and the convex clip_area_convex,
-    clip_rings_convex, clip_ring_convex), and no kernels.py clip function
+    clip_rings_rect, clip_ring_rect, the convex clip_area_convex,
+    clip_rings_convex, clip_ring_convex, and cells_coverage, whose batched
+    form is coverage_pairs), and no kernels.py clip function
     steps through a ring vertex by vertex (``for i in range(...)`` with a
     ``(i + 1) % n`` successor)."""
     import ast
@@ -466,6 +467,7 @@ def test_rect_clip_has_one_home():
     one_instance = {
         "clip_area_rect", "clip_rings_rect", "clip_ring_rect",
         "clip_area_convex", "clip_rings_convex", "clip_ring_convex",
+        "cells_coverage",
     }
     pkg = Path(__file__).resolve().parents[1] / "pygridmap_ray"
     offenders = []

@@ -418,3 +418,81 @@ def test_zonal_hist_sums_to_zonal_stats(ray_session):
     exp = stats.set_index("poly_id")["n_cells"].sort_index()
     assert (got == exp).all()
     assert hist["bin"].between(0, 9).all()
+
+
+def _star_layer(seed: int = 1, k: int = 6, nvert: int = 96, side: float = 100_000.0):
+    """k x k overlapping stars of ``nvert`` vertices on a jittered grid."""
+    from pygridmap_ray.geom.kernels import rings_area
+
+    rng = np.random.default_rng(seed)
+    pitch = side / k
+    t = np.linspace(0.0, 2.0 * np.pi, nvert, endpoint=False)
+    layer = []
+    for i in range(k * k):
+        cx, cy = (np.array([i % k, i // k]) + 0.5 + rng.uniform(-0.2, 0.2, 2)) * pitch
+        r = pitch * rng.uniform(0.3, 0.6, nvert)
+        ring = np.stack([cx + r * np.cos(t), cy + r * np.sin(t)], axis=1)
+        layer.append({
+            "poly_id": i, "nuts_id": f"S{i}", "pop": float(rng.integers(100, 10_000)),
+            "rings": [ring], "bbox": (*ring.min(axis=0), *ring.max(axis=0)),
+            "area": rings_area([ring]),
+        })
+    return layer
+
+
+def _arrow(ds, *keys):
+    import pyarrow as pa
+
+    t = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
+    return t.sort_by([(k, "ascending") for k in keys])
+
+
+@pytest.mark.parametrize("tile", [(16, 16), (2, 2)])
+def test_overlay_does_not_depend_on_block_layout(ray_session, tile):
+    """Fragments and interpolated sums are the same bits whichever cells
+    share a batch: one cell per batch against whole blocks, and a grid of
+    one block against sixteen, on a 9-tile and a 625-tile grid."""
+    layer = _star_layer()
+    bbox = (0.0, 0.0, 100_000.0, 100_000.0)
+    spec = plan_grid(bbox, 2000.0, tile)
+    grid = make_grid(layer, cellsize=2000.0, bbox=bbox, tile=tile).materialize()
+    assert spec.nxtiles * spec.nytiles == {(16, 16): 16, (2, 2): 625}[tile]
+    one = _arrow(overlay_fragments(grid, layer, spec, batch_size=1), "cell_id", "poly_id")
+    whole = _arrow(overlay_fragments(grid, layer, spec), "cell_id", "poly_id")
+    assert one.num_rows > grid.count()
+    assert one.equals(whole)
+    a = _arrow(area_interpolate(layer, grid.repartition(1), spec, ["pop"]), "cell_id")
+    b = _arrow(area_interpolate(layer, grid.repartition(16), spec, ["pop"]), "cell_id")
+    assert a.equals(b)
+
+
+def test_overlay_batch_builds_only_its_tiles(monkeypatch):
+    """A batch clips its polygons to the grid tiles its cells lie in, so
+    a polygon of a million cells costs a four-cell batch one tile."""
+    import pyarrow as pa
+
+    from pygridmap_ray import overlay
+    from pygridmap_ray.geom.kernels import rings_area
+
+    side = 1000.0
+    ring = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
+    layer = [{
+        "poly_id": 7, "nuts_id": "Q", "pop": 5.0, "rings": [ring],
+        "bbox": (0.0, 0.0, side, side), "area": rings_area([ring]),
+    }]
+    seen = []
+
+    def spy(polygons, x0, y0, w, h, nx, ny):
+        seen.append(int(np.sum(np.asarray(nx) * np.asarray(ny))))
+        return coverage_pairs(polygons, x0, y0, w, h, nx, ny)
+
+    from pygridmap_ray.geom.kernels import coverage_pairs
+
+    monkeypatch.setattr(overlay, "coverage_pairs", spy)
+    kern = overlay.OverlayKernel(layer, (1.0, 1.0), (0.0, 0.0), "union", tilesize=(16, 16))
+    assert seen == []
+    batch = pa.table({"cell_id": [1, 2, 3, 4], "ix": [40, 41, 40, 41], "iy": [500, 500, 501, 501]})
+    out = kern(batch)
+    assert seen == [16 * 16]
+    assert out["poly_id"].to_pylist() == [7] * 4
+    assert out["area"].to_pylist() == [1.0] * 4

@@ -224,3 +224,43 @@ def test_cell_index_and_hex_cover_match_brute_force(ray_session, c):
         ds, layer, hex_size=HEX_SIZE, q_range=q_range, r_range=r_range
     )
     assert _pairs(hexed) == want
+
+
+def test_none_first_attribute_stays_null(ray_session):
+    """A layer whose first polygon has ``None`` attributes: the string
+    column stays a string column and every ``None`` comes out null, in
+    the point join and in the overlay."""
+    import ray.data as rd
+
+    from pygridmap_ray.gridding import make_grid
+    from pygridmap_ray.overlay import grid_overlay, overlay_fragments
+    from pygridmap_ray.planning import plan_grid
+    from pygridmap_ray.spatial import join_points_to_polygons
+
+    layer = [
+        {"poly_id": 7, "nuts_id": None, "pop": None, "rings": [_rect(0, 0, 4, 4)],
+         "bbox": (0, 0, 4, 4), "area": 16.0},
+        {"poly_id": 9, "nuts_id": "AT1", "pop": 5.0, "rings": [_rect(4, 0, 8, 4)],
+         "bbox": (4, 0, 8, 4), "area": 16.0},
+    ]
+
+    def table(ds, key):
+        t = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
+        return t.sort_by(key)
+
+    pts = rd.from_arrow(pa.table({"x": [5.0, 1.0, 20.0], "y": [1.0, 1.0, 1.0]}))
+    got = table(join_points_to_polygons(pts, layer, how="left"), "x")
+    assert got["poly_id"].to_pylist() == [7, 9, None]
+    assert got["nuts_id"].type == pa.string()
+    assert got["nuts_id"].to_pylist() == [None, "AT1", None]
+    assert got["pop"].to_pylist() == [None, 5.0, None]
+
+    bbox = (0.0, 0.0, 8.0, 4.0)
+    spec = plan_grid(bbox, 4.0, (2, 2))
+    grid = make_grid(True, cellsize=4.0, bbox=bbox, tile=(2, 2))
+    frags = table(overlay_fragments(grid, layer, spec), "cell_id")
+    assert frags["poly_id"].to_pylist() == [7, 9]
+    assert frags["nuts_id"].to_pylist() == [None, "AT1"]
+    assert frags["pop"].to_pylist() == [None, 5.0]
+    cells = table(grid_overlay(grid, layer, spec, rule="max", columns=["nuts_id"]), "cell_id")
+    assert cells["nuts_id"].to_pylist() == [None, "AT1"]

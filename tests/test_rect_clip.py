@@ -7,8 +7,10 @@ lie exactly on grid lines (coordinates built as ``x0 + k * w``, the
 kernel's own cell-bound formula), polygons carry holes and several
 parts, some lie wholly outside the window, and boundary cells hold
 clipped rings of 3-7, 8-128 and more than 128 vertices (the three
-branches of the pairwise ring-area sum).  The convex clip, on the same
-pass, is held to its per-vertex loop the same way."""
+branches of the pairwise ring-area sum).  ``coverage_pairs``, many
+(polygon, window) instances in one call, is held to the reference
+instance by instance.  The convex clip, on the same pass, is held to
+its per-vertex loop the same way."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from pygridmap_ray.geom.kernels import (
     TOL_EPS,
+    _boundary_cells,
     cells_coverage,
     clip_area_convex,
     clip_area_rect,
@@ -23,6 +26,7 @@ from pygridmap_ray.geom.kernels import (
     clip_areas_rect,
     clip_ring_convex,
     clip_ring_rect,
+    coverage_pairs,
     points_in_rings,
     ring_signed_area,
     segments_of,
@@ -140,11 +144,11 @@ def _star(cx, cy, radii, phase=0.0):
 
 
 @st.composite
-def grid(draw):
+def grid(draw, w=None, h=None):
     x0 = float(draw(st.integers(-3, 3)))
     y0 = float(draw(st.integers(-3, 3)))
-    w = draw(st.sampled_from([1.0, 0.5, 0.7, 2.0]))
-    h = draw(st.sampled_from([1.0, 0.5, 0.3, 2.0]))
+    w = w or draw(st.sampled_from([1.0, 0.5, 0.7, 2.0]))
+    h = h or draw(st.sampled_from([1.0, 0.5, 0.3, 2.0]))
     return x0, y0, w, h, draw(st.integers(1, 12)), draw(st.integers(1, 12))
 
 
@@ -206,6 +210,31 @@ def case(draw):
     return g, draw(polygon(g))
 
 
+@st.composite
+def instances(draw):
+    """1-12 (window, polygon) instances sharing one cell size."""
+    w = draw(st.sampled_from([1.0, 0.5, 0.7, 2.0]))
+    h = draw(st.sampled_from([1.0, 0.5, 0.3, 2.0]))
+    gs = draw(st.lists(grid(w, h), min_size=1, max_size=12))
+    return w, h, [(g, draw(polygon(g))) for g in gs]
+
+
+def per_instance(polys, windows, w, h):
+    """coverage_pairs over all instances, scattered back to one dense
+    (ny, nx) array per instance."""
+    x0, y0, nx, ny = (np.array(v) for v in zip(*windows))
+    inst, ix, iy, area = coverage_pairs(polys, x0, y0, w, h, nx, ny)
+    assert (area > 0).all()
+    assert np.all(np.diff(inst) >= 0)
+    out = [np.zeros((b, a)) for *_, a, b in windows]
+    for k, cov in enumerate(out):
+        s = inst == k
+        cov[iy[s], ix[s]] = area[s]
+        # rows come out row-major within an instance
+        assert np.array_equal(np.flatnonzero(cov), iy[s] * windows[k][2] + ix[s])
+    return out
+
+
 # --- tests --------------------------------------------------------------
 
 
@@ -239,6 +268,42 @@ def test_cells_coverage_ring_size_classes():
     away = [r + 100.0 for r in rings]
     assert not cells_coverage(away, *g).any()
     assert not ref_cells_coverage(away, *g).any()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instances())
+def test_coverage_pairs_is_cells_coverage_per_instance(c):
+    """Many (polygon, window) instances in one call: each instance's rows
+    equal the per-cell loop's coverage, bit for bit."""
+    w, h, cases = c
+    windows = [(g[0], g[1], g[4], g[5]) for g, _ in cases]
+    got = per_instance([rings for _, rings in cases], windows, w, h)
+    for cov, (g, rings) in zip(got, cases):
+        assert np.array_equal(cov, ref_cells_coverage(rings, *g))
+
+
+def test_coverage_pairs_large_ring_and_missed_window():
+    """A 2,400-vertex ring whose interior test takes points_in_rings'
+    per-edge loop (above 2M edge x centre pairs), next to a holed
+    lattice polygon on grid lines, a window that misses its polygon and
+    an empty polygon."""
+    w = h = 0.5
+    rng = np.random.default_rng(11)
+    big = _star(10.0, 9.0, 8.5 * (0.9 + 0.1 * rng.random(2400)))
+    lattice = [
+        np.array([[1.0, 1.0], [6.0, 1.0], [6.0, 5.0], [1.0, 5.0]]),
+        np.array([[2.0, 2.0], [2.0, 4.0], [4.5, 4.0], [4.5, 2.0]]),
+        np.array([[7.0, 1.0], [8.0, 1.0], [8.0, 2.5]]),
+    ]
+    polys = [[big], lattice, lattice, [], [big]]
+    windows = [(0.0, 0.0, 42, 40), (0.5, 0.0, 20, 12), (30.0, 30.0, 5, 5), (0.0, 0.0, 3, 3), (4.0, 3.5, 9, 7)]
+    # centres the interior test sees: the window less the boundary cells
+    _, iy, ix = _boundary_cells(segments_of([big]), 0.0, 0.0, w, h, 42, 40)
+    assert 2400 * (42 * 40 - len(set(zip(iy.tolist(), ix.tolist())))) > 2_000_000
+    got = per_instance(polys, windows, w, h)
+    for cov, rings, (x0, y0, nx, ny) in zip(got, polys, windows):
+        assert np.array_equal(cov, ref_cells_coverage(rings, x0, y0, w, h, nx, ny))
+    assert not got[2].any() and not got[3].any()
 
 
 @settings(max_examples=200, deadline=None)
@@ -307,3 +372,21 @@ def test_clip_areas_convex_matches_per_vertex_loop():
     assert clip_areas_convex([], []).tolist() == []
     for p, c in zip(polys, clips):
         assert np.array_equal(clip_ring_convex(p[0], c), ref_clip_ring_convex(p[0], c).reshape(-1, 2))
+
+
+def test_coverage_pairs_memory_follows_covered_cells():
+    """A small polygon in a window of nine million cells: no working array
+    spans the window, so the peak allocation stays far below even one
+    byte per window cell."""
+    import tracemalloc
+
+    tri = [np.array([[10.2, 10.3], [14.9, 11.1], [11.5, 16.8]])]
+    tracemalloc.start()
+    try:
+        inst, ix, iy, area = coverage_pairs([tri], 0.0, 0.0, 1.0, 1.0, 3000, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    ref = ref_cells_coverage(tri, 8.0, 8.0, 1.0, 1.0, 10, 12)
+    assert np.array_equal(ref[iy - 8, ix - 8], area) and np.count_nonzero(ref) == len(area)
