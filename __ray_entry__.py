@@ -20,6 +20,7 @@ from typing import Any
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from pygridmap_ray.pipelines import queries as _q  # noqa: E402
+from pygridmap_ray.pipelines.registry import entries  # noqa: E402
 
 
 def entry() -> Any:
@@ -45,8 +46,8 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    return _q.queries()
+    return {name: e.run for name, e in entries().items()}
 
 
 def oracle_sql() -> dict[str, str]:
-    return _q.oracle_sql()
+    return {name: e.sql() for name, e in entries().items()}

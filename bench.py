@@ -138,159 +138,14 @@ def _join_stage(n_docs: int) -> dict:
 
 def _secondary() -> dict:
     """sf-scale operator timings (same pipelines as the oracle gate)."""
-    from pygridmap_ray.pipelines import queries as q
+    from pygridmap_ray.pipelines.registry import entries
 
     out = {}
-    for name, fn in [
-        ("cell_assign", q.q_cell_assign),
-        ("spatial_join", q.q_spatial_join),
-        ("grid_make", q.q_grid_make),
-        ("overlay_union", q.q_overlay_union),
-        ("area_interpolate", q.q_area_interpolate),
-        ("grid_aggregation", q.q_grid_aggregation),
-        ("knn", q.q_knn),
-        ("spans_roundtrip", q.q_spans_roundtrip),
-        # training-data operator family (same sf-scale inputs)
-        ("reproject", q.q_reproject),
-        ("exact_dedup", q.q_exact_dedup),
-        ("top_bigrams", q.q_top_bigrams),
-        ("events_asof", q.q_events_asof),
-        ("semi_join", q.q_semi_join),
-        ("events_rolling", q.q_events_rolling),
-        ("events_sessionize", q.q_events_sessionize),
-        ("events_retention", q.q_events_retention),
-        ("events_seasonal", q.q_events_seasonal),
-        ("events_rfm", q.q_events_rfm),
-        ("assoc_rules", q.q_assoc_rules),
-        ("events_ltv", q.q_events_ltv),
-        ("record_link", q.q_record_link),
-        ("scc", q.q_scc),
-        ("sssp_cost", q.q_sssp_cost),
-        ("table_profile", q.q_table_profile),
-        ("hard_negatives", q.q_hard_negatives),
-        ("poly_overlay", q.q_poly_overlay),
-        ("focal_mean", q.q_focal_mean),
-        ("cell_clusters", q.q_cell_clusters),
-        ("cell_majority", q.q_cell_majority),
-        ("dup_gram_coverage", q.q_dup_gram_coverage),
-        ("token_entropy", q.q_token_entropy),
-        ("weighted_sample", q.q_weighted_sample),
-        ("iqr_outliers", q.q_iqr_outliers),
-        ("hll_distinct", q.q_hll_distinct),
-        ("tfidf_pairs", q.q_tfidf_pairs),
-        ("pagerank", q.q_pagerank),
-        ("pack_sequences", q.q_pack_sequences),
-        ("shuffle_pos", q.q_shuffle),
-        ("decontaminate", q.q_decontaminate),
-        ("embedding_cov", q.q_embedding_cov),
-        ("llm_prepare", q.q_llm_prepare),
-        ("dedup_lines", q.q_dedup_lines),
-        ("ngram_jaccard", q.q_ngram_jaccard),
-        ("bm25", q.q_bm25),
-        ("q3_shipping", q.q3_shipping),
-        ("events_transitions", q.q_events_transitions),
-        ("events_rolling_users", q.q_events_rolling_users),
-        ("co_occurrence", q.q_co_occurrence),
-        ("keyword_search", q.q_keyword_search),
-        ("histogram", q.q_histogram),
-        ("chunk_documents", q.q_chunk_documents),
-        # round-3 geospatial additions
-        ("hex_density", q.q_hex_density),
-        ("hex_focal", q.q_hex_focal),
-        ("nearest_hub", q.q_nearest_hub),
-        ("zrange_query", q.q_zrange_query),
-        ("events_trajectory", q.q_events_trajectory),
-        ("poly_media_rollup", q.q_poly_media_rollup),
-        ("session_paths", q.q_session_paths),
-        ("od_matrix", q.q_od_matrix),
-        ("spatial_join_hexidx", q.q_spatial_join_hexidx),
-        ("media_hex_bytes", q.q_media_hex_bytes),
-        # late-round-3: sphere-cell / ESDA / raster-stencil wave
-        ("s2_assign", q.q_s2_assign),
-        ("geohash_assign", q.q_geohash_assign),
-        ("idw_interpolate", q.q_idw_interpolate),
-        ("raster_hillshade", q.q_raster_hillshade),
-        ("raster_d8", q.q_raster_d8),
-        ("hex_mann_kendall", q.q_hex_mann_kendall),
-        ("hex_triangles", q.q_hex_triangles),
-        ("od_gravity", q.q_od_gravity),
-        ("hex_kde", q.q_hex_kde),
-        ("raster_contour", q.q_raster_contour),
-        ("variogram", q.q_variogram),
-        ("events_coloc", q.q_events_coloc),
-        ("home_work", q.q_home_work),
-        ("ripley_k", q.q_ripley_k),
-        # final round-3 waves: facility / hull / terrain / DP trajectory
-        ("voronoi_assign", q.q_voronoi_assign),
-        ("map_match", q.q_map_match),
-        ("convex_hull", q.q_convex_hull),
-        ("skyline", q.q_skyline),
-        ("hilbert_assign", q.q_hilbert_assign),
-        ("traj_dtw", q.q_traj_dtw),
-        ("knox_test", q.q_knox_test),
-        ("bearing_stats", q.q_bearing_stats),
-        ("raster_flow_accum", q.q_raster_flow_accum),
-        ("raster_viewshed", q.q_raster_viewshed),
-        ("geometric_median", q.q_geometric_median),
-        ("st_dbscan", q.q_st_dbscan),
-        ("kcore", q.q_kcore),
-        ("traj_simplify", q.q_traj_simplify),
-        # closing round-3: graph analytics / TS / eval wave
-        ("triangle_stats", q.q_triangle_stats),
-        ("adamic_adar", q.q_adamic_adar),
-        ("hits", q.q_hits),
-        ("doc_keywords", q.q_doc_keywords),
-        ("auc_nchars", q.q_auc_nchars),
-        ("events_interarrival", q.q_events_interarrival),
-        ("events_survival", q.q_events_survival),
-        ("type_jaccard", q.q_type_jaccard),
-        ("raster_terrain", q.q_raster_terrain),
-        # continuation: TPC-H completion + LLM-data + line-overlay wave
-        ("q4_priority", q.q_q4_priority),
-        ("q10_returned", q.q_q10_returned),
-        ("q13_custdist", q.q_q13_custdist),
-        ("q7_volume", q.q_q7_volume),
-        ("q17_small_qty", q.q_q17_small_qty),
-        ("q9_profit", q.q_q9_profit),
-        ("q12_late_priority", q.q_q12_late_priority),
-        ("q16_supplier_cnt", q.q_q16_supplier_cnt),
-        ("bfs_hops", q.q_bfs_hops),
-        ("pq_recall", q.q_pq_recall),
-        ("semdedup", q.q_semdedup),
-        ("gopher_rules", q.q_gopher_rules),
-        ("ccnet_buckets", q.q_ccnet_buckets),
-        ("path_cell_length", q.q_path_cell_length),
-        ("events_watermark", q.q_events_watermark),
-        ("sq8_recall", q.q_sq8_recall),
-        ("simhash_screen", q.q_simhash_screen),
-        # round-4: newline line-dedup + gated census + budget/contamination
-        ("dedup_lines_nl", q.q_dedup_lines_nl),
-        ("local_clustering", q.q_local_clustering),
-        ("token_budget", q.q_token_budget),
-        ("contamination_overlap", q.q_contamination_overlap),
-        ("decon_neardup", q.q_decon_neardup),
-        ("curriculum_rank", q.q_curriculum_rank),
-        ("mix_weights", q.q_mix_weights),
-        ("ngram_diversity", q.q_ngram_diversity),
-        ("winnow", q.q_winnow),
-        ("grid_join_counts", q.q_grid_join_counts),
-        ("dup_cluster_sizes", q.q_dup_cluster_sizes),
-        ("fd_check", q.q_fd_check),
-        ("quality_psi", q.q_quality_psi),
-        ("ann_range", q.q_ann_range),
-        ("token_js", q.q_token_js),
-        ("emb_outlier", q.q_emb_outlier),
-        ("cross_snapshot_dups", q.q_cross_snapshot_dups),
-        ("events_acf_cal", q.q_events_acf_cal),
-        # round-5: hot-bucket-pruned minhash, multi-probe IVF, funnel
-        ("minhash_lsh", q.q_minhash_lsh),
-        ("ivf_multiprobe", q.q_ivf_multiprobe),
-        ("events_funnel", q.q_events_funnel),
-        ("media_dedup", q.q_media_dedup),
-        ("winnow_pairs", q.q_winnow_pairs),
-    ]:
+    for name, e in entries().items():
+        if not e.bench:
+            continue
 
-        def once(fn=fn):
+        def once(fn=e.run):
             t0 = time.time()
             res = fn(SF_DIR)
             # consume the stream without materializing on the driver

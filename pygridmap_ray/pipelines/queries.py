@@ -18,6 +18,19 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import (
+    ann,
+    dedup,
+    graph,
+    joins,
+    multimodal,
+    pack,
+    raster,
+    spatial,
+    stats,
+    text,
+    tfidf,
+)
 from ..gridding import make_grid, sql_make_grid
 from ..overlay import (
     area_interpolate,
@@ -55,6 +68,9 @@ from pygridmap_ray.cluster import (
     segment_apply,
     to_frame,
 )
+
+from . import relational
+from .registry import query
 
 RES, TSC = 1000.0, 128
 GRID_CELL = 10_000.0
@@ -114,12 +130,30 @@ def docs_points(sf_dir: str, extra_cols: tuple[str, ...] = ()):
 # ---------------------------------------------------------------------------
 
 
+def _sql_cell_assign() -> str:
+    cols = sql_cell_columns(RES, TSC)
+    sel = ", ".join(f"{e} AS {n}" for n, e in cols.items())
+    return (
+        f"WITH points AS ({sql_points_cte()}) "
+        f"SELECT doc_id, ROUND(x * 1e6) / 1e6 AS x, ROUND(y * 1e6) / 1e6 AS y, "
+        f"{sel} FROM points"
+    )
+
+
+@query("cell_assign", sql=_sql_cell_assign, bench=True)
 def q_cell_assign(sf_dir: str):
     return with_cell_columns(
         docs_points(sf_dir), resolution=RES, tile_size_cell=TSC
     ).map_batches(lambda b: round6(b, ["x", "y"]), batch_format="pyarrow")
 
 
+def _sql_cell_assign_offset() -> str:
+    cols = sql_cell_columns(RES, TSC, 2500.0, 7300.0)
+    sel = ", ".join(f"{e} AS {n}" for n, e in cols.items())
+    return f"WITH points AS ({sql_points_cte()}) SELECT doc_id, {sel} FROM points"
+
+
+@query("cell_assign_offset", sql=_sql_cell_assign_offset)
 def q_cell_assign_offset(sf_dir: str):
     ds = with_cell_columns(
         docs_points(sf_dir),
@@ -138,6 +172,7 @@ def q_cell_assign_offset(sf_dir: str):
 HIER_LEVEL, HIER_PARENT = 9, 4
 
 
+@query("cell_hier", sql=lambda: _sql_cell_hier())
 def q_cell_hier(sf_dir: str):
     """Batched S2/H3-style hierarchical cell indexing (hier.with_hier_cells):
     one Z-order int64 code + quadkey string per doc at level 9."""
@@ -147,6 +182,7 @@ def q_cell_hier(sf_dir: str):
     return ds.select_columns(["doc_id", "cell_code", "quadkey"])
 
 
+@query("hier_rollup", sql=lambda: _sql_hier_rollup())
 def q_hier_rollup(sf_dir: str):
     """Two-phase hierarchical rollup: fine-cell partials -> parent-prefix
     shift (never a re-join) -> (n_docs, n_cells) per level-4 ancestor."""
@@ -160,6 +196,7 @@ def q_hier_rollup(sf_dir: str):
 HEX_SIZE = 25_000.0
 
 
+@query("hex_assign", sql=lambda: _sql_hex_assign())
 def q_hex_assign(sf_dir: str):
     """H3-style hexagonal cell assignment (hex.with_hex_cells): axial
     (hq, hr) + hex_key per doc via the batched cube-rounding kernel."""
@@ -169,6 +206,7 @@ def q_hex_assign(sf_dir: str):
     return ds.select_columns(["doc_id", "hq", "hr", "hex_key"])
 
 
+@query("geohash_assign", sql=lambda: _sql_geohash_assign(), bench=True)
 def q_geohash_assign(sf_dir: str):
     """Public-spec base-32 geohash cell assignment (hier.with_geohash):
     the Morton interleave over quantized lon/lat, 8 chars per doc plus the
@@ -205,6 +243,7 @@ def q_geohash_assign(sf_dir: str):
 S2_LEVEL = 12
 
 
+@query("s2_assign", sql=lambda: _sql_s2_assign(), bench=True)
 def q_s2_assign(sf_dir: str):
     """S2-style sphere cell assignment (s2.with_s2_cells): cube-face +
     quadratic-ST + Morton position per doc, plus the level-8 ancestor via
@@ -245,6 +284,7 @@ def q_s2_assign(sf_dir: str):
     return ds.map_batches(finish, batch_format="pyarrow")
 
 
+@query("s2_density", sql=lambda: _sql_s2_density())
 def q_s2_density(sf_dir: str):
     """Per-cell doc counts at a COARSE S2 level reached by prefix shift
     (never a re-encode): encode once at level 12, roll up at level 6 with
@@ -284,6 +324,7 @@ def q_s2_density(sf_dir: str):
     return ds.map_batches(finish, batch_format="pyarrow")
 
 
+@query("idw_interpolate", sql=lambda: _sql_idw_interpolate(), bench=True)
 def q_idw_interpolate(sf_dir: str):
     """Inverse-distance-weighted interpolation of the doc n_chars field at
     occupied hex centers (hex.hex_idw): k-ring-bounded scatter with
@@ -303,6 +344,7 @@ def q_idw_interpolate(sf_dir: str):
     return hex_idw(ds, size=HEX_SIZE, k=1, val_col="val")
 
 
+@query("hex_spatial_lag", sql=lambda: _sql_hex_spatial_lag())
 def q_hex_spatial_lag(sf_dir: str):
     """Spatial-lag OLS regression of per-hex density on the neighbor-mean
     density (hex.hex_spatial_lag): scatter + marker-row aggregate for the
@@ -314,6 +356,7 @@ def q_hex_spatial_lag(sf_dir: str):
     return hex_spatial_lag(ds, size=HEX_SIZE)
 
 
+@query("general_g", sql=lambda: _sql_general_g())
 def q_general_g(sf_dir: str):
     """Getis-Ord General G over the hex density field (hex.general_g):
     global spatial clustering of high values with binary ring-1 weights —
@@ -356,6 +399,7 @@ RIPLEY_RADII = (25_000.0, 50_000.0, 100_000.0)
 RIPLEY_AREA = 500_000.0 * 501_000.0
 
 
+@query("ripley_k", sql=lambda: _sql_ripley_k(), bench=True, quadratic=True)
 def q_ripley_k(sf_dir: str):
     """Ripley's K point-pattern statistic (spatial.ripley_k) at three
     radii over the doc point field: 3x3 ghost-cell pair counting, one
@@ -390,6 +434,7 @@ def _sql_ripley_k() -> str:
     )
 
 
+@query("clark_evans", sql=lambda: _sql_clark_evans(), quadratic=True)
 def q_clark_evans(sf_dir: str):
     """Clark-Evans nearest-neighbor index over the doc point field:
     ``R = mean_nn_dist / (0.5 / sqrt(n / A))`` with the standard normal
@@ -477,6 +522,7 @@ QUADRAT_W, QUADRAT_H = 500_000.0, 501_000.0
 GFUNC_RADII = (10_000.0, 25_000.0, 60_000.0)
 
 
+@query("g_function", sql=lambda: _sql_g_function(), quadratic=True)
 def q_g_function(sf_dir: str):
     """Point-pattern G function: the CDF of nearest-neighbor distances
     at fixed radii — G(r) above 1 - exp(-rho pi r^2) means clustering.
@@ -555,6 +601,7 @@ def _sql_g_function() -> str:
 FFUNC_GRID = 20  # probe lattice per axis
 
 
+@query("f_function", sql=lambda: _sql_f_function(), quadratic=True)
 def q_f_function(sf_dir: str):
     """Point-pattern F function (empty-space function): the CDF of the
     distance from a regular probe lattice to the nearest doc point, at
@@ -646,6 +693,7 @@ def _sql_f_function() -> str:
     )
 
 
+@query("quadrat_test", sql=lambda: _sql_quadrat_test())
 def q_quadrat_test(sf_dir: str):
     """Chi-square quadrat-count test for complete spatial randomness:
     a fixed 10x10 grid over the point domain, observed vs uniform
@@ -727,6 +775,7 @@ def _sql_quadrat_test() -> str:
     )
 
 
+@query("hex_gini", sql=lambda: _sql_hex_gini())
 def q_hex_gini(sf_dir: str):
     """Gini coefficient of the hex density field (spatial inequality of
     activity): ``G = 2*sum(i*x_(i)) / (n*sum(x)) - (n+1)/n`` over
@@ -792,6 +841,7 @@ def _sql_hex_gini() -> str:
 VARIO_BINS = ((0.0, 25_000.0), (25_000.0, 50_000.0), (50_000.0, 100_000.0))
 
 
+@query("variogram", sql=lambda: _sql_variogram(), bench=True, quadratic=True)
 def q_variogram(sf_dir: str):
     """Empirical semivariogram of the n_chars field over doc points
     (spatial.variogram): ghost-cell pair sweep, per-bin (count, sum-sq)
@@ -837,6 +887,7 @@ def _sql_variogram() -> str:
     )
 
 
+@query("variogram_dir", sql=lambda: _sql_variogram_dir(), quadratic=True)
 def q_variogram_dir(sf_dir: str):
     """Directional (anisotropic) semivariogram: each distance bin split
     into four axis-symmetric 45-degree sectors with trig-free
@@ -892,6 +943,7 @@ def _sql_variogram_dir() -> str:
     )
 
 
+@query("std_ellipse", sql=lambda: _sql_std_ellipse())
 def q_std_ellipse(sf_dir: str):
     """Measuring geographic distributions: mean center, standard
     distance, and the standard deviational ellipse of the doc point
@@ -976,6 +1028,7 @@ def _sql_std_ellipse() -> str:
     )
 
 
+@query("knn_loo_r2", sql=lambda: _sql_knn_loo_r2(), quadratic=True)
 def q_knn_loo_r2(sf_dir: str):
     """Leave-one-out kNN regression skill score: predict each doc's
     n_chars as the mean of its 4 nearest OTHER points' values and report
@@ -1084,6 +1137,7 @@ def _sql_knn_loo_r2() -> str:
     )
 
 
+@query("correlogram", sql=lambda: _sql_correlogram(), quadratic=True)
 def q_correlogram(sf_dir: str):
     """Spatial correlogram (hex.correlogram): Moran's I at ring distances
     1..3 with annulus weights — one widened scatter resolves every ring
@@ -1133,6 +1187,7 @@ def _sql_correlogram() -> str:
 BUFFER_R = 30_000.0
 
 
+@query("hex_buffer", sql=lambda: _sql_hex_buffer())
 def q_hex_buffer(sf_dir: str):
     """Distance buffer as a hex-cell set: every cell whose CENTER lies
     within BUFFER_R of at least one doc point (the raster-space GIS
@@ -1206,6 +1261,7 @@ def _sql_hex_buffer() -> str:
     )
 
 
+@query("hex_erode", sql=lambda: _sql_hex_erode())
 def q_hex_erode(sf_dir: str):
     """Morphological EROSION of the occupancy lattice: occupied cells
     whose six neighbors are ALL occupied (the interior of the occupied
@@ -1293,6 +1349,7 @@ def _sql_hex_erode() -> str:
 JC_MIN_B = 2  # a cell is BLACK when it holds >= 2 docs
 
 
+@query("join_counts", sql=lambda: _sql_join_counts())
 def q_join_counts(sf_dir: str):
     """Join-count statistics for the binary density map (classic
     categorical ESDA): cells are BLACK when n_docs >= 2 else WHITE;
@@ -1440,6 +1497,7 @@ def _sql_join_counts() -> str:
     )
 
 
+@query("colocation_quotient", sql=lambda: _sql_colocation_quotient(), quadratic=True)
 def q_colocation_quotient(sf_dir: str):
     """Co-location quotient between language categories (Leslie &
     Kronenfeld's CLQ): for every ordered pair (A, B),
@@ -1552,6 +1610,7 @@ def _sql_colocation_quotient() -> str:
     )
 
 
+@query("hex_entropy", sql=lambda: _sql_hex_entropy())
 def q_hex_entropy(sf_dir: str):
     """Spatial entropy of the density field: Shannon H = -sum p ln p
     over cell shares plus evenness H / ln(K) (1 = perfectly even,
@@ -1636,6 +1695,7 @@ def _sql_hex_entropy() -> str:
     )
 
 
+@query("hex_triangles", sql=lambda: _sql_hex_triangles(), bench=True)
 def q_hex_triangles(sf_dir: str):
     """Triangle count on the occupied-hex adjacency graph
     (hex.hex_lattice_stats): 3-cliques via the 6-bit neighborhood mask —
@@ -1646,6 +1706,7 @@ def q_hex_triangles(sf_dir: str):
     return hex_lattice_stats(ds, size=HEX_SIZE)
 
 
+@query("hex_kde", sql=lambda: _sql_hex_kde(), bench=True)
 def q_hex_kde(sf_dir: str):
     """Gaussian KDE heatmap at hex centers (hex.hex_kde): ring-2
     truncated kernel, bandwidth = cell size — the smoothed-density
@@ -1683,6 +1744,7 @@ S2R_FACE = 0
 S2R_BOX = (1000, 2600, 1400, 3000)  # si_lo, si_hi, ti_lo, ti_hi (level 12)
 
 
+@query("s2_range", sql=lambda: _sql_s2_range())
 def q_s2_range(sf_dir: str):
     """S2-cell range scan: quadtree cover of an (si, ti) box on one cube
     face -> face-prefixed Morton [lo, hi] ranges -> vectorized
@@ -1743,6 +1805,7 @@ def _sql_s2_range() -> str:
     )
 
 
+@query("sphere_nn", sql=lambda: _sql_sphere_nn(), quadratic=True)
 def q_sphere_nn(sf_dir: str):
     """Exact nearest neighbor on the unit sphere: for every doc, the
     other doc with the maximum direction cosine (normalized xyz dot
@@ -1815,6 +1878,7 @@ def _sql_sphere_nn() -> str:
     )
 
 
+@query("mutual_nn", sql=lambda: _sql_mutual_nn(), quadratic=True)
 def q_mutual_nn(sf_dir: str):
     """Mutual nearest-neighbor pairs on the sphere (the classic
     agglomerative-clustering seed / duplicate-candidate relation): pairs
@@ -1865,6 +1929,7 @@ def _sql_mutual_nn() -> str:
     )
 
 
+@query("hex_density", sql=lambda: _sql_hex_density(), bench=True)
 def q_hex_density(sf_dir: str):
     """Per-hex doc density with cell centers: packed-key unique partials
     -> one small hash aggregate -> unpack (raw rows never shuffle)."""
@@ -1874,6 +1939,7 @@ def q_hex_density(sf_dir: str):
     return hex_density(ds, size=HEX_SIZE)
 
 
+@query("hex_media_density", sql=lambda: _sql_hex_media_density())
 def q_hex_media_density(sf_dir: str):
     """Per-hex interleaved-payload rollup (axes A+B): synthesize the spans
     column, hex-index each doc, count spans/media spans by TRAVERSING the
@@ -1913,6 +1979,7 @@ def q_hex_media_density(sf_dir: str):
     return hex_rollup(ds, sum_cols={"n_spans": "n_spans", "n_media": "n_media"})
 
 
+@query("hex_focal", sql=lambda: _sql_hex_focal(), bench=True)
 def q_hex_focal(sf_dir: str):
     """K-ring-1 focal doc density per occupied hex: scatter each hex's
     count to its 7 ring targets + a self marker, one second aggregate
@@ -1923,6 +1990,7 @@ def q_hex_focal(sf_dir: str):
     return hex_focal(ds, size=HEX_SIZE)
 
 
+@query("hex_zscore", sql=lambda: _sql_hex_zscore())
 def q_hex_zscore(sf_dir: str):
     """Hotspot screen: per-occupied-hex density z-score; global moments
     reduce as one exact integer (k, s, ss) row per batch and ride the
@@ -1933,6 +2001,7 @@ def q_hex_zscore(sf_dir: str):
     return hex_zscore(ds, size=HEX_SIZE)
 
 
+@query("hex_choropleth", sql=lambda: _sql_hex_choropleth())
 def q_hex_choropleth(sf_dir: str):
     """Choropleth classing: occupied hexes bucketed into 4 equal-height
     density classes with SQL's exact NTILE fill law (stats.ntile over
@@ -1990,6 +2059,7 @@ def _sql_hex_choropleth() -> str:
     )
 
 
+@query("hex_embedding_norm", sql=lambda: _sql_hex_embedding_norm())
 def q_hex_embedding_norm(sf_dir: str):
     """Embeddings × hex interop: per-hex mean L2 norm of the embedding
     vectors of co-located docs (vec_id shares the doc point law).  Norms
@@ -2083,6 +2153,7 @@ HEXC_SIZE, HEXC_MIN = 6_250.0, 2
 HEXB_MIN, HEXB_MAXH = 4, 64
 
 
+@query("hex_bfs", sql=lambda: _sql_hex_bfs())
 def q_hex_bfs(sf_dir: str):
     """Multi-source BFS hop distance over the occupied-hex lattice:
     distance from every occupied cell to its nearest DENSE core (cells
@@ -2172,6 +2243,7 @@ def _sql_hex_bfs() -> str:
     )
 
 
+@query("hex_clusters", sql=lambda: _sql_hex_clusters())
 def q_hex_clusters(sf_dir: str):
     """Hotspot cluster labeling: connected components over ADJACENT
     occupied hexes (6-neighbor lattice adjacency), label = min packed
@@ -2282,6 +2354,7 @@ HEXCOV_Q = (-2, 16)
 HEXCOV_R = (-16, 32)
 
 
+@query("poly_hex_cover", sql=lambda: _sql_poly_hex_cover())
 def q_poly_hex_cover(sf_dir: str):
     """Polygon -> hex-cover rasterization (center-containment law): the
     hexes whose centers fall inside each polygon's disjoint rect
@@ -2337,6 +2410,7 @@ def _sql_poly_hex_cover() -> str:
     )
 
 
+@query("spatial_join_hexidx", sql=lambda: _sql_spatial_join_hexidx(), bench=True)
 def q_spatial_join_hexidx(sf_dir: str):
     """Point-in-polygon join THROUGH the hex-cover index (alternative
     strategy to the broadcast PIP kernel): conservative hex cover built
@@ -2368,6 +2442,7 @@ def _sql_spatial_join_hexidx() -> str:
     )
 
 
+@query("poly_lang_entropy", sql=lambda: _sql_poly_lang_entropy())
 def q_poly_lang_entropy(sf_dir: str):
     """Language diversity per polygon: Shannon entropy of the language
     mix of contained docs.  Raw rows reduce to (poly, lang) count
@@ -2447,6 +2522,7 @@ def _sql_poly_lang_entropy() -> str:
     )
 
 
+@query("media_hex_bytes", sql=lambda: _sql_media_hex_bytes(), bench=True)
 def q_media_hex_bytes(sf_dir: str):
     """Multimodal × geo: media spans exploded and pseudo-decoded on the
     ACTOR-POOL stage (`multimodal.media_pipeline(concurrency=2)` — the
@@ -2553,6 +2629,7 @@ def _sql_media_hex_bytes() -> str:
     )
 
 
+@query("hex_focal2", sql=lambda: _sql_hex_focal2())
 def q_hex_focal2(sf_dir: str):
     """K-ring-2 focal density (19-cell neighbourhood): the same scatter
     + marker-row plan as `hex_focal`, parametrized by ring size."""
@@ -2579,6 +2656,7 @@ def _sql_hex_focal2() -> str:
     )
 
 
+@query("nearest_hub", sql=lambda: _sql_nearest_hub(), bench=True, quadratic=True)
 def q_nearest_hub(sf_dir: str):
     """Broadcast-small-side geodesic nearest-neighbour: the 8-row hub
     table rides the batch closure, every batch computes a vectorized
@@ -2604,6 +2682,7 @@ def q_nearest_hub(sf_dir: str):
 HEX_PYRAMID_SIZES = (12_500.0, 25_000.0, 50_000.0)
 
 
+@query("hex_pyramid", sql=lambda: _sql_hex_pyramid())
 def q_hex_pyramid(sf_dir: str):
     """Multi-resolution hex density pyramid in ONE scan: every batch
     assigns all three lattice levels and emits packed-key partials per
@@ -2678,6 +2757,7 @@ def _sql_hex_pyramid() -> str:
     return f"WITH pts AS ({sql_points_cte()}), {ctes} {selects}"
 
 
+@query("hex_top_lang", sql=lambda: _sql_hex_top_lang())
 def q_hex_top_lang(sf_dir: str):
     """Dominant language per hex: per-batch (hkey, lang) count partials
     (lexsort segment scan — raw rows never shuffle) -> one composite-key
@@ -2783,6 +2863,7 @@ def _sql_hex_top_lang() -> str:
     )
 
 
+@query("hex_boundaries", sql=lambda: _sql_hex_boundaries())
 def q_hex_boundaries(sf_dir: str):
     """Hex geometry export: the 6 flat-top vertices of every OCCUPIED
     hex (6 rows per hex: hq, hr, v, vx, vy), derived from the tiny
@@ -2866,6 +2947,7 @@ def _sql_hex_boundaries() -> str:
 CATCHMENT_KM = 300.0
 
 
+@query("hub_catchment", sql=lambda: _sql_hub_catchment())
 def q_hub_catchment(sf_dir: str):
     """Distance-band aggregate per hub: docs within 300 km by haversine,
     counted with per-batch (hub, count, dist-sum) partials over the
@@ -2939,6 +3021,7 @@ def _sql_hub_catchment() -> str:
     )
 
 
+@query("hex_zonal", sql=lambda: _sql_hex_zonal())
 def q_hex_zonal(sf_dir: str):
     """Raster -> hex zonal statistics: synthetic band cells hex-indexed
     on their coordinates, per-hex (n_cells, elev_sum, elev_mean) via
@@ -3030,6 +3113,7 @@ Q5_REGION = "EUROPE"
 Q5_D0, Q5_D1 = "1996-01-01", "1997-01-01"
 
 
+@query("q5_revenue", sql=lambda: _sql_q5())
 def q_q5_revenue(sf_dir: str):
     """TPC-H Q5-style local-supplier volume: customers and suppliers of
     the same (European) nation, order-date window, revenue per nation.
@@ -3190,6 +3274,7 @@ ORDER BY revenue DESC, n_name
 """
 
 
+@query("unpivot_bands", sql=lambda: _sql_unpivot_bands())
 def q_unpivot_bands(sf_dir: str):
     """UNPIVOT (wide -> long) over the raster band columns: one row per
     (cell, band) with non-null value — the melt primitive, vectorized as
@@ -3240,6 +3325,7 @@ def _sql_unpivot_bands() -> str:
     )
 
 
+@query("morans_i", sql=lambda: _sql_morans_i())
 def q_morans_i(sf_dir: str):
     """Global Moran's I of the hex density field (binary 6-neighbour
     weights): scatter + marker-row aggregates, one-row result."""
@@ -3270,6 +3356,7 @@ def _sql_morans_i() -> str:
     )
 
 
+@query("local_moran", sql=lambda: _sql_local_moran())
 def q_local_moran(sf_dir: str):
     """Local Moran's I (LISA) per occupied hex — the hotspot/coldspot
     classifier; same scatter plan as `morans_i`, finished per target."""
@@ -3301,6 +3388,7 @@ def _sql_local_moran() -> str:
     )
 
 
+@query("gi_star", sql=lambda: _sql_gi_star())
 def q_gi_star(sf_dir: str):
     """Getis-Ord Gi* hotspot z-statistic per occupied hex (self-inclusive
     7-cell ring), composed from the focal-scatter + exact-global-moments
@@ -3335,6 +3423,7 @@ def _sql_gi_star() -> str:
     )
 
 
+@query("span_transitions", sql=lambda: _sql_span_transitions())
 def q_span_transitions(sf_dir: str):
     """Corpus-wide span kind-transition matrix (the interleaved-payload
     Markov summary): consecutive (kind_i -> kind_{i+1}) pairs WITHIN each
@@ -3409,6 +3498,7 @@ def _sql_span_transitions() -> str:
     )
 
 
+@query("zrange_store", sql=lambda: _sql_zrange_query())
 def q_zrange_store(sf_dir: str):
     """The READ-side Z-order range scan: the corpus is written as a
     code-prefix-bucketed parquet tree (hive `__zp=` = level-3 Morton
@@ -3443,6 +3533,7 @@ def q_zrange_store(sf_dir: str):
     return back.select_columns(["doc_id", "cell_code"])
 
 
+@query("poly_media_rollup", sql=lambda: _sql_poly_media_rollup(), bench=True)
 def q_poly_media_rollup(sf_dir: str):
     """Per-polygon interleaved-payload rollup (axes A+B through the
     SPATIAL JOIN): span stats are computed from the actual list<struct>
@@ -3541,6 +3632,7 @@ def _sql_poly_media_rollup() -> str:
 ZQ_BBOX = (120_000.0, 80_000.0, 310_000.0, 240_000.0)
 
 
+@query("zrange_query", sql=lambda: _sql_zrange_query(), bench=True)
 def q_zrange_query(sf_dir: str):
     """Spatial bbox query the index-scan way: quadtree cover of the bbox
     -> Morton [lo, hi] ranges -> vectorized searchsorted prune on the
@@ -3559,6 +3651,7 @@ def q_zrange_query(sf_dir: str):
 FOCAL_RES = 10_000.0
 
 
+@query("focal_mean", sql=lambda: _sql_focal_mean(), bench=True)
 def q_focal_mean(sf_dir: str):
     """3x3 focal mean of per-cell doc counts (focal.focal_counts): dense-
     raster map algebra as sparse halo-exchange dataflow — per-batch cell
@@ -3572,14 +3665,6 @@ def q_focal_mean(sf_dir: str):
     return focal_counts(ds.select_columns(["ix", "iy"]))
 
 
-def _sql_weighted_sample() -> str:
-    from ..stats import sql_priority_sample
-
-    return sql_priority_sample(
-        key_col="doc_id", weight_col="n_chars", k=PRIO_K, salt=PRIO_SALT
-    )
-
-
 def _sql_focal_mean() -> str:
     from ..focal import sql_focal_mean
 
@@ -3589,6 +3674,7 @@ def _sql_focal_mean() -> str:
     )
 
 
+@query("cell_majority", sql=lambda: _sql_cell_majority(), bench=True)
 def q_cell_majority(sf_dir: str):
     """Dominant language per grid cell (focal.cell_majority): batch-local
     (cell, lang) count partials, one coarse-bucket shuffle on the packed
@@ -3611,6 +3697,7 @@ def _sql_cell_majority() -> str:
     )
 
 
+@query("token_entropy", sql=text.sql_token_entropy, bench=True)
 def q_token_entropy(sf_dir: str):
     """Per-doc Shannon token entropy (text.token_entropy): each doc is
     one row, so the whole op is batch-local — zero shuffles."""
@@ -3624,16 +3711,11 @@ def q_token_entropy(sf_dir: str):
     return token_entropy(ds)
 
 
-def _sql_token_entropy() -> str:
-    from ..text import sql_token_entropy
-
-    return sql_token_entropy()
-
-
 #: urban-cluster floor: keep clusters totalling at least this many docs
 CLUSTER_MIN_DOCS = 3
 
 
+@query("cell_clusters", sql=lambda: _sql_cell_clusters(), bench=True)
 def q_cell_clusters(sf_dir: str):
     """Contiguous occupied-cell clusters, Eurostat degree-of-urbanisation
     shape (focal.cell_clusters): threshold cells -> anchor/claim bucketed
@@ -3667,6 +3749,14 @@ STRAT_RATES = {"en": 0.25, "de": 0.9, "fr": 1.0}
 STRAT_DEFAULT = 0.5
 
 
+@query(
+    "stratified_sample",
+    sql=lambda: stats.sql_stratified_sample(
+        key_col="doc_id", group_col="lang",
+        rates=STRAT_RATES, default_rate=STRAT_DEFAULT,
+        source="(SELECT doc_id, lang, n_chars FROM documents)",
+    ),
+)
 def q_stratified_sample(sf_dir: str):
     """Deterministic per-language downsampling (stats.stratified_sample):
     content-stable hash cut per group, zero shuffle, rerun-invariant."""
@@ -3687,6 +3777,13 @@ def q_stratified_sample(sf_dir: str):
 PRIO_K, PRIO_SALT = 150, "ps1"
 
 
+@query(
+    "weighted_sample",
+    sql=lambda: stats.sql_priority_sample(
+        key_col="doc_id", weight_col="n_chars", k=PRIO_K, salt=PRIO_SALT
+    ),
+    bench=True,
+)
 def q_weighted_sample(sf_dir: str):
     """Deterministic weighted sampling without replacement
     (stats.priority_sample, Duffield–Lund–Thorup): k best of
@@ -3708,6 +3805,16 @@ def q_weighted_sample(sf_dir: str):
 PRIOG_K, PRIOG_SALT = 40, "psg1"
 
 
+@query(
+    "weighted_sample_group",
+    sql=lambda: stats.sql_priority_sample_grouped(
+        group_col="lang",
+        key_col="doc_id",
+        weight_col="n_chars",
+        k=PRIOG_K,
+        salt=PRIOG_SALT,
+    ),
+)
 def q_weighted_sample_group(sf_dir: str):
     """Exactly-k weighted samples per language
     (stats.priority_sample_grouped): the priority-sampling law ranked
@@ -3729,18 +3836,15 @@ def q_weighted_sample_group(sf_dir: str):
     )
 
 
-def _sql_weighted_sample_group() -> str:
-    from ..stats import sql_priority_sample_grouped
-
-    return sql_priority_sample_grouped(
-        group_col="lang",
-        key_col="doc_id",
-        weight_col="n_chars",
-        k=PRIOG_K,
-        salt=PRIOG_SALT,
+def _sql_customer_nation() -> str:
+    return (
+        "SELECT c_custkey, c_name, n_name, r_name FROM customer "
+        "JOIN nation ON c_nationkey = n_nationkey "
+        "JOIN region ON n_regionkey = r_regionkey"
     )
 
 
+@query("customer_nation", sql=_sql_customer_nation)
 def q_customer_nation(sf_dir: str):
     """Chained broadcast dimension lookups (joins.lookup_join): streaming
     customer fact -> nation -> region, zero shuffle joins — the canonical
@@ -3835,6 +3939,16 @@ def _q_semi_anti(sf_dir: str, anti: bool):
     )
 
 
+def _sql_semi_anti(anti: bool) -> str:
+    return (
+        "SELECT l_orderkey, COUNT(*) AS n_lines, SUM(l_quantity) AS sum_qty "
+        f"FROM lineitem WHERE l_orderkey {'NOT IN' if anti else 'IN'} "
+        "(SELECT o_orderkey FROM orders "
+        f"WHERE o_totalprice > {SEMI_PRICE_CUT!r}) GROUP BY l_orderkey"
+    )
+
+
+@query("semi_join", sql=lambda: _sql_semi_anti(anti=False), bench=True)
 def q_semi_join(sf_dir: str):
     """Broadcast semi join (joins.semi_join) behind a distributed bloom
     prefilter (joins.bloom_build/bloom_prefilter): lineitem rows kept iff
@@ -3842,6 +3956,7 @@ def q_semi_join(sf_dir: str):
     return _q_semi_anti(sf_dir, anti=False)
 
 
+@query("anti_join", sql=lambda: _sql_semi_anti(anti=True))
 def q_anti_join(sf_dir: str):
     """Broadcast anti join: lineitem rows whose order is NOT high-value
     (exact membership — bloom cannot front an anti join, its false
@@ -3849,6 +3964,15 @@ def q_anti_join(sf_dir: str):
     return _q_semi_anti(sf_dir, anti=True)
 
 
+@query(
+    "moments",
+    sql=lambda: stats.sql_grouped_moments(
+        group_col="l_returnflag",
+        x_col="l_discount",
+        y_col="l_quantity",
+        source="lineitem",
+    ),
+)
 def q_moments(sf_dir: str):
     """Grouped second moments (stats.grouped_moments): per returnflag
     discount variance/stddev + discount-quantity correlation, combinable
@@ -3866,17 +3990,13 @@ def q_moments(sf_dir: str):
     )
 
 
-def _sql_moments() -> str:
-    from ..stats import sql_grouped_moments
-
-    return sql_grouped_moments(
-        group_col="l_returnflag",
-        x_col="l_discount",
-        y_col="l_quantity",
-        source="lineitem",
-    )
-
-
+@query(
+    "hll_distinct",
+    sql=lambda: stats.sql_hll_distinct(
+        group_col="event_type", key_col="user_id", source="events"
+    ),
+    bench=True,
+)
 def q_hll_distinct(sf_dir: str):
     """Deterministic HyperLogLog approx COUNT(DISTINCT user) per event
     type (stats.hll_distinct): batches reduce to register partials, the
@@ -3897,14 +4017,12 @@ def q_hll_distinct(sf_dir: str):
     )
 
 
-def _sql_hll_distinct() -> str:
-    from ..stats import sql_hll_distinct
-
-    return sql_hll_distinct(
-        group_col="event_type", key_col="user_id", source="events"
-    )
-
-
+@query(
+    "tfidf_pairs",
+    sql=lambda: tfidf.sql_tfidf_pairs(n=2, max_df_frac=0.5, threshold=0.35),
+    bench=True,
+    quadratic=True,
+)
 def q_tfidf_pairs(sf_dir: str):
     """TF-IDF cosine similarity pairs over a df-pruned inverted index
     (tfidf.tfidf_pairs): bigram terms, stop-term cutoff at half the
@@ -3917,12 +4035,6 @@ def q_tfidf_pairs(sf_dir: str):
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return tfidf_pairs(docs, n=2, max_df_frac=0.5, threshold=0.35)
-
-
-def _sql_tfidf_pairs() -> str:
-    from ..tfidf import sql_tfidf_pairs
-
-    return sql_tfidf_pairs(n=2, max_df_frac=0.5, threshold=0.35)
 
 
 def _bipartite_pr_edges(sf_dir: str):
@@ -3960,6 +4072,11 @@ def _bipartite_pr_edges(sf_dir: str):
     ).map_batches(mirror, batch_format="pyarrow")
 
 
+@query(
+    "pagerank",
+    sql=lambda: graph.sql_pagerank(edges_sql=graph.bipartite_edges_sql(), iters=5),
+    bench=True,
+)
 def q_pagerank(sf_dir: str):
     """Fixed-iteration PageRank (graph.pagerank) over the supplier<->part
     bipartite graph: raw-count-gated distinct + mirror edge build
@@ -3970,6 +4087,17 @@ def q_pagerank(sf_dir: str):
     return pagerank(_bipartite_pr_edges(sf_dir), iters=5)
 
 
+@query(
+    "pagerank_pers",
+    sql=lambda: graph.sql_personalized_pagerank(
+        edges_sql=graph.bipartite_edges_sql(),
+        seeds_sql=(
+            "SELECT DISTINCT l_suppkey * 2 AS sv FROM lineitem "
+            "ORDER BY sv LIMIT 3"
+        ),
+        iters=5,
+    ),
+)
 def q_pagerank_pers(sf_dir: str):
     """Personalized PageRank (graph.pagerank with seed_nodes): restart
     mass split over the 3 smallest supplier nodes — topic/trust-biased
@@ -3990,25 +4118,17 @@ def q_pagerank_pers(sf_dir: str):
     return pagerank(edges, iters=5, seed_nodes=sk * 2)
 
 
-def _sql_pagerank_pers() -> str:
-    from ..graph import bipartite_edges_sql, sql_personalized_pagerank
-
-    return sql_personalized_pagerank(
-        edges_sql=bipartite_edges_sql(),
-        seeds_sql=(
-            "SELECT DISTINCT l_suppkey * 2 AS sv FROM lineitem "
-            "ORDER BY sv LIMIT 3"
-        ),
-        iters=5,
-    )
-
-
-def _sql_pagerank() -> str:
-    from ..graph import bipartite_edges_sql, sql_pagerank
-
-    return sql_pagerank(edges_sql=bipartite_edges_sql(), iters=5)
-
-
+@query(
+    "grouped_topk",
+    sql=lambda: stats.sql_grouped_topk(
+        group_col="o_custkey",
+        order_col="o_totalprice",
+        tiebreak_col="o_orderkey",
+        k=3,
+        source="orders",
+        select="o_custkey, o_orderkey, o_totalprice",
+    ),
+)
 def q_grouped_topk(sf_dir: str):
     """Top-3 orders per customer by totalprice (stats.grouped_topk):
     coarse-bucketed shuffle + vectorized per-bucket sort/cumcount."""
@@ -4029,19 +4149,7 @@ def q_grouped_topk(sf_dir: str):
     )
 
 
-def _sql_grouped_topk() -> str:
-    from ..stats import sql_grouped_topk
-
-    return sql_grouped_topk(
-        group_col="o_custkey",
-        order_col="o_totalprice",
-        tiebreak_col="o_orderkey",
-        k=3,
-        source="orders",
-        select="o_custkey, o_orderkey, o_totalprice",
-    )
-
-
+@query("pii_scrub", sql=lambda: _sql_pii_scrub())
 def q_pii_scrub(sf_dir: str):
     """PII redaction (text.pii_scrub): deterministic synthetic PII is
     appended per doc (email always; IP for even ids; phone for ids
@@ -4078,6 +4186,7 @@ def q_pii_scrub(sf_dir: str):
     )
 
 
+@query("repetition", sql=lambda: _sql_repetition())
 def q_repetition(sf_dir: str):
     """Gopher-style repetition signals (text.repetition_stats): top-bigram
     and duplicate-trigram fractions per doc, 6dp-rounded on both sides."""
@@ -4092,6 +4201,7 @@ def q_repetition(sf_dir: str):
     )
 
 
+@query("reproject", sql=lambda: _sql_reproject(), bench=True)
 def q_reproject(sf_dir: str):
     """EPSG:4326 -> EPSG:3035 coordinate reprojection (geom.proj.reproject,
     the engine's set_ref_proj parity point — reference base.py:215-220).
@@ -4122,6 +4232,7 @@ def q_reproject(sf_dir: str):
     return ds.map_batches(finish, batch_format="pyarrow")
 
 
+@query("reproject_webmerc", sql=lambda: _sql_reproject_webmerc())
 def q_reproject_webmerc(sf_dir: str):
     """EPSG:4326 -> EPSG:3857 (spherical Web Mercator) — the second
     closed-form CRS path, millimetre-rounded like `reproject`."""
@@ -4161,6 +4272,16 @@ def _sql_reproject_webmerc() -> str:
     )
 
 
+def _sql_tiling_bounds() -> str:
+    cols = sql_cell_columns(RES, TSC)
+    return (
+        f"WITH points AS ({sql_points_cte()}) "
+        f"SELECT {cols['xt']} AS xt, {cols['yt']} AS yt, COUNT(*)::BIGINT AS n_docs "
+        f"FROM points GROUP BY xt, yt"
+    )
+
+
+@query("tiling_bounds", sql=_sql_tiling_bounds)
 def q_tiling_bounds(sf_dir: str):
     ds = with_cell_columns(docs_points(sf_dir), resolution=RES, tile_size_cell=TSC)
     out = ds.groupby(["xt", "yt"]).count()
@@ -4173,16 +4294,25 @@ def q_tiling_bounds(sf_dir: str):
     return out.map_batches(rename, batch_format="pyarrow")
 
 
+def _sql_spatial_join(how: str = "inner") -> str:
+    return sql_point_join(sql_points_cte(), how).replace(
+        "SELECT p.*", "SELECT p.doc_id"
+    )
+
+
+@query("spatial_join", sql=_sql_spatial_join, bench=True)
 def q_spatial_join(sf_dir: str):
     out = join_points_to_polygons(docs_points(sf_dir), polygon_layer(), how="inner")
     return out.select_columns(["doc_id", "poly_id", "nuts_id", "pop"])
 
 
+@query("spatial_join_left", sql=lambda: _sql_spatial_join("left"))
 def q_spatial_join_left(sf_dir: str):
     out = join_points_to_polygons(docs_points(sf_dir), polygon_layer(), how="left")
     return out.select_columns(["doc_id", "poly_id", "nuts_id", "pop"])
 
 
+@query("spatial_join_hash", sql=_sql_spatial_join)
 def q_spatial_join_hash(sf_dir: str):
     """Partitioned-hash-join variant of spatial_join (both-sides-large
     path) — same oracle as the broadcast join."""
@@ -4205,6 +4335,7 @@ def q_spatial_join_hash(sf_dir: str):
     )
 
 
+@query("nearest_polygon", sql=lambda: spatial.sql_nearest_polygon(sql_points_cte()))
 def q_nearest_polygon(sf_dir: str):
     """Nearest-region assignment: every doc point gets the closest
     polygon (0 distance inside) — the outside-all-regions completion of
@@ -4216,20 +4347,41 @@ def q_nearest_polygon(sf_dir: str):
     return out.map_batches(lambda b: round6(b, ["dist"]), batch_format="pyarrow")
 
 
+@query(
+    "grid_make",
+    sql=lambda: sql_make_grid(DOMAIN, GRID_CELL, tile=(16, 16)),
+    bench=True,
+)
 def q_grid_make(sf_dir: str):
     return make_grid(polygon_layer(), cellsize=GRID_CELL, bbox=DOMAIN, tile=(16, 16))
 
 
+@query(
+    "grid_make_interior",
+    sql=lambda: sql_make_grid(DOMAIN, GRID_CELL, tile=(16, 16), interior=True),
+)
 def q_grid_make_interior(sf_dir: str):
     return make_grid(
         polygon_layer(), cellsize=GRID_CELL, bbox=DOMAIN, tile=(16, 16), interior=True
     )
 
 
+@query(
+    "grid_make_rect",
+    sql=lambda: sql_make_grid(
+        DOMAIN, (20_000.0, 30_000.0), tile=(8, 8), trim=False, mask_true=True
+    ),
+)
 def q_grid_make_rect(sf_dir: str):
     return make_grid(True, cellsize=(20_000.0, 30_000.0), bbox=DOMAIN, tile=(8, 8))
 
 
+@query(
+    "grid_make_notrim",
+    sql=lambda: sql_make_grid(
+        DOMAIN, GRID_CELL, tile=(16, 16), trim=False, placeholders=True
+    ),
+)
 def q_grid_make_notrim(sf_dir: str):
     """Reference trim=False row-set parity: tile-level flags on the cells
     of intersecting tiles + one placeholder row per non-intersecting tile
@@ -4244,11 +4396,18 @@ def q_grid_make_notrim(sf_dir: str):
     )
 
 
+def _spec50():
+    return plan_grid(DOMAIN, OVL_CELL, tile=(8, 8))
+
+
 def _grid50():
-    spec = plan_grid(DOMAIN, OVL_CELL, tile=(8, 8))
-    return spec, make_grid(True, cellsize=OVL_CELL, bbox=DOMAIN, tile=(8, 8))
+    return _spec50(), make_grid(True, cellsize=OVL_CELL, bbox=DOMAIN, tile=(8, 8))
 
 
+@query(
+    "overlay_intersection",
+    sql=lambda: sql_overlay_fragments(_spec50(), how="intersection"),
+)
 def q_overlay_intersection(sf_dir: str):
     spec, grid = _grid50()
     out = overlay_fragments(grid, polygon_layer(), spec, how="intersection")
@@ -4260,6 +4419,11 @@ def q_overlay_intersection(sf_dir: str):
     )
 
 
+@query(
+    "overlay_union",
+    sql=lambda: sql_overlay_fragments(_spec50(), how="union"),
+    bench=True,
+)
 def q_overlay_union(sf_dir: str):
     spec, grid = _grid50()
     out = overlay_fragments(grid, polygon_layer(), spec, how="union")
@@ -4271,12 +4435,18 @@ def q_overlay_union(sf_dir: str):
     )
 
 
+@query(
+    "area_interpolate",
+    sql=lambda: sql_grid_overlay_sum(_spec50(), ["pop"]),
+    bench=True,
+)
 def q_area_interpolate(sf_dir: str):
     spec, grid = _grid50()
     out = area_interpolate(polygon_layer(), grid, spec, ["pop"])
     return out.map_batches(lambda b: round6(b, ["pop"]), batch_format="pyarrow")
 
 
+@query("poly_metrics", sql=lambda: _sql_poly_metrics())
 def q_poly_metrics(sf_dir: str):
     """Per-polygon shape metrics (overlay.poly_metrics): shoelace area,
     boundary length, Polsby-Popper compactness over the fixture layer —
@@ -4302,6 +4472,7 @@ def _sql_poly_metrics() -> str:
     return sql_poly_metrics(_POLY_RINGS)
 
 
+@query("poly_adjacency", sql=lambda: _sql_poly_adjacency(), quadratic=True)
 def q_poly_adjacency(sf_dir: str):
     """Layer topology matrix (DE-9IM lite): for every polygon pair,
     'overlaps' when rect interiors intersect with positive area, else
@@ -4377,6 +4548,7 @@ def _sql_poly_adjacency() -> str:
     )
 
 
+@query("poly_overlay", sql=lambda: _sql_poly_overlay(), bench=True)
 def q_poly_overlay(sf_dir: str):
     """Layer x layer overlay (general convex-clip Sutherland-Hodgman):
     the 8-polygon fixture layer (km-scaled; holes included) against the
@@ -4399,6 +4571,7 @@ def q_poly_overlay(sf_dir: str):
     return poly_overlay(rd.from_items(subs).repartition(4), clip_layer())
 
 
+@query("poly_overlay_concave", sql=lambda: _sql_poly_overlay_concave())
 def q_poly_overlay_concave(sf_dir: str):
     """Concave-clip overlay: the L-shaped clip exercises the
     ear-clipping triangulation path (diagonal-edged triangles through
@@ -4457,6 +4630,24 @@ def _sql_poly_overlay() -> str:
     )
 
 
+def _sql_grid_aggregation() -> str:
+    agg = sql_grid_aggregation(
+        RES,
+        50,
+        {"sum_chars": "sum", "avg_chars": "average", "mean_chars": "average3"},
+        rounding=6,
+        source="pts",
+    )
+    return (
+        f"WITH points AS ({sql_points_cte()}), "
+        f"pts AS (SELECT p.x, p.y, d.n_chars::DOUBLE AS sum_chars, "
+        f"d.n_chars::DOUBLE AS avg_chars, d.n_chars::DOUBLE AS mean_chars "
+        f"FROM points p JOIN documents d USING (doc_id)) "
+        + agg
+    )
+
+
+@query("grid_aggregation", sql=_sql_grid_aggregation, bench=True)
 def q_grid_aggregation(sf_dir: str):
     ds = docs_points(sf_dir, ("n_chars",))
 
@@ -4482,6 +4673,20 @@ def q_grid_aggregation(sf_dir: str):
     )
 
 
+def _sql_knn() -> str:
+    return (
+        f"WITH points AS ({sql_points_cte()}) "
+        f"SELECT a.doc_id, "
+        f"ROW_NUMBER() OVER (PARTITION BY a.doc_id "
+        f"  ORDER BY (b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y), b.doc_id)::BIGINT AS rank, "
+        f"b.doc_id AS neighbor_id, "
+        f"ROUND(SQRT((b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y)) * 1e6) / 1e6 AS distance "
+        f"FROM points a, points b "
+        f"QUALIFY rank <= 4"
+    )
+
+
+@query("knn", sql=_sql_knn, bench=True, quadratic=True)
 def q_knn(sf_dir: str):
     import pyarrow.parquet as pq
 
@@ -4494,6 +4699,7 @@ def q_knn(sf_dir: str):
     return out.map_batches(lambda b: round6(b, ["distance"]), batch_format="pyarrow")
 
 
+@query("spans_roundtrip", sql=sql_span_summary_cte, bench=True)
 def q_spans_roundtrip(sf_dir: str):
     """Flagship span-invariant pipeline: synthesize interleaved spans,
     cell-encode, spatially join, WRITE partitioned parquet, read back, and
@@ -4546,6 +4752,15 @@ def _docs(sf_dir: str, cols):
     return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=list(cols))
 
 
+def _sql_token_count() -> str:
+    return (
+        "SELECT doc_id, len(regexp_extract_all(text, '\\S+'))::BIGINT AS n_tokens, "
+        f"len(regexp_extract_all(text, '{BPE_PATTERN.replace(chr(39), chr(39) * 2)}'))::BIGINT AS bpe_tokens, "
+        "length(text)::BIGINT AS len_chars FROM documents"
+    )
+
+
+@query("token_count", sql=_sql_token_count)
 def q_token_count(sf_dir: str):
     from ..text import token_count
 
@@ -4556,6 +4771,15 @@ def q_token_count(sf_dir: str):
     )
 
 
+def _sql_quality_score() -> str:
+    return (
+        "SELECT doc_id, n_tokens, ROUND(punct_ratio * 1e6) / 1e6 AS punct_ratio, "
+        "ROUND(stop_ratio * 1e6) / 1e6 AS stop_ratio, ROUND(quality * 1e6) / 1e6 AS quality "
+        f"FROM ({text.sql_quality_score()})"
+    )
+
+
+@query("quality_score", sql=_sql_quality_score)
 def q_quality_score(sf_dir: str):
     from ..text import quality_score
 
@@ -4569,6 +4793,22 @@ def q_quality_score(sf_dir: str):
     )
 
 
+def _sql_readability() -> str:
+    return (
+        "SELECT doc_id, n_words, n_sents, n_syllables, "
+        "ROUND((206.835::DOUBLE - 1.015::DOUBLE * "
+        "(GREATEST(n_words, 1)::DOUBLE / GREATEST(n_sents, 1)::DOUBLE) "
+        "- 84.6::DOUBLE * (n_syllables::DOUBLE / "
+        "GREATEST(n_words, 1)::DOUBLE)) * 1e6) / 1e6 AS flesch "
+        "FROM (SELECT doc_id, "
+        "len(regexp_extract_all(text, '\\S+'))::BIGINT AS n_words, "
+        "len(regexp_extract_all(text, '[.!?]+'))::BIGINT AS n_sents, "
+        "len(regexp_extract_all(text, '[AEIOUYaeiouy]+'))::BIGINT "
+        "AS n_syllables FROM documents WHERE text IS NOT NULL)"
+    )
+
+
+@query("readability", sql=_sql_readability)
 def q_readability(sf_dir: str):
     """Flesch reading-ease per doc (regex-twinned word / sentence /
     vowel-group-syllable laws, counts floored at 1, 6dp half-away)."""
@@ -4586,6 +4826,10 @@ def q_readability(sf_dir: str):
     )
 
 
+@query(
+    "lang_id",
+    sql=lambda: f"SELECT doc_id, lang, lang_pred FROM ({text.sql_lang_id()})",
+)
 def q_lang_id(sf_dir: str):
     from ..text import lang_id
 
@@ -4596,6 +4840,10 @@ def q_lang_id(sf_dir: str):
     )
 
 
+@query(
+    "fingerprint",
+    sql=lambda: "SELECT doc_id, md5(text) AS fingerprint FROM documents",
+)
 def q_fingerprint(sf_dir: str):
     from ..text import md5_fingerprint
 
@@ -4606,6 +4854,7 @@ def q_fingerprint(sf_dir: str):
     )
 
 
+@query("exact_dedup", sql=dedup.sql_exact_dedup, bench=True)
 def q_exact_dedup(sf_dir: str):
     from ..dedup import exact_dedup
 
@@ -4631,6 +4880,17 @@ def _planted_docs(sf_dir: str):
     return ds.map_batches(planted_text, batch_format="pyarrow")
 
 
+def _sql_minhash_lsh() -> str:
+    # planted-corpus expectation: exactly the identical-text pairs,
+    # signature jaccard exactly 1.0 (see q_minhash_lsh)
+    return (
+        "SELECT a.doc_id AS id_a, b.doc_id AS id_b, 1.0 AS jaccard "
+        "FROM documents a JOIN documents b ON b.doc_id = a.doc_id + 13 "
+        "WHERE a.doc_id % 50 = 0"
+    )
+
+
+@query("minhash_lsh", sql=_sql_minhash_lsh, bench=True, quadratic=True)
 def q_minhash_lsh(sf_dir: str):
     """MinHash+LSH over the planted corpus (see _planted_docs).  LSH
     recall is probabilistic for 0 < jaccard < 1, but identical docs
@@ -4652,6 +4912,7 @@ _SQL_PLANTED = (
 )
 
 
+@query("simhash_pairs", sql=lambda: _sql_simhash_pairs(), quadratic=True)
 def q_simhash_pairs(sf_dir: str):
     """SimHash hamming<=3 near-dup pairs over the planted corpus —
     pigeonhole banding gives recall 1, so the all-pairs DuckDB twin is
@@ -4670,6 +4931,20 @@ def _sql_simhash_pairs() -> str:
     )
 
 
+def _sql_neardup_cluster() -> str:
+    # planted groups {g*50, g*50+13} collapse to their min member;
+    # the correlated MIN keeps the oracle honest for partial blocks
+    return (
+        "SELECT d.doc_id, "
+        "CASE WHEN d.doc_id % 50 IN (0, 13) THEN "
+        "(SELECT MIN(d2.doc_id) FROM documents d2 "
+        "WHERE d2.doc_id // 50 = d.doc_id // 50 "
+        "AND d2.doc_id % 50 IN (0, 13)) "
+        "ELSE d.doc_id END AS component FROM documents d"
+    )
+
+
+@query("neardup_cluster", sql=_sql_neardup_cluster, quadratic=True)
 def q_neardup_cluster(sf_dir: str):
     """Near-dup pair graph -> connected components -> every doc labeled
     with its component (min reachable id; singletons = self).  Exercises
@@ -4681,6 +4956,7 @@ def q_neardup_cluster(sf_dir: str):
     return neardup_components(_docs(sf_dir, ("doc_id",)), pairs)
 
 
+@query("simhash", sql=dedup.sql_simhash)
 def q_simhash(sf_dir: str):
     from ..dedup import simhash64
 
@@ -4691,6 +4967,7 @@ def q_simhash(sf_dir: str):
     )
 
 
+@query("lang_quantiles", sql=sql_grouped_quantiles)
 def q_lang_quantiles(sf_dir: str):
     """Exact per-language n_chars quantiles via the histogram two-phase
     plan (stats.grouped_quantiles; DuckDB quantile_disc rank law)."""
@@ -4707,6 +4984,7 @@ def q_lang_quantiles(sf_dir: str):
 CURATE_MIN_QUALITY = 0.5
 
 
+@query("corpus_curate", sql=lambda: _sql_corpus_curate(), quadratic=True)
 def q_corpus_curate(sf_dir: str):
     """Capstone curation pipeline — the composition a production corpus
     run executes: exact n-gram-Jaccard near-dup pairs -> connected
@@ -4744,6 +5022,7 @@ def q_corpus_curate(sf_dir: str):
     return out.select_columns(["doc_id", "lang", "quality"])
 
 
+@query("neardup_keep_best", sql=lambda: _sql_neardup_keep_best(), quadratic=True)
 def q_neardup_keep_best(sf_dir: str):
     """Near-dup dedup keeping the BEST-quality doc per component
     (dedup.neardup_keep_best): exact Jaccard pairs -> CC labels ->
@@ -4802,6 +5081,11 @@ LANGS = ("de", "en", "es", "fr", "zh")
 COV_DIMS = 16
 
 
+@query(
+    "embedding_cov",
+    sql=lambda: stats.sql_embedding_covariance(dims=COV_DIMS),
+    bench=True,
+)
 def q_embedding_cov(sf_dir: str):
     """Sample covariance of the first 16 embedding dims via the
     combinable-moments two-phase reduce (stats.embedding_covariance)."""
@@ -4814,12 +5098,10 @@ def q_embedding_cov(sf_dir: str):
     return embedding_covariance(ds, dims=COV_DIMS)
 
 
-def _sql_embedding_cov() -> str:
-    from ..stats import sql_embedding_covariance
-
-    return sql_embedding_covariance(dims=COV_DIMS)
-
-
+@query(
+    "rollup",
+    sql=lambda: stats.sql_rollup_aggregate(keys=("lang", "source"), value="n_chars"),
+)
 def q_rollup(sf_dir: str):
     """GROUP BY ROLLUP(lang, source) counts + char sums — finest groupby
     once, coarser levels re-aggregate the aggregate."""
@@ -4831,6 +5113,13 @@ def q_rollup(sf_dir: str):
     )
 
 
+@query(
+    "pivot_langs",
+    sql=lambda: stats.sql_pivot_counts(
+        group_col="source", pivot_col="lang", categories=LANGS,
+        value="n_chars",
+    ),
+)
 def q_pivot_langs(sf_dir: str):
     """Wide pivot: per source, doc counts per language + char sum."""
     from ..stats import pivot_counts
@@ -4842,6 +5131,10 @@ def q_pivot_langs(sf_dir: str):
     )
 
 
+@query(
+    "string_agg",
+    sql=lambda: stats.sql_grouped_string_agg(group_col="lang", value_col="doc_id"),
+)
 def q_string_agg(sf_dir: str):
     """Per-language ordered string_agg of doc ids."""
     from ..stats import grouped_string_agg
@@ -4855,6 +5148,17 @@ def q_string_agg(sf_dir: str):
 PACK_CAP = 2048
 
 
+@query(
+    "pack_sequences",
+    sql=lambda: pack.sql_pack_sequences(
+        PACK_CAP,
+        source=(
+            "(SELECT doc_id, len(regexp_extract_all(text, '\\S+'))::BIGINT "
+            "AS n_tokens FROM documents)"
+        ),
+    ),
+    bench=True,
+)
 def q_pack_sequences(sf_dir: str):
     """Concat-and-chunk sequence packing: global token prefix-sum in
     doc_id order -> (seq_id, seq_off, n_seqs) per doc (pack.py)."""
@@ -4874,6 +5178,18 @@ def q_pack_sequences(sf_dir: str):
 TOKEN_BUDGET = 800  #: per-source token budget (sf0.01 splits kept/cut)
 
 
+@query(
+    "token_budget",
+    sql=lambda: pack.sql_token_budget_take(
+        TOKEN_BUDGET,
+        source=(
+            "(SELECT doc_id, source, "
+            "len(regexp_extract_all(text, '\S+'))::BIGINT "
+            "AS n_tokens FROM documents) AS t"
+        ),
+    ),
+    bench=True,
+)
 def q_token_budget(sf_dir: str):
     """Per-source token budgeting (pack.token_budget_take): keyed
     distributed prefix sum over n_tokens in doc_id order, doc kept
@@ -4894,52 +5210,7 @@ def q_token_budget(sf_dir: str):
     )
 
 
-def _sql_token_budget() -> str:
-    from ..pack import sql_token_budget_take
-
-    return sql_token_budget_take(
-        TOKEN_BUDGET,
-        source=(
-            "(SELECT doc_id, source, "
-            "len(regexp_extract_all(text, '\S+'))::BIGINT "
-            "AS n_tokens FROM documents) AS t"
-        ),
-    )
-
-
-def _sql_pack_sequences() -> str:
-    from ..pack import sql_pack_sequences
-
-    return sql_pack_sequences(
-        PACK_CAP,
-        source=(
-            "(SELECT doc_id, len(regexp_extract_all(text, '\\S+'))::BIGINT "
-            "AS n_tokens FROM documents)"
-        ),
-    )
-
-
-def _sql_rollup() -> str:
-    from ..stats import sql_rollup_aggregate
-
-    return sql_rollup_aggregate(keys=("lang", "source"), value="n_chars")
-
-
-def _sql_pivot_langs() -> str:
-    from ..stats import sql_pivot_counts
-
-    return sql_pivot_counts(
-        group_col="source", pivot_col="lang", categories=LANGS,
-        value="n_chars",
-    )
-
-
-def _sql_string_agg() -> str:
-    from ..stats import sql_grouped_string_agg
-
-    return sql_grouped_string_agg(group_col="lang", value_col="doc_id")
-
-
+@query("llm_prepare", sql=lambda: _sql_llm_prepare(), bench=True, quadratic=True)
 def q_llm_prepare(sf_dir: str):
     """Capstone #2 — the full pretraining data-prep chain a corpus run
     executes end-to-end: exact dedup (keep min-id per content) -> drop
@@ -5041,6 +5312,7 @@ WHERE split = 'train' AND doc_id NOT IN (SELECT doc_id FROM hits)
     return sql_pack_sequences(PACK_CAP, source=survivors)
 
 
+@query("events_lag", sql=stats.sql_keyed_lag)
 def q_events_lag(sf_dir: str):
     """Per-user LAG/LEAD + inter-event delta (stats.keyed_lag; non-null
     value column in the fixture, so passthrough is exact)."""
@@ -5058,12 +5330,7 @@ def q_events_lag(sf_dir: str):
     )
 
 
-def _sql_events_lag() -> str:
-    from ..stats import sql_keyed_lag
-
-    return sql_keyed_lag()
-
-
+@query("dedup_lines", sql=dedup.sql_dedup_lines, bench=True, quadratic=True)
 def q_dedup_lines(sf_dir: str):
     """C4-style line-level dedup: keep each line only at its global first
     occurrence, reassemble docs (dedup.dedup_lines)."""
@@ -5072,12 +5339,15 @@ def q_dedup_lines(sf_dir: str):
     return dedup_lines(_docs(sf_dir, ("doc_id", "text")))
 
 
-def _sql_dedup_lines() -> str:
-    from ..dedup import sql_dedup_lines
-
-    return sql_dedup_lines()
-
-
+@query(
+    "dedup_lines_nl",
+    sql=lambda: dedup.sql_dedup_lines_nl(
+        source="(SELECT doc_id, replace(text, 'line', chr(10)) AS text"
+        " FROM documents) AS d"
+    ),
+    bench=True,
+    quadratic=True,
+)
 def q_dedup_lines_nl(sf_dir: str):
     """C4 line dedup over REAL newline lines: the fixture text (no
     newlines) gains them via replace('line' -> chr(10)) — the same
@@ -5102,15 +5372,7 @@ def q_dedup_lines_nl(sf_dir: str):
     return dedup_lines(ds, splitter="newline")
 
 
-def _sql_dedup_lines_nl() -> str:
-    from ..dedup import sql_dedup_lines_nl
-
-    return sql_dedup_lines_nl(
-        source="(SELECT doc_id, replace(text, 'line', chr(10)) AS text"
-        " FROM documents) AS d"
-    )
-
-
+@query("lang_quantiles_cont", sql=stats.sql_grouped_quantiles_cont)
 def q_lang_quantiles_cont(sf_dir: str):
     """Interpolated per-language quantiles (quantile_cont law)."""
     from ..stats import grouped_quantiles_cont
@@ -5121,12 +5383,12 @@ def q_lang_quantiles_cont(sf_dir: str):
     )
 
 
-def _sql_lang_quantiles_cont() -> str:
-    from ..stats import sql_grouped_quantiles_cont
-
-    return sql_grouped_quantiles_cont()
-
-
+@query(
+    "dup_gram_coverage",
+    sql=lambda: dedup.sql_dup_gram_coverage(n=3),
+    bench=True,
+    quadratic=True,
+)
 def q_dup_gram_coverage(sf_dir: str):
     """Per-doc duplicated-trigram coverage (dedup.dup_gram_coverage) —
     the substring-dedup diagnostic: gram-bucket shuffle computes global
@@ -5141,12 +5403,12 @@ def q_dup_gram_coverage(sf_dir: str):
     return dup_gram_coverage(ds, n=3)
 
 
-def _sql_dup_gram_coverage() -> str:
-    from ..dedup import sql_dup_gram_coverage
-
-    return sql_dup_gram_coverage(n=3)
-
-
+@query(
+    "grouped_corr",
+    sql=lambda: stats.sql_grouped_corr(
+        group_col="l_returnflag", x_col="l_quantity", y_col="l_extendedprice"
+    ),
+)
 def q_grouped_corr(sf_dir: str):
     """Pearson correlation of quantity vs extended price per return
     flag (stats.grouped_corr): combinable (n, sums, cross-sums)
@@ -5165,14 +5427,10 @@ def q_grouped_corr(sf_dir: str):
     )
 
 
-def _sql_grouped_corr() -> str:
-    from ..stats import sql_grouped_corr
-
-    return sql_grouped_corr(
-        group_col="l_returnflag", x_col="l_quantity", y_col="l_extendedprice"
-    )
-
-
+@query(
+    "window_ranks",
+    sql=lambda: stats.sql_window_ranks(group_col="lang", value_col="n_chars"),
+)
 def q_window_ranks(sf_dir: str):
     """RANK / DENSE_RANK / CUME_DIST per language (stats.window_ranks):
     histogram reduce + broadcast per-group CDF, rows never shuffle."""
@@ -5186,12 +5444,12 @@ def q_window_ranks(sf_dir: str):
     return window_ranks(ds, group_col="lang", value_col="n_chars")
 
 
-def _sql_window_ranks() -> str:
-    from ..stats import sql_window_ranks
-
-    return sql_window_ranks(group_col="lang", value_col="n_chars")
-
-
+@query(
+    "ntile",
+    sql=lambda: stats.sql_ntile(
+        group_col="lang", order_col="n_chars", tiebreak_col="doc_id", n=4
+    ),
+)
 def q_ntile(sf_dir: str):
     """NTILE(4) quartile bucketing per language (stats.ntile): one
     coarse-bucket shuffle, vectorized multi-group tile assignment with
@@ -5208,14 +5466,10 @@ def q_ntile(sf_dir: str):
     )
 
 
-def _sql_ntile() -> str:
-    from ..stats import sql_ntile
-
-    return sql_ntile(
-        group_col="lang", order_col="n_chars", tiebreak_col="doc_id", n=4
-    )
-
-
+@query(
+    "percent_rank",
+    sql=lambda: stats.sql_percent_rank(group_col="lang", value_col="n_chars"),
+)
 def q_percent_rank(sf_dir: str):
     """Distributed PERCENT_RANK window (stats.percent_rank): bounded
     histogram reduce + broadcast per-group CDF; row stream never
@@ -5230,12 +5484,11 @@ def q_percent_rank(sf_dir: str):
     return percent_rank(ds, group_col="lang", value_col="n_chars")
 
 
-def _sql_percent_rank() -> str:
-    from ..stats import sql_percent_rank
-
-    return sql_percent_rank(group_col="lang", value_col="n_chars")
-
-
+@query(
+    "iqr_outliers",
+    sql=lambda: stats.sql_iqr_outliers(key="event_type", value="value"),
+    bench=True,
+)
 def q_iqr_outliers(sf_dir: str):
     """Per-event-type Tukey-fence outlier profile (stats.iqr_outliers):
     histogram-plan quartiles -> closure-broadcast fences -> one scan
@@ -5251,12 +5504,7 @@ def q_iqr_outliers(sf_dir: str):
     return iqr_outliers(ds, key="event_type", value="value")
 
 
-def _sql_iqr_outliers() -> str:
-    from ..stats import sql_iqr_outliers
-
-    return sql_iqr_outliers(key="event_type", value="value")
-
-
+@query("trimmed_mean", sql=stats.sql_trimmed_mean)
 def q_trimmed_mean(sf_dir: str):
     """Per-event-type 5/95 trimmed mean (stats.trimmed_mean): exact
     rounded fences broadcast, one partial-count scan, driver fold."""
@@ -5270,12 +5518,7 @@ def q_trimmed_mean(sf_dir: str):
     return trimmed_mean(ds, key="event_type", value="value")
 
 
-def _sql_trimmed_mean() -> str:
-    from ..stats import sql_trimmed_mean
-
-    return sql_trimmed_mean()
-
-
+@query("distinct_count", sql=lambda: _sql_distinct_count())
 def q_distinct_count(sf_dir: str):
     """EXACT grouped count-distinct (the exact twin of the hll_distinct
     estimate): dedupe groupby on (lang, source) -> per-lang count.  The
@@ -5299,6 +5542,7 @@ def _sql_distinct_count() -> str:
     )
 
 
+@query("lang_confusion", sql=lambda: _sql_lang_confusion())
 def q_lang_confusion(sf_dir: str):
     """Model-eval pattern: confusion matrix of the lang_id heuristic vs
     the labeled language — classify in map_batches, one tiny groupby."""
@@ -5325,6 +5569,7 @@ def _sql_lang_confusion() -> str:
     )
 
 
+@query("numeric_profile", sql=lambda: _sql_numeric_profile())
 def q_numeric_profile(sf_dir: str):
     """Data-quality profile of lineitem's numeric columns: per column
     (n, nulls, min, max, sum) from ONE combiner pass — each batch emits
@@ -5392,6 +5637,7 @@ def _sql_numeric_profile() -> str:
     return " UNION ALL ".join(parts)
 
 
+@query("incremental_agg", sql=lambda: _sql_incremental_agg())
 def q_incremental_agg(sf_dir: str):
     """Incremental partition-wise aggregation (state.incremental): stage
     the corpus as a hive tree, run the incremental fold TWICE — the
@@ -5434,6 +5680,7 @@ def _sql_incremental_agg() -> str:
 Q3_SEGMENT, Q3_DATE = "BUILDING", "1998-04-25"
 
 
+@query("q3_shipping", sql=lambda: _sql_q3(), bench=True)
 def q3_shipping(sf_dir: str):
     """TPC-H Q3-style 3-way join: customers of one segment -> their
     orders before the cut date -> line items shipped after it; top-10
@@ -5603,17 +5850,10 @@ LIMIT 10
 """
 
 
-def q_events_retention(sf_dir: str):
-    """Week-over-week cohort retention triangle
-    (relational.events_retention)."""
-    from .relational import events_retention
-
-    return events_retention(sf_dir)
-
-
 SNAIVE_LAG = 7
 
 
+@query("seasonal_naive", sql=lambda: _sql_seasonal_naive())
 def q_seasonal_naive(sf_dir: str):
     """Seasonal-naive forecast backtest per event type: forecast(day) =
     count(day - {SNAIVE_LAG}); report per-type MAE and MAPE over every
@@ -5712,12 +5952,7 @@ GROUP BY a.event_type
 """
 
 
-def _sql_events_retention() -> str:
-    from .relational import sql_events_retention
-
-    return sql_events_retention()
-
-
+@query("cells_export", sql=lambda: _sql_cells_export())
 def q_cells_export(sf_dir: str):
     """Geometry-export round trip: occupied cells -> partitioned GeoJSON
     (export.write_geojson_tiles) -> engine's own reader
@@ -5772,6 +6007,7 @@ FROM cells
 """
 
 
+@query("bigram_lm", sql=text.sql_bigram_logprob)
 def q_bigram_lm(sf_dir: str):
     """Add-one-smoothed bigram LM score per doc
     (text.bigram_logprob_score)."""
@@ -5780,12 +6016,7 @@ def q_bigram_lm(sf_dir: str):
     return bigram_logprob_score(_docs(sf_dir, ("doc_id", "text")))
 
 
-def _sql_bigram_lm() -> str:
-    from ..text import sql_bigram_logprob
-
-    return sql_bigram_logprob()
-
-
+@query("zscore", sql=stats.sql_grouped_zscore)
 def q_zscore(sf_dir: str):
     """Per-language z-score normalization of n_chars
     (stats.grouped_zscore; grouped-broadcast-normalize)."""
@@ -5797,12 +6028,7 @@ def q_zscore(sf_dir: str):
     )
 
 
-def _sql_zscore() -> str:
-    from ..stats import sql_grouped_zscore
-
-    return sql_grouped_zscore()
-
-
+@query("snapshot_diff", sql=lambda: _sql_snapshot_diff())
 def q_snapshot_diff(sf_dir: str):
     """Data-versioning diff of two derived corpus snapshots (A drops
     doc_id%11==0, B drops doc_id%7==0 and rewrites doc_id%5==0) —
@@ -5849,6 +6075,7 @@ FROM a FULL OUTER JOIN b ON a.doc_id = b.doc_id
 """
 
 
+@query("clip", sql=stats.sql_clip_by_quantiles)
 def q_clip(sf_dir: str):
     """Winsorize n_chars at the corpus [5%, 95%] quantiles
     (stats.clip_by_quantiles)."""
@@ -5860,12 +6087,17 @@ def q_clip(sf_dir: str):
     return out.select_columns(["doc_id", "n_chars", "n_chars_clip"])
 
 
-def _sql_clip() -> str:
-    from ..stats import sql_clip_by_quantiles
-
-    return sql_clip_by_quantiles()
-
-
+@query(
+    "top_sources",
+    sql=lambda: stats.sql_grouped_topk(
+        group_col="lang", order_col="chars", tiebreak_col="source", k=3,
+        source=(
+            "(SELECT lang, source, SUM(n_chars)::BIGINT AS chars "
+            "FROM documents GROUP BY lang, source)"
+        ),
+        select="lang, source, chars",
+    ),
+)
 def q_top_sources(sf_dir: str):
     """Top-3 sources per language by character volume — aggregate-then-
     rank composition (groupby Sum -> stats.grouped_topk)."""
@@ -5883,19 +6115,7 @@ def q_top_sources(sf_dir: str):
     )
 
 
-def _sql_top_sources() -> str:
-    from ..stats import sql_grouped_topk
-
-    return sql_grouped_topk(
-        group_col="lang", order_col="chars", tiebreak_col="source", k=3,
-        source=(
-            "(SELECT lang, source, SUM(n_chars)::BIGINT AS chars "
-            "FROM documents GROUP BY lang, source)"
-        ),
-        select="lang, source, chars",
-    )
-
-
+@query("normalize", sql=lambda: _sql_normalize())
 def q_normalize(sf_dir: str):
     """Canonical text normalization (text.normalize_text) + md5 of the
     normalized form — the pre-dedup canonicalization stage."""
@@ -5922,6 +6142,7 @@ def _sql_normalize() -> str:
     )
 
 
+@query("approx_quantiles", sql=stats.sql_approx_quantiles)
 def q_approx_quantiles(sf_dir: str):
     """Fixed-bin histogram-sketch quantiles (stats.approx_quantiles) —
     the unbounded-domain scale path, exact-law twin."""
@@ -5932,12 +6153,10 @@ def q_approx_quantiles(sf_dir: str):
     )
 
 
-def _sql_approx_quantiles() -> str:
-    from ..stats import sql_approx_quantiles
-
-    return sql_approx_quantiles()
-
-
+@query(
+    "sample_exact_k",
+    sql=lambda: stats.sql_sample_exact_k(group_col="lang", key_col="doc_id", k=10),
+)
 def q_sample_exact_k(sf_dir: str):
     """Exactly-k-per-group deterministic sample (stats.sample_exact_k)."""
     from ..stats import sample_exact_k
@@ -5948,15 +6167,10 @@ def q_sample_exact_k(sf_dir: str):
     )
 
 
-def _sql_sample_exact_k() -> str:
-    from ..stats import sql_sample_exact_k
-
-    return sql_sample_exact_k(group_col="lang", key_col="doc_id", k=10)
-
-
 BM25_QUERY = ("table", "scan", "vector")
 
 
+@query("bm25", sql=lambda: text.sql_bm25_score(BM25_QUERY), bench=True)
 def q_bm25(sf_dir: str):
     """Okapi BM25 relevance of every doc against a fixed query
     (text.bm25_score; aggregate -> broadcast -> score)."""
@@ -5965,25 +6179,7 @@ def q_bm25(sf_dir: str):
     return bm25_score(_docs(sf_dir, ("doc_id", "text")), BM25_QUERY)
 
 
-def _sql_bm25() -> str:
-    from ..text import sql_bm25_score
-
-    return sql_bm25_score(BM25_QUERY)
-
-
-def q_events_funnel(sf_dir: str):
-    """Ordered funnel progression per user (relational.events_funnel)."""
-    from .relational import events_funnel
-
-    return events_funnel(sf_dir)
-
-
-def _sql_events_funnel() -> str:
-    from .relational import sql_events_funnel
-
-    return sql_events_funnel()
-
-
+@query("salted_join", sql=lambda: _sql_salted_join())
 def q_salted_join(sf_dir: str):
     """Skew-safe salted FK join (joins.salted_join): lineitem x orders on
     orderkey under salt shards, folded to per-priority totals.  The salt
@@ -6018,6 +6214,7 @@ def _sql_salted_join() -> str:
     )
 
 
+@query("filter_cascade", sql=text.sql_filter_cascade)
 def q_filter_cascade(sf_dir: str):
     """Quality-filter cascade with per-doc reason codes
     (text.filter_cascade; first-failing-rule law)."""
@@ -6026,12 +6223,7 @@ def q_filter_cascade(sf_dir: str):
     return filter_cascade(_docs(sf_dir, ("doc_id", "text")))
 
 
-def _sql_filter_cascade() -> str:
-    from ..text import sql_filter_cascade
-
-    return sql_filter_cascade()
-
-
+@query("countmin_topk", sql=lambda: stats.sql_countmin_topk(k=20))
 def q_countmin(sf_dir: str):
     """Count-Min heavy hitters: exact top-20 unigrams probed against the
     mergeable sketch (stats.countmin_topk; est >= cnt one-sided law)."""
@@ -6040,15 +6232,10 @@ def q_countmin(sf_dir: str):
     return countmin_topk(_docs(sf_dir, ("doc_id", "text")), k=20)
 
 
-def _sql_countmin() -> str:
-    from ..stats import sql_countmin_topk
-
-    return sql_countmin_topk(k=20)
-
-
 MIX_WEIGHTS = {"en": 1.5, "zh": 2.0, "de": 1.0, "fr": 0.5, "es": 0.25}
 
 
+@query("mixture", sql=lambda: stats.sql_mixture_repeat(weights=MIX_WEIGHTS))
 def q_mixture(sf_dir: str):
     """Data-mixture epoch repetition: per-language fractional repeat
     factors, deterministic record-by-record (stats.mixture_repeat)."""
@@ -6059,15 +6246,14 @@ def q_mixture(sf_dir: str):
     )
 
 
-def _sql_mixture() -> str:
-    from ..stats import sql_mixture_repeat
-
-    return sql_mixture_repeat(weights=MIX_WEIGHTS)
-
-
 SHUFFLE_SALT = "epoch0"
 
 
+@query(
+    "shuffle_pos",
+    sql=lambda: pack.sql_shuffle_by_hash(key_col="doc_id", salt=SHUFFLE_SALT),
+    bench=True,
+)
 def q_shuffle(sf_dir: str):
     """Deterministic global training shuffle: content-stable dense rank
     under ORDER BY md5(doc_id || salt) (pack.shuffle_by_hash)."""
@@ -6079,15 +6265,17 @@ def q_shuffle(sf_dir: str):
     return out.select_columns(["doc_id", "pos"])
 
 
-def _sql_shuffle() -> str:
-    from ..pack import sql_shuffle_by_hash
-
-    return sql_shuffle_by_hash(key_col="doc_id", salt=SHUFFLE_SALT)
-
-
 DECON_MOD, DECON_RES = 13, 5  # eval split: doc_id % 13 == 5
 
 
+@query(
+    "contamination_overlap",
+    sql=lambda: dedup.sql_contamination_overlap(
+        n=4, eval_pred=f"doc_id % {DECON_MOD} = {DECON_RES}"
+    ),
+    bench=True,
+    quadratic=True,
+)
 def q_contamination_overlap(sf_dir: str):
     """Graded contamination score: fraction of each training doc's
     distinct word 4-grams present in the eval slice — broadcast gram
@@ -6109,14 +6297,7 @@ def q_contamination_overlap(sf_dir: str):
     return contamination_overlap(tr, ev, n=4)
 
 
-def _sql_contamination_overlap() -> str:
-    from ..dedup import sql_contamination_overlap
-
-    return sql_contamination_overlap(
-        n=4, eval_pred=f"doc_id % {DECON_MOD} = {DECON_RES}"
-    )
-
-
+@query("token_js", sql=lambda: _sql_token_js(), bench=True)
 def q_token_js(sf_dir: str):
     """Jensen-Shannon divergence between the two snapshot halves'
     unigram distributions (doc_id parity split) — the token-level
@@ -6250,6 +6431,7 @@ PSI_NBUCK = 10  #: fixed uniform quality buckets over [0, 1]
 ACF_CAL_MAX_LAG = 7
 
 
+@query("events_acf_cal", sql=lambda: _sql_events_acf_cal(), bench=True)
 def q_events_acf_cal(sf_dir: str):
     """Autocorrelation of the CALENDAR daily event-count series at lags
     1..7 (missing days count 0 — the zero-filled companion of the
@@ -6334,6 +6516,7 @@ ORDER BY l.lag
 """
 
 
+@query("quality_psi", sql=lambda: _sql_quality_psi(), bench=True)
 def q_quality_psi(sf_dir: str):
     """Population Stability Index between two corpus snapshots (doc_id
     parity split) over fixed uniform quality buckets — the standard
@@ -6437,6 +6620,7 @@ _FD_CHECKS = [
 ]
 
 
+@query("fd_check", sql=lambda: _sql_fd_check(), bench=True)
 def q_fd_check(sf_dir: str):
     """Functional-dependency audit (the DQ profiling companion of
     fk_check): per declared A -> B, the distinct-A count and how many
@@ -6502,6 +6686,12 @@ def _sql_fd_check() -> str:
     return " UNION ALL ".join(arms)
 
 
+@query(
+    "cross_snapshot_dups",
+    sql=lambda: _sql_cross_snapshot_dups(),
+    bench=True,
+    quadratic=True,
+)
 def q_cross_snapshot_dups(sf_dir: str):
     """Cross-snapshot duplicate flags — the incremental-ingest dedup
     gate: every NEW-snapshot doc (doc_id parity 1) flagged when its
@@ -6565,6 +6755,7 @@ FROM t WHERE side = 1
 """
 
 
+@query("dup_cluster_sizes", sql=lambda: _sql_dup_cluster_sizes(), bench=True)
 def q_dup_cluster_sizes(sf_dir: str):
     """Duplicate-cluster size histogram — the dedup-audit report: docs
     cluster by the md5 of their first-4-token prefix (the fixture's
@@ -6641,6 +6832,7 @@ JC_CELL = 25000.0  #: join-count cell size (occupied lattice at sf0.01)
 JC_THRESH = 2  #: black mark: cell holds >= 2 docs
 
 
+@query("grid_join_counts", sql=lambda: _sql_grid_join_counts(), bench=True)
 def q_grid_join_counts(sf_dir: str):
     """Join-count statistics (BB/BW/WW rook-adjacency association) over
     the doc point field: packed-cell count partials -> coarse sum ->
@@ -6682,6 +6874,7 @@ FROM pairs
 """
 
 
+@query("winnow", sql=lambda: text.sql_winnow_fingerprints(n=3, window=4), bench=True)
 def q_winnow(sf_dir: str):
     """Winnowing fingerprints (MOSS): per-doc window-min selection over
     the md5 gram-hash sequence, rightmost tie rule — one stateless map
@@ -6693,12 +6886,7 @@ def q_winnow(sf_dir: str):
     )
 
 
-def _sql_winnow() -> str:
-    from ..text import sql_winnow_fingerprints
-
-    return sql_winnow_fingerprints(n=3, window=4)
-
-
+@query("ngram_diversity", sql=lambda: text.sql_ngram_diversity(n=2), bench=True)
 def q_ngram_diversity(sf_dir: str):
     """Per-source bigram diversity (type-token ratio): combiner totals +
     one coarse gram-hash distinct shuffle (text.ngram_diversity) — the
@@ -6710,12 +6898,7 @@ def q_ngram_diversity(sf_dir: str):
     )
 
 
-def _sql_ngram_diversity() -> str:
-    from ..text import sql_ngram_diversity
-
-    return sql_ngram_diversity(n=2)
-
-
+@query("mix_weights", sql=lambda: _sql_mix_weights(), bench=True)
 def q_mix_weights(sf_dir: str):
     """Data-mixing weights: per-source sampling weight that moves the
     observed token share to a UNIFORM target (weight = target_share /
@@ -6779,6 +6962,7 @@ FROM tc, tot
 """
 
 
+@query("curriculum_rank", sql=lambda: _sql_curriculum_rank(), bench=True)
 def q_curriculum_rank(sf_dir: str):
     """Quality-curriculum global ordering: dense 0-based rank under
     (quality DESC, doc_id ASC) via the distributed prefix sum over a
@@ -6828,6 +7012,15 @@ FROM qs
 NEARDUP_DECON_T = 0.35  #: fuzzy-decon Jaccard threshold (splits at sf0.01)
 
 
+@query(
+    "decon_neardup",
+    sql=lambda: dedup.sql_neardup_decontaminate(
+        threshold=NEARDUP_DECON_T, n=4,
+        eval_pred=f"doc_id % {DECON_MOD} = {DECON_RES}",
+    ),
+    bench=True,
+    quadratic=True,
+)
 def q_decon_neardup(sf_dir: str):
     """Fuzzy decontamination: training docs whose distinct-4-gram
     Jaccard vs ANY eval-slice doc reaches the threshold — exact PPJoin
@@ -6850,15 +7043,13 @@ def q_decon_neardup(sf_dir: str):
     return neardup_decontaminate(tr, ev, threshold=NEARDUP_DECON_T, n=4)
 
 
-def _sql_decon_neardup() -> str:
-    from ..dedup import sql_neardup_decontaminate
-
-    return sql_neardup_decontaminate(
-        threshold=NEARDUP_DECON_T, n=4,
-        eval_pred=f"doc_id % {DECON_MOD} = {DECON_RES}",
-    )
-
-
+@query(
+    "decontaminate",
+    sql=lambda: dedup.sql_decontaminate(
+        n=4, eval_pred=f"doc_id % {DECON_MOD} = {DECON_RES}"
+    ),
+    bench=True,
+)
 def q_decontaminate(sf_dir: str):
     """Benchmark decontamination: training docs flagged when they share a
     word 4-gram with the (hash-designated) eval slice — broadcast gram
@@ -6880,14 +7071,7 @@ def q_decontaminate(sf_dir: str):
     )
 
 
-def _sql_decontaminate() -> str:
-    from ..dedup import sql_decontaminate
-
-    return sql_decontaminate(
-        n=4, eval_pred=f"doc_id % {DECON_MOD} = {DECON_RES}"
-    )
-
-
+@query("train_split", sql=lambda: _sql_train_split())
 def q_train_split(sf_dir: str):
     """Deterministic hash-based train/val/test split (stats.split_by_hash)
     — content-stable, order/partitioning-independent."""
@@ -6897,6 +7081,7 @@ def q_train_split(sf_dir: str):
     return out.select_columns(["doc_id", "lang", "split"])
 
 
+@query("unigram_logprob", sql=text.sql_unigram_logprob)
 def q_unigram_logprob(sf_dir: str):
     """Corpus-unigram LM score per doc (aggregate -> broadcast -> score
     two-phase plan)."""
@@ -6906,6 +7091,7 @@ def q_unigram_logprob(sf_dir: str):
     return out.map_batches(lambda b: round6(b, ["logprob"]), batch_format="pyarrow")
 
 
+@query("top_bigrams", sql=lambda: sql_top_ngrams(2, 25), bench=True)
 def q_top_bigrams(sf_dir: str):
     """Corpus-level top-k bigrams: per-batch value_counts combiner ->
     one (ngram, sum) groupby -> deterministic (cnt DESC, ngram ASC)
@@ -6915,6 +7101,7 @@ def q_top_bigrams(sf_dir: str):
     return top_ngrams(_docs(sf_dir, ("doc_id", "text")), n=2, k=25)
 
 
+@query("pmi_bigrams", sql=lambda: sql_pmi_bigrams(min_count=5))
 def q_pmi_bigrams(sf_dir: str):
     """PMI collocations (phrase mining): combiner-aggregated unigram +
     bigram totals, corpus sizes from one tiny Sum reduce, vocabulary
@@ -6928,6 +7115,7 @@ _SCC_LIM = 512  # node cap of the directed-graph fixture (oracle closure
 # is quadratic, so the fixture is bounded at every sf)
 
 
+@query("scc", sql=lambda: _sql_scc(), bench=True)
 def q_scc(sf_dir: str):
     """Strongly connected components (graph.scc, FW-BW coloring) over a
     deterministic directed functional graph on the first doc_ids:
@@ -6986,6 +7174,11 @@ def _sql_scc() -> str:
 _PROFILE_COLS = ["doc_id", "text", "lang", "source", "n_chars"]
 
 
+@query(
+    "table_profile",
+    sql=lambda: stats.sql_table_profile(source="documents", cols=_PROFILE_COLS),
+    bench=True,
+)
 def q_table_profile(sf_dir: str):
     """Per-column table profile (stats.table_profile) of the documents
     table: n / nulls / exact distinct / native-domain min/max rendered
@@ -6996,12 +7189,6 @@ def q_table_profile(sf_dir: str):
     return table_profile(
         _docs(sf_dir, tuple(_PROFILE_COLS)), _PROFILE_COLS
     )
-
-
-def _sql_table_profile() -> str:
-    from ..stats import sql_table_profile
-
-    return sql_table_profile(source="documents", cols=_PROFILE_COLS)
 
 
 _FK_CHECKS = [
@@ -7021,6 +7208,7 @@ _FK_CHECKS = [
 ]
 
 
+@query("fk_check", sql=lambda: _sql_fk_check())
 def q_fk_check(sf_dir: str):
     """Referential-integrity gate (joins.semi_join anti mode): per
     declared foreign key, the count of fact rows whose key is absent
@@ -7056,6 +7244,7 @@ def _sql_fk_check() -> str:
     return "\nUNION ALL\n".join(arms)
 
 
+@query("quota_sample", sql=lambda: _sql_quota_sample())
 def q_quota_sample(sf_dir: str):
     """Cluster-balanced (quota) sampling: an EXACT-k deterministic
     sample per language — content-stable md5 rank (the engine's hash
@@ -7098,6 +7287,18 @@ SELECT lang, doc_id, rank FROM (
 """
 
 
+@query(
+    "k_anonymity",
+    sql=lambda: stats.sql_k_anonymity(
+        source=(
+            "(SELECT lang, source, n_chars // 100 AS bucket, text "
+            "FROM documents)"
+        ),
+        quasi_cols=["lang", "source", "bucket"],
+        sensitive_col="text",
+        k=5,
+    ),
+)
 def q_k_anonymity(sf_dir: str):
     """k-anonymity / l-diversity privacy audit (stats.k_anonymity): the
     quasi-identifier classes (lang, source, n_chars // 100) smaller than
@@ -7121,20 +7322,21 @@ def q_k_anonymity(sf_dir: str):
     )
 
 
-def _sql_k_anonymity() -> str:
-    from ..stats import sql_k_anonymity
-
-    return sql_k_anonymity(
-        source=(
-            "(SELECT lang, source, n_chars // 100 AS bucket, text "
-            "FROM documents)"
-        ),
-        quasi_cols=["lang", "source", "bucket"],
-        sensitive_col="text",
-        k=5,
-    )
-
-
+@query(
+    "record_link",
+    sql=lambda: joins.sql_fuzzy_link(
+        source="part",
+        id_expr="p_partkey",
+        name_expr=joins.sql_typo_expr("p_partkey", "p_name"),
+        master_source="part",
+        master_expr="p_name",
+        id_col="p_partkey",
+        name_col="dirty",
+        threshold=0.97,
+    ),
+    bench=True,
+    quadratic=True,
+)
 def q_record_link(sf_dir: str):
     """Fuzzy record linkage (joins.fuzzy_link): part names are corrupted
     by the deterministic typo law (joins.typo_names), then each dirty
@@ -7172,21 +7374,7 @@ def q_record_link(sf_dir: str):
     )
 
 
-def _sql_record_link() -> str:
-    from ..joins import sql_fuzzy_link, sql_typo_expr
-
-    return sql_fuzzy_link(
-        source="part",
-        id_expr="p_partkey",
-        name_expr=sql_typo_expr("p_partkey", "p_name"),
-        master_source="part",
-        master_expr="p_name",
-        id_col="p_partkey",
-        name_col="dirty",
-        threshold=0.97,
-    )
-
-
+@query("bpe_merges", sql=lambda: text.sql_bpe_merge_counts(top_k=20))
 def q_bpe_merges(sf_dir: str):
     """First-round BPE merge statistics (text.bpe_merge_counts): top-20
     in-token adjacent char pairs — alphabet-bounded dense combiners, one
@@ -7196,12 +7384,7 @@ def q_bpe_merges(sf_dir: str):
     return bpe_merge_counts(_docs(sf_dir, ("text",)), top_k=20)
 
 
-def _sql_bpe_merges() -> str:
-    from ..text import sql_bpe_merge_counts
-
-    return sql_bpe_merge_counts(top_k=20)
-
-
+@query("fuzzy_vocab", sql=lambda: sql_fuzzy_vocab(max_dist=2), quadratic=True)
 def q_fuzzy_vocab(sf_dir: str):
     """Fuzzy vocabulary self-join (typo/variant mining): recall-complete
     length banding + pair-vectorized Levenshtein DP over the broadcast
@@ -7211,6 +7394,7 @@ def q_fuzzy_vocab(sf_dir: str):
     return fuzzy_vocab_pairs(_docs(sf_dir, ("doc_id", "text")), max_dist=2)
 
 
+@query("rolling_fp", sql=text.sql_rolling_fingerprint)
 def q_rolling_fp(sf_dir: str):
     from ..text import rolling_fingerprint
 
@@ -7221,6 +7405,7 @@ def q_rolling_fp(sf_dir: str):
     )
 
 
+@query("ngram_jaccard", sql=lambda: _sql_ngram(), bench=True, quadratic=True)
 def q_ngram_jaccard(sf_dir: str):
     """Exact prefix-filter set-similarity join — full recall, so the
     all-pairs DuckDB twin is an exact oracle."""
@@ -7246,6 +7431,11 @@ def _head_vectors(sf_dir: str, n: int):
     return ids[order], mat[order]
 
 
+@query(
+    "embedding_neardup",
+    sql=lambda: dedup.sql_embedding_neardup(0.35),
+    quadratic=True,
+)
 def q_embedding_neardup(sf_dir: str):
     """Bucketed exact near-dup (no whole-matrix broadcast, no driver-side
     embedding load) — centroids are a tiny pruned-read sample."""
@@ -7259,6 +7449,7 @@ def q_embedding_neardup(sf_dir: str):
     return out.map_batches(lambda b: round6(b, ["cosine"]), batch_format="pyarrow")
 
 
+@query("embedding_lsh", sql=lambda: dedup.sql_embedding_lsh(0.35, 64), quadratic=True)
 def q_embedding_lsh(sf_dir: str):
     """Random-hyperplane LSH embedding near-dup (the sign-banding scale
     path; deterministic closed-form hyperplanes make the full pipeline
@@ -7274,6 +7465,7 @@ def q_embedding_lsh(sf_dir: str):
     return out.map_batches(lambda b: round6(b, ["cosine"]), batch_format="pyarrow")
 
 
+@query("kmeans", sql=lambda: ann.sql_kmeans(k=8, iters=2, dim=64))
 def q_kmeans(sf_dir: str):
     """Deterministic Lloyd k-means over the embedding column — the
     semantic-clustering building block (broadcast centroids, per-batch
@@ -7288,6 +7480,11 @@ def q_kmeans(sf_dir: str):
     return kmeans_embeddings(ds, k=8, iters=2)
 
 
+@query(
+    "emb_outlier",
+    sql=lambda: ann.sql_kmeans(k=8, iters=2, dim=64, with_distance=True),
+    bench=True,
+)
 def q_emb_outlier(sf_dir: str):
     """Embedding outlier scores (ann.kmeans_distances): euclidean
     distance to the own k-means centroid — broadcast centroids, one
@@ -7302,18 +7499,7 @@ def q_emb_outlier(sf_dir: str):
     return kmeans_distances(ds, k=8, iters=2)
 
 
-def _sql_emb_outlier() -> str:
-    from ..ann import sql_kmeans
-
-    return sql_kmeans(k=8, iters=2, dim=64, with_distance=True)
-
-
-def _sql_kmeans() -> str:
-    from ..ann import sql_kmeans
-
-    return sql_kmeans(k=8, iters=2, dim=64)
-
-
+@query("quantize_emb", sql=lambda: ann.sql_quantize(dim=64))
 def q_quantize(sf_dir: str):
     """Global-scalar int8 quantization of the embedding column (one
     per-dim min/max reduce -> broadcast -> vectorized map)."""
@@ -7327,12 +7513,7 @@ def q_quantize(sf_dir: str):
     return quantize_embeddings(ds)
 
 
-def _sql_quantize() -> str:
-    from ..ann import sql_quantize
-
-    return sql_quantize(dim=64)
-
-
+@query("ann_topk", sql=lambda: ann.sql_ann_topk(5, 10))
 def q_ann_topk(sf_dir: str):
     import ray.data as rd
 
@@ -7347,6 +7528,11 @@ def q_ann_topk(sf_dir: str):
 ANN_RANGE_T = 0.3  #: radius-search threshold (splits at sf0.01)
 
 
+@query(
+    "ann_range",
+    sql=lambda: ann.sql_ann_range(ANN_RANGE_T, n_queries=10),
+    bench=True,
+)
 def q_ann_range(sf_dir: str):
     """Radius similarity search (ann.ann_range): every corpus vector
     with cosine >= threshold against the 10 broadcast queries — the
@@ -7364,18 +7550,12 @@ def q_ann_range(sf_dir: str):
     )
 
 
-def _sql_ann_range() -> str:
-    from ..ann import sql_ann_range
-
-    return sql_ann_range(ANN_RANGE_T, n_queries=10)
-
-
-def _sql_hard_negatives_q() -> str:
-    from ..ann import sql_hard_negatives
-
-    return sql_hard_negatives(k=5, n_queries=10)
-
-
+@query(
+    "hard_negatives",
+    sql=lambda: ann.sql_hard_negatives(k=5, n_queries=10),
+    bench=True,
+    quadratic=True,
+)
 def q_hard_negatives(sf_dir: str):
     """Hard-negative mining (ann.hard_negatives): per query, the top-5
     highest-cosine corpus vectors of a DIFFERENT label — the contrastive
@@ -7408,6 +7588,11 @@ def q_hard_negatives(sf_dir: str):
     )
 
 
+@query(
+    "mmr_select",
+    sql=lambda: ann.sql_mmr_select(query_id=0, k=5, lam=0.7),
+    quadratic=True,
+)
 def q_mmr_select(sf_dir: str):
     """Diversity-aware retrieval (ann.mmr_select): greedy Maximal
     Marginal Relevance top-5 against vec_id 0's embedding — k broadcast
@@ -7432,12 +7617,7 @@ def q_mmr_select(sf_dir: str):
     return mmr_select(ds, qv, k=5, lam=0.7)
 
 
-def _sql_mmr_select() -> str:
-    from ..ann import sql_mmr_select
-
-    return sql_mmr_select(query_id=0, k=5, lam=0.7)
-
-
+@query("ivf_topk", sql=lambda: _sql_ivf())
 def q_ivf_topk(sf_dir: str):
     """IVF top-k with a data-sampled coarse quantizer (the first 8 corpus
     vectors) — deterministic and SQL-expressible, so the approximate path
@@ -7454,6 +7634,7 @@ def q_ivf_topk(sf_dir: str):
     return out.map_batches(lambda b: round6(b, ["cosine"]), batch_format="pyarrow")
 
 
+@query("ivf_pruned", sql=lambda: _sql_ivf())
 def q_ivf_pruned(sf_dir: str):
     """Same IVF search but through a persisted bucket-partitioned index
     with partition-pruned reads; result is identical to ``ivf_topk`` (the
@@ -7473,6 +7654,7 @@ def q_ivf_pruned(sf_dir: str):
     return out.map_batches(lambda b: round6(b, ["cosine"]), batch_format="pyarrow")
 
 
+@query("ivf_multiprobe", sql=lambda: ann.sql_ivf_topk(5, 5, 10, 8), bench=True)
 def q_ivf_multiprobe(sf_dir: str):
     """Multi-probe IVF through the persisted pruned-read index: the
     nprobe=5 (of 8 coarse cells) regime a 100 TB recall target needs —
@@ -7500,18 +7682,32 @@ def q_ivf_multiprobe(sf_dir: str):
 _RASTER_KW = dict(height=256, width=256, x_min=0.0, y_min=0.0, resolution=1000.0)
 
 
+@query("raster_cells", sql=lambda: _sql_raster_cells())
 def q_raster_cells(sf_dir: str):
     from ..raster import SyntheticRaster, tiling_raster
 
     return tiling_raster(SyntheticRaster(**_RASTER_KW), tile_size_cell=64)
 
 
+@query(
+    "raster_resample",
+    sql=lambda: raster.sql_resample(
+        raster.SyntheticRaster(**_RASTER_KW), out_resolution=2000.0
+    ),
+)
 def q_raster_resample(sf_dir: str):
     from ..raster import SyntheticRaster, resample_raster
 
     return resample_raster(SyntheticRaster(**_RASTER_KW), out_resolution=2000.0)
 
 
+@query(
+    "raster_hillshade",
+    sql=lambda: raster.sql_hillshade(
+        raster.SyntheticRaster(**_RASTER_KW), tile_size_cell=64
+    ),
+    bench=True,
+)
 def q_raster_hillshade(sf_dir: str):
     """Horn slope / aspect / hillshade over the synthetic elevation band:
     tile-parallel 3x3 stencil with ONE-PIXEL HALO reads (no shuffle at any
@@ -7523,6 +7719,13 @@ def q_raster_hillshade(sf_dir: str):
     )
 
 
+@query(
+    "raster_terrain",
+    sql=lambda: raster.sql_terrain_index(
+        raster.SyntheticRaster(**_RASTER_KW), tile_size_cell=64
+    ),
+    bench=True,
+)
 def q_raster_terrain(sf_dir: str):
     """TPI / TRI (Riley) / roughness terrain indices in one 3x3 stencil
     pass (raster.terrain_index_raster): tile + one-pixel-halo actor-pool
@@ -7535,6 +7738,13 @@ def q_raster_terrain(sf_dir: str):
     )
 
 
+@query(
+    "raster_d8",
+    sql=lambda: raster.sql_d8_flow(
+        raster.SyntheticRaster(**_RASTER_KW), tile_size_cell=64
+    ),
+    bench=True,
+)
 def q_raster_d8(sf_dir: str):
     """D8 steepest-descent flow direction per pixel (raster.d8_flow_raster):
     the classic hydrology operator as a tile + halo stencil — first-max
@@ -7546,6 +7756,10 @@ def q_raster_d8(sf_dir: str):
     )
 
 
+@query(
+    "raster_bilinear",
+    sql=lambda: raster.sql_bilinear(raster.SyntheticRaster(**_RASTER_KW), 1500.0),
+)
 def q_raster_bilinear(sf_dir: str):
     """Bilinear resampling of the elevation band to a 1.5 km grid
     (raster.bilinear_raster): 2x2-support interpolation with exact
@@ -7555,6 +7769,13 @@ def q_raster_bilinear(sf_dir: str):
     return bilinear_raster(SyntheticRaster(**_RASTER_KW), 1500.0)
 
 
+@query(
+    "raster_contour",
+    sql=lambda: raster.sql_contour(
+        raster.SyntheticRaster(**_RASTER_KW), threshold=500.0
+    ),
+    bench=True,
+)
 def q_raster_contour(sf_dir: str):
     """Marching-squares contour segments at the 500 isoline
     (raster.contour_raster): the raster->vector isoline operator as a
@@ -7572,6 +7793,12 @@ def q_raster_contour(sf_dir: str):
 PROFILE_P0, PROFILE_P1, PROFILE_STEPS = (30_000.0, 40_000.0), (210_000.0, 190_000.0), 400
 
 
+@query(
+    "raster_profile",
+    sql=lambda: raster.sql_profile(
+        raster.SyntheticRaster(**_RASTER_KW), PROFILE_P0, PROFILE_P1, PROFILE_STEPS
+    ),
+)
 def q_raster_profile(sf_dir: str):
     """Terrain profile along a segment (raster.profile_raster): n+1
     parametric samples, each bilinear from its 2x2 support; strip tasks
@@ -7584,14 +7811,7 @@ def q_raster_profile(sf_dir: str):
     )
 
 
-def _sql_raster_profile():
-    from ..raster import SyntheticRaster, sql_profile
-
-    return sql_profile(
-        SyntheticRaster(**_RASTER_KW), PROFILE_P0, PROFILE_P1, PROFILE_STEPS
-    )
-
-
+@query("band_index", sql=lambda: _sql_band_index())
 def q_band_index(sf_dir: str):
     """Normalized-difference band index (NDVI-style map algebra):
     ``ndi = (pop - elev) / (pop + elev)`` per pixel where both bands are
@@ -7631,6 +7851,7 @@ WHERE pop IS NOT NULL AND elev IS NOT NULL AND pop + elev != 0.0
 """
 
 
+@query("band_corr", sql=lambda: _sql_band_corr())
 def q_band_corr(sf_dir: str):
     """Inter-band Pearson correlation (map-algebra statistics): r between
     the pop and elev bands over pixels where BOTH are valid — one row
@@ -7696,6 +7917,7 @@ FROM s
 """
 
 
+@query("disaggregate", sql=lambda: _sql_disaggregate())
 def q_disaggregate(sf_dir: str):
     """Dasymetric disaggregation: polygon totals spread onto cells by
     intersection-area weight (area_interpolate's weighting with ix/iy
@@ -7707,6 +7929,7 @@ def q_disaggregate(sf_dir: str):
     return out.map_batches(lambda b: round6(b, ["pop"]), batch_format="pyarrow")
 
 
+@query("zonal_stats", sql=lambda: _sql_zonal_stats())
 def q_zonal_stats(sf_dir: str):
     """Zonal statistics: raster band cells -> zone assignment (PIP join
     on cell coordinates) -> per-zone count / sum / mean."""
@@ -7732,6 +7955,7 @@ def q_zonal_stats(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
+@query("zonal_hist", sql=lambda: _sql_zonal_hist())
 def q_zonal_hist(sf_dir: str):
     """Zonal HISTOGRAM: per polygon, the distribution of raster band
     values in 100-wide bins (bin = floor(elev / 100)) — the categorical
@@ -7785,6 +8009,15 @@ GROUP BY r.poly_id, bin
 """
 
 
+def _sql_frame_rowsum() -> str:
+    return (
+        "SELECT l_orderkey, l_linenumber, "
+        "ROUND((l_quantity + l_extendedprice) * 1e6) / 1e6 AS rowsum "
+        "FROM lineitem"
+    )
+
+
+@query("frame_rowsum", sql=_sql_frame_rowsum)
 def q_frame_rowsum(sf_dir: str):
     import ray.data as rd
 
@@ -7804,6 +8037,7 @@ def q_frame_rowsum(sf_dir: str):
     return out.map_batches(lambda b: round6(b, ["rowsum"]), batch_format="pyarrow")
 
 
+@query("media_dedup", sql=multimodal.sql_media_dup_groups, bench=True)
 def q_media_dedup(sf_dir: str):
     """Cross-document media-asset dedup over the interleaved spans:
     fingerprint-coincident media spans form duplicate groups with a
@@ -7819,6 +8053,7 @@ def q_media_dedup(sf_dir: str):
     return media_dup_groups(ds.map_batches(add_spans, batch_format="pyarrow"))
 
 
+@query("winnow_pairs", sql=text.sql_winnow_dup_pairs, bench=True)
 def q_winnow_pairs(sf_dir: str):
     """MOSS shared-substring pairs: documents sharing >= 2 distinct
     winnowing fingerprints (each witnesses a shared >= window+n-1-token
@@ -7833,6 +8068,7 @@ def q_winnow_pairs(sf_dir: str):
     return winnow_dup_pairs(ds)
 
 
+@query("media_features", sql=multimodal.sql_media_features)
 def q_media_features(sf_dir: str):
     from ..multimodal import media_pipeline
 
@@ -7846,6 +8082,7 @@ def q_media_features(sf_dir: str):
     return out.drop_columns(["features"])
 
 
+@query("media_features_vec", sql=multimodal.sql_media_features_vec)
 def q_media_features_vec(sf_dir: str):
     """Variant carrying the decoded feature values, flattened to scalar
     f0..f3 columns so the driver's value-hash can check them against the
@@ -7891,6 +8128,7 @@ def _media_rows_ds(sf_dir: str):
     return ds.map_batches(attach_payload, batch_format="pyarrow")
 
 
+@query("media_resize", sql=lambda: multimodal.sql_media_resize(64, 64))
 def q_media_resize(sf_dir: str):
     """Resize stage plumbing: image rows -> target dims + pixel-ratio
     byte count (codec honestly stubbed; scalar laws oracle-checked)."""
@@ -7908,6 +8146,7 @@ def q_media_resize(sf_dir: str):
     )
 
 
+@query("media_frames", sql=lambda: multimodal.sql_frame_sample(4, 8))
 def q_media_frames(sf_dir: str):
     """Frame-sampling explode: every 4th frame, max 8, of each media
     payload's pseudo-container."""
@@ -7916,49 +8155,12 @@ def q_media_frames(sf_dir: str):
     return _media_rows_ds(sf_dir).map_batches(frame_sample, batch_format="pyarrow")
 
 
-def q_events_rolling(sf_dir: str):
-    """Keyed rolling-window aggregates (stats.rolling_aggregate)."""
-    from .relational import events_rolling
-
-    return events_rolling(sf_dir)
-
-
-def _sql_events_rolling() -> str:
-    from .relational import sql_events_rolling
-
-    return sql_events_rolling()
-
-
-def q_events_hopping(sf_dir: str):
-    """Hopping (sliding) 1h/15min windows per event_type."""
-    from .relational import events_hopping_window
-
-    return events_hopping_window(sf_dir)
-
-
-def _sql_events_hopping() -> str:
-    from .relational import sql_events_hopping_window
-
-    return sql_events_hopping_window()
-
-
-def q_events_window(sf_dir: str):
-    from .relational import events_tumbling_window
-
-    return events_tumbling_window(sf_dir)
-
-
-def q_events_sessionize(sf_dir: str):
-    from .relational import events_sessionize
-
-    return events_sessionize(sf_dir)
-
-
 IV_BASE_US = 1_704_067_200_000_000  # 2024-01-01T00:00:00Z in epoch-us
 IV_STRIDE_US = 21_600_000_000  # 6 h between window starts
 IV_WIDTH_US = 10_800_000_000  # 3 h window width
 
 
+@query("events_asof", sql=lambda: _sql_events_asof(), bench=True)
 def q_events_asof(sf_dir: str):
     """As-of join (joins.asof_join): every non-error event picks up the
     latest error event at-or-before it from the same user.  Values are
@@ -8019,6 +8221,7 @@ def _interval_table(max_user: int) -> dict:
     }
 
 
+@query("events_interval", sql=lambda: _sql_events_interval())
 def q_events_interval(sf_dir: str):
     """Broadcast interval (range) join: events matched to per-user
     validity windows on key equality + ts containment."""
@@ -8061,117 +8264,12 @@ JOIN iv ON e.user_id = iv.user_id
 """
 
 
-def q_q1_pricing(sf_dir: str):
-    from .relational import q1_pricing
-
-    return q1_pricing(sf_dir)
-
-
-def q_top_customers(sf_dir: str):
-    from .relational import top_customers
-
-    return top_customers(sf_dir)
-
-
-def q_events_transitions(sf_dir: str):
-    from .relational import events_transitions
-
-    return events_transitions(sf_dir)
-
-
-def q_events_did(sf_dir: str):
-    """Difference-in-differences 2x2 estimator over events
-    (relational.events_did): rounded cell means, DiD of the rounded
-    means."""
-    from .relational import events_did
-
-    return events_did(sf_dir)
-
-
-def _sql_events_did() -> str:
-    from .relational import sql_events_did
-
-    return sql_events_did()
-
-
-def q_events_rfm(sf_dir: str):
-    """RFM quartile segmentation (relational.events_rfm): one per-user
-    hash aggregate, broadcast quantile boundaries, scoring scan."""
-    from .relational import events_rfm
-
-    return events_rfm(sf_dir)
-
-
-def _sql_events_rfm() -> str:
-    from .relational import sql_events_rfm
-
-    return sql_events_rfm()
-
-
-def q_events_ltv(sf_dir: str):
-    """Cohort LTV curves (relational.events_ltv): retention's zero-join
-    plan with micro-int exact cumulative revenue."""
-    from .relational import events_ltv
-
-    return events_ltv(sf_dir)
-
-
-def _sql_events_ltv() -> str:
-    from .relational import sql_events_ltv
-
-    return sql_events_ltv()
-
-
-def q_events_changepoint(sf_dir: str):
-    """Single change-point (binary segmentation, k=1) on the daily
-    event-count series (relational.events_changepoint)."""
-    from .relational import events_changepoint
-
-    return events_changepoint(sf_dir)
-
-
-def _sql_events_changepoint() -> str:
-    from .relational import sql_events_changepoint
-
-    return sql_events_changepoint()
-
-
-def q_events_scd2(sf_dir: str):
-    """SCD2 change-interval history (relational.events_scd2): per-user
-    runs of equal event_type collapse to validity intervals — one
-    coarse user-hash shuffle, vectorized run detection."""
-    from .relational import events_scd2
-
-    return events_scd2(sf_dir)
-
-
-def _sql_events_scd2() -> str:
-    from .relational import sql_events_scd2
-
-    return sql_events_scd2()
-
-
-def q_events_seasonal(sf_dir: str):
-    """Classical trend/seasonal/residual decomposition of the daily
-    event-count series (relational.events_seasonal): integer 7-row
-    centered MA trend, day-of-week detrended means, residuals."""
-    from .relational import events_seasonal
-
-    return events_seasonal(sf_dir)
-
-
-def _sql_events_seasonal() -> str:
-    from .relational import sql_events_seasonal
-
-    return sql_events_seasonal()
-
-
-def q_events_ewma(sf_dir: str):
-    from .relational import events_ewma
-
-    return events_ewma(sf_dir)
-
-
+@query(
+    "grouped_mode",
+    sql=lambda: stats.sql_grouped_mode(
+        group_key="o_orderstatus", value="o_orderpriority", source="orders"
+    ),
+)
 def q_grouped_mode(sf_dir: str):
     """Modal order priority per order status (deterministic tie-break)."""
     import ray.data as rd
@@ -8187,6 +8285,10 @@ def q_grouped_mode(sf_dir: str):
     )
 
 
+@query(
+    "cube",
+    sql=lambda: stats.sql_cube_aggregate(keys=("lang", "source"), value="n_chars"),
+)
 def q_cube(sf_dir: str):
     """GROUP BY CUBE(lang, source) over the documents table."""
     import ray.data as rd
@@ -8199,6 +8301,7 @@ def q_cube(sf_dir: str):
     return cube_aggregate(ds, keys=("lang", "source"), value="n_chars")
 
 
+@query("jsonl_roundtrip", sql=lambda: _sql_jsonl_roundtrip())
 def q_jsonl_roundtrip(sf_dir: str):
     """JSONL sink + source roundtrip: the documents projection streams
     to newline-delimited JSON (one shard per block — the resumable
@@ -8236,12 +8339,7 @@ def _sql_jsonl_roundtrip() -> str:
     )
 
 
-def q_events_rolling_users(sf_dir: str):
-    from .relational import events_rolling_users
-
-    return events_rolling_users(sf_dir)
-
-
+@query("co_occurrence", sql=graph.sql_co_occurrence, bench=True, quadratic=True)
 def q_co_occurrence(sf_dir: str):
     """Supplier co-occurrence counts via the part<->supplier bipartite
     projection (degree-capped)."""
@@ -8255,6 +8353,7 @@ def q_co_occurrence(sf_dir: str):
     return co_occurrence(line, "l_partkey", "l_suppkey")
 
 
+@query("assoc_rules", sql=graph.sql_assoc_rules, bench=True)
 def q_assoc_rules(sf_dir: str):
     """Market-basket association rules (graph.assoc_rules) over per-user
     event-type baskets: support / confidence / lift with the shared
@@ -8269,12 +8368,12 @@ def q_assoc_rules(sf_dir: str):
     return assoc_rules(ev, "user_id", "event_type")
 
 
-def _sql_assoc_rules() -> str:
-    from ..graph import sql_assoc_rules
-
-    return sql_assoc_rules()
-
-
+@query(
+    "spearman",
+    sql=lambda: stats.sql_spearman_corr(
+        group_col="l_returnflag", x_col="l_quantity", y_col="l_discount"
+    ),
+)
 def q_spearman(sf_dir: str):
     """Spearman rank correlation of quantity vs discount per return
     flag (both columns discrete — the broadcast-rank-map contract)."""
@@ -8292,14 +8391,11 @@ def q_spearman(sf_dir: str):
     )
 
 
-def _sql_spearman() -> str:
-    from ..stats import sql_spearman_corr
-
-    return sql_spearman_corr(
-        group_col="l_returnflag", x_col="l_quantity", y_col="l_discount"
-    )
-
-
+@query(
+    "pareto",
+    sql=lambda: stats.sql_pareto_frontier(x="p_retailprice", y="p_size",
+                               source="part"),
+)
 def q_pareto(sf_dir: str):
     """Pareto frontier of parts maximizing (retail price, size)."""
     import ray.data as rd
@@ -8312,43 +8408,14 @@ def q_pareto(sf_dir: str):
     return pareto_frontier(ds, x="p_retailprice", y="p_size")
 
 
-def _sql_pareto() -> str:
-    from ..stats import sql_pareto_frontier
-
-    return sql_pareto_frontier(x="p_retailprice", y="p_size",
-                               source="part")
-
-
-def q_events_gap_fill(sf_dir: str):
-    from .relational import events_gap_fill
-
-    return events_gap_fill(sf_dir)
-
-
-def _sql_events_gap_fill() -> str:
-    from .relational import sql_events_gap_fill
-
-    return sql_events_gap_fill()
-
-
-def q_events_trajectory(sf_dir: str):
-    from .relational import events_trajectory
-
-    return events_trajectory(sf_dir)
-
-
+@query("hex_dwell", sql=lambda: relational.sql_events_hex_dwell(hex_size=HEX_SIZE))
 def q_hex_dwell(sf_dir: str):
     from .relational import events_hex_dwell
 
     return events_hex_dwell(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_hex_dwell() -> str:
-    from .relational import sql_events_hex_dwell
-
-    return sql_events_hex_dwell(hex_size=HEX_SIZE)
-
-
+@query("hex_peak_hour", sql=lambda: _sql_hex_peak_hour())
 def q_hex_peak_hour(sf_dir: str):
     """Peak activity hour per hex: events hex-indexed on their point
     law, (hkey, hour-of-day) count partials -> one composite hash
@@ -8455,6 +8522,7 @@ def _sql_hex_peak_hour() -> str:
     )
 
 
+@query("spatial_antijoin", sql=lambda: _sql_spatial_antijoin())
 def q_spatial_antijoin(sf_dir: str):
     """Spatial ANTI-join: docs contained by NO polygon — the left spatial
     join with a vectorized null-side filter (complement of every
@@ -8484,42 +8552,17 @@ def _sql_spatial_antijoin() -> str:
     )
 
 
-def q_radius_gyration(sf_dir: str):
-    from .relational import events_radius_gyration
-
-    return events_radius_gyration(sf_dir)
-
-
-def _sql_radius_gyration() -> str:
-    from .relational import sql_events_radius_gyration
-
-    return sql_events_radius_gyration()
-
-
-def q_session_paths(sf_dir: str):
-    from .relational import events_session_paths
-
-    return events_session_paths(sf_dir)
-
-
-def _sql_session_paths() -> str:
-    from .relational import sql_events_session_paths
-
-    return sql_events_session_paths()
-
-
+@query(
+    "location_entropy",
+    sql=lambda: relational.sql_events_location_entropy(hex_size=HEX_SIZE),
+)
 def q_location_entropy(sf_dir: str):
     from .relational import events_location_entropy
 
     return events_location_entropy(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_location_entropy() -> str:
-    from .relational import sql_events_location_entropy
-
-    return sql_events_location_entropy(hex_size=HEX_SIZE)
-
-
+@query("od_top_flows", sql=lambda: _sql_od_top_flows())
 def q_od_top_flows(sf_dir: str):
     """Bounded top-k on the OD matrix: the 20 heaviest flows, ties
     broken by the full (oq, orr, dq, dr) tuple — a tie-law-exact
@@ -8546,6 +8589,7 @@ def _sql_od_top_flows() -> str:
 DECAY_TAU_US = 604_800_000_000.0
 
 
+@query("hex_decay_density", sql=lambda: _sql_hex_decay_density())
 def q_hex_decay_density(sf_dir: str):
     """Recency-weighted hex density: each event contributes
     exp(-(t_max - t) / tau) — the streaming-freshness law.  The global
@@ -8635,18 +8679,21 @@ def _sql_hex_decay_density() -> str:
     )
 
 
+@query(
+    "hex_weekly_growth",
+    sql=lambda: relational.sql_events_hex_weekly_growth(hex_size=HEX_SIZE),
+)
 def q_hex_weekly_growth(sf_dir: str):
     from .relational import events_hex_weekly_growth
 
     return events_hex_weekly_growth(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_hex_weekly_growth() -> str:
-    from .relational import sql_events_hex_weekly_growth
-
-    return sql_events_hex_weekly_growth(hex_size=HEX_SIZE)
-
-
+@query(
+    "hex_mann_kendall",
+    sql=lambda: relational.sql_events_hex_mann_kendall(hex_size=HEX_SIZE),
+    bench=True,
+)
 def q_hex_mann_kendall(sf_dir: str):
     """Emerging-hotspot (Mann-Kendall) trend per hex over the sparse
     weekly activity series — tie-corrected variance, continuity-corrected
@@ -8656,12 +8703,11 @@ def q_hex_mann_kendall(sf_dir: str):
     return events_hex_mann_kendall(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_hex_mann_kendall() -> str:
-    from .relational import sql_events_hex_mann_kendall
-
-    return sql_events_hex_mann_kendall(hex_size=HEX_SIZE)
-
-
+@query(
+    "home_work",
+    sql=lambda: relational.sql_events_home_work(hex_size=HEX_SIZE),
+    bench=True,
+)
 def q_home_work(sf_dir: str):
     """Home/work anchor hexes per user (modal night vs office-hour cell,
     smallest-cell tie law) — mobility-mining anchors in one coarse
@@ -8671,12 +8717,12 @@ def q_home_work(sf_dir: str):
     return events_home_work(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_home_work() -> str:
-    from .relational import sql_events_home_work
-
-    return sql_events_home_work(hex_size=HEX_SIZE)
-
-
+@query(
+    "events_coloc",
+    sql=lambda: relational.sql_events_coloc(hex_size=HEX_SIZE),
+    bench=True,
+    quadratic=True,
+)
 def q_events_coloc(sf_dir: str):
     """Co-location contact pairs (same hex, same epoch hour, >= 2
     distinct meetings) — two packed-key coarse-bucket shuffles, never a
@@ -8686,12 +8732,7 @@ def q_events_coloc(sf_dir: str):
     return events_coloc(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_events_coloc() -> str:
-    from .relational import sql_events_coloc
-
-    return sql_events_coloc(hex_size=HEX_SIZE)
-
-
+@query("od_paths", sql=lambda: relational.sql_events_od_paths(hex_size=HEX_SIZE))
 def q_od_paths(sf_dir: str):
     """Per-user hex path densification from origin to destination cell
     (cube-lerp line law on center coordinates) — the trajectory
@@ -8701,12 +8742,7 @@ def q_od_paths(sf_dir: str):
     return events_od_paths(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_od_paths() -> str:
-    from .relational import sql_events_od_paths
-
-    return sql_events_od_paths(hex_size=HEX_SIZE)
-
-
+@query("path_density", sql=lambda: _sql_path_density())
 def q_path_density(sf_dir: str):
     """Flow-map density: how many user OD paths traverse each hex cell
     (distinct users per cell over the densified paths) — the traffic
@@ -8776,6 +8812,7 @@ def _sql_path_density() -> str:
 SFCA_D_KM = 300.0
 
 
+@query("accessibility", sql=lambda: _sql_accessibility())
 def q_accessibility(sf_dir: str):
     """Two-step floating catchment accessibility (2SFCA): hub j's ratio
     R_j = capacity_j / demand within D km (capacity = 100 + 10*hub_id);
@@ -8856,21 +8893,11 @@ def _sql_accessibility() -> str:
     )
 
 
-def q_speed_outliers(sf_dir: str):
-    """Per-user telemetry speed screening (GPS-noise filter law): flag
-    steps over 30 m/s or with non-increasing timestamps; report clean
-    mean speed — one coarse bucket pass."""
-    from .relational import events_speed_outliers
-
-    return events_speed_outliers(sf_dir)
-
-
-def _sql_speed_outliers() -> str:
-    from .relational import sql_events_speed_outliers
-
-    return sql_events_speed_outliers()
-
-
+@query(
+    "od_gravity",
+    sql=lambda: relational.sql_events_od_gravity(hex_size=HEX_SIZE),
+    bench=True,
+)
 def q_od_gravity(sf_dir: str):
     """Gravity-model (distance-decay) fit over OD hex flows: OLS of
     ln(flow) on ln(center distance) — the classic spatial-interaction
@@ -8880,42 +8907,18 @@ def q_od_gravity(sf_dir: str):
     return events_od_gravity(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_od_gravity() -> str:
-    from .relational import sql_events_od_gravity
-
-    return sql_events_od_gravity(hex_size=HEX_SIZE)
-
-
-def q_step_bearings(sf_dir: str):
-    from .relational import events_step_bearings
-
-    return events_step_bearings(sf_dir)
-
-
-def _sql_step_bearings() -> str:
-    from .relational import sql_events_step_bearings
-
-    return sql_events_step_bearings()
-
-
+@query(
+    "od_matrix",
+    sql=lambda: relational.sql_events_od_matrix(hex_size=HEX_SIZE),
+    bench=True,
+)
 def q_od_matrix(sf_dir: str):
     from .relational import events_od_matrix
 
     return events_od_matrix(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_od_matrix() -> str:
-    from .relational import sql_events_od_matrix
-
-    return sql_events_od_matrix(hex_size=HEX_SIZE)
-
-
-def _sql_events_trajectory() -> str:
-    from .relational import sql_events_trajectory
-
-    return sql_events_trajectory()
-
-
+@query("bucketed_join", sql=lambda: _sql_bucketed_join())
 def q_bucketed_join(sf_dir: str):
     """Storage-partitioned join: both tables hash-bucketed to parquet
     ONCE (the only shuffle, reusable across every later join on the
@@ -8968,6 +8971,7 @@ GROUP BY o_orderpriority
 """
 
 
+@query("chunk_documents", sql=text.sql_chunk_documents, bench=True)
 def q_chunk_documents(sf_dir: str):
     """Overlapping 64-token / 48-stride chunking of every document."""
     import ray.data as rd
@@ -8980,12 +8984,10 @@ def q_chunk_documents(sf_dir: str):
     return chunk_documents(ds)
 
 
-def _sql_chunk_documents() -> str:
-    from ..text import sql_chunk_documents
-
-    return sql_chunk_documents()
-
-
+@query(
+    "grouped_mad",
+    sql=lambda: stats.sql_grouped_mad(key="lang", value="n_chars", source="documents"),
+)
 def q_grouped_mad(sf_dir: str):
     """Per-language median absolute deviation of document length."""
     import ray.data as rd
@@ -8998,12 +9000,7 @@ def q_grouped_mad(sf_dir: str):
     return grouped_mad(ds, key="lang", value="n_chars")
 
 
-def _sql_grouped_mad() -> str:
-    from ..stats import sql_grouped_mad
-
-    return sql_grouped_mad(key="lang", value="n_chars", source="documents")
-
-
+@query("events_latest", sql=lambda: _sql_events_latest())
 def q_events_latest(sf_dir: str):
     """Latest event value per user (distributed arg-max combiner)."""
     import ray.data as rd
@@ -9069,6 +9066,7 @@ def _set_op_sides(sf_dir: str):
     return clickers, heavy_err
 
 
+@query("set_intersect", sql=lambda: _sql_set_intersect())
 def q_set_intersect(sf_dir: str):
     """Clicking users who are also heavy-error users: DISTINCT
     INTERSECT."""
@@ -9078,6 +9076,7 @@ def q_set_intersect(sf_dir: str):
     return key_set_op(a, b, "user_id", op="intersect")
 
 
+@query("set_except", sql=lambda: _sql_set_except())
 def q_set_except(sf_dir: str):
     """Clicking users who are NOT heavy-error users: DISTINCT EXCEPT."""
     from ..joins import key_set_op
@@ -9107,6 +9106,12 @@ def _sql_set_except() -> str:
     )
 
 
+@query(
+    "histogram",
+    sql=lambda: stats.sql_histogram(value="l_extendedprice", source="lineitem",
+                         bins=20),
+    bench=True,
+)
 def q_histogram(sf_dir: str):
     """Exact 20-bin equi-width histogram of extended price."""
     import ray.data as rd
@@ -9122,6 +9127,7 @@ def q_histogram(sf_dir: str):
 KW_TERMS = ("spark", "window")
 
 
+@query("keyword_search", sql=lambda: text.sql_keyword_search(KW_TERMS), bench=True)
 def q_keyword_search(sf_dir: str):
     """Inverted-index build (bucket-partitioned parquet tree) + pruned
     AND-of-terms read — the IR analogue of ivf_pruned."""
@@ -9141,6 +9147,7 @@ FULL_OUTER_PRICE_CUT = 3_500_000.0
 FULL_OUTER_BAL_CUT = 9_000.0
 
 
+@query("full_outer", sql=lambda: _sql_full_outer())
 def q_full_outer(sf_dir: str):
     """FULL OUTER hash join of two independently filtered sides: big
     spenders (per-customer order totals above a cut) vs high-balance
@@ -9189,19 +9196,6 @@ def q_full_outer(sf_dir: str):
     return out.map_batches(finish, batch_format="pyarrow")
 
 
-def _sql_histogram() -> str:
-    from ..stats import sql_histogram
-
-    return sql_histogram(value="l_extendedprice", source="lineitem",
-                         bins=20)
-
-
-def _sql_keyword_search() -> str:
-    from ..text import sql_keyword_search
-
-    return sql_keyword_search(KW_TERMS)
-
-
 def _sql_full_outer() -> str:
     return f"""
 WITH spend AS (
@@ -9219,6 +9213,7 @@ FROM spend s FULL OUTER JOIN hib h ON s.o_custkey = h.c_custkey
 """
 
 
+@query("degree_hist", sql=graph.sql_degree_histogram)
 def q_degree_hist(sf_dir: str):
     """Degree distribution of the supplier<->part bipartite graph."""
     import ray.data as rd
@@ -9281,6 +9276,7 @@ def _seed_mindist(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return win, d2[np.arange(len(x)), win]
 
 
+@query("voronoi_assign", sql=lambda: _sql_voronoi_assign(), bench=True)
 def q_voronoi_assign(sf_dir: str):
     """Voronoi assignment of the doc point field to 12 facility seeds:
     every doc goes to its nearest seed (tie -> lowest seed id); per seed
@@ -9378,6 +9374,7 @@ def _sql_voronoi_assign() -> str:
     )
 
 
+@query("map_match", sql=lambda: _sql_map_match(), bench=True)
 def q_map_match(sf_dir: str):
     """Map matching: snap every doc point to the nearest of 10 road
     segments (exact point-to-segment projection with clamped parameter;
@@ -9474,6 +9471,7 @@ def _sql_map_match() -> str:
     )
 
 
+@query("traj_hausdorff", sql=lambda: _sql_traj_hausdorff(), quadratic=True)
 def q_traj_hausdorff(sf_dir: str):
     """Directed Hausdorff distance from each user's telemetry trajectory
     to a fixed 8-vertex reference polyline (vertex-set form: max over the
@@ -9557,6 +9555,7 @@ GMED_ITERS = 8
 GMED_EPS = 1e-9
 
 
+@query("convex_hull", sql=lambda: _sql_convex_hull(), bench=True)
 def q_convex_hull(sf_dir: str):
     """Convex-hull boundary of a doc-point subset (doc_id % 11 == 5): one
     row per boundary point (doc_id, x, y) at 6dp — vertices AND exactly
@@ -9631,6 +9630,7 @@ def _sql_convex_hull() -> str:
     )
 
 
+@query("dissolve_area", sql=lambda: _sql_dissolve_area())
 def q_dissolve_area(sf_dir: str):
     """Dissolve-by-attribute with EXACT union area: the 8-polygon fixture
     layer (km-scaled rect decompositions, overlapping polygons included)
@@ -9735,6 +9735,7 @@ def _sql_dissolve_area() -> str:
     )
 
 
+@query("geometric_median", sql=lambda: _sql_geometric_median(), bench=True)
 def q_geometric_median(sf_dir: str):
     """Geometric median (Weiszfeld, {GMED_ITERS} fixed iterations) of each
     urban cluster's doc points, seeded at the cluster centers: per group
@@ -9899,6 +9900,11 @@ _COST_KW = dict(height=28, width=28, x_min=0.0, y_min=0.0, resolution=1000.0)
 COST_SRC = (14, 14)  # valid under the pop nodata law
 
 
+@query(
+    "raster_flow_accum",
+    sql=lambda: raster.sql_flow_accum(raster.BowlRaster(**_FLOW_KW), tile_size_cell=32),
+    bench=True,
+)
 def q_raster_flow_accum(sf_dir: str):
     """D8 flow accumulation (upstream-cell count) over the convergent
     bowl elevation surface: the hydrology operator downstream of
@@ -9912,16 +9918,15 @@ def q_raster_flow_accum(sf_dir: str):
     )
 
 
-def _sql_raster_flow_accum():
-    from ..raster import BowlRaster, sql_flow_accum
-
-    return sql_flow_accum(BowlRaster(**_FLOW_KW), tile_size_cell=32)
-
-
 _VIEW_KW = dict(height=40, width=40, x_min=0.0, y_min=0.0, resolution=1000.0)
 VIEW_OBS = (20, 20)  # valid under the elev nodata law
 
 
+@query(
+    "raster_viewshed",
+    sql=lambda: raster.sql_viewshed(raster.SyntheticRaster(**_VIEW_KW), VIEW_OBS),
+    bench=True,
+)
 def q_raster_viewshed(sf_dir: str):
     """Observer viewshed over the synthetic elevation band: per-cell
     line-of-sight visibility via the rational midpoint walk (division-
@@ -9938,12 +9943,7 @@ def q_raster_viewshed(sf_dir: str):
     )
 
 
-def _sql_raster_viewshed():
-    from ..raster import SyntheticRaster, sql_viewshed
-
-    return sql_viewshed(SyntheticRaster(**_VIEW_KW), VIEW_OBS)
-
-
+@query("raster_cost_distance", sql=lambda: _sql_raster_cost_distance())
 def q_raster_cost_distance(sf_dir: str):
     """Least-cost distance field from a source cell over the synthetic
     population band used as a cost surface (4-neighbor moves, cost of a
@@ -9962,6 +9962,10 @@ def _sql_raster_cost_distance():
     return sql_cost_distance(SyntheticRaster(**_COST_KW), COST_SRC)
 
 
+@query(
+    "raster_watershed",
+    sql=lambda: raster.sql_watershed(raster.BowlRaster(**_FLOW_KW), tile_size_cell=32),
+)
 def q_raster_watershed(sf_dir: str):
     """Watershed labeling over the bowl surface: every valid pixel gets
     the sink (terminal cell) of its D8 path — pointer DOUBLING over the
@@ -9974,12 +9978,10 @@ def q_raster_watershed(sf_dir: str):
     )
 
 
-def _sql_raster_watershed():
-    from ..raster import BowlRaster, sql_watershed
-
-    return sql_watershed(BowlRaster(**_FLOW_KW), tile_size_cell=32)
-
-
+@query(
+    "raster_cost_path",
+    sql=lambda: raster.sql_cost_path(raster.SyntheticRaster(**_COST_KW), COST_SRC),
+)
 def q_raster_cost_path(sf_dir: str):
     """Least-cost PATH extraction: from the cost-distance field, walk
     back from the most expensive reachable cell (tie -> largest (ri,
@@ -9991,12 +9993,7 @@ def q_raster_cost_path(sf_dir: str):
     return cost_path(SyntheticRaster(**_COST_KW), COST_SRC)
 
 
-def _sql_raster_cost_path():
-    from ..raster import SyntheticRaster, sql_cost_path
-
-    return sql_cost_path(SyntheticRaster(**_COST_KW), COST_SRC)
-
-
+@query("zonal_majority", sql=lambda: _sql_zonal_majority())
 def q_zonal_majority(sf_dir: str):
     """Zonal MAJORITY: per polygon the modal 100-wide elevation bin of
     the raster cells inside it (tie -> smallest bin) — the categorical
@@ -10032,6 +10029,7 @@ def _sql_zonal_majority():
     )
 
 
+@query("skyline", sql=lambda: _sql_skyline(), bench=True)
 def q_skyline(sf_dir: str):
     """Pareto skyline of the doc point field (minimize x AND y): a doc
     survives iff no other doc is <= on both axes and < on one — the
@@ -10215,12 +10213,14 @@ def _traj_dp(sf_dir: str, kind: str, num_buckets: int | None = None):
     ).sort("user_id")
 
 
+@query("traj_frechet", sql=lambda: _sql_traj_dp("frechet"), quadratic=True)
 def q_traj_frechet(sf_dir: str):
     """Discrete Frechet distance (max-of-min-leash DP) from each user's
     trajectory prefix to the reference polyline — see `_traj_dp`."""
     return _traj_dp(sf_dir, "frechet")
 
 
+@query("traj_dtw", sql=lambda: _sql_traj_dp("dtw"), bench=True, quadratic=True)
 def q_traj_dtw(sf_dir: str):
     """Dynamic-time-warping distance (sum-of-matched-steps DP) from each
     user's trajectory prefix to the reference polyline — see
@@ -10339,6 +10339,7 @@ def _hilbert_d(ix: np.ndarray, iy: np.ndarray, p: int = HILBERT_P):
     return d
 
 
+@query("hilbert_assign", sql=lambda: _sql_hilbert_assign(), bench=True)
 def q_hilbert_assign(sf_dir: str):
     """Hilbert-curve cell index per doc (order-8 curve over the domain):
     the locality-preserving sibling of the Morton/geohash/S2 encoders —
@@ -10405,6 +10406,12 @@ def _sql_hilbert_assign() -> str:
     )
 
 
+@query(
+    "raster_cost_allocation",
+    sql=lambda: raster.sql_cost_allocation(
+        raster.SyntheticRaster(**_COST_KW), COST_SRCS
+    ),
+)
 def q_raster_cost_allocation(sf_dir: str):
     """Cost allocation (network Voronoi over the cost surface): every
     reached cell labeled with its cheapest source (tie -> smallest
@@ -10414,12 +10421,7 @@ def q_raster_cost_allocation(sf_dir: str):
     return cost_allocation(SyntheticRaster(**_COST_KW), COST_SRCS)
 
 
-def _sql_raster_cost_allocation():
-    from ..raster import SyntheticRaster, sql_cost_allocation
-
-    return sql_cost_allocation(SyntheticRaster(**_COST_KW), COST_SRCS)
-
-
+@query("raster_cost_bands", sql=lambda: _sql_raster_cost_bands())
 def q_raster_cost_bands(sf_dir: str):
     """Isochrone-style cost bands: the single-source cost-distance field
     classified into 500-wide bands, one row per band with its cell count
@@ -10467,6 +10469,10 @@ def _sql_raster_cost_bands():
 # ---------------------------------------------------------------------------
 
 
+@query(
+    "hex_theil_sen",
+    sql=lambda: relational.sql_events_hex_theil_sen(hex_size=HEX_SIZE),
+)
 def q_hex_theil_sen(sf_dir: str):
     """Theil-Sen robust trend slope per hex (median of pairwise weekly
     slopes) — the robust companion of hex_mann_kendall; see
@@ -10476,12 +10482,7 @@ def q_hex_theil_sen(sf_dir: str):
     return events_hex_theil_sen(sf_dir, hex_size=HEX_SIZE)
 
 
-def _sql_hex_theil_sen() -> str:
-    from .relational import sql_events_hex_theil_sen
-
-    return sql_events_hex_theil_sen(hex_size=HEX_SIZE)
-
-
+@query("huff_shares", sql=lambda: _sql_huff_shares())
 def q_huff_shares(sf_dir: str):
     """Huff gravity market shares: every doc splits its demand over the
     hub table with probability proportional to S_j / d_ij^2 (haversine
@@ -10619,6 +10620,7 @@ def _cell_counts(sf_dir: str, split_lang: str | None = None):
     )
 
 
+@query("dissimilarity_index", sql=lambda: _sql_dissimilarity_index())
 def q_dissimilarity_index(sf_dir: str):
     """Duncan dissimilarity index of segregation between 'en' docs and
     all others over 10-km cells: D = 0.5 * sum_c |a_c/A - b_c/B| — one
@@ -10672,6 +10674,7 @@ def _sql_dissimilarity_index() -> str:
     )
 
 
+@query("zipf_fit", sql=lambda: _sql_zipf_fit())
 def q_zipf_fit(sf_dir: str):
     """Rank-size (Zipf) fit of the 10-km cell densities: OLS of ln(n)
     on ln(rank) with rank by (n DESC, cell) — one row (n_cells, slope,
@@ -10746,6 +10749,7 @@ KNOX_DT = 21_600_000_000  # Knox temporal threshold (6 h in us)
 KNOX_MOD = 4  # event subset: event_id % 4 == 0
 
 
+@query("knox_test", sql=lambda: _sql_knox_test(), bench=True, quadratic=True)
 def q_knox_test(sf_dir: str):
     """Knox space-time interaction test over an event subset: ordered
     pair counts close in SPACE (d <= 25 km), close in TIME (|dt| <= 6 h)
@@ -11015,6 +11019,7 @@ FROM n CROSS JOIN p
 """
 
 
+@query("bearing_stats", sql=lambda: _sql_bearing_stats(), bench=True)
 def q_bearing_stats(sf_dir: str):
     """Circular statistics of per-user movement bearings: for each user
     the step unit vectors (dx, dy)/norm sum to (C, S); outputs n_steps,
@@ -11126,6 +11131,7 @@ STDB_DT = 43_200_000_000  # temporal eps (12 h in us)
 STDB_MINPTS = 4  # neighbors (excluding self) for a core point
 
 
+@query("st_dbscan", sql=lambda: _sql_st_dbscan(), bench=True, quadratic=True)
 def q_st_dbscan(sf_dir: str):
     """ST-DBSCAN core clustering of the event subset: a point is CORE
     when >= 4 other events lie within 15 km AND 12 h; clusters are the
@@ -11514,6 +11520,7 @@ FROM comp GROUP BY lab
 SIMP_EPS = 60_000.0  # radial-distance simplification threshold (m)
 
 
+@query("traj_simplify", sql=lambda: _sql_traj_simplify(), bench=True)
 def q_traj_simplify(sf_dir: str):
     """Radial-distance trajectory simplification: over each user's first
     TRAJ_L points (the DP prefix convention), keep point 1, then
@@ -11639,6 +11646,7 @@ FROM walk
 """
 
 
+@query("ab_test", sql=lambda: _sql_ab_test())
 def q_ab_test(sf_dir: str):
     """Two-proportion A/B z-test: users split by user_id parity, success
     = 'purchase' events; one row (n_a, c_a, n_b, c_b, z) with the pooled
@@ -11706,6 +11714,7 @@ FROM s
 """
 
 
+@query("benford", sql=lambda: _sql_benford())
 def q_benford(sf_dir: str):
     """Benford first-digit distribution of lineitem extended prices:
     per digit 1-9 the observed count and share, plus the chi-square
@@ -11790,6 +11799,7 @@ FROM c CROSS JOIN t
 BFS_MAX_HOPS = 4
 
 
+@query("bfs_hops", sql=lambda: _sql_bfs_hops(), bench=True)
 def q_bfs_hops(sf_dir: str):
     """Multi-level BFS hop distance from the minimum supplier node over
     the supplier<->part bipartite graph (graph.bfs_hops): level-
@@ -11833,6 +11843,7 @@ def q_bfs_hops(sf_dir: str):
     )
 
 
+@query("sssp_cost", sql=lambda: _sql_sssp_cost(), bench=True)
 def q_sssp_cost(sf_dir: str):
     """Bounded-hop weighted shortest path (graph.sssp_hops): distributed
     Bellman-Ford over the supplier<->part bipartite graph with
@@ -11899,6 +11910,7 @@ FROM p GROUP BY node ORDER BY node
 """
 
 
+@query("harmonic", sql=lambda: _sql_harmonic())
 def q_harmonic(sf_dir: str):
     """Landmark harmonic centrality (graph.harmonic_centrality): sum of
     1/hops from the 3 smallest supplier landmarks within
@@ -11989,6 +12001,7 @@ KCORE_POFF = 1 << 22  # part-node id offset in the bipartite graph
 KCORE_EDGE_GATE = 1 << 20  #: raw pair rows at/below: driver census
 
 
+@query("kcore", sql=lambda: _sql_kcore(), bench=True)
 def q_kcore(sf_dir: str):
     """k-core decomposition (k = 3) of the supplier<->part bipartite
     graph: iteratively peel nodes with degree < k until stable; output
@@ -12110,6 +12123,7 @@ def _coocc_edges_gated(sf_dir: str):
     return _fold_pair_partials_table(partials, TRI_MINW), None
 
 
+@query("triangle_stats", sql=lambda: _sql_triangle_stats(), bench=True)
 def q_triangle_stats(sf_dir: str):
     """Triangle census + global clustering coefficient of the supplier
     co-purchase graph (suppliers co-occurring in >= {TRI_MINW} orders):
@@ -12124,6 +12138,7 @@ def q_triangle_stats(sf_dir: str):
     return triangle_stats_distributed(eds)
 
 
+@query("local_clustering", sql=lambda: _sql_local_clustering(), bench=True)
 def q_local_clustering(sf_dir: str):
     """Per-node clustering coefficient (graph.local_clustering) of the
     supplier co-purchase graph — same edge fixture and count gate as
@@ -12230,6 +12245,7 @@ ed AS (SELECT u, v FROM pr GROUP BY u, v HAVING COUNT(*) >= {AA_MINW})
 """
 
 
+@query("adamic_adar", sql=lambda: _sql_adamic_adar(), bench=True)
 def q_adamic_adar(sf_dir: str):
     """Adamic-Adar link prediction on the part co-purchase graph (parts
     sharing >= {AA_MINW} orders): every non-adjacent two-hop pair scored
@@ -12262,6 +12278,7 @@ GROUP BY n.u, n.w
 """
 
 
+@query("assortativity", sql=lambda: _sql_assortativity())
 def q_assortativity(sf_dir: str):
     """Degree assortativity of the part co-purchase graph: exact
     integer-sum Pearson over directed-symmetrized edge endpoint degrees
@@ -12296,6 +12313,7 @@ FROM s
 """
 
 
+@query("auc_nchars", sql=lambda: _sql_auc_nchars(), bench=True)
 def q_auc_nchars(sf_dir: str):
     """ROC AUC of document length (n_chars) as a predictor of
     lang = 'en', via the tie-averaged Mann-Whitney law: over distinct
@@ -12398,6 +12416,7 @@ FROM w
 """
 
 
+@query("mann_whitney", sql=lambda: _sql_mann_whitney())
 def q_mann_whitney(sf_dir: str):
     """Mann-Whitney U rank-sum test: does document length (n_chars)
     differ between lang='en' and the rest?  U from the tie-averaged
@@ -12511,6 +12530,7 @@ FROM agg
 """
 
 
+@query("kendall_tau", sql=lambda: _sql_kendall_tau())
 def q_kendall_tau(sf_dir: str):
     """Kendall tau-b between the daily count series of every event-type
     pair (days where both types have events): C - D from sign products,
@@ -12647,66 +12667,7 @@ WHERE cd.m >= 2
 """
 
 
-def q_attribution(sf_dir: str):
-    from .relational import events_attribution
-
-    return events_attribution(sf_dir)
-
-
-def _sql_attribution() -> str:
-    from .relational import sql_events_attribution
-
-    return sql_events_attribution()
-
-
-def q_events_acf(sf_dir: str):
-    from .relational import events_acf
-
-    return events_acf(sf_dir)
-
-
-def _sql_events_acf_q() -> str:
-    from .relational import sql_events_acf
-
-    return sql_events_acf()
-
-
-def _sql_events_type_corr_q() -> str:
-    from .relational import sql_events_type_corr
-
-    return sql_events_type_corr()
-
-
-def _sql_events_interarrival_q() -> str:
-    from .relational import sql_events_interarrival
-
-    return sql_events_interarrival()
-
-
-def _sql_events_survival_q() -> str:
-    from .relational import sql_events_survival
-
-    return sql_events_survival()
-
-
-def q_events_type_corr(sf_dir: str):
-    from .relational import events_type_corr
-
-    return events_type_corr(sf_dir)
-
-
-def q_events_interarrival(sf_dir: str):
-    from .relational import events_interarrival
-
-    return events_interarrival(sf_dir)
-
-
-def q_events_survival(sf_dir: str):
-    from .relational import events_survival
-
-    return events_survival(sf_dir)
-
-
+@query("hits", sql=graph.sql_hits, bench=True)
 def q_hits(sf_dir: str):
     """HITS hubs (suppliers) and authorities (parts) on the distinct
     supplier-part bipartite graph, 5 max-normalized power iterations
@@ -12732,12 +12693,7 @@ def q_hits(sf_dir: str):
     )
 
 
-def _sql_hits() -> str:
-    from ..graph import sql_hits
-
-    return sql_hits()
-
-
+@query("doc_keywords", sql=text.sql_doc_keywords, bench=True)
 def q_doc_keywords(sf_dir: str):
     """Top-3 TF-IDF keywords per document (text.doc_keywords): df
     vocabulary reduce -> broadcast -> per-batch score + total-order
@@ -12752,36 +12708,7 @@ def q_doc_keywords(sf_dir: str):
     return doc_keywords(docs)
 
 
-def _sql_doc_keywords() -> str:
-    from ..text import sql_doc_keywords
-
-    return sql_doc_keywords()
-
-
-def q_seasonal_decompose(sf_dir: str):
-    from .relational import events_seasonal_decompose
-
-    return events_seasonal_decompose(sf_dir)
-
-
-def _sql_seasonal_decompose() -> str:
-    from .relational import sql_events_seasonal_decompose
-
-    return sql_events_seasonal_decompose()
-
-
-def q_type_jaccard(sf_dir: str):
-    from .relational import events_type_jaccard
-
-    return events_type_jaccard(sf_dir)
-
-
-def _sql_type_jaccard() -> str:
-    from .relational import sql_events_type_jaccard
-
-    return sql_events_type_jaccard()
-
-
+@query("naive_bayes", sql=text.sql_naive_bayes_lang)
 def q_naive_bayes(sf_dir: str):
     """Multinomial Naive Bayes language classifier, trained and applied
     over the documents corpus (text.naive_bayes_lang): count reduce ->
@@ -12796,48 +12723,10 @@ def q_naive_bayes(sf_dir: str):
     return naive_bayes_lang(docs)
 
 
-def _sql_naive_bayes() -> str:
-    from ..text import sql_naive_bayes_lang
-
-    return sql_naive_bayes_lang()
-
-
-def q_state_intervals(sf_dir: str):
-    from .relational import events_state_intervals
-
-    return events_state_intervals(sf_dir)
-
-
-def _sql_state_intervals() -> str:
-    from .relational import sql_events_state_intervals
-
-    return sql_events_state_intervals()
-
-
-def q_holt_linear(sf_dir: str):
-    from .relational import events_holt_linear
-
-    return events_holt_linear(sf_dir)
-
-
-def _sql_holt_linear() -> str:
-    from .relational import sql_events_holt_linear
-
-    return sql_events_holt_linear()
-
-
-def q_transition_stationary(sf_dir: str):
-    from .relational import events_transition_stationary
-
-    return events_transition_stationary(sf_dir)
-
-
-def _sql_transition_stationary() -> str:
-    from .relational import sql_events_transition_stationary
-
-    return sql_events_transition_stationary()
-
-
+@query(
+    "raster_equalize",
+    sql=lambda: raster.sql_equalize(raster.SyntheticRaster(**_RASTER_KW)),
+)
 def q_raster_equalize(sf_dir: str):
     """Histogram equalization of the elevation band
     (raster.equalize_raster): integer CDF law, exact on both sides."""
@@ -12846,12 +12735,7 @@ def q_raster_equalize(sf_dir: str):
     return equalize_raster(SyntheticRaster(**_RASTER_KW), tile_size_cell=64)
 
 
-def _sql_raster_equalize() -> str:
-    from ..raster import SyntheticRaster, sql_equalize
-
-    return sql_equalize(SyntheticRaster(**_RASTER_KW))
-
-
+@query("props_stats", sql=lambda: _sql_props_stats())
 def q_props_stats(sf_dir: str):
     """JSON property extraction + rollup: parse the integer ``k`` from
     the events ``props`` JSON column (vectorized regex — the column's
@@ -12937,6 +12821,7 @@ GROUP BY event_type
 """
 
 
+@query("raster_focal_median", sql=lambda: _sql_raster_focal_median())
 def q_raster_focal_median(sf_dir: str):
     """3x3 focal MEDIAN filter over the elevation band (interior pixels,
     nodata excluded from each window, center must be valid): the robust
@@ -13064,6 +12949,7 @@ FROM win GROUP BY ri, ci
 CUSUM_K = 0.5  # CUSUM slack (allowance)
 
 
+@query("hex_cusum", sql=lambda: _sql_hex_cusum())
 def q_hex_cusum(sf_dir: str):
     """CUSUM upward change detection per hex over the observed weekly
     series: S_t = max(0, S_{t-1} + (n_t - mean - 0.5)); per hex the
@@ -13178,6 +13064,7 @@ QUALIFY ROW_NUMBER() OVER (PARTITION BY w.hq, w.hr
 LPA_ROUNDS = 8
 
 
+@query("geary_c", sql=lambda: _sql_geary_c())
 def q_geary_c(sf_dir: str):
     """Geary's C spatial autocorrelation of the per-hex doc density
     (the distance-based complement of Moran's I; C < 1 = clustering):
@@ -13343,6 +13230,7 @@ def _sql_geary_c() -> str:
     )
 
 
+@query("label_prop", sql=lambda: _sql_label_prop())
 def q_label_prop(sf_dir: str):
     """Label-propagation communities on the supplier<->part bipartite
     graph: labels start as node ids; {LPA_ROUNDS} SYNCHRONOUS rounds of
@@ -13427,6 +13315,7 @@ IPF_RW = 500_000.0 / 3.0
 IPF_RH = 501_000.0 / 3.0
 
 
+@query("ipf_balance", sql=lambda: _sql_ipf_balance())
 def q_ipf_balance(sf_dir: str):
     """Iterative proportional fitting (the Furness method) of the 3x3
     region OD matrix to UNIFORM target margins: per user one flow from
@@ -13564,6 +13453,7 @@ def _sql_ipf_balance() -> str:
 # ---------------------------------------------------------------------------
 
 
+@query("region_week_chi2", sql=lambda: _sql_region_week_chi2())
 def q_region_week_chi2(sf_dir: str):
     """Chi-square test of independence between event region (3x3) and
     epoch week: observed vs expected = row_total * col_total / N over
@@ -13660,6 +13550,7 @@ FROM obs CROSS JOIN t
 """
 
 
+@query("movement_entropy", sql=lambda: _sql_movement_entropy())
 def q_movement_entropy(sf_dir: str):
     """Conditional movement entropy H(next region | current region) of
     the per-user region sequences (natural log): counts over observed
@@ -13790,6 +13681,7 @@ FROM t
 """
 
 
+@query("anova_f", sql=lambda: _sql_anova_f())
 def q_anova_f(sf_dir: str):
     """One-way ANOVA F test: does order value differ across the five
     o_orderpriority classes?  Values quantized to whole dollars
@@ -13885,6 +13777,7 @@ t AS (
 """
 
 
+@query("ks_test", sql=lambda: _sql_ks_test())
 def q_ks_test(sf_dir: str):
     """Two-sample Kolmogorov-Smirnov: D = max |ECDF_en - ECDF_rest|
     over document length (n_chars) — the distribution-shape companion
@@ -13991,6 +13884,7 @@ FROM m CROSS JOIN t
 """
 
 
+@query("brown_forsythe", sql=lambda: _sql_brown_forsythe())
 def q_brown_forsythe(sf_dir: str):
     """Brown-Forsythe homogeneity-of-variance test: one-way ANOVA F on
     z = |n_chars - median(lang)| across document languages.  The group
@@ -14089,6 +13983,7 @@ t AS (
 """
 
 
+@query("welch_t", sql=lambda: _sql_welch_t())
 def q_welch_t(sf_dir: str):
     """Welch's unequal-variance t-test on document length (n_chars),
     lang='en' vs the rest — the parametric companion of q_mann_whitney.
@@ -14212,6 +14107,7 @@ FROM v
 """
 
 
+@query("wilcoxon_signed", sql=lambda: _sql_wilcoxon_signed())
 def q_wilcoxon_signed(sf_dir: str):
     """Wilcoxon signed-rank test on the paired daily counts of 'click'
     vs 'view' events (days where both types occur; zero differences
@@ -14345,6 +14241,7 @@ FROM agg
 """
 
 
+@query("mutual_info", sql=lambda: _sql_mutual_info())
 def q_mutual_info(sf_dir: str):
     """Mutual information (and NMI) between document lang and source —
     the feature-selection companion to cramers_v: MI over the OBSERVED
@@ -14468,6 +14365,7 @@ FROM terms, ent
 """
 
 
+@query("cramers_v", sql=lambda: _sql_cramers_v())
 def q_cramers_v(sf_dir: str):
     """Cramer's V association between document lang and source: the
     chi-square of the (lang x source) contingency table normalized by
@@ -14566,6 +14464,7 @@ FROM obs CROSS JOIN t CROSS JOIN dims
 """
 
 
+@query("ols_fit", sql=lambda: _sql_ols_fit())
 def q_ols_fit(sf_dir: str):
     """Two-regressor OLS by distributed normal equations: regress
     lineitem revenue (whole dollars) on quantity and discount points
@@ -14699,6 +14598,7 @@ FROM b
 """
 
 
+@query("cohens_kappa", sql=lambda: _sql_cohens_kappa())
 def q_cohens_kappa(sf_dir: str):
     """Cohen's kappa agreement between the lang_id heuristic and the
     labeled language — the chance-corrected summary of q_lang_confusion.
@@ -14780,6 +14680,7 @@ FROM t
 """
 
 
+@query("jensen_shannon", sql=lambda: _sql_jensen_shannon())
 def q_jensen_shannon(sf_dir: str):
     """Jensen-Shannon divergence (natural log) between the event-type
     mix on weekdays vs weekends: integer (is_weekend, type) counts ->
@@ -14900,6 +14801,7 @@ FROM t
 """
 
 
+@query("grouped_regression", sql=lambda: _sql_grouped_regression())
 def q_grouped_regression(sf_dir: str):
     """Per-language simple OLS: slope/intercept/Pearson r of n_chars
     on the whitespace token count.  One combiner pass emits per-(lang)
@@ -15026,6 +14928,7 @@ ORDER BY lang
 """
 
 
+@query("heal_area", sql=lambda: _sql_heal_area())
 def q_heal_area(sf_dir: str):
     """Parity (even-odd) healing of self-intersecting polygons — the
     engine's answer to the reference's TopologyException retry
@@ -15138,6 +15041,10 @@ ORDER BY qid
 """
 
 
+@query(
+    "dsir_weights",
+    sql=lambda: text.sql_dsir_weights(f"doc_id % {DECON_MOD} = {DECON_RES}"),
+)
 def q_dsir_weights(sf_dir: str):
     """DSIR importance weights (Xie et al. 2023): per-doc hashed-unigram
     importance log-weight of the eval slice (doc_id % 13 == 5, the
@@ -15157,501 +15064,12 @@ def q_dsir_weights(sf_dir: str):
     )
 
 
-def _sql_dsir_weights() -> str:
-    from ..text import sql_dsir_weights
-
-    return sql_dsir_weights(f"doc_id % {DECON_MOD} = {DECON_RES}")
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
 
-def queries():
-    return {
-        "cell_assign": q_cell_assign,
-        "cell_assign_offset": q_cell_assign_offset,
-        "cell_hier": q_cell_hier,
-        "hier_rollup": q_hier_rollup,
-        "hex_assign": q_hex_assign,
-        "geohash_assign": q_geohash_assign,
-        "s2_assign": q_s2_assign,
-        "s2_density": q_s2_density,
-        "s2_range": q_s2_range,
-        "sphere_nn": q_sphere_nn,
-        "zonal_hist": q_zonal_hist,
-        "od_paths": q_od_paths,
-        "path_density": q_path_density,
-        "band_corr": q_band_corr,
-        "band_index": q_band_index,
-        "accessibility": q_accessibility,
-        "speed_outliers": q_speed_outliers,
-        "mutual_nn": q_mutual_nn,
-        "join_counts": q_join_counts,
-        "colocation_quotient": q_colocation_quotient,
-        "hex_entropy": q_hex_entropy,
-        "g_function": q_g_function,
-        "f_function": q_f_function,
-        "heal_area": q_heal_area,
-        "dsir_weights": q_dsir_weights,
-        "voronoi_assign": q_voronoi_assign,
-        "map_match": q_map_match,
-        "traj_hausdorff": q_traj_hausdorff,
-        "convex_hull": q_convex_hull,
-        "dissolve_area": q_dissolve_area,
-        "geometric_median": q_geometric_median,
-        "raster_flow_accum": q_raster_flow_accum,
-        "raster_cost_distance": q_raster_cost_distance,
-        "raster_viewshed": q_raster_viewshed,
-        "raster_watershed": q_raster_watershed,
-        "raster_cost_path": q_raster_cost_path,
-        "zonal_majority": q_zonal_majority,
-        "skyline": q_skyline,
-        "traj_frechet": q_traj_frechet,
-        "traj_dtw": q_traj_dtw,
-        "hilbert_assign": q_hilbert_assign,
-        "raster_cost_allocation": q_raster_cost_allocation,
-        "raster_cost_bands": q_raster_cost_bands,
-        "hex_theil_sen": q_hex_theil_sen,
-        "huff_shares": q_huff_shares,
-        "dissimilarity_index": q_dissimilarity_index,
-        "zipf_fit": q_zipf_fit,
-        "knox_test": q_knox_test,
-        "bearing_stats": q_bearing_stats,
-        "st_dbscan": q_st_dbscan,
-        "traj_simplify": q_traj_simplify,
-        "ab_test": q_ab_test,
-        "benford": q_benford,
-        "kcore": q_kcore,
-        "triangle_stats": q_triangle_stats,
-        "local_clustering": q_local_clustering,
-        "adamic_adar": q_adamic_adar,
-        "assortativity": q_assortativity,
-        "auc_nchars": q_auc_nchars,
-        "events_acf": q_events_acf,
-        "events_type_corr": q_events_type_corr,
-        "events_interarrival": q_events_interarrival,
-        "events_survival": q_events_survival,
-        "hits": q_hits,
-        "doc_keywords": q_doc_keywords,
-        "seasonal_decompose": q_seasonal_decompose,
-        "type_jaccard": q_type_jaccard,
-        "naive_bayes": q_naive_bayes,
-        "state_intervals": q_state_intervals,
-        "holt_linear": q_holt_linear,
-        "transition_stationary": q_transition_stationary,
-        "raster_equalize": q_raster_equalize,
-        "props_stats": q_props_stats,
-        "raster_focal_median": q_raster_focal_median,
-        "hex_cusum": q_hex_cusum,
-        "geary_c": q_geary_c,
-        "label_prop": q_label_prop,
-        "ipf_balance": q_ipf_balance,
-        "region_week_chi2": q_region_week_chi2,
-        "movement_entropy": q_movement_entropy,
-        "idw_interpolate": q_idw_interpolate,
-        "hex_spatial_lag": q_hex_spatial_lag,
-        "hex_mann_kendall": q_hex_mann_kendall,
-        "hex_triangles": q_hex_triangles,
-        "hex_bfs": q_hex_bfs,
-        "general_g": q_general_g,
-        "od_gravity": q_od_gravity,
-        "home_work": q_home_work,
-        "ripley_k": q_ripley_k,
-        "hex_kde": q_hex_kde,
-        "events_coloc": q_events_coloc,
-        "clark_evans": q_clark_evans,
-        "quadrat_test": q_quadrat_test,
-        "hex_gini": q_hex_gini,
-        "variogram": q_variogram,
-        "variogram_dir": q_variogram_dir,
-        "std_ellipse": q_std_ellipse,
-        "knn_loo_r2": q_knn_loo_r2,
-        "correlogram": q_correlogram,
-        "hex_buffer": q_hex_buffer,
-        "hex_erode": q_hex_erode,
-        "hex_density": q_hex_density,
-        "hex_media_density": q_hex_media_density,
-        "hex_focal": q_hex_focal,
-        "hex_zscore": q_hex_zscore,
-        "hex_focal2": q_hex_focal2,
-        "nearest_hub": q_nearest_hub,
-        "zrange_query": q_zrange_query,
-        "zrange_store": q_zrange_store,
-        "poly_media_rollup": q_poly_media_rollup,
-        "span_transitions": q_span_transitions,
-        "hex_pyramid": q_hex_pyramid,
-        "hex_top_lang": q_hex_top_lang,
-        "hex_boundaries": q_hex_boundaries,
-        "hub_catchment": q_hub_catchment,
-        "hex_zonal": q_hex_zonal,
-        "hex_choropleth": q_hex_choropleth,
-        "hex_embedding_norm": q_hex_embedding_norm,
-        "hex_clusters": q_hex_clusters,
-        "poly_hex_cover": q_poly_hex_cover,
-        "spatial_join_hexidx": q_spatial_join_hexidx,
-        "poly_lang_entropy": q_poly_lang_entropy,
-        "media_hex_bytes": q_media_hex_bytes,
-        "focal_mean": q_focal_mean,
-        "cell_clusters": q_cell_clusters,
-        "cell_majority": q_cell_majority,
-        "token_entropy": q_token_entropy,
-        "pii_scrub": q_pii_scrub,
-        "repetition": q_repetition,
-        "customer_nation": q_customer_nation,
-        "stratified_sample": q_stratified_sample,
-        "weighted_sample": q_weighted_sample,
-        "weighted_sample_group": q_weighted_sample_group,
-        "iqr_outliers": q_iqr_outliers,
-        "percent_rank": q_percent_rank,
-        "ntile": q_ntile,
-        "window_ranks": q_window_ranks,
-        "grouped_corr": q_grouped_corr,
-        "events_transitions": q_events_transitions,
-        "events_ewma": q_events_ewma,
-        "events_seasonal": q_events_seasonal,
-        "events_scd2": q_events_scd2,
-        "events_changepoint": q_events_changepoint,
-        "events_did": q_events_did,
-        "events_rfm": q_events_rfm,
-        "events_ltv": q_events_ltv,
-        "grouped_mode": q_grouped_mode,
-        "cube": q_cube,
-        "degree_hist": q_degree_hist,
-        "co_occurrence": q_co_occurrence,
-        "assoc_rules": q_assoc_rules,
-        "mutual_info": q_mutual_info,
-        "trimmed_mean": q_trimmed_mean,
-        "events_rolling_users": q_events_rolling_users,
-        "jsonl_roundtrip": q_jsonl_roundtrip,
-        "histogram": q_histogram,
-        "keyword_search": q_keyword_search,
-        "full_outer": q_full_outer,
-        "set_intersect": q_set_intersect,
-        "set_except": q_set_except,
-        "grouped_mad": q_grouped_mad,
-        "events_latest": q_events_latest,
-        "chunk_documents": q_chunk_documents,
-        "bucketed_join": q_bucketed_join,
-        "pareto": q_pareto,
-        "events_gap_fill": q_events_gap_fill,
-        "events_trajectory": q_events_trajectory,
-        "od_matrix": q_od_matrix,
-        "hex_dwell": q_hex_dwell,
-        "hex_peak_hour": q_hex_peak_hour,
-        "spatial_antijoin": q_spatial_antijoin,
-        "step_bearings": q_step_bearings,
-        "session_paths": q_session_paths,
-        "radius_gyration": q_radius_gyration,
-        "location_entropy": q_location_entropy,
-        "od_top_flows": q_od_top_flows,
-        "hex_decay_density": q_hex_decay_density,
-        "hex_weekly_growth": q_hex_weekly_growth,
-        "unpivot_bands": q_unpivot_bands,
-        "morans_i": q_morans_i,
-        "local_moran": q_local_moran,
-        "gi_star": q_gi_star,
-        "spearman": q_spearman,
-        "dup_gram_coverage": q_dup_gram_coverage,
-        "semi_join": q_semi_join,
-        "moments": q_moments,
-        "hll_distinct": q_hll_distinct,
-        "tfidf_pairs": q_tfidf_pairs,
-        "pagerank": q_pagerank,
-        "pagerank_pers": q_pagerank_pers,
-        "grouped_topk": q_grouped_topk,
-        "anti_join": q_anti_join,
-        "reproject": q_reproject,
-        "reproject_webmerc": q_reproject_webmerc,
-        "tiling_bounds": q_tiling_bounds,
-        "spatial_join": q_spatial_join,
-        "spatial_join_left": q_spatial_join_left,
-        "spatial_join_hash": q_spatial_join_hash,
-        "nearest_polygon": q_nearest_polygon,
-        "grid_make": q_grid_make,
-        "grid_make_interior": q_grid_make_interior,
-        "grid_make_rect": q_grid_make_rect,
-        "grid_make_notrim": q_grid_make_notrim,
-        "overlay_intersection": q_overlay_intersection,
-        "overlay_union": q_overlay_union,
-        "area_interpolate": q_area_interpolate,
-        "poly_overlay": q_poly_overlay,
-        "poly_metrics": q_poly_metrics,
-        "poly_adjacency": q_poly_adjacency,
-        "poly_overlay_concave": q_poly_overlay_concave,
-        "disaggregate": q_disaggregate,
-        "grid_aggregation": q_grid_aggregation,
-        "knn": q_knn,
-        "spans_roundtrip": q_spans_roundtrip,
-        "token_count": q_token_count,
-        "quality_score": q_quality_score,
-        "readability": q_readability,
-        "lang_id": q_lang_id,
-        "fingerprint": q_fingerprint,
-        "rolling_fp": q_rolling_fp,
-        "corpus_curate": q_corpus_curate,
-        "neardup_keep_best": q_neardup_keep_best,
-        "top_bigrams": q_top_bigrams,
-        "pmi_bigrams": q_pmi_bigrams,
-        "fuzzy_vocab": q_fuzzy_vocab,
-        "bpe_merges": q_bpe_merges,
-        "record_link": q_record_link,
-        "scc": q_scc,
-        "lang_quantiles": q_lang_quantiles,
-        "train_split": q_train_split,
-        "pack_sequences": q_pack_sequences,
-        "token_budget": q_token_budget,
-        "decontaminate": q_decontaminate,
-        "contamination_overlap": q_contamination_overlap,
-        "decon_neardup": q_decon_neardup,
-        "curriculum_rank": q_curriculum_rank,
-        "mix_weights": q_mix_weights,
-        "ngram_diversity": q_ngram_diversity,
-        "winnow": q_winnow,
-        "grid_join_counts": q_grid_join_counts,
-        "dup_cluster_sizes": q_dup_cluster_sizes,
-        "cross_snapshot_dups": q_cross_snapshot_dups,
-        "fd_check": q_fd_check,
-        "quality_psi": q_quality_psi,
-        "events_acf_cal": q_events_acf_cal,
-        "token_js": q_token_js,
-        "embedding_cov": q_embedding_cov,
-        "shuffle_pos": q_shuffle,
-        "llm_prepare": q_llm_prepare,
-        "events_lag": q_events_lag,
-        "mixture": q_mixture,
-        "dedup_lines": q_dedup_lines,
-        "dedup_lines_nl": q_dedup_lines_nl,
-        "countmin_topk": q_countmin,
-        "lang_quantiles_cont": q_lang_quantiles_cont,
-        "filter_cascade": q_filter_cascade,
-        "salted_join": q_salted_join,
-        "events_funnel": q_events_funnel,
-        "bm25": q_bm25,
-        "lang_confusion": q_lang_confusion,
-        "distinct_count": q_distinct_count,
-        "table_profile": q_table_profile,
-        "numeric_profile": q_numeric_profile,
-        "k_anonymity": q_k_anonymity,
-        "fk_check": q_fk_check,
-        "quota_sample": q_quota_sample,
-        "incremental_agg": q_incremental_agg,
-        "sample_exact_k": q_sample_exact_k,
-        "approx_quantiles": q_approx_quantiles,
-        "normalize": q_normalize,
-        "top_sources": q_top_sources,
-        "clip": q_clip,
-        "snapshot_diff": q_snapshot_diff,
-        "zscore": q_zscore,
-        "bigram_lm": q_bigram_lm,
-        "cells_export": q_cells_export,
-        "events_retention": q_events_retention,
-        "seasonal_naive": q_seasonal_naive,
-        "q3_shipping": q3_shipping,
-        "rollup": q_rollup,
-        "pivot_langs": q_pivot_langs,
-        "string_agg": q_string_agg,
-        "unigram_logprob": q_unigram_logprob,
-        "exact_dedup": q_exact_dedup,
-        "minhash_lsh": q_minhash_lsh,
-        "neardup_cluster": q_neardup_cluster,
-        "simhash_pairs": q_simhash_pairs,
-        "simhash": q_simhash,
-        "ngram_jaccard": q_ngram_jaccard,
-        "embedding_neardup": q_embedding_neardup,
-        "embedding_lsh": q_embedding_lsh,
-        "ann_topk": q_ann_topk,
-        "ann_range": q_ann_range,
-        "hard_negatives": q_hard_negatives,
-        "mmr_select": q_mmr_select,
-        "kmeans": q_kmeans,
-        "emb_outlier": q_emb_outlier,
-        "quantize_emb": q_quantize,
-        "ivf_topk": q_ivf_topk,
-        "ivf_pruned": q_ivf_pruned,
-        "ivf_multiprobe": q_ivf_multiprobe,
-        "raster_cells": q_raster_cells,
-        "raster_hillshade": q_raster_hillshade,
-        "raster_d8": q_raster_d8,
-        "raster_terrain": q_raster_terrain,
-        "raster_bilinear": q_raster_bilinear,
-        "raster_contour": q_raster_contour,
-        "raster_profile": q_raster_profile,
-        "raster_resample": q_raster_resample,
-        "zonal_stats": q_zonal_stats,
-        "frame_rowsum": q_frame_rowsum,
-        "media_features": q_media_features,
-        "media_features_vec": q_media_features_vec,
-        "media_dedup": q_media_dedup,
-        "winnow_pairs": q_winnow_pairs,
-        "media_resize": q_media_resize,
-        "media_frames": q_media_frames,
-        "events_window": q_events_window,
-        "events_hopping": q_events_hopping,
-        "events_rolling": q_events_rolling,
-        "events_asof": q_events_asof,
-        "events_interval": q_events_interval,
-        "events_sessionize": q_events_sessionize,
-        "q1_pricing": q_q1_pricing,
-        "q5_revenue": q_q5_revenue,
-        "top_customers": q_top_customers,
-        "mann_whitney": q_mann_whitney,
-        "kendall_tau": q_kendall_tau,
-        "attribution": q_attribution,
-        "anova_f": q_anova_f,
-        "ks_test": q_ks_test,
-        "brown_forsythe": q_brown_forsythe,
-        "welch_t": q_welch_t,
-        "wilcoxon_signed": q_wilcoxon_signed,
-        "cramers_v": q_cramers_v,
-        "ols_fit": q_ols_fit,
-        "cohens_kappa": q_cohens_kappa,
-        "jensen_shannon": q_jensen_shannon,
-        "grouped_regression": q_grouped_regression,
-        "semdedup": q_semdedup,
-        "q4_priority": q_q4_priority,
-        "q6_revenue": q_q6_revenue,
-        "q10_returned": q_q10_returned,
-        "q14_promo": q_q14_promo,
-        "q18_large_orders": q_q18_large_orders,
-        "q19_discount": q_q19_discount,
-        "q7_volume": q_q7_volume,
-        "q8_market_share": q_q8_market_share,
-        "q13_custdist": q_q13_custdist,
-        "q15_top_supplier": q_q15_top_supplier,
-        "q22_lapsed": q_q22_lapsed,
-        "gopher_rules": q_gopher_rules,
-        "ccnet_buckets": q_ccnet_buckets,
-        "path_cell_length": q_path_cell_length,
-        "events_watermark": q_events_watermark,
-        "q17_small_qty": q_q17_small_qty,
-        "q21_waiting": q_q21_waiting,
-        "q2_min_cost": q_q2_min_cost,
-        "q9_profit": q_q9_profit,
-        "q11_important": q_q11_important,
-        "q12_late_priority": q_q12_late_priority,
-        "q16_supplier_cnt": q_q16_supplier_cnt,
-        "q20_excess": q_q20_excess,
-        "bfs_hops": q_bfs_hops,
-        "sssp_cost": q_sssp_cost,
-        "harmonic": q_harmonic,
-        "pq_recall": q_pq_recall,
-        "lsh_screen": q_lsh_screen,
-        "ann_recall": q_ann_recall,
-        "sq8_recall": q_sq8_recall,
-        "trunc_recall": q_trunc_recall,
-        "simhash_screen": q_simhash_screen,
-    }
-
-
-def q_q7_volume(sf_dir: str):
-    from .tpch import q7_volume
-
-    return q7_volume(sf_dir)
-
-
-def q_q8_market_share(sf_dir: str):
-    from .tpch import q8_market_share
-
-    return q8_market_share(sf_dir)
-
-
-def q_q13_custdist(sf_dir: str):
-    from .tpch import q13_custdist
-
-    return q13_custdist(sf_dir)
-
-
-def q_q15_top_supplier(sf_dir: str):
-    from .tpch import q15_top_supplier
-
-    return q15_top_supplier(sf_dir)
-
-
-def q_q22_lapsed(sf_dir: str):
-    from .tpch import q22_lapsed
-
-    return q22_lapsed(sf_dir)
-
-
-def q_path_cell_length(sf_dir: str):
-    """Line x grid overlay: per-cell trajectory length via vectorized
-    grid-line clipping (ragged-arange crossings, one user-bucket
-    shuffle)."""
-    from .relational import events_path_cell_length
-
-    return events_path_cell_length(sf_dir)
-
-
-def _sql_path_cell_length() -> str:
-    from .relational import sql_events_path_cell_length
-
-    return sql_events_path_cell_length()
-
-
-def q_events_watermark(sf_dir: str):
-    """Streaming watermark lateness accounting (two-pass range-bucket
-    prefix cummax over the deterministic arrival shuffle)."""
-    from .relational import events_watermark
-
-    return events_watermark(sf_dir)
-
-
-def _sql_events_watermark() -> str:
-    from .relational import sql_events_watermark
-
-    return sql_events_watermark()
-
-
-def q_q17_small_qty(sf_dir: str):
-    from .tpch import q17_small_qty
-
-    return q17_small_qty(sf_dir)
-
-
-def q_q21_waiting(sf_dir: str):
-    from .tpch import q21_waiting
-
-    return q21_waiting(sf_dir)
-
-
-def q_q2_min_cost(sf_dir: str):
-    from .tpch import q2_min_cost
-
-    return q2_min_cost(sf_dir)
-
-
-def q_q9_profit(sf_dir: str):
-    from .tpch import q9_profit
-
-    return q9_profit(sf_dir)
-
-
-def q_q11_important(sf_dir: str):
-    from .tpch import q11_important_parts
-
-    return q11_important_parts(sf_dir)
-
-
-def q_q12_late_priority(sf_dir: str):
-    from .tpch import q12_late_priority
-
-    return q12_late_priority(sf_dir)
-
-
-def q_q16_supplier_cnt(sf_dir: str):
-    from .tpch import q16_supplier_cnt
-
-    return q16_supplier_cnt(sf_dir)
-
-
-def q_q20_excess(sf_dir: str):
-    from .tpch import q20_excess
-
-    return q20_excess(sf_dir)
-
-
+@query("ann_recall", sql=lambda: _sql_ann_recall(), quadratic=True)
 def q_ann_recall(sf_dir: str):
     """ANN index-quality evaluation: recall@k of the IVF(nprobe=3) path
     against the exact brute-force top-k, per query — the acceptance
@@ -15693,6 +15111,12 @@ def _recall_table(exact, approx, *, k: int) -> pa.Table:
     )
 
 
+@query(
+    "sq8_recall",
+    sql=lambda: ann.sql_sq_recall(5, 10, 64, 15),
+    bench=True,
+    quadratic=True,
+)
 def q_sq8_recall(sf_dir: str):
     """Embedding-compression acceptance gate: recall@k of brute-force
     search over the scalar quantize->dequantize corpus (asymmetric:
@@ -15720,6 +15144,12 @@ def q_sq8_recall(sf_dir: str):
     return _recall_table(exact, approx, k=5)
 
 
+@query(
+    "pq_recall",
+    sql=lambda: ann.sql_pq_recall(5, 10, 64, 4, 8, 1),
+    bench=True,
+    quadratic=True,
+)
 def q_pq_recall(sf_dir: str):
     """Product-quantization acceptance gate: recall@k of brute-force
     search over the PQ-reconstructed corpus (4 subspaces x 8 centroids
@@ -15745,18 +15175,7 @@ def q_pq_recall(sf_dir: str):
     return _recall_table(exact, approx, k=5)
 
 
-def _sql_pq_recall() -> str:
-    from ..ann import sql_pq_recall
-
-    return sql_pq_recall(5, 10, 64, 4, 8, 1)
-
-
-def _sql_sq8_recall() -> str:
-    from ..ann import sql_sq_recall
-
-    return sql_sq_recall(5, 10, 64, 15)
-
-
+@query("trunc_recall", sql=lambda: ann.sql_trunc_recall(5, 10, 16), quadratic=True)
 def q_trunc_recall(sf_dir: str):
     """Matryoshka dimension-truncation acceptance gate: recall@k when
     both queries and corpus keep only the first 16 of 64 coordinates
@@ -15782,12 +15201,7 @@ def q_trunc_recall(sf_dir: str):
     return _recall_table(exact, approx, k=5)
 
 
-def _sql_trunc_recall() -> str:
-    from ..ann import sql_trunc_recall
-
-    return sql_trunc_recall(5, 10, 16)
-
-
+@query("simhash_screen", sql=lambda: _sql_simhash_screen(), bench=True, quadratic=True)
 def q_simhash_screen(sf_dir: str):
     """Near-dup screen quality gate: precision/recall of the SimHash
     hamming<=3 candidate screen against exact n-gram Jaccard >= 0.3
@@ -15849,6 +15263,7 @@ FROM m
 """
 
 
+@query("lsh_screen", sql=lambda: _sql_lsh_screen())
 def q_lsh_screen(sf_dir: str):
     """Hyperplane-LSH band-recall gate: the fraction of the EXACT
     cosine>=0.35 near-dup pair set that sign-band collisions recover
@@ -15932,6 +15347,7 @@ ORDER BY e.query_id
 """
 
 
+@query("gopher_rules", sql=text.sql_gopher_rules, bench=True)
 def q_gopher_rules(sf_dir: str):
     """Gopher quality-rule gate (first-fail reason codes, integer
     cross-multiplied boundaries)."""
@@ -15945,12 +15361,7 @@ def q_gopher_rules(sf_dir: str):
     return ds.map_batches(gopher_rules, batch_format="pyarrow").sort("doc_id")
 
 
-def _sql_gopher_rules() -> str:
-    from ..text import sql_gopher_rules
-
-    return sql_gopher_rules()
-
-
+@query("ccnet_buckets", sql=lambda: _sql_ccnet_buckets(), bench=True)
 def q_ccnet_buckets(sf_dir: str):
     """CCNet-style per-language perplexity bucketing: the corpus-own
     unigram logprob proxy (aggregate -> broadcast -> vectorized score),
@@ -16017,6 +15428,12 @@ ORDER BY s.doc_id
 """
 
 
+@query(
+    "semdedup",
+    sql=lambda: dedup.sql_semdedup(k=8, iters=2, tau=SEMDEDUP_TAU),
+    bench=True,
+    quadratic=True,
+)
 def q_semdedup(sf_dir: str):
     """SemDeDup semantic dedup: k-means-bucketed within-cluster cosine
     keep/remove marking over the embeddings table."""
@@ -16031,52 +15448,6 @@ def q_semdedup(sf_dir: str):
 
 
 SEMDEDUP_TAU = 0.3
-
-
-def q_q4_priority(sf_dir: str):
-    from .tpch import q4_priority
-
-    return q4_priority(sf_dir)
-
-
-def q_q6_revenue(sf_dir: str):
-    from .tpch import q6_revenue
-
-    return q6_revenue(sf_dir)
-
-
-def q_q10_returned(sf_dir: str):
-    from .tpch import q10_returned
-
-    return q10_returned(sf_dir)
-
-
-def q_q14_promo(sf_dir: str):
-    from .tpch import q14_promo
-
-    return q14_promo(sf_dir)
-
-
-def q_q18_large_orders(sf_dir: str):
-    from .tpch import q18_large_orders
-
-    return q18_large_orders(sf_dir)
-
-
-def q_q19_discount(sf_dir: str):
-    from .tpch import q19_discount
-
-    return q19_discount(sf_dir)
-
-
-def _sql_stratified_sample() -> str:
-    from ..stats import sql_stratified_sample
-
-    return sql_stratified_sample(
-        key_col="doc_id", group_col="lang",
-        rates=STRAT_RATES, default_rate=STRAT_DEFAULT,
-        source="(SELECT doc_id, lang, n_chars FROM documents)",
-    )
 
 
 def _sql_pii_scrub() -> str:
@@ -16400,34 +15771,10 @@ WHERE l.doc_id = l.component AND q.quality >= {CURATE_MIN_QUALITY}
 """
 
 
-def _sql_emb_lsh():
-    from ..dedup import sql_embedding_lsh
-
-    return sql_embedding_lsh(0.35, 64)
-
-
-def _sql_media_resize():
-    from ..multimodal import sql_media_resize
-
-    return sql_media_resize(64, 64)
-
-
-def _sql_media_frames():
-    from ..multimodal import sql_frame_sample
-
-    return sql_frame_sample(4, 8)
-
-
 def _sql_train_split():
     from ..stats import sql_split_by_hash
 
     return ("SELECT doc_id, lang, split FROM (" + sql_split_by_hash("doc_id") + ")")
-
-
-def _sql_unigram():
-    from ..text import sql_unigram_logprob
-
-    return sql_unigram_logprob()
 
 
 def _sql_disaggregate():
@@ -16454,645 +15801,10 @@ GROUP BY r.poly_id
 """
 
 
-def _sql_nearest_poly():
-    from ..spatial import sql_nearest_polygon
-
-    return sql_nearest_polygon(sql_points_cte())
-
-
-def _sql_events_transitions() -> str:
-    from .relational import sql_events_transitions
-
-    return sql_events_transitions()
-
-
-def _sql_events_ewma() -> str:
-    from .relational import sql_events_ewma
-
-    return sql_events_ewma()
-
-
-def _sql_grouped_mode() -> str:
-    from ..stats import sql_grouped_mode
-
-    return sql_grouped_mode(
-        group_key="o_orderstatus", value="o_orderpriority", source="orders"
-    )
-
-
-def _sql_cube() -> str:
-    from ..stats import sql_cube_aggregate
-
-    return sql_cube_aggregate(keys=("lang", "source"), value="n_chars")
-
-
-def _sql_degree_hist() -> str:
-    from ..graph import sql_degree_histogram
-
-    return sql_degree_histogram()
-
-
-def _sql_co_occurrence() -> str:
-    from ..graph import sql_co_occurrence
-
-    return sql_co_occurrence()
-
-
-def _sql_events_rolling_users() -> str:
-    from .relational import sql_events_rolling_users
-
-    return sql_events_rolling_users()
-
-
-def oracle_sql():
-    cols = sql_cell_columns(RES, TSC)
-    sel = ", ".join(f"{e} AS {n}" for n, e in cols.items())
-    cols_off = sql_cell_columns(RES, TSC, 2500.0, 7300.0)
-    sel_off = ", ".join(
-        f"{e} AS {n}"
-        for n, e in cols_off.items()
-    )
-    spec50 = plan_grid(DOMAIN, OVL_CELL, tile=(8, 8))
-    points = sql_points_cte()
-    agg_inner = sql_grid_aggregation(
-        RES,
-        50,
-        {"sum_chars": "sum", "avg_chars": "average", "mean_chars": "average3"},
-        rounding=6,
-        source="pts",
-    )
-    return {
-        "cell_assign": (
-            f"WITH points AS ({points}) "
-            f"SELECT doc_id, ROUND(x * 1e6) / 1e6 AS x, ROUND(y * 1e6) / 1e6 AS y, "
-            f"{sel} FROM points"
-        ),
-        "cell_assign_offset": (
-            f"WITH points AS ({points}) SELECT doc_id, {sel_off} FROM points"
-        ),
-        "cell_hier": _sql_cell_hier(),
-        "hier_rollup": _sql_hier_rollup(),
-        "hex_assign": _sql_hex_assign(),
-        "geohash_assign": _sql_geohash_assign(),
-        "s2_assign": _sql_s2_assign(),
-        "s2_density": _sql_s2_density(),
-        "s2_range": _sql_s2_range(),
-        "sphere_nn": _sql_sphere_nn(),
-        "zonal_hist": _sql_zonal_hist(),
-        "od_paths": _sql_od_paths(),
-        "path_density": _sql_path_density(),
-        "band_corr": _sql_band_corr(),
-        "band_index": _sql_band_index(),
-        "accessibility": _sql_accessibility(),
-        "speed_outliers": _sql_speed_outliers(),
-        "mutual_nn": _sql_mutual_nn(),
-        "join_counts": _sql_join_counts(),
-        "colocation_quotient": _sql_colocation_quotient(),
-        "hex_entropy": _sql_hex_entropy(),
-        "g_function": _sql_g_function(),
-        "f_function": _sql_f_function(),
-        "heal_area": _sql_heal_area(),
-        "dsir_weights": _sql_dsir_weights(),
-        "voronoi_assign": _sql_voronoi_assign(),
-        "map_match": _sql_map_match(),
-        "traj_hausdorff": _sql_traj_hausdorff(),
-        "convex_hull": _sql_convex_hull(),
-        "dissolve_area": _sql_dissolve_area(),
-        "geometric_median": _sql_geometric_median(),
-        "raster_flow_accum": _sql_raster_flow_accum(),
-        "raster_cost_distance": _sql_raster_cost_distance(),
-        "raster_viewshed": _sql_raster_viewshed(),
-        "raster_watershed": _sql_raster_watershed(),
-        "raster_cost_path": _sql_raster_cost_path(),
-        "zonal_majority": _sql_zonal_majority(),
-        "skyline": _sql_skyline(),
-        "traj_frechet": _sql_traj_dp("frechet"),
-        "traj_dtw": _sql_traj_dp("dtw"),
-        "hilbert_assign": _sql_hilbert_assign(),
-        "raster_cost_allocation": _sql_raster_cost_allocation(),
-        "raster_cost_bands": _sql_raster_cost_bands(),
-        "hex_theil_sen": _sql_hex_theil_sen(),
-        "huff_shares": _sql_huff_shares(),
-        "dissimilarity_index": _sql_dissimilarity_index(),
-        "zipf_fit": _sql_zipf_fit(),
-        "knox_test": _sql_knox_test(),
-        "bearing_stats": _sql_bearing_stats(),
-        "st_dbscan": _sql_st_dbscan(),
-        "traj_simplify": _sql_traj_simplify(),
-        "ab_test": _sql_ab_test(),
-        "benford": _sql_benford(),
-        "kcore": _sql_kcore(),
-        "triangle_stats": _sql_triangle_stats(),
-        "local_clustering": _sql_local_clustering(),
-        "adamic_adar": _sql_adamic_adar(),
-        "assortativity": _sql_assortativity(),
-        "auc_nchars": _sql_auc_nchars(),
-        "events_acf": _sql_events_acf_q(),
-        "events_type_corr": _sql_events_type_corr_q(),
-        "events_interarrival": _sql_events_interarrival_q(),
-        "events_survival": _sql_events_survival_q(),
-        "hits": _sql_hits(),
-        "doc_keywords": _sql_doc_keywords(),
-        "seasonal_decompose": _sql_seasonal_decompose(),
-        "type_jaccard": _sql_type_jaccard(),
-        "naive_bayes": _sql_naive_bayes(),
-        "state_intervals": _sql_state_intervals(),
-        "holt_linear": _sql_holt_linear(),
-        "transition_stationary": _sql_transition_stationary(),
-        "raster_equalize": _sql_raster_equalize(),
-        "props_stats": _sql_props_stats(),
-        "raster_focal_median": _sql_raster_focal_median(),
-        "hex_cusum": _sql_hex_cusum(),
-        "geary_c": _sql_geary_c(),
-        "label_prop": _sql_label_prop(),
-        "ipf_balance": _sql_ipf_balance(),
-        "region_week_chi2": _sql_region_week_chi2(),
-        "movement_entropy": _sql_movement_entropy(),
-        "idw_interpolate": _sql_idw_interpolate(),
-        "hex_spatial_lag": _sql_hex_spatial_lag(),
-        "hex_mann_kendall": _sql_hex_mann_kendall(),
-        "hex_triangles": _sql_hex_triangles(),
-        "hex_bfs": _sql_hex_bfs(),
-        "general_g": _sql_general_g(),
-        "od_gravity": _sql_od_gravity(),
-        "home_work": _sql_home_work(),
-        "ripley_k": _sql_ripley_k(),
-        "hex_kde": _sql_hex_kde(),
-        "events_coloc": _sql_events_coloc(),
-        "clark_evans": _sql_clark_evans(),
-        "quadrat_test": _sql_quadrat_test(),
-        "hex_gini": _sql_hex_gini(),
-        "variogram": _sql_variogram(),
-        "variogram_dir": _sql_variogram_dir(),
-        "std_ellipse": _sql_std_ellipse(),
-        "knn_loo_r2": _sql_knn_loo_r2(),
-        "correlogram": _sql_correlogram(),
-        "hex_buffer": _sql_hex_buffer(),
-        "hex_erode": _sql_hex_erode(),
-        "hex_density": _sql_hex_density(),
-        "hex_media_density": _sql_hex_media_density(),
-        "hex_focal": _sql_hex_focal(),
-        "hex_zscore": _sql_hex_zscore(),
-        "hex_focal2": _sql_hex_focal2(),
-        "nearest_hub": _sql_nearest_hub(),
-        "zrange_query": _sql_zrange_query(),
-        "zrange_store": _sql_zrange_query(),
-        "poly_media_rollup": _sql_poly_media_rollup(),
-        "span_transitions": _sql_span_transitions(),
-        "hex_pyramid": _sql_hex_pyramid(),
-        "hex_top_lang": _sql_hex_top_lang(),
-        "hex_boundaries": _sql_hex_boundaries(),
-        "hub_catchment": _sql_hub_catchment(),
-        "hex_zonal": _sql_hex_zonal(),
-        "hex_choropleth": _sql_hex_choropleth(),
-        "hex_embedding_norm": _sql_hex_embedding_norm(),
-        "hex_clusters": _sql_hex_clusters(),
-        "poly_hex_cover": _sql_poly_hex_cover(),
-        "spatial_join_hexidx": _sql_spatial_join_hexidx(),
-        "poly_lang_entropy": _sql_poly_lang_entropy(),
-        "media_hex_bytes": _sql_media_hex_bytes(),
-        "focal_mean": _sql_focal_mean(),
-        "cell_clusters": _sql_cell_clusters(),
-        "cell_majority": _sql_cell_majority(),
-        "token_entropy": _sql_token_entropy(),
-        "pii_scrub": _sql_pii_scrub(),
-        "repetition": _sql_repetition(),
-        "customer_nation": (
-            "SELECT c_custkey, c_name, n_name, r_name FROM customer "
-            "JOIN nation ON c_nationkey = n_nationkey "
-            "JOIN region ON n_regionkey = r_regionkey"
-        ),
-        "stratified_sample": _sql_stratified_sample(),
-        "weighted_sample": _sql_weighted_sample(),
-        "weighted_sample_group": _sql_weighted_sample_group(),
-        "iqr_outliers": _sql_iqr_outliers(),
-        "percent_rank": _sql_percent_rank(),
-        "ntile": _sql_ntile(),
-        "window_ranks": _sql_window_ranks(),
-        "grouped_corr": _sql_grouped_corr(),
-        "events_transitions": _sql_events_transitions(),
-        "events_ewma": _sql_events_ewma(),
-        "events_seasonal": _sql_events_seasonal(),
-        "events_scd2": _sql_events_scd2(),
-        "events_changepoint": _sql_events_changepoint(),
-        "events_did": _sql_events_did(),
-        "events_rfm": _sql_events_rfm(),
-        "events_ltv": _sql_events_ltv(),
-        "grouped_mode": _sql_grouped_mode(),
-        "cube": _sql_cube(),
-        "degree_hist": _sql_degree_hist(),
-        "co_occurrence": _sql_co_occurrence(),
-        "assoc_rules": _sql_assoc_rules(),
-        "mutual_info": _sql_mutual_info(),
-        "trimmed_mean": _sql_trimmed_mean(),
-        "events_rolling_users": _sql_events_rolling_users(),
-        "jsonl_roundtrip": _sql_jsonl_roundtrip(),
-        "histogram": _sql_histogram(),
-        "keyword_search": _sql_keyword_search(),
-        "full_outer": _sql_full_outer(),
-        "set_intersect": _sql_set_intersect(),
-        "set_except": _sql_set_except(),
-        "grouped_mad": _sql_grouped_mad(),
-        "events_latest": _sql_events_latest(),
-        "chunk_documents": _sql_chunk_documents(),
-        "bucketed_join": _sql_bucketed_join(),
-        "pareto": _sql_pareto(),
-        "events_gap_fill": _sql_events_gap_fill(),
-        "events_trajectory": _sql_events_trajectory(),
-        "od_matrix": _sql_od_matrix(),
-        "hex_dwell": _sql_hex_dwell(),
-        "hex_peak_hour": _sql_hex_peak_hour(),
-        "spatial_antijoin": _sql_spatial_antijoin(),
-        "step_bearings": _sql_step_bearings(),
-        "session_paths": _sql_session_paths(),
-        "radius_gyration": _sql_radius_gyration(),
-        "location_entropy": _sql_location_entropy(),
-        "od_top_flows": _sql_od_top_flows(),
-        "hex_decay_density": _sql_hex_decay_density(),
-        "hex_weekly_growth": _sql_hex_weekly_growth(),
-        "unpivot_bands": _sql_unpivot_bands(),
-        "morans_i": _sql_morans_i(),
-        "local_moran": _sql_local_moran(),
-        "gi_star": _sql_gi_star(),
-        "spearman": _sql_spearman(),
-        "dup_gram_coverage": _sql_dup_gram_coverage(),
-        "moments": _sql_moments(),
-        "hll_distinct": _sql_hll_distinct(),
-        "tfidf_pairs": _sql_tfidf_pairs(),
-        "pagerank": _sql_pagerank(),
-        "pagerank_pers": _sql_pagerank_pers(),
-        "grouped_topk": _sql_grouped_topk(),
-        "semi_join": (
-            "SELECT l_orderkey, COUNT(*) AS n_lines, SUM(l_quantity) AS sum_qty "
-            "FROM lineitem WHERE l_orderkey IN (SELECT o_orderkey FROM orders "
-            f"WHERE o_totalprice > {SEMI_PRICE_CUT!r}) GROUP BY l_orderkey"
-        ),
-        "anti_join": (
-            "SELECT l_orderkey, COUNT(*) AS n_lines, SUM(l_quantity) AS sum_qty "
-            "FROM lineitem WHERE l_orderkey NOT IN (SELECT o_orderkey FROM orders "
-            f"WHERE o_totalprice > {SEMI_PRICE_CUT!r}) GROUP BY l_orderkey"
-        ),
-        "reproject": _sql_reproject(),
-        "reproject_webmerc": _sql_reproject_webmerc(),
-        "tiling_bounds": (
-            f"WITH points AS ({points}) "
-            f"SELECT {cols['xt']} AS xt, {cols['yt']} AS yt, COUNT(*)::BIGINT AS n_docs "
-            f"FROM points GROUP BY xt, yt"
-        ),
-        "spatial_join": (
-            sql_point_join(points, "inner")
-            .replace("SELECT p.*", "SELECT p.doc_id")
-        ),
-        "nearest_polygon": _sql_nearest_poly(),
-        "spatial_join_left": (
-            sql_point_join(points, "left")
-            .replace("SELECT p.*", "SELECT p.doc_id")
-        ),
-        "spatial_join_hash": (
-            sql_point_join(points, "inner")
-            .replace("SELECT p.*", "SELECT p.doc_id")
-        ),
-        "grid_make": sql_make_grid(DOMAIN, GRID_CELL, tile=(16, 16)),
-        "grid_make_interior": sql_make_grid(
-            DOMAIN, GRID_CELL, tile=(16, 16), interior=True
-        ),
-        "grid_make_rect": sql_make_grid(
-            DOMAIN, (20_000.0, 30_000.0), tile=(8, 8), trim=False, mask_true=True
-        ),
-        "grid_make_notrim": sql_make_grid(
-            DOMAIN, GRID_CELL, tile=(16, 16), trim=False, placeholders=True
-        ),
-        "overlay_intersection": sql_overlay_fragments(spec50, how="intersection"),
-        "overlay_union": sql_overlay_fragments(spec50, how="union"),
-        "poly_overlay": _sql_poly_overlay(),
-        "poly_metrics": _sql_poly_metrics(),
-        "poly_adjacency": _sql_poly_adjacency(),
-        "poly_overlay_concave": _sql_poly_overlay_concave(),
-        "area_interpolate": sql_grid_overlay_sum(spec50, ["pop"]),
-        "disaggregate": _sql_disaggregate(),
-        "grid_aggregation": (
-            f"WITH points AS ({points}), "
-            f"pts AS (SELECT p.x, p.y, d.n_chars::DOUBLE AS sum_chars, "
-            f"d.n_chars::DOUBLE AS avg_chars, d.n_chars::DOUBLE AS mean_chars "
-            f"FROM points p JOIN documents d USING (doc_id)) "
-            + agg_inner
-        ),
-        "knn": (
-            f"WITH points AS ({points}) "
-            f"SELECT a.doc_id, "
-            f"ROW_NUMBER() OVER (PARTITION BY a.doc_id "
-            f"  ORDER BY (b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y), b.doc_id)::BIGINT AS rank, "
-            f"b.doc_id AS neighbor_id, "
-            f"ROUND(SQRT((b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y)) * 1e6) / 1e6 AS distance "
-            f"FROM points a, points b "
-            f"QUALIFY rank <= 4"
-        ),
-        "spans_roundtrip": sql_span_summary_cte(),
-        "token_count": (
-            "SELECT doc_id, len(regexp_extract_all(text, '\\S+'))::BIGINT AS n_tokens, "
-            f"len(regexp_extract_all(text, '{BPE_PATTERN.replace(chr(39), chr(39) * 2)}'))::BIGINT AS bpe_tokens, "
-            "length(text)::BIGINT AS len_chars FROM documents"
-        ),
-        "quality_score": (
-            "SELECT doc_id, n_tokens, ROUND(punct_ratio * 1e6) / 1e6 AS punct_ratio, "
-            "ROUND(stop_ratio * 1e6) / 1e6 AS stop_ratio, ROUND(quality * 1e6) / 1e6 AS quality "
-            f"FROM ({_sql_quality()})"
-        ),
-        "readability": (
-            "SELECT doc_id, n_words, n_sents, n_syllables, "
-            "ROUND((206.835::DOUBLE - 1.015::DOUBLE * "
-            "(GREATEST(n_words, 1)::DOUBLE / GREATEST(n_sents, 1)::DOUBLE) "
-            "- 84.6::DOUBLE * (n_syllables::DOUBLE / "
-            "GREATEST(n_words, 1)::DOUBLE)) * 1e6) / 1e6 AS flesch "
-            "FROM (SELECT doc_id, "
-            "len(regexp_extract_all(text, '\\S+'))::BIGINT AS n_words, "
-            "len(regexp_extract_all(text, '[.!?]+'))::BIGINT AS n_sents, "
-            "len(regexp_extract_all(text, '[AEIOUYaeiouy]+'))::BIGINT "
-            "AS n_syllables FROM documents WHERE text IS NOT NULL)"
-        ),
-        "lang_id": f"SELECT doc_id, lang, lang_pred FROM ({_sql_lang()})",
-        "fingerprint": "SELECT doc_id, md5(text) AS fingerprint FROM documents",
-        "rolling_fp": _sql_rolling_fp(),
-        "corpus_curate": _sql_corpus_curate(),
-        "neardup_keep_best": _sql_neardup_keep_best(),
-        "top_bigrams": sql_top_ngrams(2, 25),
-        "pmi_bigrams": sql_pmi_bigrams(min_count=5),
-        "fuzzy_vocab": sql_fuzzy_vocab(max_dist=2),
-        "bpe_merges": _sql_bpe_merges(),
-        "record_link": _sql_record_link(),
-        "scc": _sql_scc(),
-        "lang_quantiles": sql_grouped_quantiles(),
-        "train_split": _sql_train_split(),
-        "pack_sequences": _sql_pack_sequences(),
-        "token_budget": _sql_token_budget(),
-        "decontaminate": _sql_decontaminate(),
-        "contamination_overlap": _sql_contamination_overlap(),
-        "decon_neardup": _sql_decon_neardup(),
-        "curriculum_rank": _sql_curriculum_rank(),
-        "mix_weights": _sql_mix_weights(),
-        "ngram_diversity": _sql_ngram_diversity(),
-        "winnow": _sql_winnow(),
-        "grid_join_counts": _sql_grid_join_counts(),
-        "dup_cluster_sizes": _sql_dup_cluster_sizes(),
-        "cross_snapshot_dups": _sql_cross_snapshot_dups(),
-        "fd_check": _sql_fd_check(),
-        "quality_psi": _sql_quality_psi(),
-        "events_acf_cal": _sql_events_acf_cal(),
-        "token_js": _sql_token_js(),
-        "embedding_cov": _sql_embedding_cov(),
-        "shuffle_pos": _sql_shuffle(),
-        "llm_prepare": _sql_llm_prepare(),
-        "events_lag": _sql_events_lag(),
-        "mixture": _sql_mixture(),
-        "dedup_lines": _sql_dedup_lines(),
-        "dedup_lines_nl": _sql_dedup_lines_nl(),
-        "countmin_topk": _sql_countmin(),
-        "lang_quantiles_cont": _sql_lang_quantiles_cont(),
-        "filter_cascade": _sql_filter_cascade(),
-        "salted_join": _sql_salted_join(),
-        "events_funnel": _sql_events_funnel(),
-        "bm25": _sql_bm25(),
-        "lang_confusion": _sql_lang_confusion(),
-        "distinct_count": _sql_distinct_count(),
-        "table_profile": _sql_table_profile(),
-        "numeric_profile": _sql_numeric_profile(),
-        "k_anonymity": _sql_k_anonymity(),
-        "fk_check": _sql_fk_check(),
-        "quota_sample": _sql_quota_sample(),
-        "incremental_agg": _sql_incremental_agg(),
-        "sample_exact_k": _sql_sample_exact_k(),
-        "approx_quantiles": _sql_approx_quantiles(),
-        "normalize": _sql_normalize(),
-        "top_sources": _sql_top_sources(),
-        "clip": _sql_clip(),
-        "snapshot_diff": _sql_snapshot_diff(),
-        "zscore": _sql_zscore(),
-        "bigram_lm": _sql_bigram_lm(),
-        "cells_export": _sql_cells_export(),
-        "events_retention": _sql_events_retention(),
-        "seasonal_naive": _sql_seasonal_naive(),
-        "q3_shipping": _sql_q3(),
-        "rollup": _sql_rollup(),
-        "pivot_langs": _sql_pivot_langs(),
-        "string_agg": _sql_string_agg(),
-        "unigram_logprob": _sql_unigram(),
-        "simhash": _sql_simhash(),
-        "simhash_pairs": _sql_simhash_pairs(),
-        "exact_dedup": _sql_exact_dedup(),
-        "ngram_jaccard": _sql_ngram(),
-        # planted-corpus expectation: exactly the identical-text pairs,
-        # signature jaccard exactly 1.0 (see q_minhash_lsh)
-        "minhash_lsh": (
-            "SELECT a.doc_id AS id_a, b.doc_id AS id_b, 1.0 AS jaccard "
-            "FROM documents a JOIN documents b ON b.doc_id = a.doc_id + 13 "
-            "WHERE a.doc_id % 50 = 0"
-        ),
-        # planted groups {g*50, g*50+13} collapse to their min member;
-        # the correlated MIN keeps the oracle honest for partial blocks
-        "neardup_cluster": (
-            "SELECT d.doc_id, "
-            "CASE WHEN d.doc_id % 50 IN (0, 13) THEN "
-            "(SELECT MIN(d2.doc_id) FROM documents d2 "
-            "WHERE d2.doc_id // 50 = d.doc_id // 50 "
-            "AND d2.doc_id % 50 IN (0, 13)) "
-            "ELSE d.doc_id END AS component FROM documents d"
-        ),
-        "embedding_neardup": _sql_neardup(),
-        "embedding_lsh": _sql_emb_lsh(),
-        "ann_topk": _sql_ann(),
-        "ann_range": _sql_ann_range(),
-        "hard_negatives": _sql_hard_negatives_q(),
-        "mmr_select": _sql_mmr_select(),
-        "kmeans": _sql_kmeans(),
-        "emb_outlier": _sql_emb_outlier(),
-        "quantize_emb": _sql_quantize(),
-        "ivf_topk": _sql_ivf(),
-        "ivf_pruned": _sql_ivf(),
-        "ivf_multiprobe": _sql_ivf_multiprobe(),
-        "raster_cells": _sql_raster_cells(),
-        "raster_hillshade": _sql_raster_hillshade(),
-        "raster_d8": _sql_raster_d8(),
-        "raster_terrain": _sql_raster_terrain(),
-        "raster_bilinear": _sql_raster_bilinear(),
-        "raster_contour": _sql_raster_contour(),
-        "raster_profile": _sql_raster_profile(),
-        "raster_resample": _sql_raster_resample(),
-        "zonal_stats": _sql_zonal_stats(),
-        "frame_rowsum": (
-            "SELECT l_orderkey, l_linenumber, "
-            "ROUND((l_quantity + l_extendedprice) * 1e6) / 1e6 AS rowsum "
-            "FROM lineitem"
-        ),
-        "media_features": _sql_media(),
-        "media_features_vec": _sql_media_vec(),
-        "media_dedup": _sql_media_dedup(),
-        "winnow_pairs": _sql_winnow_pairs(),
-        "media_resize": _sql_media_resize(),
-        "media_frames": _sql_media_frames(),
-        "events_window": _sql_events_window(),
-        "events_hopping": _sql_events_hopping(),
-        "events_rolling": _sql_events_rolling(),
-        "events_asof": _sql_events_asof(),
-        "events_interval": _sql_events_interval(),
-        "events_sessionize": _sql_events_sessionize(),
-        "q1_pricing": _sql_q1(),
-        "q5_revenue": _sql_q5(),
-        "top_customers": _sql_topcust(),
-        "mann_whitney": _sql_mann_whitney(),
-        "kendall_tau": _sql_kendall_tau(),
-        "attribution": _sql_attribution(),
-        "anova_f": _sql_anova_f(),
-        "ks_test": _sql_ks_test(),
-        "brown_forsythe": _sql_brown_forsythe(),
-        "welch_t": _sql_welch_t(),
-        "wilcoxon_signed": _sql_wilcoxon_signed(),
-        "cramers_v": _sql_cramers_v(),
-        "ols_fit": _sql_ols_fit(),
-        "cohens_kappa": _sql_cohens_kappa(),
-        "jensen_shannon": _sql_jensen_shannon(),
-        "grouped_regression": _sql_grouped_regression(),
-        "semdedup": _sql_semdedup(),
-        "q4_priority": _sql_tpch("sql_q4"),
-        "q6_revenue": _sql_tpch("sql_q6"),
-        "q10_returned": _sql_tpch("sql_q10"),
-        "q14_promo": _sql_tpch("sql_q14"),
-        "q18_large_orders": _sql_tpch("sql_q18"),
-        "q19_discount": _sql_tpch("sql_q19"),
-        "q7_volume": _sql_tpch("sql_q7"),
-        "q8_market_share": _sql_tpch("sql_q8"),
-        "q13_custdist": _sql_tpch("sql_q13"),
-        "q15_top_supplier": _sql_tpch("sql_q15"),
-        "q22_lapsed": _sql_tpch("sql_q22"),
-        "gopher_rules": _sql_gopher_rules(),
-        "ccnet_buckets": _sql_ccnet_buckets(),
-        "path_cell_length": _sql_path_cell_length(),
-        "events_watermark": _sql_events_watermark(),
-        "q17_small_qty": _sql_tpch("sql_q17"),
-        "q21_waiting": _sql_tpch("sql_q21"),
-        "q2_min_cost": _sql_tpch("sql_q2"),
-        "q9_profit": _sql_tpch("sql_q9"),
-        "q11_important": _sql_tpch("sql_q11"),
-        "q12_late_priority": _sql_tpch("sql_q12"),
-        "q16_supplier_cnt": _sql_tpch("sql_q16"),
-        "q20_excess": _sql_tpch("sql_q20"),
-        "bfs_hops": _sql_bfs_hops(),
-        "sssp_cost": _sql_sssp_cost(),
-        "harmonic": _sql_harmonic(),
-        "pq_recall": _sql_pq_recall(),
-        "lsh_screen": _sql_lsh_screen(),
-        "ann_recall": _sql_ann_recall(),
-        "sq8_recall": _sql_sq8_recall(),
-        "trunc_recall": _sql_trunc_recall(),
-        "simhash_screen": _sql_simhash_screen(),
-    }
-
-
-def _sql_tpch(name: str) -> str:
-    from . import tpch
-
-    return getattr(tpch, name)()
-
-
-def _sql_semdedup() -> str:
-    from ..dedup import sql_semdedup
-
-    return sql_semdedup(k=8, iters=2, tau=SEMDEDUP_TAU)
-
-
 def _sql_raster_cells():
     from ..raster import SyntheticRaster, sql_raster_cells
 
     return sql_raster_cells(SyntheticRaster(**_RASTER_KW), tile_size_cell=64)
-
-
-def _sql_raster_terrain():
-    from ..raster import SyntheticRaster, sql_terrain_index
-
-    return sql_terrain_index(SyntheticRaster(**_RASTER_KW), tile_size_cell=64)
-
-
-def _sql_raster_d8():
-    from ..raster import SyntheticRaster, sql_d8_flow
-
-    return sql_d8_flow(SyntheticRaster(**_RASTER_KW), tile_size_cell=64)
-
-
-def _sql_raster_contour():
-    from ..raster import SyntheticRaster, sql_contour
-
-    return sql_contour(SyntheticRaster(**_RASTER_KW), threshold=500.0)
-
-
-def _sql_raster_bilinear():
-    from ..raster import SyntheticRaster, sql_bilinear
-
-    return sql_bilinear(SyntheticRaster(**_RASTER_KW), 1500.0)
-
-
-def _sql_raster_hillshade():
-    from ..raster import SyntheticRaster, sql_hillshade
-
-    return sql_hillshade(SyntheticRaster(**_RASTER_KW), tile_size_cell=64)
-
-
-def _sql_raster_resample():
-    from ..raster import SyntheticRaster, sql_resample
-
-    return sql_resample(SyntheticRaster(**_RASTER_KW), out_resolution=2000.0)
-
-
-def _sql_media():
-    from ..multimodal import sql_media_features
-
-    return sql_media_features()
-
-
-def _sql_media_vec():
-    from ..multimodal import sql_media_features_vec
-
-    return sql_media_features_vec()
-
-
-def _sql_events_window():
-    from .relational import sql_events_tumbling_window
-
-    return sql_events_tumbling_window()
-
-
-def _sql_events_sessionize():
-    from .relational import sql_events_sessionize
-
-    return sql_events_sessionize()
-
-
-def _sql_q1():
-    from .relational import sql_q1_pricing
-
-    return sql_q1_pricing()
-
-
-def _sql_topcust():
-    from .relational import sql_top_customers
-
-    return sql_top_customers()
-
-
-def _sql_quality():
-    from ..text import sql_quality_score
-
-    return sql_quality_score()
-
-
-def _sql_lang():
-    from ..text import sql_lang_id
-
-    return sql_lang_id()
-
-
-def _sql_exact_dedup():
-    from ..dedup import sql_exact_dedup
-
-    return sql_exact_dedup()
 
 
 def _sql_ngram():
@@ -17105,49 +15817,9 @@ def _sql_ngram():
     )
 
 
-def _sql_simhash():
-    from ..dedup import sql_simhash
-
-    return sql_simhash()
-
-
-def _sql_rolling_fp():
-    from ..text import sql_rolling_fingerprint
-
-    return sql_rolling_fingerprint()
-
-
-def _sql_neardup():
-    from ..dedup import sql_embedding_neardup
-
-    return sql_embedding_neardup(0.35)
-
-
-def _sql_ann():
-    from ..ann import sql_ann_topk
-
-    return sql_ann_topk(5, 10)
-
-
 def _sql_ivf():
     from ..ann import sql_ivf_topk
 
     return sql_ivf_topk(5, 3, 10, 8)
 
 
-def _sql_media_dedup():
-    from ..multimodal import sql_media_dup_groups
-
-    return sql_media_dup_groups()
-
-
-def _sql_winnow_pairs():
-    from ..text import sql_winnow_dup_pairs
-
-    return sql_winnow_dup_pairs()
-
-
-def _sql_ivf_multiprobe():
-    from ..ann import sql_ivf_topk
-
-    return sql_ivf_topk(5, 5, 10, 8)

@@ -21,10 +21,13 @@ from pygridmap_ray.cluster import (
 )
 from pygridmap_ray.synth import KNUTH_MULT
 
+from .registry import query
+
 US_PER_HOUR = 3_600_000_000
 US_SESSION_GAP = 1_800_000_000  # 30 min
 
 
+@query("events_window", sql=lambda: sql_events_tumbling_window())
 def events_tumbling_window(sf_dir: str):
     """Tumbling 1h window per event_type: count + value sum.
 
@@ -66,6 +69,7 @@ def sql_events_tumbling_window() -> str:
     )
 
 
+@query("events_sessionize", sql=lambda: sql_events_sessionize(), bench=True)
 def events_sessionize(sf_dir: str, *, num_buckets: int | None = None):
     """Session windows (30-min inactivity gap) per user: one COARSE
     bucket shuffle on user hash (all of a user's events share a bucket),
@@ -133,6 +137,7 @@ FROM marked GROUP BY user_id
 """
 
 
+@query("q1_pricing", sql=lambda: sql_q1_pricing())
 def q1_pricing(sf_dir: str):
     """TPC-H Q1-style pricing summary with explicit two-phase
     aggregation: per-batch partial sums (combiner) -> tiny groupby."""
@@ -191,6 +196,7 @@ FROM lineitem GROUP BY l_returnflag, l_linestatus
 """
 
 
+@query("top_customers", sql=lambda: sql_top_customers())
 def top_customers(sf_dir: str, k: int = 10):
     """Broadcast hash join (orders x customer dimension) + grouped sum +
     global top-k (sort + limit): the small side ships via the object
@@ -246,6 +252,7 @@ LIMIT {k}
 """
 
 
+@query("events_hopping", sql=lambda: sql_events_hopping_window())
 def events_hopping_window(sf_dir: str, *, size_us: int = US_PER_HOUR,
                           hop_us: int = US_PER_HOUR // 4):
     """Hopping (sliding) window per event_type: 1 h windows every 15 min —
@@ -313,6 +320,7 @@ GROUP BY event_type, win
 ROLL_WINDOW = 4  #: rolling frame = 3 PRECEDING .. CURRENT (shared with SQL)
 
 
+@query("events_rolling", sql=lambda: sql_events_rolling(), bench=True)
 def events_rolling(sf_dir: str):
     """Per-user moving sum/mean/min/max over the last ROLL_WINDOW events
     (stats.rolling_aggregate): ONE bucketed shuffle + vectorized
@@ -351,6 +359,7 @@ FUNNEL_STAGES = ("view", "click", "purchase")
 FUNNEL_MIN_VALUE = 100.0  # only high-value events advance the funnel
 
 
+@query("events_funnel", sql=lambda: sql_events_funnel(), bench=True)
 def events_funnel(sf_dir: str, stages: tuple[str, ...] = FUNNEL_STAGES,
                   min_value: float = FUNNEL_MIN_VALUE):
     """Ordered funnel progression per user: stage k is reached iff an
@@ -446,6 +455,7 @@ _WEEK_BITS = 16  # biased weeks fit 16 bits for years ~1656..2911
 _WEEK_BIAS = 1 << 14  # pre-1970 timestamps give negative week ids
 
 
+@query("events_retention", sql=lambda: sql_events_retention(), bench=True)
 def events_retention(sf_dir: str, *, num_buckets: int | None = None):
     """Cohort retention: users bucketed by their FIRST event week; for
     every (cohort_week, event_week) the distinct active users — the
@@ -535,6 +545,7 @@ GROUP BY c.cohort_week, w.week
 """
 
 
+@query("events_transitions", sql=lambda: sql_events_transitions(), bench=True)
 def events_transitions(sf_dir: str, *, num_buckets: int | None = None):
     """Markov transition counts (event_type -> next event_type within a
     user's time-ordered stream): the sessionize plan — ONE coarse bucket
@@ -605,6 +616,7 @@ FROM seq WHERE dst IS NOT NULL GROUP BY src, dst
 """
 
 
+@query("events_ewma", sql=lambda: sql_events_ewma())
 def events_ewma(sf_dir: str, *, num_buckets: int | None = None):
     """Per-user exponentially weighted mean of ``value`` over the
     time-ordered stream (normalized weights 0.5^k, k = age in events):
@@ -681,6 +693,7 @@ DAY_US = 86_400_000_000
 ROLLING_DAYS = 7  #: trailing window width (shared with the SQL twin)
 
 
+@query("events_rolling_users", sql=lambda: sql_events_rolling_users(), bench=True)
 def events_rolling_users(sf_dir: str, *, num_buckets: int | None = None):
     """Rolling 7-day distinct active users per window-end day: an event
     on day d contributes to windows d..d+6, so the explode is the
@@ -750,6 +763,7 @@ SELECT wday, COUNT(*)::BIGINT AS n_users FROM w GROUP BY wday
 """
 
 
+@query("events_gap_fill", sql=lambda: sql_events_gap_fill())
 def events_gap_fill(sf_dir: str, *, num_buckets: int | None = None):
     """Per-user daily resample with last-value carry-forward: one row
     per (user, day) over the user's own [min day, max day] span, value
@@ -857,6 +871,7 @@ FROM grid g ASOF JOIN lastp l
 """
 
 
+@query("events_trajectory", sql=lambda: sql_events_trajectory(), bench=True)
 def events_trajectory(sf_dir: str, *, num_buckets: int | None = None):
     """Per-user planar trajectory length: events ordered by (ts,
     event_id), each step contributes sqrt(dx*dx + dy*dy) over the
@@ -1153,6 +1168,7 @@ SELECT user_id, MAX(len)::BIGINT AS max_run FROM runs GROUP BY user_id
 """
 
 
+@query("step_bearings", sql=lambda: sql_events_step_bearings())
 def events_step_bearings(sf_dir: str, *, num_buckets: int | None = None):
     """Global 8-sector travel-direction histogram: per-user consecutive
     steps (ts, event_id order), bearing = atan2(dy, dx) folded into 45°
@@ -1245,6 +1261,7 @@ GROUP BY sector
 """
 
 
+@query("session_paths", sql=lambda: sql_events_session_paths(), bench=True)
 def events_session_paths(sf_dir: str, *, num_buckets: int | None = None):
     """Per-SESSION trajectory length: sessionization (30-min gap law,
     same as `events_sessionize`) fused with the ordered step-sum kernel
@@ -1353,6 +1370,7 @@ FROM d GROUP BY user_id, sid
 """
 
 
+@query("radius_gyration", sql=lambda: sql_events_radius_gyration())
 def events_radius_gyration(sf_dir: str):
     """Radius of gyration per user (the classic mobility-spread metric):
     rg = sqrt(mean ||p - centroid||^2) over the user's event points.
@@ -2294,6 +2312,7 @@ SELECT user_id, seq, hq, hr FROM p_hexed
 """
 
 
+@query("speed_outliers", sql=lambda: sql_events_speed_outliers())
 def events_speed_outliers(
     sf_dir: str, *, vmax: float = 30.0, num_buckets: int | None = None
 ):
@@ -2533,6 +2552,7 @@ def _pearson_int(m, sx, sy, sxy, sxx, syy, round_to=6):
     return float(np.sign(r) * np.floor(abs(r) * tol + 0.5) / tol)
 
 
+@query("events_acf", sql=lambda: sql_events_acf())
 def events_acf(sf_dir: str, *, max_lag: int = ACF_MAX_LAG):
     """Autocorrelation of the daily total event count at lags
     1..max_lag: Pearson r between the series and its lag over every day
@@ -2617,6 +2637,7 @@ WHERE m >= 2 AND m*sxx - sx*sx > 0 AND m*syy - sy*sy > 0
 """
 
 
+@query("events_type_corr", sql=lambda: sql_events_type_corr())
 def events_type_corr(sf_dir: str):
     """Pairwise Pearson correlation between the daily count series of
     every unordered event-type pair (type_a < type_b), over days where
@@ -2721,6 +2742,7 @@ WHERE m >= 2 AND m*sxx - sx*sx > 0 AND m*syy - sy*sy > 0
 MIN_GAPS = 4  #: users need >= MIN_GAPS+1 events for inter-arrival stats
 
 
+@query("events_interarrival", sql=lambda: sql_events_interarrival(), bench=True)
 def events_interarrival(sf_dir: str, *, num_buckets: int | None = None):
     """Inter-arrival statistics per user (>= {MIN_GAPS} gaps): mean gap,
     coefficient of variation and burstiness B = (sd - mean)/(sd + mean)
@@ -2816,6 +2838,7 @@ FROM s
 """
 
 
+@query("events_survival", sql=lambda: sql_events_survival(), bench=True)
 def events_survival(sf_dir: str):
     """Kaplan-Meier time-to-conversion curve: per user, the survival
     time is whole days from the FIRST event to the FIRST ``purchase``;
@@ -2944,6 +2967,7 @@ FROM s WHERE n_ev > 0
 STL_HALF = 3  #: centered moving-average half-width (7-day trend window)
 
 
+@query("seasonal_decompose", sql=lambda: sql_events_seasonal_decompose())
 def events_seasonal_decompose(sf_dir: str):
     """Classical additive seasonal decomposition of the daily total
     event count: trend = centered 7-day moving average (only days whose
@@ -3054,6 +3078,7 @@ FROM dt JOIN sc ON sc.wd = dt.d % 7
 """
 
 
+@query("type_jaccard", sql=lambda: sql_events_type_jaccard(), bench=True)
 def events_type_jaccard(sf_dir: str, *, num_buckets: int | None = None):
     """Jaccard similarity between the USER SETS of every event-type
     pair: |users(a) n users(b)| / |users(a) u users(b)|, exact.
@@ -3182,6 +3207,7 @@ WHERE i.ta < i.tb
 """
 
 
+@query("state_intervals", sql=lambda: sql_events_state_intervals())
 def events_state_intervals(sf_dir: str, *, num_buckets: int | None = None):
     """SCD2-style interval coalescing (gaps-and-islands): the per-day
     state of each user is the day's LAST event type (ts DESC, event_id
@@ -3285,6 +3311,7 @@ HOLT_ALPHA = 0.5  #: level gain (dyadic: exact in both engines)
 HOLT_BETA = 0.3
 
 
+@query("holt_linear", sql=lambda: sql_events_holt_linear())
 def events_holt_linear(sf_dir: str):
     """Holt double exponential smoothing of the daily total event
     count: l_t = a*n_t + (1-a)*(l+b), b_t = B*(l_t - l) + (1-B)*b, with
@@ -3391,6 +3418,7 @@ FROM h
 MARKOV_ITERS = 8
 
 
+@query("transition_stationary", sql=lambda: sql_events_transition_stationary())
 def events_transition_stationary(sf_dir: str, *, iters: int = MARKOV_ITERS):
     """Approximate stationary distribution of the event-type Markov
     chain: row-normalize the transition counts (sink types get a
@@ -3474,6 +3502,7 @@ ATTR_WINDOW_US = 7 * DAY_US  #: attribution lookback
 ATTR_TOUCHES = ("view", "click")  #: channels eligible for credit
 
 
+@query("attribution", sql=lambda: sql_events_attribution())
 def events_attribution(sf_dir: str, *, num_buckets: int | None = None):
     """Last-touch attribution: each ``purchase`` credits the user's
     latest preceding touch event (view/click) within the lookback
@@ -3610,6 +3639,7 @@ FROM att GROUP BY channel
 PCL_CELL = 50_000.0
 
 
+@query("path_cell_length", sql=lambda: sql_events_path_cell_length(), bench=True)
 def events_path_cell_length(
     sf_dir: str, *, cell: float = PCL_CELL, num_buckets: int | None = None
 ):
@@ -3783,6 +3813,7 @@ WM_MULT = KNUTH_MULT
 WM_MOD = 4294967296
 
 
+@query("events_watermark", sql=lambda: sql_events_watermark(), bench=True)
 def events_watermark(sf_dir: str, *, num_buckets: int | None = None):
     """Streaming high-watermark lateness accounting: events "arrive" in
     the deterministic hash-shuffle order (``(event_id * WM_MULT) %
@@ -3934,6 +3965,7 @@ FROM m GROUP BY win_us ORDER BY win_us
 """
 
 
+@query("events_seasonal", sql=lambda: sql_events_seasonal(), bench=True)
 def events_seasonal(sf_dir: str):
     """Classical seasonal decomposition of the daily event-count series:
     ``trend`` = centered 7-ROW moving average over the day-sorted series
@@ -4046,6 +4078,7 @@ FROM t2 LEFT JOIN s ON s.dow = t2.d % 7
 """
 
 
+@query("events_scd2", sql=lambda: sql_events_scd2())
 def events_scd2(sf_dir: str, *, num_buckets: int | None = None):
     """SCD2-style change-interval build (the warehouse history table):
     per user, consecutive runs of equal ``event_type`` in (ts,
@@ -4146,6 +4179,7 @@ FROM r
 """
 
 
+@query("events_changepoint", sql=lambda: sql_events_changepoint())
 def events_changepoint(sf_dir: str):
     """Single change-point detection on the daily event-count series
     (binary segmentation, k = 1): the split day t* that maximizes the
@@ -4249,6 +4283,7 @@ FROM g ORDER BY gain DESC, split_day ASC LIMIT 1
 """
 
 
+@query("events_did", sql=lambda: sql_events_did())
 def events_did(sf_dir: str):
     """Difference-in-differences estimator over the event stream: the
     2x2 (treatment = user_id % 2, post = day >= cutoff) cell means of
@@ -4369,6 +4404,7 @@ FROM pv
 """
 
 
+@query("events_rfm", sql=lambda: sql_events_rfm(), bench=True)
 def events_rfm(sf_dir: str, *, round_to: int = 6):
     """RFM (recency / frequency / monetary) quartile segmentation — the
     classic customer-analytics operator: per user, days since last
@@ -4535,6 +4571,7 @@ FROM s
 """
 
 
+@query("events_ltv", sql=lambda: sql_events_ltv(), bench=True)
 def events_ltv(sf_dir: str, *, num_buckets: int | None = None):
     """Cohort LTV curves: cumulative revenue (and ARPU) per
     (cohort_week, week offset) — the revenue companion to

@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..cluster import Broadcast, segment_apply, to_frame
+from .registry import query
 
 # shared constants (engine and SQL twins read THESE — never inline)
 Q6_D0, Q6_D1 = "1996-01-01", "1997-01-01"
@@ -66,6 +67,7 @@ def _round_half_away_scalar(v: float, decimals: int) -> float:
     return float(np.sign(v) * np.floor(np.abs(v) * step + 0.5) / step)
 
 
+@query("q6_revenue", sql=lambda: sql_q6())
 def q6_revenue(sf_dir: str) -> pa.Table:
     """TPC-H Q6 revenue-change forecast: one predicate-pushed scan, one
     float per batch leaves the workers (combiner partials -> Sum)."""
@@ -121,6 +123,7 @@ def _part_lookup(sf_dir: str, columns: list[str], build=None):
     return Broadcast((keys[order], payload), build)
 
 
+@query("q14_promo", sql=lambda: sql_q14())
 def q14_promo(sf_dir: str) -> pa.Table:
     """TPC-H Q14 promo-revenue share: ship-month window pushed at the
     scan, part type rides a broadcast sorted lookup, two partial sums per
@@ -178,6 +181,7 @@ WHERE l_partkey = p_partkey
 """
 
 
+@query("q19_discount", sql=lambda: sql_q19())
 def q19_discount(sf_dir: str) -> pa.Table:
     """TPC-H Q19 disjunctive brand/size/quantity revenue: the three-way
     OR is evaluated vectorized against a broadcast (brand_code, size)
@@ -240,6 +244,7 @@ WHERE l_partkey = p_partkey AND ({ors})
 """
 
 
+@query("q4_priority", sql=lambda: sql_q4(), bench=True)
 def q4_priority(sf_dir: str):
     """TPC-H Q4 order-priority check (EXISTS semi-aggregate), adapted to
     the schema's columns: an order is "late" when any lineitem shipped
@@ -354,6 +359,7 @@ ORDER BY o_orderpriority
 """
 
 
+@query("q18_large_orders", sql=lambda: sql_q18())
 def q18_large_orders(sf_dir: str) -> pa.Table:
     """TPC-H Q18 large-volume customers: per-order quantity combiner
     partials -> hash aggregate -> HAVING filter (result is top-k scale)
@@ -440,6 +446,7 @@ ORDER BY o_totalprice DESC, o_orderdate, o_orderkey
 """
 
 
+@query("q10_returned", sql=lambda: sql_q10(), bench=True)
 def q10_returned(sf_dir: str) -> pa.Table:
     """TPC-H Q10 returned-item ranking.
 
@@ -640,6 +647,7 @@ def _supplier_nation_ref(sf_dir: str):
     return Broadcast((sk[o], sn[o]))
 
 
+@query("q7_volume", sql=lambda: sql_q7(), bench=True)
 def q7_volume(sf_dir: str):
     """TPC-H Q7 volume shipping between two nations: the q5_revenue
     chain shape — customers pre-filtered to the two nations join the
@@ -853,6 +861,7 @@ ORDER BY supp_nation, cust_nation, l_year
 """
 
 
+@query("q8_market_share", sql=lambda: sql_q8())
 def q8_market_share(sf_dir: str):
     """TPC-H Q8 national market share: region-filtered customers join
     the date-windowed order stream partitioned; lineitem is pre-filtered
@@ -1027,6 +1036,7 @@ ORDER BY o_year
 """
 
 
+@query("q13_custdist", sql=lambda: sql_q13(), bench=True)
 def q13_custdist(sf_dir: str) -> pa.Table:
     """TPC-H Q13 customer order-count distribution: per-batch custkey
     count partials -> hash aggregate -> per-batch count-of-count
@@ -1100,6 +1110,7 @@ ORDER BY custdist DESC, c_count DESC
 """
 
 
+@query("q15_top_supplier", sql=lambda: sql_q15())
 def q15_top_supplier(sf_dir: str) -> pa.Table:
     """TPC-H Q15 top supplier: quarter-windowed revenue per supplier via
     combiner partials + hash aggregate (supplier cardinality), rounded
@@ -1180,6 +1191,7 @@ ORDER BY s_suppkey
 """
 
 
+@query("q22_lapsed", sql=lambda: sql_q22())
 def q22_lapsed(sf_dir: str):
     """TPC-H Q22 global-sales-opportunity, adapted to "lapsed"
     customers: above-average-balance customers in the target nations
@@ -1301,6 +1313,7 @@ Q17_FRAC = 0.2
 Q17_YEARS = 7.0
 
 
+@query("q17_small_qty", sql=lambda: sql_q17(), bench=True)
 def q17_small_qty(sf_dir: str) -> pa.Table:
     """TPC-H Q17 small-quantity-order revenue (container filter dropped —
     the schema has no p_container): lineitems of one brand whose quantity
@@ -1399,6 +1412,7 @@ Q21_STATUS = "F"
 Q21_K = 10
 
 
+@query("q21_waiting", sql=lambda: sql_q21())
 def q21_waiting(sf_dir: str) -> pa.Table:
     """TPC-H Q21 suppliers-who-kept-orders-waiting, adapted to the
     schema's columns (no commit/receipt dates): in a finished
@@ -1576,6 +1590,7 @@ Q20_QTY_GT = 200.0
 Q20_NATION = "NATION_3"
 
 
+@query("q2_min_cost", sql=lambda: sql_q2())
 def q2_min_cost(sf_dir: str, *, broadcast_limit: int = 2_000_000) -> pa.Table:
     """TPC-H Q2 minimum-cost supplier (adapted): for parts of one
     size/type, the cheapest observed unit price (l_extendedprice /
@@ -1768,6 +1783,7 @@ ORDER BY s_acctbal DESC, n_name, s_name, p_partkey
 """
 
 
+@query("q9_profit", sql=lambda: sql_q9(), bench=True)
 def q9_profit(sf_dir: str):
     """TPC-H Q9 product-type profit (adapted): for parts whose name
     contains ``Q9_NAME_SUB``, profit = revenue minus a retail-price cost
@@ -1939,6 +1955,7 @@ ORDER BY n_name, o_year DESC
 """
 
 
+@query("q11_important", sql=lambda: sql_q11())
 def q11_important_parts(sf_dir: str):
     """TPC-H Q11 important stock (adapted): per-part inventory value
     from one nation's suppliers — value = SUM(l_extendedprice *
@@ -2043,6 +2060,7 @@ ORDER BY value DESC, p_partkey
 """
 
 
+@query("q12_late_priority", sql=lambda: sql_q12(), bench=True)
 def q12_late_priority(sf_dir: str):
     """TPC-H Q12 shipping-priority audit (adapted): the schema has no
     l_shipmode / l_receiptdate, so the group key is l_returnflag and the
@@ -2193,6 +2211,7 @@ ORDER BY l_returnflag
 """
 
 
+@query("q16_supplier_cnt", sql=lambda: sql_q16(), bench=True)
 def q16_supplier_cnt(sf_dir: str):
     """TPC-H Q16 supplier-count by part attributes (adapted): lineitem
     is the part-supplier bridge (no partsupp), negative-balance
@@ -2328,6 +2347,7 @@ ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
 """
 
 
+@query("q20_excess", sql=lambda: sql_q20())
 def q20_excess(sf_dir: str):
     """TPC-H Q20 excess-stock suppliers (adapted): suppliers from one
     nation whose shipped quantity of name-prefixed parts inside the

@@ -78,7 +78,8 @@ def test_entry_smoke(entrymod):
 def test_every_query_has_matching_oracle_or_is_declared(entrymod):
     q = entrymod.queries()
     o = entrymod.oracle_sql()
-    assert set(o) <= set(q)
+    assert set(o) == set(q)
+    assert len(q) == 372
 
 
 @pytest.mark.parametrize(
@@ -210,14 +211,17 @@ def test_query_matches_oracle(entrymod, con, name):
 
 
 def test_no_duplicate_defs_or_registry_keys():
-    """Python dict literals silently keep the LAST duplicate key and
-    later same-name defs shadow earlier ones — both bit this repo in
-    round 4 (q_join_counts, q_table_profile).  Pin: no module in the
-    pipeline surface has duplicate top-level defs, and the queries()/
-    oracle_sql() registries are built from unique keys."""
+    """Later same-name defs shadow earlier ones, and a dict literal
+    silently keeps the LAST duplicate key — both bit this repo in round
+    4 (q_join_counts, q_table_profile).  Pin: no module in the pipeline
+    surface has duplicate top-level defs, and registering a name that is
+    already in the query registry raises (and leaves the entry as it
+    was)."""
     import re
     from collections import Counter
     from pathlib import Path
+
+    from pygridmap_ray.pipelines.registry import entries, query
 
     root = Path(__file__).resolve().parents[1] / "pygridmap_ray"
     for mod in root.rglob("*.py"):
@@ -226,10 +230,84 @@ def test_no_duplicate_defs_or_registry_keys():
         )
         dups = [k for k, c in Counter(defs).items() if c > 1]
         assert not dups, f"{mod}: duplicate top-level defs {dups}"
-    qsrc = (root / "pipelines" / "queries.py").read_text()
-    qkeys = re.findall(r'^\s{8}"([a-z0-9_]+)": q_', qsrc, re.M)
-    dups = [k for k, c in Counter(qkeys).items() if c > 1]
-    assert not dups, f"duplicate queries() keys: {dups}"
+    reg = entries()
+    name = next(iter(reg))
+    with pytest.raises(ValueError, match="already registered"):
+        query(name, sql=lambda: "SELECT 1")(lambda sf_dir: None)
+    assert entries()[name] is reg[name]
+
+
+def test_every_twin_binds(con):
+    """Every registered twin binds against the sf0.001 tables (DuckDB
+    EXPLAIN plans it without running it), and every registered pipeline
+    takes exactly one required parameter, ``sf_dir`` — a miswired
+    ``sql=`` or ``run`` fails here, not only in the full oracle sweep."""
+    import inspect
+
+    from pygridmap_ray.pipelines.registry import entries
+
+    unbound, bad_runs = {}, []
+    for name, e in entries().items():
+        try:
+            con.sql("EXPLAIN " + e.sql()).fetchall()
+        except (duckdb.Error, TypeError) as ex:
+            unbound[name] = str(ex).splitlines()[0]
+        params = inspect.signature(e.run).parameters.values()
+        required = [p.kind for p in params if p.default is p.empty]
+        if required != [inspect.Parameter.POSITIONAL_OR_KEYWORD]:
+            bad_runs.append(name)
+    assert not unbound, unbound
+    assert not bad_runs, f"runs not callable as run(sf_dir): {bad_runs}"
+
+
+def test_one_query_registry():
+    """The query registry is the only table of pipelines: no literal in
+    the package, bench.py, __ray_entry__.py or scripts/ refers to 10 or
+    more ``q_*`` pipelines, no list, tuple or set literal holds 10 or
+    more registered names, and no dict literal maps 10 or more of them
+    to anything but a tuple (the root package's lazy export table maps
+    operator names, some shared with pipelines, to (module, attribute)
+    pairs).  The parametrization of test_query_matches_oracle, in
+    tests/, is not scanned."""
+    import ast
+    from pathlib import Path
+
+    from pygridmap_ray.pipelines.registry import entries
+
+    names = set(entries())
+    root = Path(__file__).resolve().parents[1]
+    files = [
+        *(root / "pygridmap_ray").rglob("*.py"),
+        *(root / "scripts").glob("*.py"),
+        root / "bench.py",
+        root / "__ray_entry__.py",
+    ]
+    offenders = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.Dict, ast.List, ast.Tuple, ast.Set)):
+                continue
+            if isinstance(node, ast.Dict):
+                elts = [
+                    k for k, v in zip(node.keys, node.values)
+                    if not isinstance(v, ast.Tuple)
+                ]
+            else:
+                elts = node.elts
+            n_names = sum(
+                isinstance(e, ast.Constant) and e.value in names for e in elts
+            )
+            n_runs = sum(
+                (isinstance(n, ast.Name) and n.id.startswith("q_"))
+                or (isinstance(n, ast.Attribute) and n.attr.startswith("q_"))
+                for n in ast.walk(node)
+            )
+            if n_names >= 10 or n_runs >= 10:
+                offenders.append(
+                    f"{path.relative_to(root)}:{node.lineno}: literal with "
+                    f"{n_names} registered names, {n_runs} q_* references"
+                )
+    assert not offenders, offenders
 
 
 def test_no_literal_bucket_widths():
