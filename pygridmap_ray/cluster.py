@@ -19,10 +19,14 @@ kernel together with its segment offsets.
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+from ray import cloudpickle
 
 #: Knuth multiplicative constant of the engine's one bucket hash
 _HASH_MULT = 2654435761
@@ -244,10 +248,43 @@ def passthrough_schema(ds, extra=(), drop=()) -> pa.Schema | None:
     return pa.schema(fields + list(extra))
 
 
-#: per-worker-process cache of built broadcast values, keyed by object
-#: ref hex; FIFO-evicted past ``_BUILT_MAX`` distinct broadcasts
-_BUILT: dict[str, object] = {}
+#: per-process cache of built broadcast values, keyed by content key;
+#: least recently used out past ``_BUILT_MAX`` distinct broadcasts
+_BUILT: OrderedDict[bytes, object] = OrderedDict()
+#: driver-side object refs, keyed by (Ray session, content key); same bound
+_PUT: OrderedDict[tuple, ray.ObjectRef] = OrderedDict()
 _BUILT_MAX = 8
+
+
+def _remember(cache: OrderedDict, key, value) -> None:
+    """Insert or refresh ``key`` as the most recently used entry."""
+    cache[key] = value
+    cache.move_to_end(key)
+    while len(cache) > _BUILT_MAX:
+        cache.popitem(last=False)
+
+
+def _content_key(value, build) -> bytes:
+    """blake2b of ``value``'s protocol-5 pickle (out-of-band buffers
+    hashed in place, each after its length) and of the pickled ``build``
+    (code plus closure values)."""
+    buffers = []
+    h = hashlib.blake2b(digest_size=20)
+    h.update(cloudpickle.dumps(value, protocol=5, buffer_callback=buffers.append))
+    for b in buffers:
+        raw = b.raw()
+        h.update(raw.nbytes.to_bytes(8, "little"))
+        h.update(raw)
+    h.update(cloudpickle.dumps(build, protocol=5))
+    return h.digest()
+
+
+def _session():
+    """Identity of the connected Ray session, or None before one exists."""
+    if not ray.is_initialized():
+        return None
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
 
 
 class Broadcast:
@@ -258,23 +295,35 @@ class Broadcast:
     polygon layer -> its join kernel) at most once per worker process,
     so the layer/index cost is amortized like an actor pool's, while the
     stage stays elastic and fusable with its neighbours.  Only the
-    object ref and ``build`` are pickled into the closure.
+    object ref, ``build`` and the content key are pickled into the
+    closure.
+
+    Both caches are keyed by content, never by ``id()`` or object ref:
+    a second ``Broadcast`` of a byte-identical value with a
+    byte-identical ``build`` reuses the session's ref (no ``ray.put``)
+    and each worker's built value (no rebuild), so repeated jobs over
+    one layer pay neither again.  ``build`` must therefore be a pure
+    function of the value and its closure.
     """
 
     def __init__(self, value, build=None):
-        self.ref = ray.put(value)
         self.build = build
+        self.key = _content_key(value, build)
+        ref = _PUT.get((_session(), self.key))
+        if ref is None:
+            ref = ray.put(value)
+        _remember(_PUT, (_session(), self.key), ref)
+        self.ref = ref
 
     def get(self):
-        key = self.ref.hex()
-        if key not in _BUILT:
+        try:
+            value = _BUILT[self.key]
+        except KeyError:
             value = ray.get(self.ref)
             if self.build is not None:
                 value = self.build(value)
-            while len(_BUILT) >= _BUILT_MAX:
-                _BUILT.pop(next(iter(_BUILT)))
-            _BUILT[key] = value
-        return _BUILT[key]
+        _remember(_BUILT, self.key, value)
+        return value
 
 
 # NOTE there is deliberately NO worker-side cached bucket resolver

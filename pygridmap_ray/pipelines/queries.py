@@ -1042,8 +1042,6 @@ def q_knn_loo_r2(sf_dir: str):
     twin's (d2, doc_id) rank because sqrt is strictly monotone."""
     import pyarrow.parquet as pq
 
-    import ray
-
     from ..spatial import knn_join
 
     t = pq.read_table(
@@ -1055,13 +1053,13 @@ def q_knn_loo_r2(sf_dir: str):
     sorted_ids = did[order]
     sorted_vals = np.asarray(t["n_chars"], np.float64)[order]
     ref = {"id": did, "x": x, "y": y}
-    lookup_ref = ray.put((sorted_ids, sorted_vals))
+    lookup = Broadcast((sorted_ids, sorted_vals))
 
     out = knn_join(docs_points(sf_dir, ("n_chars",)), ref,
                    resolution=25_000.0, k=5)
 
-    def partial(b: pa.Table, _ref=lookup_ref) -> pa.Table:
-        ids, vals = ray.get(_ref)
+    def partial(b: pa.Table) -> pa.Table:
+        ids, vals = lookup.get()
         doc = np.asarray(b["doc_id"], np.int64)
         nid = np.asarray(b["neighbor_id"], np.int64)
         dist = np.asarray(b["distance"], np.float64)
@@ -1511,8 +1509,6 @@ def q_colocation_quotient(sf_dir: str):
     the quotient algebra runs on category scalars."""
     import pyarrow.parquet as pq
 
-    import ray
-
     from ..spatial import knn_join
 
     t = pq.read_table(
@@ -1524,12 +1520,12 @@ def q_colocation_quotient(sf_dir: str):
     sorted_ids, sorted_langs = did[order], langs[order]
     x, y = derive_xy(did)
     ref = {"id": did, "x": x, "y": y}
-    lookup = ray.put((sorted_ids, sorted_langs))
+    lookup = Broadcast((sorted_ids, sorted_langs))
 
     out = knn_join(docs_points(sf_dir), ref, resolution=25_000.0, k=2)
 
-    def partial(b: pa.Table, _ref=lookup) -> pa.Table:
-        ids, lg = ray.get(_ref)
+    def partial(b: pa.Table) -> pa.Table:
+        ids, lg = lookup.get()
         doc = np.asarray(b["doc_id"], np.int64)
         nid = np.asarray(b["neighbor_id"], np.int64)
         dist = np.asarray(b["distance"], np.float64)
@@ -1813,11 +1809,10 @@ def q_sphere_nn(sf_dir: str):
     (doc_id, nn_id, dot 6dp).
 
     Scale shape: the brute-force ANN layout — the (n, 3) normalized
-    direction matrix broadcasts once (ray.put) and each batch runs a
+    direction matrix broadcasts once (Broadcast) and each batch runs a
     BLAS-free broadcasted elementwise dot (explicit x*x' + y*y' + z*z',
     so no FMA contraction can diverge from the twin) + first-max argmax.
     The IVF-bucketed path (ann.ivf_topk) is the scale escape hatch."""
-    import ray
     import ray.data as rd
 
     import pyarrow.parquet as pq
@@ -1829,12 +1824,12 @@ def q_sphere_nn(sf_dir: str):
     px, py, pz = derive_xyz(did)
     norm = np.sqrt(px * px + py * py + pz * pz)
     ux, uy, uz = px / norm, py / norm, pz / norm
-    ref = ray.put((did, ux, uy, uz))
+    ref = Broadcast((did, ux, uy, uz))
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
-    def nn(b: pa.Table, _ref=ref) -> pa.Table:
-        rid, rx, ry, rz = ray.get(_ref)
+    def nn(b: pa.Table) -> pa.Table:
+        rid, rx, ry, rz = ref.get()
         doc = np.asarray(b["doc_id"], np.int64)
         qx, qy, qz = derive_xyz(doc)
         qn = np.sqrt(qx * qx + qy * qy + qz * qz)

@@ -439,6 +439,36 @@ def test_one_coarse_bucket_exchange():
     assert not offenders, offenders
 
 
+def test_one_broadcast_put():
+    """A driver-side value reaches its workers only through
+    ``cluster.Broadcast``: no ``ray.put(`` call in the package,
+    scripts/, bench.py or __ray_entry__.py outside ``cluster.py``, so
+    every broadcast is put once per session and built once per worker.
+    perfbench/, which times a bare put and build, is not scanned."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    files = [
+        *(root / "pygridmap_ray").rglob("*.py"),
+        *(root / "scripts").glob("*.py"),
+        root / "bench.py",
+        root / "__ray_entry__.py",
+    ]
+    offenders = [
+        f"{path.relative_to(root)}:{node.lineno}: ray.put("
+        for path in files
+        if path != root / "pygridmap_ray" / "cluster.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "put"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "ray"
+    ]
+    assert not offenders, offenders
+
+
 def test_no_library_ray_init():
     """Sessions belong to the caller: no library module or
     __ray_entry__ may call ray.init — the only sanctioned site is the

@@ -315,8 +315,9 @@ def test_semi_anti_partition_and_duckdb_parity(ray_session):
 
 
 def test_broadcast_builds_once_per_process_and_evicts_fifo(ray_session):
-    """Broadcast.get() runs ``build`` once per process (cached by object
-    ref) and the cache keeps at most ``_BUILT_MAX`` values, oldest out."""
+    """Broadcast.get() runs ``build`` once per process (cached by content
+    key) and the cache keeps at most ``_BUILT_MAX`` values, the least
+    recently used out."""
     from pygridmap_ray import cluster
 
     calls = []
@@ -333,6 +334,198 @@ def test_broadcast_builds_once_per_process_and_evicts_fifo(ray_session):
     assert len(cluster._BUILT) == cluster._BUILT_MAX
     assert first.get() == 42
     assert calls == [21, 21]  # evicted first, rebuilt on the next get
+
+
+def test_broadcast_equal_content_shares_one_put_and_one_build(ray_session):
+    """Two Broadcasts of equal (not identical) values with the same
+    ``build`` share one object ref, and the value is built once per
+    process."""
+    from pygridmap_ray import cluster
+
+    calls = []
+
+    def build(v):
+        calls.append(1)
+        return v["a"].sum()
+
+    a = cluster.Broadcast({"a": np.arange(1000)}, build)
+    b = cluster.Broadcast({"a": np.arange(1000)}, build)
+    assert a.key == b.key and a.ref == b.ref
+    assert a.get() == b.get() == 499500
+    assert calls == [1]
+
+
+def test_broadcast_key_follows_closure_and_value():
+    """A different closure value or a mutated copy of the value gives a
+    distinct content key, so a hit never returns another build's
+    kernel."""
+    from pygridmap_ray.cluster import _content_key
+
+    def kernel(how):
+        return lambda v: (v, how)
+
+    arr = np.arange(96.0).reshape(48, 2)
+    layer = [{"poly_id": 1, "rings": [arr]}]
+    assert _content_key(layer, kernel("inner")) == _content_key(
+        [{"poly_id": 1, "rings": [arr.copy()]}], kernel("inner")
+    )
+    assert _content_key(layer, kernel("inner")) != _content_key(layer, kernel("left"))
+    moved = arr.copy()
+    moved[3, 1] += 1e-9
+    assert _content_key(layer, None) != _content_key(
+        [{"poly_id": 1, "rings": [moved]}], None
+    )
+    # out-of-band buffer boundaries count: the same bytes split
+    # differently (an identical pickle stream) give distinct keys
+    from pickle import PickleBuffer
+
+    assert _content_key((PickleBuffer(b"ab"), PickleBuffer(b"c")), None) != _content_key(
+        (PickleBuffer(b"a"), PickleBuffer(b"bc")), None
+    )
+
+
+def test_broadcast_cache_is_lru(ray_session):
+    """An entry read again between transient broadcasts outlives
+    ``_BUILT_MAX`` of them: its build runs once."""
+    from pygridmap_ray import cluster
+
+    calls = []
+
+    def build(v):
+        calls.append(v)
+        return v + 1
+
+    hot = cluster.Broadcast(1000, build)
+    assert hot.get() == 1001
+    for i in range(2 * cluster._BUILT_MAX):
+        assert cluster.Broadcast(("transient", i)).get() == ("transient", i)
+        assert hot.get() == 1001
+    assert len(cluster._BUILT) == cluster._BUILT_MAX
+    assert calls == [1000]
+
+
+_NEW_SESSION = """
+import numpy as np
+import ray
+
+from pygridmap_ray import cluster
+
+
+def start():
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+
+
+@ray.remote(num_cpus=1)
+def fetch(b):
+    return b.get()
+
+
+value = np.arange(5000.0)
+start()
+first = cluster.Broadcast(value)
+assert ray.get(fetch.remote(first)).sum() == value.sum()
+ray.shutdown()
+start()
+second = cluster.Broadcast(value)
+assert second.key == first.key
+got = ray.get(fetch.remote(second), timeout=60)
+assert np.array_equal(got, value)
+assert np.array_equal(ray.get(second.ref, timeout=60), value)
+ray.shutdown()
+print("ok")
+"""
+
+
+def test_broadcast_survives_a_new_session(tmp_path):
+    """A ref put in a shut-down session is never reused: after
+    ``ray.shutdown()`` and a new ``ray.init()`` an equal Broadcast puts
+    the value again, and workers of the new session read it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    script = tmp_path / "new_session.py"
+    script.write_text(_NEW_SESSION)
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    out = subprocess.run(
+        [sys.executable, str(script)], cwd=root, env=env, capture_output=True,
+        text=True, timeout=240,
+    )
+    assert out.returncode == 0 and out.stdout.strip().endswith("ok"), out.stderr[-2000:]
+
+
+def test_broadcast_reuse_across_jobs_keeps_outputs(ray_session, sf_dir, monkeypatch):
+    """In one session, joins on one layer (inner, left, inner) and
+    make_grid + area_interpolate run twice reuse the layer's broadcast,
+    and every repeat is ``Table.equals`` its first run and matches the
+    DuckDB twins."""
+    import duckdb
+    import ray
+    import ray.data as rd
+
+    from pygridmap_ray.gridding import make_grid
+    from pygridmap_ray.overlay import area_interpolate, sql_grid_overlay_sum
+    from pygridmap_ray.pipelines.queries import _sql_spatial_join
+    from pygridmap_ray.planning import plan_grid
+    from pygridmap_ray.spatial import join_points_to_polygons
+    from pygridmap_ray.synth import DOMAIN, derive_xy, polygon_layer
+
+    layer = polygon_layer()
+    puts = []
+    real_put = ray.put
+
+    def counting_put(value, *args, **kwargs):
+        if value is layer:
+            puts.append(1)
+        return real_put(value, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", counting_put)
+
+    def add_xy(b: pa.Table) -> pa.Table:
+        x, y = derive_xy(np.asarray(b["doc_id"]))
+        return b.append_column("x", pa.array(x)).append_column("y", pa.array(y))
+
+    pts = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"]).map_batches(
+        add_xy, batch_format="pyarrow"
+    )
+
+    def run(ds, *keys):
+        t = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
+        return t.sort_by([(k, "ascending") for k in keys])
+
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf_dir}/documents.parquet')")
+    joined = {}
+    for how in ("inner", "left", "inner"):
+        got = run(join_points_to_polygons(pts, layer, how=how), "doc_id", "poly_id")
+        if how in joined:
+            assert got.equals(joined[how])
+        joined[how] = got
+        exp = con.sql(_sql_spatial_join(how)).arrow().sort_by(
+            [("doc_id", "ascending"), ("poly_id", "ascending")]
+        )
+        assert got["doc_id"].to_pylist() == exp["doc_id"].to_pylist()
+        assert got["poly_id"].to_pylist() == exp["poly_id"].to_pylist()
+    assert len(puts) == 2  # the second inner join reused the first's ref
+    assert joined["left"].num_rows > joined["inner"].num_rows
+
+    spec = plan_grid(DOMAIN, 50_000.0, tile=(8, 8))
+    exp = con.sql(sql_grid_overlay_sum(spec, ["pop"])).df().sort_values("cell_id")
+    first = None
+    for _ in range(2):
+        grid = make_grid(layer, cellsize=50_000.0, bbox=DOMAIN, tile=(8, 8), trim=False)
+        got = run(area_interpolate(layer, grid, spec, ["pop"]), "cell_id")
+        if first is not None:
+            assert got.equals(first)
+        first = got
+        pop = got["pop"].to_numpy()
+        pop = np.sign(pop) * np.floor(np.abs(pop) * 1e6 + 0.5) / 1e6
+        assert got["cell_id"].to_pylist() == exp["cell_id"].tolist()
+        assert np.abs(pop - exp["pop"].to_numpy()).max() <= 1e-6
+        assert got["n_polys"].to_pylist() == exp["n_polys"].tolist()
 
 
 def test_bloom_prefilter_superset_and_fp_rate(ray_session):
