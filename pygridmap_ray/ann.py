@@ -534,18 +534,8 @@ def kmeans_fit(
         [np.asarray(e, dtype=np.float64) for e in init[emb_col]]
     )
 
-    _P_EMPTY = pa.table(
-        {
-            "cid": pa.array([], pa.int64()),
-            "n": pa.array([], pa.float64()),
-            "s": pa.array([], pa.list_(pa.float64())),
-        }
-    )
-
     def partials(b: pa.Table, *, ref) -> pa.Table:
         C = ref.get()
-        if b.num_rows == 0:  # empty blocks (filters/repartition) are real
-            return _P_EMPTY
         X = _emb_matrix(b, emb_col)
         # explicit (x - c)^2 — the same arithmetic shape as the SQL
         # list_distance law (sqrt is monotone, argmin unaffected),
@@ -639,13 +629,6 @@ def kmeans_embeddings(
     ref = Broadcast(cents)
 
     def assign(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    "cluster": pa.array([], pa.int64()),
-                }
-            )
         C = ref.get()
         X = _emb_matrix(b, emb_col)
         # chunked; same bits as full tensor
@@ -739,14 +722,6 @@ def kmeans_distances(
 
     def score(b: pa.Table) -> pa.Table:
         C = ref.get()
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    "cluster": pa.array([], pa.int64()),
-                    "dist": pa.array([], pa.float64()),
-                }
-            )
         X = _emb_matrix(b, emb_col)
         cl, m2 = _argmin_sq_dist(X, C, slab_bytes=argmin_slab_bytes)
         d = np.sqrt(m2)
@@ -778,13 +753,6 @@ def quantize_embeddings(
     import pyarrow.compute as pc
 
     def mm_partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:  # empty blocks contribute no partial row
-            return pa.table(
-                {
-                    "mn": pa.array([], pa.list_(pa.float64())),
-                    "mx": pa.array([], pa.list_(pa.float64())),
-                }
-            )
         X = _emb_matrix(b, emb_col)
         return pa.table(
             {
@@ -862,13 +830,6 @@ def dequantize_embeddings(
     import pyarrow.compute as pc
 
     def mm_partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    "mn": pa.array([], pa.list_(pa.float64())),
-                    "mx": pa.array([], pa.list_(pa.float64())),
-                }
-            )
         X = _emb_matrix(b, emb_col)
         return pa.table(
             {
@@ -1075,15 +1036,6 @@ def pq_reconstruct(
 
         def fit_partials(b: pa.Table, *, ref=None) -> pa.Table:
             C = ref.get()
-            if b.num_rows == 0:
-                return pa.table(
-                    {
-                        "sub": pa.array([], pa.int64()),
-                        "cid": pa.array([], pa.int64()),
-                        "n": pa.array([], pa.float64()),
-                        "s": pa.array([], pa.list_(pa.float64())),
-                    }
-                )
             X = _emb_matrix(b, emb_col)
             subs, cids, ns, ss = [], [], [], []
             for j in range(C.shape[0]):
@@ -1135,13 +1087,6 @@ def pq_reconstruct(
 
     def reconstruct(b: pa.Table) -> pa.Table:
         C = ref.get()
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    emb_col: pa.array([], pa.list_(pa.float64())),
-                }
-            )
         X = _emb_matrix(b, emb_col)
         out = np.empty_like(X)
         for j in range(C.shape[0]):

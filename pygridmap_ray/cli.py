@@ -116,8 +116,6 @@ def cmd_rollup(args) -> dict:
         import numpy as np
         import pyarrow as pa
 
-        if batch.num_columns == 0:
-            return batch
         codes = np.asarray(batch["parent_code"], dtype=np.int64)
         # coarse shard key for the partitioned sink (bounded dir count)
         return batch.append_column(

@@ -32,6 +32,8 @@ from ray import cloudpickle
 _HASH_MULT = 2654435761
 #: the bucket column :func:`segment_apply` shuffles on (internal)
 _BUCKET = "__segment_bucket"
+#: pair bound of one :func:`segment_pairs` chunk (a segment is never split)
+PAIR_CHUNK = 4_000_000
 
 
 def default_num_partitions(min_parts: int = 2, per_cpu: float = 0.5) -> int:
@@ -123,6 +125,23 @@ def segment_starts(table: pa.Table, keys: list[str]) -> np.ndarray:
             )
         change[1:] |= ne.to_numpy(zero_copy_only=False).astype(bool)
     return np.flatnonzero(change)
+
+
+def segment_pairs(starts: np.ndarray, n: int):
+    """Yield ``(ga, gb)`` row-index chunks holding every within-segment
+    pair ``ga < gb`` of the segments that begin at ``starts`` in an
+    ``n``-row table: one ``np.triu_indices`` per distinct segment size,
+    sizes ascending, then segments ascending, then ``triu`` order.  A
+    chunk holds whole segments, at most about :data:`PAIR_CHUNK` pairs
+    (or one larger segment)."""
+    sizes = np.diff(np.append(starts, n))
+    for sz in np.unique(sizes[sizes >= 2]):
+        segs = starts[sizes == sz]
+        la, lb = np.triu_indices(int(sz), k=1)
+        per = max(1, PAIR_CHUNK // len(la))
+        for i in range(0, len(segs), per):
+            s = segs[i : i + per, None]
+            yield (s + la).ravel(), (s + lb).ravel()
 
 
 def _as_table(out, schema: pa.Schema | None) -> pa.Table:

@@ -26,6 +26,7 @@ from pygridmap_ray.cluster import (
     Broadcast,
     apply_segments,
     segment_apply,
+    segment_pairs,
     segment_sum,
 )
 from pygridmap_ray.synth import KNUTH_MULT
@@ -218,11 +219,6 @@ def minhash_lsh_pairs(
         return out
 
     def thin_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()),
-                 "val": pa.array([], pa.int64())}
-            )
         sig = np.asarray(
             batch["minhash"].combine_chunks().flatten()
         ).reshape(batch.num_rows, _MINHASH_K)
@@ -624,17 +620,10 @@ def ngram_jaccard_pairs(
         sizes = np.asarray(t["size"], np.int64)
         pos = np.asarray(t["pos"], np.int64)
         shash = np.asarray(t["set_hash"], np.int64)
-        m = np.diff(np.append(starts, len(ids)))
-        ga_l, gb_l = [], []
-        for sz in np.unique(m[m >= 2]):
-            segs = starts[m == sz]
-            la, lb = np.triu_indices(int(sz), k=1)
-            ga_l.append((segs[:, None] + la[None, :]).ravel())
-            gb_l.append((segs[:, None] + lb[None, :]).ravel())
-        if not ga_l:
+        chunks = list(segment_pairs(starts, len(ids)))
+        if not chunks:
             return _CAND_EMPTY
-        ga = np.concatenate(ga_l)
-        gb = np.concatenate(gb_l)
+        ga, gb = (np.concatenate(c) for c in zip(*chunks))
         same = shash[ga] == shash[gb]
         ident = same & (pos[ga] == 0) & (pos[gb] == 0)
         cross = (~same) & (
@@ -994,16 +983,6 @@ SELECT id_a, id_b, jaccard FROM (
 """
 
 
-def _empty_pairs() -> pa.Table:
-    return pa.table(
-        {
-            "id_a": pa.array([], pa.int64()),
-            "id_b": pa.array([], pa.int64()),
-            "cosine": pa.array([], pa.float64()),
-        }
-    )
-
-
 def embedding_neardup_pairs(
     ds,
     centroids: np.ndarray,
@@ -1042,10 +1021,6 @@ def embedding_neardup_pairs(
 
     def assign(batch: pa.Table) -> pa.Table:
         c = ref.get()
-        if batch.num_rows == 0:
-            return batch.append_column(
-                "bucket", pa.array([], pa.int64())
-            ).append_column("cmax", pa.array([], pa.float64()))
         sims = _normalize(_emb_matrix(batch, emb_col)) @ c.T
         b = np.argmax(sims, axis=1)
         cmax = sims[np.arange(len(b)), b]
@@ -1201,14 +1176,6 @@ def semdedup(
     ref = Broadcast(cents)
 
     def assign(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    "cluster": pa.array([], pa.int64()),
-                    emb_col: pa.array([], b.schema.field(emb_col).type),
-                }
-            )
         C = ref.get()
         X = _emb_matrix(b, emb_col)
         # centroid-chunked running argmin (ann._argmin_sq_dist): same

@@ -122,8 +122,6 @@ def write_geojson_tiles(
     os.makedirs(output_dir, exist_ok=True)
 
     def write_block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"rows": pa.array([], pa.int64())})
         x0, y0, x1, y1 = _cell_corners(batch, resolution, x_origin, y_origin)
         props = {p: batch[p].to_pylist() for p in properties if p in batch.column_names}
         ids = (

@@ -48,16 +48,6 @@ def _cell_count_spread(
     """One batch of cell-tagged points -> spread neighbourhood partials
     ``(tix, tiy, contrib, self_cnt)``: per-cell counts via packed-int
     ``np.unique``, each emitted to its ``(2k+1)^2`` target cells."""
-    empty = pa.table(
-        {
-            "tix": pa.array([], pa.int64()),
-            "tiy": pa.array([], pa.int64()),
-            "contrib": pa.array([], pa.float64()),
-            "self_cnt": pa.array([], pa.float64()),
-        }
-    )
-    if not b.num_rows:
-        return empty
     ix = np.asarray(b[ix_col], np.int64)
     iy = np.asarray(b[iy_col], np.int64)
     if (
@@ -200,10 +190,6 @@ def cell_clusters(
     from .cluster import default_num_partitions
 
     def count_partial(b: pa.Table) -> pa.Table:
-        if not b.num_rows:
-            return pa.table(
-                {"pk": pa.array([], pa.int64()), "cnt": pa.array([], pa.float64())}
-            )
         ix = np.asarray(b[ix_col], np.int64)
         iy = np.asarray(b[iy_col], np.int64)
         if (
@@ -426,15 +412,6 @@ def cell_majority(
     import pandas as pd
 
     def partial(b: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "pk": pa.array([], pa.int64()),
-                "cat": pa.array([], pa.string()),
-                "cnt": pa.array([], pa.float64()),
-            }
-        )
-        if not b.num_rows:
-            return empty
         ix = np.asarray(b[ix_col], np.int64)
         iy = np.asarray(b[iy_col], np.int64)
         if (

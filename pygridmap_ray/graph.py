@@ -31,6 +31,7 @@ from pygridmap_ray.cluster import (
     Broadcast,
     resolve_num_buckets as _resolve_buckets,
     segment_apply,
+    segment_pairs,
 )
 
 #: schema of a distinct node-id Dataset
@@ -766,24 +767,14 @@ def triangle_stats(edges: pa.Table, *, round_to: int = 6) -> pa.Table:
     # made the stride scan the measured driver hotspot.  Chunked so the
     # wedge slab stays bounded regardless of degree skew.
     seg_starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
-    seg_sizes = np.diff(np.append(seg_starts, len(src)))
     tri = 0
-    for sz in np.unique(seg_sizes):
-        if sz < 2:
-            continue
-        segs = seg_starts[seg_sizes == sz]
-        la, lb = np.triu_indices(int(sz), k=1)
-        per = max(1, 4_000_000 // len(la))
-        for i in range(0, len(segs), per):
-            s = segs[i : i + per]
-            ga = (s[:, None] + la[None, :]).ravel()
-            gb = (s[:, None] + lb[None, :]).ravel()
-            a = dst[ga]
-            b = dst[gb]
-            wk = np.minimum(a, b) * n + np.maximum(a, b)
-            pos = np.searchsorted(ekey, wk)
-            np.clip(pos, 0, len(ekey) - 1, out=pos)
-            tri += int((ekey[pos] == wk).sum())
+    for ga, gb in segment_pairs(seg_starts, len(src)):
+        a = dst[ga]
+        b = dst[gb]
+        wk = np.minimum(a, b) * n + np.maximum(a, b)
+        pos = np.searchsorted(ekey, wk)
+        np.clip(pos, 0, len(ekey) - 1, out=pos)
+        tri += int((ekey[pos] == wk).sum())
     if n_wedges:
         c = (3.0 * float(tri)) / float(n_wedges)
         tol = 10.0 ** round_to
@@ -1957,28 +1948,18 @@ def local_clustering(edges: pa.Table, *, round_to: int = 6) -> pa.Table:
     unrank = np.empty(n, np.int64)
     unrank[rank] = np.arange(n)
     seg_starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
-    seg_sizes = np.diff(np.append(seg_starts, len(src)))
-    for sz in np.unique(seg_sizes):
-        if sz < 2:
-            continue
-        segs = seg_starts[seg_sizes == sz]
-        la, lb = np.triu_indices(int(sz), k=1)
-        per = max(1, 4_000_000 // len(la))
-        for i in range(0, len(segs), per):
-            s = segs[i : i + per]
-            ga = (s[:, None] + la[None, :]).ravel()
-            gb = (s[:, None] + lb[None, :]).ravel()
-            a = dst[ga]
-            b = dst[gb]
-            wk = np.minimum(a, b) * n + np.maximum(a, b)
-            pos = np.searchsorted(ekey, wk)
-            np.clip(pos, 0, len(ekey) - 1, out=pos)
-            closed = ekey[pos] == wk
-            if closed.any():
-                corners = np.concatenate(
-                    [src[ga[closed]], a[closed], b[closed]]
-                )
-                tri_cnt += np.bincount(corners, minlength=n)
+    for ga, gb in segment_pairs(seg_starts, len(src)):
+        a = dst[ga]
+        b = dst[gb]
+        wk = np.minimum(a, b) * n + np.maximum(a, b)
+        pos = np.searchsorted(ekey, wk)
+        np.clip(pos, 0, len(ekey) - 1, out=pos)
+        closed = ekey[pos] == wk
+        if closed.any():
+            corners = np.concatenate(
+                [src[ga[closed]], a[closed], b[closed]]
+            )
+            tri_cnt += np.bincount(corners, minlength=n)
     # tri_cnt is indexed by RANK space (src/dst are ranks)
     tri_by_node = tri_cnt[rank]
     tol = 10.0 ** round_to
@@ -2124,23 +2105,13 @@ def _wedge_partials(oriented, *, with_center: bool,
     def wedges(t: pa.Table, seg_starts: np.ndarray) -> "pd.DataFrame":
         srt = np.asarray(t["src"], np.int64)
         dn = np.asarray(t["dst"], np.int64)
-        seg_sizes = np.diff(np.append(seg_starts, len(srt)))
         wk_l, extra_l = [], []
-        for sz in np.unique(seg_sizes):
-            if sz < 2:
-                continue
-            segs = seg_starts[seg_sizes == sz]
-            la, lb = np.triu_indices(int(sz), k=1)
-            per = max(1, 4_000_000 // len(la))
-            for i in range(0, len(segs), per):
-                st = segs[i : i + per]
-                ga = (st[:, None] + la[None, :]).ravel()
-                gb = (st[:, None] + lb[None, :]).ravel()
-                # dpk ascends within a segment => dn[ga] is the lower
-                # (deg, node) corner: wedge key in oriented-edge order
-                wk_l.append((dn[ga] << 31) | dn[gb])
-                if with_center:
-                    extra_l.append(srt[ga])
+        for ga, gb in segment_pairs(seg_starts, len(srt)):
+            # dpk ascends within a segment => dn[ga] is the lower
+            # (deg, node) corner: wedge key in oriented-edge order
+            wk_l.append((dn[ga] << 31) | dn[gb])
+            if with_center:
+                extra_l.append(srt[ga])
         if not wk_l:
             return pd.DataFrame(
                 {"wk": pd.Series([], dtype="int64")}

@@ -181,18 +181,6 @@ def hex_density(ds, *, size: float):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            # hash aggregates emit column-less empty blocks on small
-            # inputs; emit a typed empty so downstream schemas agree
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "cx": pa.array([], pa.float64()),
-                    "cy": pa.array([], pa.float64()),
-                    "n_docs": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         cx, cy = hex_center(q, r, size)
         rnd = lambda v: np.sign(v) * np.floor(np.abs(v) * 1e6 + 0.5) / 1e6
@@ -245,10 +233,6 @@ def hex_rollup(ds, *, sum_cols: dict[str, str]):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            schema = {"hq": pa.int64(), "hr": pa.int64(), "n_docs": pa.int64()}
-            schema.update({out: pa.int64() for out in sum_cols})
-            return pa.table({k: pa.array([], t) for k, t in schema.items()})
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         out_cols = {"hq": pa.array(q), "hr": pa.array(r), "n_docs": b["n_docs"]}
         for out in sum_cols:
@@ -300,14 +284,6 @@ def hex_focal(ds, *, size: float, k: int = 1):
     )
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "contrib": pa.array([], pa.int64()),
-                    "self_n": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         n = np.asarray(b["n"], np.int64)
         tkeys = [_pack(q + dq, r + dr) for dq, dr in offs]
@@ -328,15 +304,6 @@ def hex_focal(ds, *, size: float, k: int = 1):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "focal_docs": pa.array([], pa.int64()),
-                }
-            )
         keep = np.asarray(b["n_docs"], np.int64) > 0
         q, r = _unpack(np.asarray(b["tkey"], np.int64)[keep])
         return pa.table(
@@ -375,15 +342,6 @@ def hex_idw(ds, *, size: float, k: int = 1, val_col: str = "val"):
     offs = kring_offsets(k)
 
     def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "wv": pa.array([], pa.float64()),
-                    "w": pa.array([], pa.float64()),
-                    "occ": pa.array([], pa.int64()),
-                }
-            )
         q = np.asarray(b["hq"], np.int64)
         r = np.asarray(b["hr"], np.int64)
         x = np.asarray(b["x"], np.float64)
@@ -432,14 +390,6 @@ def hex_idw(ds, *, size: float, k: int = 1, val_col: str = "val"):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "idw_val": pa.array([], pa.float64()),
-                }
-            )
         keep = np.asarray(b["occ"], np.int64) > 0
         q, r = _unpack(np.asarray(b["tkey"], np.int64)[keep])
         swv = np.asarray(b["swv"], np.float64)[keep]
@@ -479,14 +429,6 @@ def hex_zscore(ds, *, size: float):
     )
 
     def gpart(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "k": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.int64()),
-                    "ss": pa.array([], pa.int64()),
-                }
-            )
         n = np.asarray(b["n"], np.int64)
         return pa.table(
             {
@@ -504,15 +446,6 @@ def hex_zscore(ds, *, size: float):
     denom = np.sqrt(ss / k - (s / k) * (s / k))
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "z": pa.array([], pa.float64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         n = np.asarray(b["n"], np.int64).astype(np.float64)
         z = (n - m) / denom
@@ -566,14 +499,6 @@ def hex_lattice_stats(ds, *, size: float):
     )
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "bit": pa.array([], pa.int64()),
-                    "self_occ": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         tkeys, bits = [], []
         for i, (dq, dr) in enumerate(_CYCLE):
@@ -600,9 +525,6 @@ def hex_lattice_stats(ds, *, size: float):
     )
 
     def counts(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            z = np.zeros(1, np.int64)
-            return pa.table({"cells": z, "half_edges": z, "corners": z})
         occ = np.asarray(b["occ"], np.int64) > 0
         m = np.asarray(b["mask"], np.int64)[occ]
         half = np.zeros(len(m), np.int64)
@@ -669,15 +591,6 @@ def general_g(ds, *, size: float):
     )
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "contrib": pa.array([], pa.int64()),
-                    "links": pa.array([], pa.int64()),
-                    "self_n": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         n = np.asarray(b["n"], np.int64)
         tkey = np.concatenate(
@@ -705,11 +618,6 @@ def general_g(ds, *, size: float):
     )
 
     def sums(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            z = np.zeros(1, np.int64)
-            return pa.table(
-                {"cnt": z, "num": z, "w": z, "sx": z, "sxx": z}
-            )
         n = np.asarray(b["n"], np.int64)
         keep = n > 0
         x = n[keep]
@@ -768,14 +676,6 @@ def hex_kde(ds, *, size: float, bandwidth: float, k: int = 2):
     h2 = 2.0 * (float(bandwidth) * float(bandwidth))
 
     def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "w": pa.array([], pa.float64()),
-                    "occ": pa.array([], pa.int64()),
-                }
-            )
         q = np.asarray(b["hq"], np.int64)
         r = np.asarray(b["hr"], np.int64)
         x = np.asarray(b["x"], np.float64)
@@ -811,14 +711,6 @@ def hex_kde(ds, *, size: float, bandwidth: float, k: int = 2):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "kde": pa.array([], pa.float64()),
-                }
-            )
         keep = np.asarray(b["occ"], np.int64) > 0
         q, r = _unpack(np.asarray(b["tkey"], np.int64)[keep])
         v = np.asarray(b["kde"], np.float64)[keep]
@@ -859,14 +751,6 @@ def hex_spatial_lag(ds, *, size: float):
     )
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "contrib": pa.array([], pa.int64()),
-                    "self_n": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         n = np.asarray(b["n"], np.int64)
         tkey = np.concatenate(
@@ -888,12 +772,6 @@ def hex_spatial_lag(ds, *, size: float):
     )
 
     def sums(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            z = np.zeros(1)
-            return pa.table(
-                {"cnt": np.zeros(1, np.int64), "sx": z, "sy": z,
-                 "sxx": z, "sxy": z, "syy": z}
-            )
         n = np.asarray(b["n"], np.int64)
         keep = n > 0
         y = n[keep].astype(np.float64)
@@ -970,10 +848,6 @@ def morans_i(ds, *, size: float):
     )
 
     def gpart(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()), "s": pa.array([], pa.int64())}
-            )
         n = np.asarray(b["n"], np.int64)
         return pa.table(
             {"k": pa.array([np.int64(len(n))]), "s": pa.array([n.sum()])}
@@ -984,16 +858,6 @@ def morans_i(ds, *, size: float):
     m = float(g["sum(s)"]) / float(n_hexes)
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "ndv": pa.array([], pa.float64()),
-                    "npairs": pa.array([], pa.int64()),
-                    "self_dv": pa.array([], pa.float64()),
-                    "is_self": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         dv = np.asarray(b["n"], np.int64).astype(np.float64) - m
         tkeys = [_pack(q + dq, r + dr) for dq, dr in _NEIGHBORS]
@@ -1032,14 +896,6 @@ def morans_i(ds, *, size: float):
     )
 
     def fpart(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "num": pa.array([], pa.float64()),
-                    "den": pa.array([], pa.float64()),
-                    "w": pa.array([], pa.int64()),
-                }
-            )
         occ = np.asarray(b["occupied"], np.int64) == 1
         sdv = np.asarray(b["self_dv"], np.float64)[occ]
         ndv = np.asarray(b["ndv"], np.float64)[occ]
@@ -1106,10 +962,6 @@ def correlogram(ds, *, size: float, ks: tuple[int, ...] = (1, 2, 3)):
     )
 
     def gpart(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()), "s": pa.array([], pa.int64())}
-            )
         n = np.asarray(b["n"], np.int64)
         return pa.table(
             {"k": pa.array([np.int64(len(n))]), "s": pa.array([n.sum()])}
@@ -1120,14 +972,6 @@ def correlogram(ds, *, size: float, ks: tuple[int, ...] = (1, 2, 3)):
     m = float(g["sum(s)"]) / float(n_hexes)
 
     def scatter(b: pa.Table) -> pa.Table:
-        cols = {"tkey": pa.array([], pa.int64())}
-        if b.num_columns == 0 or b.num_rows == 0:
-            for k in ks:
-                cols[f"ndv{k}"] = pa.array([], pa.float64())
-                cols[f"np{k}"] = pa.array([], pa.int64())
-            cols["self_dv"] = pa.array([], pa.float64())
-            cols["is_self"] = pa.array([], pa.int64())
-            return pa.table(cols)
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         dv = np.asarray(b["n"], np.int64).astype(np.float64) - m
         nv = len(dv)
@@ -1173,12 +1017,6 @@ def correlogram(ds, *, size: float, ks: tuple[int, ...] = (1, 2, 3)):
 
     def fpart(b: pa.Table) -> pa.Table:
         cols = {}
-        if b.num_columns == 0 or b.num_rows == 0:
-            for k in ks:
-                cols[f"num{k}"] = pa.array([], pa.float64())
-                cols[f"w{k}"] = pa.array([], pa.int64())
-            cols["den"] = pa.array([], pa.float64())
-            return pa.table(cols)
         occ = np.asarray(b["occupied"], np.int64) == 1
         sdv = np.asarray(b["self_dv"], np.float64)[occ]
         cols["den"] = pa.array([float(np.sum(sdv * sdv))])
@@ -1239,10 +1077,6 @@ def local_morans_i(ds, *, size: float):
     )
 
     def gpart(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()), "s": pa.array([], pa.int64())}
-            )
         n = np.asarray(b["n"], np.int64)
         return pa.table(
             {"k": pa.array([np.int64(len(n))]), "s": pa.array([n.sum()])}
@@ -1253,23 +1087,12 @@ def local_morans_i(ds, *, size: float):
     m = float(g["sum(s)"]) / float(n_hexes)
 
     def dpart(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table({"d2": pa.array([], pa.float64())})
         dv = np.asarray(b["n"], np.int64).astype(np.float64) - m
         return pa.table({"d2": pa.array([float(np.sum(dv * dv))])})
 
     den = float(dens.map_batches(dpart, batch_format="pyarrow").sum("d2"))
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "ndv": pa.array([], pa.float64()),
-                    "self_dv": pa.array([], pa.float64()),
-                    "self_n": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         nv = np.asarray(b["n"], np.int64)
         dv = nv.astype(np.float64) - m
@@ -1300,15 +1123,6 @@ def local_morans_i(ds, *, size: float):
     nf = float(n_hexes)
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "lisa": pa.array([], pa.float64()),
-                }
-            )
         occ = np.asarray(b["n_docs"], np.int64) > 0
         q, r = _unpack(np.asarray(b["tkey"], np.int64)[occ])
         sdv = np.asarray(b["self_dv"], np.float64)[occ]
@@ -1354,14 +1168,6 @@ def gi_star(ds, *, size: float):
     )
 
     def gpart(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "k": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.int64()),
-                    "ss": pa.array([], pa.int64()),
-                }
-            )
         n = np.asarray(b["n"], np.int64)
         return pa.table(
             {
@@ -1377,15 +1183,6 @@ def gi_star(ds, *, size: float):
     S = np.sqrt(float(g["sum(ss)"]) / kN - m * m)
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "fsum": pa.array([], pa.int64()),
-                    "w": pa.array([], pa.int64()),
-                    "self_n": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         n = np.asarray(b["n"], np.int64)
         offs = ((0, 0), *_NEIGHBORS)
@@ -1420,15 +1217,6 @@ def gi_star(ds, *, size: float):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "gi_star": pa.array([], pa.float64()),
-                }
-            )
         occ = np.asarray(b["n_docs"], np.int64) > 0
         q, r = _unpack(np.asarray(b["tkey"], np.int64)[occ])
         fsum = np.asarray(b["fsum"], np.int64)[occ].astype(np.float64)

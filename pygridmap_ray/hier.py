@@ -202,15 +202,6 @@ def hier_rollup(ds, *, parent_level: int, level: int):
     )
 
     def to_parent(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            # hash-shuffle aggregates emit column-less empty blocks on
-            # small inputs; emit a typed empty so downstream schemas agree
-            return pa.table(
-                {
-                    "parent_code": pa.array([], pa.int64()),
-                    "docs": pa.array([], pa.int64()),
-                }
-            )
         codes = np.asarray(batch["cell_code"], dtype=np.int64)
         return pa.table(
             {
@@ -325,7 +316,7 @@ def zrange_filter(
     x0, y0, x1, y1 = bbox
 
     def filt(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or len(starts) == 0:
+        if len(starts) == 0:
             return b.slice(0, 0)
         code = np.asarray(b["cell_code"], dtype=np.int64)
         idx = np.searchsorted(starts, code, side="right") - 1

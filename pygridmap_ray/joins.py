@@ -509,8 +509,6 @@ def bloom_prefilter(ds, bloom: dict, on: str):
 
     def apply(batch: pa.Table) -> pa.Table:
         bits = bitmap.get()
-        if not batch.num_rows:
-            return batch
         vals = np.asarray(batch[on])
         keep = np.ones(len(vals), dtype=bool)
         for pos in _bloom_positions(vals, num_bits, num_hashes):

@@ -1228,10 +1228,6 @@ def q_hex_buffer(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"hq": pa.array([], pa.int64()), "hr": pa.array([], pa.int64())}
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         return pa.table({"hq": pa.array(q), "hr": pa.array(r)})
 
@@ -1284,14 +1280,6 @@ def q_hex_erode(sf_dir: str):
     )
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "bit": pa.array([], pa.int64()),
-                    "self_occ": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         tkeys, bits = [], []
         for i, (dq, dr) in enumerate(_CYCLE):
@@ -1316,10 +1304,6 @@ def q_hex_erode(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"hq": pa.array([], pa.int64()), "hr": pa.array([], pa.int64())}
-            )
         keep = (np.asarray(b["occ"], np.int64) > 0) & (
             np.asarray(b["mask"], np.int64) == 63
         )
@@ -1380,16 +1364,6 @@ def q_join_counts(sf_dir: str):
     from ..hex import _unpack
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "nb_b": pa.array([], pa.int64()),
-                    "nb_w": pa.array([], pa.int64()),
-                    "self_cls": pa.array([], pa.int64()),
-                    "is_self": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         black = (np.asarray(b["n"], np.int64) >= JC_MIN_B).astype(np.int64)
         tkey = np.concatenate(
@@ -1429,11 +1403,6 @@ def q_join_counts(sf_dir: str):
     )
 
     def counts(b: pa.Table) -> pa.Table:
-        z = np.zeros(1, np.int64)
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"bb2": z, "bw": z, "ww2": z, "nb": z, "nw": z}
-            )
         cls = np.asarray(b["cls"], np.int64)
         occ = cls > 0
         black = cls[occ] == 2
@@ -1636,14 +1605,6 @@ def q_hex_entropy(sf_dir: str):
     )
 
     def sums(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "k": np.zeros(1, np.int64),
-                    "s": np.zeros(1, np.int64),
-                    "snln": np.zeros(1),
-                }
-            )
         n = np.asarray(b["n"], np.int64).astype(np.float64)
         return pa.table(
             {
@@ -2010,16 +1971,6 @@ def q_hex_choropleth(sf_dir: str):
     )
 
     def prep(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "hkey": pa.array([], pa.int64()),
-                    "g": pa.array([], pa.int64()),
-                }
-            )
         key = _pack(np.asarray(b["hq"], np.int64), np.asarray(b["hr"], np.int64))
         return pa.table(
             {
@@ -2098,15 +2049,6 @@ def q_hex_embedding_norm(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_vecs": pa.array([], pa.int64()),
-                    "mean_norm": pa.array([], pa.float64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         m = np.asarray(b["nsum"], np.float64) / np.asarray(
             b["n_vecs"], np.int64
@@ -2580,16 +2522,6 @@ def q_media_hex_bytes(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "kind": pa.array([], pa.string()),
-                    "n_media": pa.array([], pa.int64()),
-                    "total_bytes": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         return pa.table(
             {
@@ -2714,15 +2646,6 @@ def q_hex_pyramid(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "level": pa.array([], pa.int64()),
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         return pa.table(
             {
@@ -2794,15 +2717,6 @@ def q_hex_top_lang(sf_dir: str):
     )
 
     def encode_order(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hkey": pa.array([], pa.int64()),
-                    "lang": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "neg_lang": pa.array([], pa.int64()),
-                }
-            )
         lang = np.asarray(b["lang"]).astype("S8")
         packed = lang.view(">u8").astype(np.int64)  # ASCII -> < 2**63
         return pa.table(
@@ -2822,15 +2736,6 @@ def q_hex_top_lang(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "lang": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         return pa.table(
             {
@@ -2888,16 +2793,6 @@ def q_hex_boundaries(sf_dir: str):
     s = HEX_SIZE
 
     def vertices(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "v": pa.array([], pa.int64()),
-                    "vx": pa.array([], pa.float64()),
-                    "vy": pa.array([], pa.float64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         qf = q.astype(np.float64)
         rf = r.astype(np.float64)
@@ -2984,14 +2879,6 @@ def q_hub_catchment(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hub_id": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "mean_km": pa.array([], pa.float64()),
-                }
-            )
         n = np.asarray(b["n_docs"], np.int64).astype(np.float64)
         m = np.asarray(b["dsum"], np.float64) / n
         m = np.sign(m) * np.floor(np.abs(m) * 1e6 + 0.5) / 1e6
@@ -3059,16 +2946,6 @@ def q_hex_zonal(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_cells": pa.array([], pa.int64()),
-                    "elev_sum": pa.array([], pa.float64()),
-                    "elev_mean": pa.array([], pa.float64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         s = np.asarray(b["elev_sum"], np.float64)
         n = np.asarray(b["n_cells"], np.int64).astype(np.float64)
@@ -3206,13 +3083,6 @@ def q_q5_revenue(sf_dir: str):
     )
 
     def same_nation(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "c_nationkey": pa.array([], pa.int64()),
-                    "rev": pa.array([], pa.float64()),
-                }
-            )
         sk_sorted, sn_sorted = s_map_ref.get()
         sk = np.asarray(b["l_suppkey"], np.int64)
         pos = np.searchsorted(sk_sorted, sk)
@@ -3236,13 +3106,6 @@ def q_q5_revenue(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "n_name": pa.array([], pa.string()),
-                    "revenue": pa.array([], pa.float64()),
-                }
-            )
         nk = np.asarray(b["c_nationkey"], np.int64)
         names = pa.array([euro[int(v)] for v in nk], pa.string())
         out = pa.table({"n_name": names, "revenue": b["revenue"]})
@@ -3459,14 +3322,6 @@ def q_span_transitions(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "from_kind": pa.array([], pa.string()),
-                    "to_kind": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
         pair = np.asarray(b["pair"], np.int64)
         kinds = np.asarray(list(KINDS), dtype=object)
         return pa.table(
@@ -3595,15 +3450,6 @@ def q_poly_media_rollup(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "poly_id": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "n_spans": pa.array([], pa.int64()),
-                    "n_media": pa.array([], pa.int64()),
-                }
-            )
         return b
 
     return agg.map_batches(finish, batch_format="pyarrow")
@@ -8455,15 +8301,6 @@ def q_hex_peak_hour(sf_dir: str):
     )
 
     def encode(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hkey": pa.array([], pa.int64()),
-                    "hour": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "neg_hour": pa.array([], pa.int64()),
-                }
-            )
         return b.append_column(
             "neg_hour", pa.array(-np.asarray(b["hour"], np.int64))
         )
@@ -8476,15 +8313,6 @@ def q_hex_peak_hour(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "peak_hour": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         return pa.table(
             {
@@ -8633,15 +8461,6 @@ def q_hex_decay_density(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "decayed": pa.array([], pa.float64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         w = np.asarray(b["wsum"], np.float64)
         w = np.sign(w) * np.floor(np.abs(w) * 1e6 + 0.5) / 1e6
@@ -8777,14 +8596,6 @@ def q_path_density(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "hq": pa.array([], pa.int64()),
-                    "hr": pa.array([], pa.int64()),
-                    "n_users": pa.array([], pa.int64()),
-                }
-            )
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
         return pa.table(
             {"hq": pa.array(q), "hr": pa.array(r), "n_users": b["n_users"]}
@@ -10038,8 +9849,6 @@ def q_skyline(sf_dir: str):
 
     def local_skyline(b: pa.Table) -> pa.Table:
         out = b.select(["doc_id", "x", "y"])
-        if not b.num_rows:
-            return out
         x = np.asarray(b["x"], np.float64)
         y = np.asarray(b["y"], np.float64)
         return out.take(pa.array(_skyline_idx(x, y)))
@@ -13096,17 +12905,6 @@ def q_geary_c(sf_dir: str):
     )
 
     def scatter(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "tkey": pa.array([], pa.int64()),
-                    "nn": pa.array([], pa.int64()),
-                    "nn2": pa.array([], pa.int64()),
-                    "cnt": pa.array([], pa.int64()),
-                    "self_n": pa.array([], pa.int64()),
-                    "is_self": pa.array([], pa.int64()),
-                }
-            )
         from ..hex import _unpack
 
         q, r = _unpack(np.asarray(b["hkey"], np.int64))
@@ -13154,16 +12952,6 @@ def q_geary_c(sf_dir: str):
     )
 
     def fold(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "num": pa.array([], pa.int64()),
-                    "w": pa.array([], pa.int64()),
-                    "k": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.int64()),
-                    "s2": pa.array([], pa.int64()),
-                }
-            )
         occ = np.asarray(b["occupied"], np.int64) == 1
         nt = np.asarray(b["self_n"], np.int64)[occ]
         nn = np.asarray(b["nn"], np.int64)[occ]

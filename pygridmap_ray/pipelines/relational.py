@@ -1030,16 +1030,6 @@ def events_od_matrix(sf_dir: str, *, hex_size: float, num_buckets: int | None = 
     agg = _od_flows(sf_dir, hex_size, num_buckets)
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "oq": pa.array([], pa.int64()),
-                    "orr": pa.array([], pa.int64()),
-                    "dq": pa.array([], pa.int64()),
-                    "dr": pa.array([], pa.int64()),
-                    "n_users": pa.array([], pa.int64()),
-                }
-            )
         oq, orr = _unpack(np.asarray(b["okey"], np.int64))
         dq, dr = _unpack(np.asarray(b["dkey"], np.int64))
         return pa.table(
@@ -1225,13 +1215,6 @@ def events_step_bearings(sf_dir: str, *, num_buckets: int | None = None):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "sector": pa.array([], pa.int64()),
-                    "n_steps": pa.array([], pa.int64()),
-                }
-            )
         return b.filter(pc.greater(b["n_steps"], 0))
 
     return agg.map_batches(finish, batch_format="pyarrow")
@@ -1419,14 +1402,6 @@ def events_radius_gyration(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "rg": pa.array([], pa.float64()),
-                }
-            )
         n = np.asarray(b["n_events"], np.int64).astype(np.float64)
         sx = np.asarray(b["sx"], np.float64)
         sy = np.asarray(b["sy"], np.float64)
@@ -1828,12 +1803,6 @@ def events_od_gravity(sf_dir: str, *, hex_size: float, num_buckets: int | None =
     agg = _od_flows(sf_dir, hex_size, num_buckets)
 
     def sums(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            z = np.zeros(1)
-            return pa.table(
-                {"cnt": np.zeros(1, np.int64), "sx": z, "sy": z,
-                 "sxx": z, "sxy": z, "syy": z}
-            )
         okey = np.asarray(b["okey"], np.int64)
         dkey = np.asarray(b["dkey"], np.int64)
         n = np.asarray(b["n_users"], np.int64)

@@ -527,11 +527,6 @@ def q10_returned(sf_dir: str) -> pa.Table:
         )
 
     def bucket_partial(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()),
-                 "s": pa.array([], pa.float64())}
-            )
         k = np.asarray(b["o_custkey"], np.int64)
         r = np.asarray(b["rev"], np.float64)
         uk, inv = np.unique(k, return_inverse=True)
@@ -775,13 +770,6 @@ def q7_volume(sf_dir: str):
         )
 
     def partial(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"s_nat": pa.array([], pa.int64()),
-                 "c_nat": pa.array([], pa.int64()),
-                 "l_year": pa.array([], pa.int64()),
-                 "rev": pa.array([], pa.float64())}
-            )
         s_nat = np.asarray(b["s_nat"], np.int64)
         c_nat = np.asarray(b["c_nationkey"], np.int64)
         keep = s_nat != c_nat  # opposite nations (both already in pair set)
@@ -973,12 +961,6 @@ def q8_market_share(sf_dir: str):
     )
 
     def partial(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"o_year": pa.array([], pa.int64()),
-                 "num": pa.array([], pa.float64()),
-                 "den": pa.array([], pa.float64())}
-            )
         year = np.asarray(b["o_year"], np.int64)
         rev = np.asarray(b["rev"], np.float64)
         tgt = np.asarray(b["tgt"], bool)
@@ -997,11 +979,6 @@ def q8_market_share(sf_dir: str):
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"o_year": pa.array([], pa.int64()),
-                 "mkt_share": pa.array([], pa.float64())}
-            )
         num = np.asarray(b["num"], np.float64)
         den = np.asarray(b["den"], np.float64)
         share = num / den
@@ -1693,11 +1670,6 @@ def q2_min_cost(sf_dir: str, *, broadcast_limit: int = 2_000_000) -> pa.Table:
         nparts = default_num_partitions()
 
         def achieving_j(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0 or b.num_rows == 0:
-                return pa.table(
-                    {"k": pa.array([], pa.int64()),
-                     "unit": pa.array([], pa.float64())}
-                )
             unit = np.asarray(b["unit"], np.float64)
             m = unit == np.asarray(b["mn"], np.float64)
             lp = np.asarray(b["p_partkey"], np.int64)[m]
@@ -1890,12 +1862,6 @@ def q9_profit(sf_dir: str):
         )
 
     def partial(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or b.num_rows == 0:
-            return pa.table(
-                {"nat": pa.array([], pa.int64()),
-                 "o_year": pa.array([], pa.int64()),
-                 "amount": pa.array([], pa.float64())}
-            )
         nat = np.asarray(b["nat"], np.int64)
         year = np.asarray(b["o_year"], np.int64)
         amt = np.asarray(b["amount"], np.float64)
@@ -2152,8 +2118,6 @@ def q12_late_priority(sf_dir: str):
              "high_line_count": pa.array([], pa.int64()),
              "low_line_count": pa.array([], pa.int64())}
         )
-        if b.num_columns == 0 or b.num_rows == 0:
-            return empty
         ship = np.asarray(b["ship_us"], np.int64)
         odate = np.asarray(b["odate_us"], np.int64)
         m = ship >= odate + late_us

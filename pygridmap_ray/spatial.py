@@ -859,40 +859,6 @@ def variogram(
     return rd.from_arrow(pa.table(cols))
 
 
-def convex_hull_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Indices of the convex-hull vertices of (x, y) via Andrew's monotone
-    chain, collinear boundary points EXCLUDED (strict turns only) — the
-    same vertex set as the oracle's strict-left hull-edge law, so the two
-    agree whenever no three input points are exactly collinear in float64
-    (the synthetic LCG point law never is).
-
-    Used as a COMBINER: each batch reduces to its local hull (the only
-    points that can survive globally), the union of local hulls — a few
-    dozen rows per block — folds on the driver with one more chain pass.
-    """
-    n = len(x)
-    if n <= 2:
-        return np.arange(n)
-    order = np.lexsort((y, x))
-
-    def half(idx):
-        out: list[int] = []
-        for i in idx:
-            while len(out) >= 2:
-                ax_, ay_ = x[out[-2]], y[out[-2]]
-                bx_, by_ = x[out[-1]], y[out[-1]]
-                if (bx_ - ax_) * (y[i] - ay_) - (by_ - ay_) * (x[i] - ax_) <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(i)
-        return out
-
-    lower = half(order)
-    upper = half(order[::-1])
-    return np.array(lower[:-1] + upper[:-1], dtype=np.int64)
-
-
 def hull_boundary_chain(
     x: np.ndarray, y: np.ndarray, eps: float = 0.0
 ) -> np.ndarray:

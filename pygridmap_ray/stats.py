@@ -597,14 +597,6 @@ def hll_distinct(ds, *, group_col: str, key_col: str, map_parallelism: int = 0):
     from ray.data.aggregate import Max
 
     def partial(b: pa.Table) -> pa.Table:
-        if not b.num_rows:
-            return pa.table(
-                {
-                    group_col: pa.array([], pa.string()),
-                    "j": pa.array([], pa.int64()),
-                    "rho": pa.array([], pa.int64()),
-                }
-            )
         g = np.asarray(pc.cast(b[group_col], pa.string())).astype(object)
         keys = np.asarray(pc.cast(b[key_col], pa.string())).astype(object)
         # duplicates are the common case (repeated visitors) — hash each
@@ -2010,15 +2002,6 @@ def priority_sample(
     scale = float(1 << 60)
 
     def partial(b: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                key_col: pa.array([], b.schema.field(key_col).type),
-                weight_col: pa.array([], b.schema.field(weight_col).type),
-                "__pri": pa.array([], pa.float64()),
-            }
-        )
-        if not b.num_rows:
-            return empty
         w = np.asarray(b[weight_col], np.float64)
         if (w < 0).any():
             raise ValueError("priority_sample weights must be >= 0")

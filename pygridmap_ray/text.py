@@ -20,6 +20,7 @@ from pygridmap_ray.cluster import (
     Broadcast,
     declare_schema,
     segment_apply,
+    segment_pairs,
 )
 
 #: language -> stopword regex (RE2; identical string used in SQL twins)
@@ -1104,14 +1105,10 @@ def winnow_dup_pairs(
             raise ValueError(
                 "pair packing needs doc ids < 2^31; remap ids"
             )
-        sizes = np.diff(np.append(starts, len(d)))
-        packed = []
-        for sz in np.unique(sizes[sizes >= 2]):  # one triu per group size
-            segs = starts[sizes == sz][:, None]
-            ia, ib = np.triu_indices(int(sz), k=1)
-            packed.append(
-                d[(segs + ia).ravel()] * np.int64(1 << 32) + d[(segs + ib).ravel()]
-            )
+        packed = [
+            d[ga] * np.int64(1 << 32) + d[gb]
+            for ga, gb in segment_pairs(starts, len(d))
+        ]
         if not packed:
             return None
         pk, n = np.unique(np.concatenate(packed), return_counts=True)

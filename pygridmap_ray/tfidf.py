@@ -45,6 +45,7 @@ from pygridmap_ray.cluster import (
     Broadcast,
     resolve_num_buckets as _resolve_buckets,
     segment_apply,
+    segment_pairs,
     segment_sum,
 )
 
@@ -116,14 +117,7 @@ def _pair_partials(t: pa.Table, starts: np.ndarray, *, max_df: int,
         / np.asarray(t["nrm"], np.float64)[kept]
     )
     doc = np.asarray(t["doc"], np.int64)[kept]
-    ga_l, gb_l = [], []
-    for sz in np.unique(sizes):
-        segs = starts[sizes == sz]
-        la, lb = np.triu_indices(int(sz), k=1)
-        ga_l.append((segs[:, None] + la[None, :]).ravel())
-        gb_l.append((segs[:, None] + lb[None, :]).ravel())
-    ga = np.concatenate(ga_l)
-    gb = np.concatenate(gb_l)
+    ga, gb = (np.concatenate(c) for c in zip(*segment_pairs(starts, len(doc))))
     pk = (doc[ga] << _PAIR_SHIFT) | doc[gb]  # doc ids ascending per segment
     val = wn[ga] * wn[gb]
     # pre-aggregate per pair inside the bucket: int sort + reduceat

@@ -213,15 +213,6 @@ def write_partitioned(
         return f"part-{tid[:24]}-{n:05d}"
 
     def write_block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "path": pa.array([], pa.string()),
-                    "rows": pa.array([], pa.int64()),
-                    "bytes": pa.array([], pa.int64()),
-                    "write_ms": pa.array([], pa.float64()),
-                }
-            )
         from urllib.parse import quote
 
         key_strs = [

@@ -625,3 +625,98 @@ def test_rect_clip_has_one_home():
                         )
                         break
     assert not offenders, offenders
+
+
+def test_no_zero_row_guard_in_map_udfs():
+    """No ``map_batches`` UDF guards a zero-row input: Ray 2.49 never
+    calls a UDF on a zero-row block (pinned by
+    ``test_segment_apply.py::test_map_batches_never_calls_udf_on_zero_row_blocks``),
+    so such a guard is dead code, and its typed empty never reaches a
+    downstream schema.  Flags a top-level ``if`` that tests
+    ``.num_rows``/``.num_columns`` of a parameter not reassigned before
+    it and returns, in a function whose only uses are as a
+    ``map_batches`` UDF (by name or through a one-call lambda).  A
+    function also called directly (driver, ``segment_apply`` kernel) may
+    keep its guard."""
+    import ast
+    from pathlib import Path
+
+    fn_types = (ast.FunctionDef, ast.AsyncFunctionDef)
+    root = Path(__file__).resolve().parents[1]
+    pkg = root / "pygridmap_ray"
+    # names referenced from another module (attribute access or import)
+    foreign: dict[str, set] = {}
+    for path in [
+        *pkg.rglob("*.py"),
+        *(root / "tests").glob("*.py"),
+        *(root / "scripts").glob("*.py"),
+        root / "bench.py",
+        root / "__ray_entry__.py",
+    ]:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, (ast.Attribute, ast.alias)):
+                foreign.setdefault(
+                    n.attr if isinstance(n, ast.Attribute) else n.name, set()
+                ).add(path)
+
+    def scope_defs(scope):
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:
+            n = stack.pop()
+            if isinstance(n, fn_types):
+                yield n
+            elif not isinstance(n, ast.ClassDef):
+                stack.extend(ast.iter_child_nodes(n))
+
+    def udf_use(name, parents) -> bool:
+        p = parents[name]
+        if isinstance(p, ast.Call) and p.func is name:
+            lam = parents.get(p)
+            if not (isinstance(lam, ast.Lambda) and lam.body is p):
+                return False
+            name, p = lam, parents[lam]
+        return (
+            isinstance(p, ast.Call)
+            and isinstance(p.func, ast.Attribute)
+            and p.func.attr == "map_batches"
+            and bool(p.args)
+            and p.args[0] is name
+        )
+
+    offenders = []
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.Module, *fn_types)):
+                continue
+            for fn in scope_defs(scope):
+                if isinstance(scope, ast.Module) and foreign.get(fn.name, set()) - {path}:
+                    continue
+                uses = [
+                    n for n in ast.walk(scope)
+                    if isinstance(n, ast.Name) and n.id == fn.name
+                ]
+                if not uses or not all(udf_use(u, parents) for u in uses):
+                    continue
+                params = {a.arg for a in fn.args.posonlyargs + fn.args.args}
+                for stmt in fn.body:
+                    if isinstance(stmt, ast.If) and isinstance(stmt.body[-1], ast.Return):
+                        tested = {
+                            t.value.id
+                            for t in ast.walk(stmt.test)
+                            if isinstance(t, ast.Attribute)
+                            and t.attr in ("num_rows", "num_columns")
+                            and isinstance(t.value, ast.Name)
+                        }
+                        if tested & params:
+                            offenders.append(
+                                f"{path.relative_to(root)}:{stmt.lineno}: {fn.name}: "
+                                f"if {ast.unparse(stmt.test)}"
+                            )
+                    params -= {
+                        t.id
+                        for t in ast.walk(stmt)
+                        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                    }
+    assert not offenders, f"{len(offenders)} zero-row guards:\n" + "\n".join(offenders)

@@ -237,3 +237,93 @@ def test_grouped_value_hist_domain_gate(ray_session, monkeypatch):
     exp = df.groupby(["k", "v"]).size()
     got = hist.set_index(["k", "v"])["count()"].sort_index()
     assert got.to_dict() == exp.to_dict()
+
+
+def test_segment_pairs_matches_combinations(monkeypatch):
+    """``cluster.segment_pairs`` yields every within-segment pair once,
+    in the order the pair kernels concatenate: segment sizes
+    ascending, segments ascending, ``itertools.combinations`` order
+    within a segment; a chunk never splits a segment and stops at
+    ``PAIR_CHUNK`` pairs."""
+    from itertools import combinations
+
+    from pygridmap_ray import cluster
+
+    sizes = np.array([3, 1, 4, 2, 3, 0, 4, 1, 5, 3, 2], np.int64)
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
+    n = int(sizes.sum())
+    expect = [
+        (s + a, s + b)
+        for sz in sorted(set(sizes.tolist()))
+        for s in starts[sizes == sz].tolist()
+        for a, b in combinations(range(sz), 2)
+    ]
+    for chunk in (cluster.PAIR_CHUNK, 7, 1):
+        monkeypatch.setattr(cluster, "PAIR_CHUNK", chunk)
+        chunks = list(cluster.segment_pairs(starts, n))
+        got = [(a, b) for ga, gb in chunks for a, b in zip(ga.tolist(), gb.tolist())]
+        assert got == expect
+        for ga, gb in chunks:
+            assert len(ga) == len(gb)
+            seg = np.searchsorted(starts, ga, side="right")
+            assert (seg == np.searchsorted(starts, gb, side="right")).all()
+            # whole segments: every segment in the chunk contributes all
+            # of its pairs
+            for s, k in zip(*np.unique(seg, return_counts=True)):
+                assert k == sizes[s - 1] * (sizes[s - 1] - 1) // 2
+            assert len(ga) <= max(chunk, int(sizes.max() * (sizes.max() - 1) // 2))
+        if chunk == 7:
+            assert len(chunks) > len(np.unique(sizes[sizes >= 2]))
+    assert list(cluster.segment_pairs(np.array([0, 1, 2], np.int64), 3)) == []
+    assert list(cluster.segment_pairs(np.array([], np.int64), 0)) == []
+
+
+def test_map_batches_never_calls_udf_on_zero_row_blocks(ray_session, tmp_path):
+    """The Ray Data contract the stage UDFs rely on: ``map_batches``
+    passes a zero-row block through without calling the UDF, for every
+    batch format and for an actor UDF, whether the zero rows come from
+    an empty ``from_arrow`` input, a zero-row aggregate output or a
+    filter that emptied every block.  This is why no ``map_batches``
+    UDF in the package guards ``num_rows == 0`` (see
+    ``test_entry_contract.py::test_no_zero_row_guard_in_map_udfs``);
+    zero-row schemas come from ``cluster.declare_schema``/``to_frame``/
+    ``safe_join`` instead.  If a Ray upgrade starts calling UDFs on empty
+    batches, this test fails first."""
+    import os
+    import uuid
+
+    import ray.data as rd
+
+    marks = str(tmp_path)
+
+    def record(batch):
+        open(os.path.join(marks, uuid.uuid4().hex), "w").close()
+        return batch
+
+    class Record:
+        def __call__(self, batch):
+            return record(batch)
+
+    empty = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.float64())})
+    inputs = {
+        "from_arrow": lambda: rd.from_arrow(empty),
+        "aggregate": lambda: rd.from_arrow(empty).groupby("k").count(),
+        "filter": lambda: rd.range(64, override_num_blocks=4).filter(
+            expr="id < 0"
+        ),
+    }
+    for name, make in inputs.items():
+        runs = [
+            (fmt, make().map_batches(record, batch_format=fmt))
+            for fmt in ("pyarrow", "pandas", "numpy", "default")
+        ]
+        runs.append(
+            ("actor", make().map_batches(Record, batch_format="pyarrow", concurrency=1))
+        )
+        for fmt, ds in runs:
+            assert ds.take_all() == [], (name, fmt)
+            assert os.listdir(marks) == [], (name, fmt)
+    # control: a non-empty input does reach the UDF
+    assert len(rd.range(8).map_batches(record, batch_format="pyarrow").take_all()) == 8
+    assert os.listdir(marks)
