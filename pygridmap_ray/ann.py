@@ -124,14 +124,6 @@ def ann_topk(
     def partial(batch: pa.Table) -> pa.Table:
         state = ref.get()
         ids = np.asarray(batch[id_col], dtype=np.int64)
-        if len(ids) == 0:  # empty block: (0, 1) matrix would break matmul
-            return pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "neighbor_id": pa.array([], pa.int64()),
-                    "cosine": pa.array([], pa.float64()),
-                }
-            )
         v = _normalize(_emb_matrix(batch, emb_col))
         sims = state["qm"] @ v.T  # (Q, N)
         q_out, n_out, s_out = [], [], []
@@ -193,8 +185,6 @@ def ann_range(
                 "cosine": pa.array([], pa.float64()),
             }
         )
-        if len(ids) == 0:
-            return empty
         v = _normalize(_emb_matrix(batch, emb_col))
         sims = state["qm"] @ v.T  # (Q, N)
         qi, ni = np.nonzero(sims >= threshold)
@@ -432,14 +422,6 @@ def ivf_topk(
     def partial(batch: pa.Table) -> pa.Table:
         state = ref.get()
         ids = np.asarray(batch[id_col], dtype=np.int64)
-        if len(ids) == 0:
-            return pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "neighbor_id": pa.array([], pa.int64()),
-                    "cosine": pa.array([], pa.float64()),
-                }
-            )
         v = _normalize(_emb_matrix(batch, emb_col))
         bucket = np.argmax(v @ state["cents"].T, axis=1)
         sims = state["qm"] @ v.T
@@ -1232,8 +1214,6 @@ def hard_negatives(
             }
         )
         ids = np.asarray(batch[id_col], dtype=np.int64)
-        if len(ids) == 0:
-            return empty
         lab = np.asarray(batch[label_col], dtype=np.int64)
         v = _normalize(_emb_matrix(batch, emb_col))
         sims = state["qm"] @ v.T  # (Q, N)

@@ -2,9 +2,11 @@
 
 Ray-Data-native re-expression of the reference ``GridMaker``
 (reference gridding.py:132-399): the unit of work is a processing tile,
-but a tile is a *row of a Dataset of tile specs*, not a multiprocessing
-task; the cell-emission kernel is a stateless ``map_batches`` stage
-holding the broadcast mask once per worker (reference re-pickles the
+but a tile is a *row of a lazy ``range`` of tile ids*, not a
+multiprocessing task, and a block of tiles is one batched pass
+(:class:`EmitCells`), not a loop over them.  The kernel is a stateless
+``map_batches`` stage fused with the range, holding the broadcast mask
+and its (polygon, tile) pairs once per worker (reference re-pickles the
 mask per tile, gridding.py:345-353).
 
 Output schema (system columns, reference gridding.py:66-68, 164-167):
@@ -42,32 +44,121 @@ import numpy as np
 import pyarrow as pa
 
 from .cluster import Broadcast
-from .geom.kernels import TOL_EPS, clip_areas_rect, coverage_pairs
+from .geom.index import ragged
+from .geom.kernels import TOL_EPS, clip_areas_rect, coverage_pairs, snap_windows
 from .planning import GridSpec, plan_grid, pos_offset
 
-
-def _tile_cell_range(spec: GridSpec, tiy: int, tix: int):
-    """Global (row0, row1, col0, col1) cell-index range of one tile."""
-    r0 = tiy * spec.tilesize[0]
-    r1 = min((tiy + 1) * spec.tilesize[0], spec.nrows)
-    c0 = tix * spec.tilesize[1]
-    c1 = min((tix + 1) * spec.tilesize[1], spec.ncols)
-    return r0, r1, c0, c1
+#: the output schema (module docstring)
+_COLUMNS = [
+    ("cell_id", np.int64), ("ix", np.int32), ("iy", np.int32), ("x", np.float64), ("y", np.float64),
+    ("tile_id", np.int64), ("intersects", np.int8), ("within", np.int8),
+]
 
 
-def _placeholder_row(spec: GridSpec, tiy: int, tix: int, r0: int, c0: int, x0, y0):
-    """Reference trim=False placeholder for a non-intersecting tile
-    (gridding.py:160-163: one row at the tile's lower-left, flags 0/0)."""
-    return {
-        "cell_id": np.array([-1 - spec.tile_id(tiy, tix)], dtype=np.int64),
-        "ix": np.array([c0], dtype=np.int32),
-        "iy": np.array([r0], dtype=np.int32),
-        "x": np.array([x0], dtype=np.float64),
-        "y": np.array([y0], dtype=np.float64),
-        "tile_id": np.array([spec.tile_id(tiy, tix)], dtype=np.int64),
-        "intersects": np.zeros(1, dtype=np.int8),
-        "within": np.zeros(1, dtype=np.int8),
-    }
+def _tile_rects(spec: GridSpec, tiy: np.ndarray, tix: np.ndarray):
+    """Per tile: first row and column, rows, columns, and the extent
+    ``x0, y0, x1, y1`` (reference gridding.py:140-143)."""
+    (tr, tc), (w, h) = spec.tilesize, spec.cellsize
+    r0, c0 = tiy * tr, tix * tc
+    ny, nx = np.minimum(r0 + tr, spec.nrows) - r0, np.minimum(c0 + tc, spec.ncols) - c0
+    x0, y0 = spec.bbox[0] + c0 * w, spec.bbox[1] + r0 * h
+    return r0, c0, ny, nx, x0, y0, x0 + nx * w, y0 + ny * h
+
+
+class EmitCells:
+    """Cell kernel over the broadcast mask, built once per worker
+    (reference ships the mask with every tile task, gridding.py:345-353).
+
+    Built once: the (polygon, tile) pairs whose bboxes meet strictly
+    (the reference's per-tile candidate test), sorted by tile.  A batch
+    of tile ids is one pass over all its tiles: one
+    :func:`~pygridmap_ray.geom.kernels.clip_areas_rect` call over its
+    pairs for the tile-level full cover, one
+    :func:`~pygridmap_ray.geom.kernels.coverage_pairs` call over the
+    pairs of the other tiles, and the per-cell tests OR-folded by flat
+    cell index.
+
+    ``tile_flags=True`` replays the reference's trim=False branch
+    (gridding.py:160-172): flags are computed once at TILE level and
+    stamped on every cell; tiles that do not intersect the mask emit the
+    single placeholder row instead of their cells."""
+
+    def __init__(self, spec: GridSpec, mask, trim: bool, interior: bool, tile_flags: bool = False):
+        self.spec, self.trim, self.interior, self.tile_flags = spec, trim, interior, tile_flags
+        self.layer = isinstance(mask, list) and bool(mask)
+        if not self.layer:
+            return
+        self.rings = [p["rings"] for p in mask]
+        b = np.array([p["bbox"] for p in mask], np.float64)
+        ix0, iy0, nx, ny = snap_windows(b, *spec.bbox[:2], *spec.cellsize)
+        # the tiles of each snapped bbox with one cell of margin, on the grid
+        (tr, tc), last = spec.tilesize, (spec.nytiles - 1, spec.nxtiles - 1)
+        tx0, tx1 = (np.clip(v // tc, 0, last[1]) for v in (ix0 - 1, ix0 + nx))
+        ty0, ty1 = (np.clip(v // tr, 0, last[0]) for v in (iy0 - 1, iy0 + ny))
+        ntx = tx1 - tx0 + 1
+        poly, k = ragged(np.zeros(len(b), np.int64), ntx * (ty1 - ty0 + 1))
+        tiy, tix = ty0[poly] + k // ntx[poly], tx0[poly] + k % ntx[poly]
+        *_, x0, y0, x1, y1 = _tile_rects(spec, tiy, tix)
+        b = b[poly]
+        meet = (b[:, 0] < x1) & (b[:, 2] > x0) & (b[:, 1] < y1) & (b[:, 3] > y0)
+        tile = (tix + tiy * spec.nxtiles)[meet]
+        o = np.argsort(tile, kind="stable")
+        self.pair_tile, self.pair_poly = tile[o], poly[meet][o]
+
+    def cells(self, tiles: np.ndarray) -> dict[str, np.ndarray]:
+        """The cell rows of ``tiles`` (tile ids), column -> typed array."""
+        spec = self.spec
+        w, h = spec.cellsize
+        cell_area = w * h
+        r0, c0, ny, nx, x0, y0, x1, y1 = _tile_rects(spec, *np.divmod(tiles, spec.nxtiles))
+        full = np.zeros(len(tiles), bool)  # covered by a single polygon
+        live = np.full(len(tiles), not (self.layer and (self.trim or self.tile_flags)))
+        if self.layer:
+            lo = np.searchsorted(self.pair_tile, tiles, "left")
+            j, at = ragged(lo, np.searchsorted(self.pair_tile, tiles, "right") - lo)
+            rings = [self.rings[i] for i in self.pair_poly[at].tolist()]
+            # every pair's area inside its tile, in one clip pass.  The
+            # full-cover tolerance is ONE CELL's epsilon, not the tile's:
+            # tile_area*TOL would let a missing sliver concentrate on a
+            # single cell and stamp within=1 where the per-cell path (and
+            # the oracle) says 0
+            areas = clip_areas_rect(rings, x0[j], y0[j], x1[j], y1[j])
+            full[j[areas >= ((x1 - x0) * (y1 - y0))[j] - cell_area * TOL_EPS]] = True
+            # tile-level ians under the area-positive convention, or any candidate
+            live[j[areas > cell_area * TOL_EPS] if self.tile_flags else j] = True
+        # the cells of the live tiles, tile after tile, each row-major
+        size = np.where(live, nx * ny, 0)
+        t, pos = ragged(np.zeros(len(tiles), np.int64), size)
+        iy, ix = r0[t] + pos // nx[t], c0[t] + pos % nx[t]
+        # a polygon-less mask grids the full bbox, intersects=1 within=0
+        # (reference gridding.py:145-147,163); tile flags stamp intersects=1
+        within, intersects = full[t], full[t] | (self.tile_flags or not self.layer)
+        if self.layer and not self.tile_flags:
+            # the other tiles' coverage, every pair in one call, then the
+            # OR-fold over polygons of the per-cell tests
+            part = np.flatnonzero(~full[j])
+            jp = j[part]
+            inst, cx, cy, cov = coverage_pairs(
+                [rings[i] for i in part.tolist()], x0[jp], y0[jp], w, h, nx[jp], ny[jp]
+            )
+            tj = jp[inst]
+            flat = np.cumsum(size)[tj] - size[tj] + cy * nx[tj] + cx
+            within[flat[cov >= cell_area * (1.0 - TOL_EPS)]] = True
+            intersects[flat[cov > cell_area * TOL_EPS]] = True
+            if self.trim:
+                keep = within if self.interior else within | intersects
+                t, iy, ix = t[keep], iy[keep], ix[keep]
+                within, intersects = within[keep], intersects[keep]
+        offx, offy = pos_offset(spec.xypos, spec.cellsize)
+        x, y = spec.bbox[0] + ix * w + offx, spec.bbox[1] + iy * h + offy
+        cols = [iy * spec.ncols + ix, ix, iy, x, y, tiles[t], intersects, within]
+        # one placeholder row per tile off the mask, at its lower-left
+        p = np.flatnonzero(~live) if self.tile_flags else np.zeros(0, np.int64)
+        rows = [-1 - tiles[p], c0[p], r0[p], x0[p], y0[p], tiles[p], *np.zeros((2, len(p)))]
+        return {c: np.concatenate([a, b]).astype(dt) for (c, dt), a, b in zip(_COLUMNS, cols, rows)}
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return pa.table(self.cells(np.asarray(batch["id"], np.int64)))
 
 
 def emit_tile_cells(
@@ -78,143 +169,11 @@ def emit_tile_cells(
     trim: bool,
     interior: bool,
     tile_flags: bool = False,
-) -> dict[str, np.ndarray] | None:
-    """The per-tile cell-emission kernel (reference prll_process_tile,
-    gridding.py:132-188).  Returns a dict-of-arrays batch or None.
-
-    ``tile_flags=True`` replays the reference's trim=False branch
-    (gridding.py:160-172): flags are computed once at TILE level and
-    stamped on every cell; tiles that do not intersect the mask emit the
-    single placeholder row instead of their cells."""
-    r0, r1, c0, c1 = _tile_cell_range(spec, tiy, tix)
-    ny, nx = r1 - r0, c1 - c0
-    if ny <= 0 or nx <= 0:
-        return None
-    w, h = spec.cellsize
-    x0 = spec.bbox[0] + c0 * w
-    y0 = spec.bbox[1] + r0 * h
-    cell_area = w * h
-
-    if isinstance(mask, list) and mask:
-        tile_x1, tile_y1 = x0 + nx * w, y0 + ny * h
-        cand = [
-            p
-            for p in mask
-            if p["bbox"][0] < tile_x1
-            and p["bbox"][2] > x0
-            and p["bbox"][1] < tile_y1
-            and p["bbox"][3] > y0
-        ]
-        if not cand and trim and not tile_flags:
-            return None
-        # every candidate's area inside the tile, in one clip pass
-        areas = clip_areas_rect([p["rings"] for p in cand], x0, y0, tile_x1, tile_y1)
-        # single-polygon full cover (tile-level wans).  Tolerance is ONE
-        # CELL's epsilon, not the tile's: tile_area*TOL would let a missing
-        # sliver concentrate on a single cell and stamp within=1 where the
-        # per-cell path (and the oracle) says 0
-        full = bool(
-            (areas >= (tile_x1 - x0) * (tile_y1 - y0) - cell_area * TOL_EPS).any()
-        )
-        if tile_flags:
-            # tile-level ians/wans under the engine's area-positive convention
-            if not (areas > cell_area * TOL_EPS).any():
-                return _placeholder_row(spec, tiy, tix, r0, c0, x0, y0)
-            intersects = np.ones((ny, nx), dtype=bool)
-            within = np.full((ny, nx), full, dtype=bool)
-        elif full:
-            within = np.ones((ny, nx), dtype=bool)
-            intersects = np.ones((ny, nx), dtype=bool)
-        else:
-            # every candidate's coverage of the tile in one call, then the
-            # OR-fold over candidates of the per-cell tests
-            _, ixs, iys, cov = coverage_pairs([p["rings"] for p in cand], x0, y0, w, h, nx, ny)
-            within = np.zeros((ny, nx), dtype=bool)
-            intersects = np.zeros((ny, nx), dtype=bool)
-            hit = cov >= cell_area * (1.0 - TOL_EPS)
-            within[iys[hit], ixs[hit]] = True
-            hit = cov > cell_area * TOL_EPS
-            intersects[iys[hit], ixs[hit]] = True
-            if trim and not intersects.any():
-                return None
-    else:
-        # mask True/None/empty: full-bbox gridding; reference mask=True sets
-        # intersects=1, within=0 (gridding.py:145-147,163)
-        intersects = np.ones((ny, nx), dtype=bool)
-        within = np.zeros((ny, nx), dtype=bool)
-
-    iy_g, ix_g = np.mgrid[r0:r1, c0:c1]
-    iy_g = iy_g.ravel()
-    ix_g = ix_g.ravel()
-    within = within.ravel()
-    intersects = intersects.ravel()
-    if isinstance(mask, list) and mask and trim:
-        keep = within if interior else (within | intersects)
-        iy_g, ix_g = iy_g[keep], ix_g[keep]
-        within, intersects = within[keep], intersects[keep]
-        if len(iy_g) == 0:
-            return None
-    offx, offy = pos_offset(spec.xypos, spec.cellsize)
-    return {
-        "cell_id": (iy_g * spec.ncols + ix_g).astype(np.int64),
-        "ix": ix_g.astype(np.int32),
-        "iy": iy_g.astype(np.int32),
-        "x": spec.bbox[0] + ix_g * w + offx,
-        "y": spec.bbox[1] + iy_g * h + offy,
-        "tile_id": np.full(len(iy_g), spec.tile_id(tiy, tix), dtype=np.int64),
-        "intersects": intersects.astype(np.int8),
-        "within": within.astype(np.int8),
-    }
-
-
-class EmitCells:
-    """Tile kernel holding the broadcast mask, built once per worker
-    (reference ships the mask with every tile task, gridding.py:345-353)."""
-
-    def __init__(
-        self,
-        spec: GridSpec,
-        mask,
-        trim: bool,
-        interior: bool,
-        tile_flags: bool = False,
-    ):
-        self.spec = spec
-        self.mask = mask
-        self.trim = trim
-        self.interior = interior
-        self.tile_flags = tile_flags
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tiys = batch["tiy"].to_numpy()
-        tixs = batch["tix"].to_numpy()
-        parts = []
-        for tiy, tix in zip(tiys.tolist(), tixs.tolist()):
-            out = emit_tile_cells(
-                self.spec,
-                tiy,
-                tix,
-                self.mask,
-                self.trim,
-                self.interior,
-                self.tile_flags,
-            )
-            if out is not None:
-                parts.append(pa.table(out))
-        if not parts:
-            return pa.table(
-                {
-                    "cell_id": pa.array([], pa.int64()),
-                    "ix": pa.array([], pa.int32()),
-                    "iy": pa.array([], pa.int32()),
-                    "x": pa.array([], pa.float64()),
-                    "y": pa.array([], pa.float64()),
-                    "tile_id": pa.array([], pa.int64()),
-                    "intersects": pa.array([], pa.int8()),
-                    "within": pa.array([], pa.int8()),
-                }
-            )
-        return pa.concat_tables(parts)
+) -> dict[str, np.ndarray]:
+    """The cells of one tile (reference prll_process_tile,
+    gridding.py:132-188): :class:`EmitCells` over a single tile."""
+    kernel = EmitCells(spec, mask, trim, interior, tile_flags)
+    return kernel.cells(np.array([spec.tile_id(tiy, tix)]))
 
 
 def make_grid(
@@ -243,8 +202,9 @@ def make_grid(
     ``ds.sort`` only when requested (Ray blocks are unordered; conformance
     comparisons sort by cell_id, SURVEY.md §7.5.6).  ``mode``: the
     reference's tile strategy (prll | seq | qtree, gridding.py:64); every
-    mode runs the one tile kernel, :func:`emit_tile_cells`, so all three
-    give the same rows.
+    mode runs the one batched kernel, :class:`EmitCells`, over blocks of
+    about 4 tiles, so all three give the same rows, which are those of
+    :func:`emit_tile_cells` run one tile at a time.
     """
     import ray.data as rd
 
@@ -262,15 +222,10 @@ def make_grid(
 
         bbox = bbox_union(*(p["bbox"] for p in mask))
     spec = plan_grid(bbox, cellsize, tile, xypos=xypos)
-    specs = [
-        {"tiy": tiy, "tix": tix}
-        for tiy in range(spec.nytiles)
-        for tix in range(spec.nxtiles)
-    ]
-    # one tile spec per input block (up to 256 blocks); batch_size=4
-    # below then bundles 4 tiles per call (so 16 tiles give 4 output
-    # blocks).  One tile per call was slower on a 16-tile grid
-    ds = rd.from_items(specs, override_num_blocks=min(len(specs), 256))
+    # the tile ids as a lazy range, so the driver puts nothing: about 4
+    # tiles per block (at most 256 blocks), and one kernel call per block
+    # (batch_size=None, fused with the range read)
+    ds = rd.range(spec.ntiles, override_num_blocks=min(256, -(-spec.ntiles // 4)))
     if mode not in ("prll", "seq", "qtree"):
         raise ValueError(f"mode must be prll|seq|qtree, got {mode!r}")
     cells = Broadcast(mask, lambda m: EmitCells(spec, m, trim, interior, placeholders))
@@ -278,7 +233,7 @@ def make_grid(
     def apply(batch: pa.Table) -> pa.Table:
         return cells.get()(batch)
 
-    out = ds.map_batches(apply, batch_format="pyarrow", batch_size=4)
+    out = ds.map_batches(apply, batch_format="pyarrow", batch_size=None)
     # sorted modes (reference gridding.py:64: tile/tilerc/tilecr/rc/cr)
     if sort == "tile":
         out = out.sort(["tile_id", "cell_id"])

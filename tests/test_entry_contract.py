@@ -632,9 +632,10 @@ def test_no_zero_row_guard_in_map_udfs():
     calls a UDF on a zero-row block (pinned by
     ``test_segment_apply.py::test_map_batches_never_calls_udf_on_zero_row_blocks``),
     so such a guard is dead code, and its typed empty never reaches a
-    downstream schema.  Flags a top-level ``if`` that tests
+    downstream schema.  Flags a top-level ``if`` that returns and tests
     ``.num_rows``/``.num_columns`` of a parameter not reassigned before
-    it and returns, in a function whose only uses are as a
+    it, or ``len(name) == 0`` of a name bound from a parameter's column
+    (``ids = np.asarray(batch[id_col])``), in a function whose only uses are as a
     ``map_batches`` UDF (by name or through a one-call lambda).  A
     function also called directly (driver, ``segment_apply`` kernel) may
     keep its guard."""
@@ -700,6 +701,7 @@ def test_no_zero_row_guard_in_map_udfs():
                 if not uses or not all(udf_use(u, parents) for u in uses):
                     continue
                 params = {a.arg for a in fn.args.posonlyargs + fn.args.args}
+                cols: set = set()  # names bound from a parameter's column
                 for stmt in fn.body:
                     if isinstance(stmt, ast.If) and isinstance(stmt.body[-1], ast.Return):
                         tested = {
@@ -708,15 +710,37 @@ def test_no_zero_row_guard_in_map_udfs():
                             if isinstance(t, ast.Attribute)
                             and t.attr in ("num_rows", "num_columns")
                             and isinstance(t.value, ast.Name)
-                        }
-                        if tested & params:
+                        } & params
+                        tested |= {
+                            t.left.args[0].id
+                            for t in ast.walk(stmt.test)
+                            if isinstance(t, ast.Compare)
+                            and isinstance(t.left, ast.Call)
+                            and isinstance(t.left.func, ast.Name)
+                            and t.left.func.id == "len"
+                            and len(t.left.args) == 1
+                            and isinstance(t.left.args[0], ast.Name)
+                            and [type(o) for o in t.ops] == [ast.Eq]
+                            and isinstance(t.comparators[0], ast.Constant)
+                            and t.comparators[0].value == 0
+                        } & cols
+                        if tested:
                             offenders.append(
                                 f"{path.relative_to(root)}:{stmt.lineno}: {fn.name}: "
                                 f"if {ast.unparse(stmt.test)}"
                             )
-                    params -= {
+                    stored = {
                         t.id
                         for t in ast.walk(stmt)
                         if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
                     }
+                    # e.g. ``ids = np.asarray(batch[id_col])`` binds ``ids``
+                    from_col = isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Subscript)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id in params
+                        for t in ast.walk(stmt.value)
+                    )
+                    cols = (cols - stored) | (stored if from_col else set())
+                    params -= stored
     assert not offenders, f"{len(offenders)} zero-row guards:\n" + "\n".join(offenders)

@@ -137,3 +137,105 @@ def test_placeholders_requires_trim_false(ray_session, mask):
         make_grid(mask, cellsize=CELL, bbox=DOMAIN, placeholders=True)
     with pytest.raises(ValueError, match="placeholders"):
         make_grid(True, cellsize=CELL, bbox=DOMAIN, trim=False, placeholders=True)
+
+
+def _square(x0, y0, x1, y1):
+    from pygridmap_ray.geom.kernels import rings_area
+
+    ring = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    return {"poly_id": 0, "rings": [ring], "bbox": (x0, y0, x1, y1), "area": rings_area([ring])}
+
+
+def _grid_case(name):
+    """(mask layer, bbox, cellsize, tile) of the per-tile parity grids."""
+    from test_overlay import _star_layer
+
+    if name == "ragged":  # 67 x 67 cells in 7 x 5 tiles: no tile size divides the grid
+        return polygon_layer(), DOMAIN, 7_500.0, (7, 5)
+    if name == "625_tiles":  # more than 256 tiles, so each block holds several
+        return _star_layer(), (0.0, 0.0, 100_000.0, 100_000.0), 2000.0, (2, 2)
+    # 16 tiles in 4 blocks; the mask lies in tile 1, so tile 0 before it
+    # and blocks 2-4 trim away
+    square = _square(26_000.0, 1_000.0, 39_000.0, 14_000.0)
+    return [square], (0.0, 0.0, 100_000.0, 100_000.0), 5_000.0, (5, 5)
+
+
+MODES = {
+    "trim": dict(),
+    "interior": dict(interior=True),
+    "no_trim": dict(trim=False),
+    "placeholders": dict(trim=False, placeholders=True),
+    "mask_true": dict(mask=True),
+    "mask_none": dict(mask=None),
+}
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("grid", ["ragged", "625_tiles", "trimmed_block"])
+def test_make_grid_equals_per_tile_kernel(ray_session, grid, mode):
+    """make_grid's batched pass gives the rows of emit_tile_cells run one
+    tile at a time, in every mode, and every output block carries the
+    8-column schema, also a block whose tiles are all trimmed away."""
+    import pyarrow as pa
+    import ray
+
+    from pygridmap_ray.gridding import emit_tile_cells
+    from pygridmap_ray.planning import plan_grid
+
+    layer, bbox, cellsize, tile = _grid_case(grid)
+    kw = {"mask": layer, **MODES[mode]}
+    spec = plan_grid(bbox, cellsize, tile)
+    blocks = ray.get(make_grid(cellsize=cellsize, bbox=bbox, tile=tile, **kw).to_arrow_refs())
+    trim = kw.get("trim", True) or kw.get("interior", False)
+    args = (kw["mask"], trim, kw.get("interior", False), kw.get("placeholders", False))
+    ref = pa.concat_tables(
+        pa.table(emit_tile_cells(spec, tiy, tix, *args))
+        for tiy in range(spec.nytiles)
+        for tix in range(spec.nxtiles)
+    )
+    assert all(b.schema.equals(ref.schema) for b in blocks)
+    got = pa.concat_tables(blocks).sort_by("cell_id")
+    assert got.num_rows > 0
+    assert got.equals(ref.sort_by("cell_id"))
+    if grid == "625_tiles":
+        assert spec.ntiles == 625 and len(blocks) < spec.ntiles
+    if grid == "trimmed_block" and mode in ("trim", "interior"):
+        assert spec.ntiles == 16 and len(blocks) == 4
+        # blocks may arrive in any order; three of the four hold no row
+        assert sorted(b.num_rows == 0 for b in blocks) == [False, True, True, True]
+
+
+def test_emit_cells_one_coverage_call_per_batch(monkeypatch):
+    """A batch costs one clip_areas_rect and one coverage_pairs call,
+    whatever its tile count: no per-tile loop."""
+    import pyarrow as pa
+
+    from pygridmap_ray import gridding
+    from pygridmap_ray.planning import plan_grid
+    from test_overlay import _star_layer
+
+    calls = {"clip_areas_rect": 0, "coverage_pairs": 0}
+
+    def counted(name):
+        fn = getattr(gridding, name)
+
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gridding, name, counted(name))
+    layer = _star_layer()
+    spec = plan_grid((0.0, 0.0, 100_000.0, 100_000.0), 2000.0, (2, 2))
+    for trim, interior, tile_flags in [(True, False, False), (True, True, False),
+                                       (False, False, False), (False, False, True)]:
+        kernel = gridding.EmitCells(spec, layer, trim, interior, tile_flags)
+        for n in (1, 7, 160, spec.ntiles):
+            calls.update(dict.fromkeys(calls, 0))
+            out = kernel(pa.table({"id": np.arange(n, dtype=np.int64)}))
+            assert max(calls.values()) <= 1, (trim, interior, tile_flags, n, calls)
+            if n == spec.ntiles:
+                assert out.num_rows > 0
+                assert calls == {"clip_areas_rect": 1, "coverage_pairs": int(not tile_flags)}
